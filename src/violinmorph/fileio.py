@@ -47,6 +47,11 @@ def load_mesh(path, format=None, scale=None):
     scale : float, optional
         Uniform scale hint (mm per file unit) applied to all coordinates.
         Replaces ad-hoc manual rescaling of photogrammetric exports.
+
+    Raises
+    ------
+    MeshFormatError
+        When the file does not parse or holds non-finite coordinates.
     """
     path = Path(path)
     if not path.exists():
@@ -63,14 +68,17 @@ def load_mesh(path, format=None, scale=None):
             raise InputError(f"cannot infer format from extension {ext!r}: {path}")
 
     if format == "obj":
-        mesh = _load_obj(path)
+        vertices, faces = _load_obj(path)
     else:
-        mesh = _load_ply(path, format)
+        vertices, faces = _load_ply(path, format)
+    vertices = np.asarray(vertices, dtype=np.float64)
     if scale is not None:
         if not (scale > 0):
             raise InputError(f"scale hint must be positive, got {scale}")
-        mesh = TriangleMesh(mesh.vertices * float(scale), mesh.faces)
-    return mesh
+        vertices = vertices * float(scale)
+    if not np.isfinite(vertices).all():
+        raise MeshFormatError("vertices contain non-finite coordinates", path)
+    return TriangleMesh(vertices, faces)
 
 
 def save_mesh(mesh, path, format):
@@ -152,7 +160,7 @@ def _load_ply(path, declared):
             vertices, faces = _read_ply_ascii_body(fh, elements, path, lineno)
         else:
             vertices, faces = _read_ply_binary_body(fh, elements, path)
-    return TriangleMesh(vertices, faces)
+    return vertices, faces
 
 
 def _vertex_face_layout(elements, path):
@@ -319,7 +327,7 @@ def _load_obj(path):
         warnings.warn(
             f"ignored OBJ records: {', '.join(sorted(skipped))}", stacklevel=3
         )
-    return TriangleMesh(vertices, faces)
+    return vertices, faces
 
 
 def _save_obj(mesh, path):

@@ -26,6 +26,8 @@ __all__ = [
     "load_height_grid",
 ]
 
+_CHUNK_NODES = 4096  # candidate nodes rasterized per batch in interpolate_grid
+
 
 @dataclass(frozen=True)
 class HeightGrid:
@@ -112,44 +114,59 @@ def interpolate_grid(mesh, spacing=1.0, side="upper", origin=None, shape=None):
         shape = tuple(shape)
     nx, ny = shape
 
-    values = np.full((nx, ny), -np.inf if side == "upper" else np.inf)
+    values = np.full(nx * ny, -np.inf if side == "upper" else np.inf)
     take = np.maximum if side == "upper" else np.minimum
 
-    v = mesh.vertices
-    for tri in mesh.faces:
-        a, b, c = v[tri[0]], v[tri[1]], v[tri[2]]
-        n = np.cross(b - a, c - a)
-        if abs(n[2]) < 1e-12 * np.linalg.norm(n):
-            continue  # vertical or degenerate face
-        lox, loy = np.minimum(np.minimum(a[:2], b[:2]), c[:2])
-        hix, hiy = np.maximum(np.maximum(a[:2], b[:2]), c[:2])
-        i0 = max(0, math.ceil((lox - origin[0]) / spacing - 1e-12))
-        i1 = min(nx - 1, math.floor((hix - origin[0]) / spacing + 1e-12))
-        j0 = max(0, math.ceil((loy - origin[1]) / spacing - 1e-12))
-        j1 = min(ny - 1, math.floor((hiy - origin[1]) / spacing + 1e-12))
-        if i0 > i1 or j0 > j1:
-            continue
-        xs = origin[0] + spacing * np.arange(i0, i1 + 1)
-        ys = origin[1] + spacing * np.arange(j0, j1 + 1)
-        px, py = np.meshgrid(xs, ys, indexing="ij")
-        # 2-D barycentric membership in the projected triangle
-        d00 = b[:2] - a[:2]
-        d01 = c[:2] - a[:2]
-        denom = d00[0] * d01[1] - d00[1] * d01[0]
-        if abs(denom) < 1e-30:
-            continue
-        qx = px - a[0]
-        qy = py - a[1]
-        w1 = (qx * d01[1] - qy * d01[0]) / denom
-        w2 = (qy * d00[0] - qx * d00[1]) / denom
-        inside = (w1 >= -1e-12) & (w2 >= -1e-12) & (w1 + w2 <= 1 + 1e-12)
-        if not inside.any():
-            continue
-        z = a[2] + ((a[0] - px) * n[0] + (a[1] - py) * n[1]) / n[2]
-        block = values[i0:i1 + 1, j0:j1 + 1]
-        block[inside] = take(block[inside], z[inside])
-        values[i0:i1 + 1, j0:j1 + 1] = block
+    # Per-face set-up, batched; the per-node arithmetic below repeats the
+    # scalar loop's operations in the same order, so the grid is bit-exact.
+    tri = mesh.vertices[mesh.faces]
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    n = np.cross(b - a, c - a)
+    thresh = 1e-12 * np.linalg.norm(n, axis=1)
+    tilted = ~(np.abs(n[:, 2]) < thresh)
+    # A 1-D norm may round differently from the batched one: settle
+    # near-ties with the scalar form.
+    for k in np.flatnonzero(np.abs(np.abs(n[:, 2]) - thresh) <= 1e-12 * thresh):
+        tilted[k] = not abs(n[k, 2]) < 1e-12 * np.linalg.norm(n[k])
+    lo = (np.minimum(np.minimum(a[:, :2], b[:, :2]), c[:, :2]) - origin) / spacing
+    hi = (np.maximum(np.maximum(a[:, :2], b[:, :2]), c[:, :2]) - origin) / spacing
+    ij0 = np.clip(np.ceil(lo - 1e-12), 0, shape).astype(np.int64)
+    ij1 = np.clip(np.floor(hi + 1e-12), -1, np.subtract(shape, 1)).astype(np.int64)
+    d00 = b[:, :2] - a[:, :2]
+    d01 = c[:, :2] - a[:, :2]
+    denom = d00[:, 0] * d01[:, 1] - d00[:, 1] * d01[:, 0]
+    keep = tilted & (ij0 <= ij1).all(axis=1) & ~(np.abs(denom) < 1e-30)
+    a, n, d00, d01, denom = a[keep], n[keep], d00[keep], d01[keep], denom[keep]
+    i0, j0 = ij0[keep].T
+    ni, nj = (ij1[keep] - ij0[keep] + 1).T
+    counts = ni * nj
+    ends = np.cumsum(counts)
 
+    # Rasterize whole faces in chunks of about _CHUNK_NODES candidate
+    # nodes (at least one face each) to bound the temporaries.
+    start = 0
+    while start < len(counts):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK_NODES, side="right")))
+        cnt = counts[start:stop]
+        f = np.repeat(np.arange(start, stop), cnt)
+        r = np.arange(ends[stop - 1] - base) - np.repeat(ends[start:stop] - cnt - base, cnt)
+        i = i0[f] + r // nj[f]
+        j = j0[f] + r % nj[f]
+        px = origin[0] + spacing * i
+        py = origin[1] + spacing * j
+        af, nf = a[f], n[f]
+        qx = px - af[:, 0]
+        qy = py - af[:, 1]
+        w1 = (qx * d01[f, 1] - qy * d01[f, 0]) / denom[f]
+        w2 = (qy * d00[f, 0] - qx * d00[f, 1]) / denom[f]
+        inside = (w1 >= -1e-12) & (w2 >= -1e-12) & (w1 + w2 <= 1 + 1e-12)
+        z = af[:, 2] + ((af[:, 0] - px) * nf[:, 0] + (af[:, 1] - py) * nf[:, 1]) / nf[:, 2]
+        # ufunc.at applies repeated nodes in face order, as the loop did
+        take.at(values, (i * ny + j)[inside], z[inside])
+        start = stop
+
+    values = values.reshape(nx, ny)
     values[~np.isfinite(values)] = np.nan
     return HeightGrid(origin, spacing, values)
 

@@ -105,81 +105,80 @@ def cross_section(mesh, plane):
 
     side = d > 0.0
     f = mesh.faces
-    fs = side[f]
-    crossing = ~(fs.all(axis=1) | (~fs).all(axis=1))
-    if not crossing.any():
+    s0, s1, s2 = side[f[:, 0]], side[f[:, 1]], side[f[:, 2]]
+    cf = np.flatnonzero((s0 != s1) | (s1 != s2))
+    if cf.size == 0:
         return []
 
     # Each crossing face has exactly two edges whose endpoints straddle
-    # the plane; identify them as canonical (min, max) vertex pairs.
-    edge_points = {}        # edge key -> intersection point
-    edge_faces = {}         # edge key -> list of crossing face ids
-    face_edges = {}         # face id -> (key1, key2)
-    for fi in np.flatnonzero(crossing):
-        a, b, c = f[fi]
-        keys = []
-        for u, v in ((a, b), (b, c), (c, a)):
-            if side[u] != side[v]:
-                key = (u, v) if u < v else (v, u)
-                keys.append(key)
-                if key not in edge_points:
-                    du, dv = d[key[0]], d[key[1]]
-                    t = du / (du - dv)
-                    edge_points[key] = verts[key[0]] + t * (verts[key[1]] - verts[key[0]])
-                edge_faces.setdefault(key, []).append(fi)
-        face_edges[fi] = tuple(keys)
+    # the plane; identify them by canonical (min, max) vertex pairs, keyed
+    # lo * nv + hi so that sorting keys sorts the pairs.
+    u = f[cf]
+    v = u[:, [1, 2, 0]]                              # edges (a,b), (b,c), (c,a)
+    rows, cols = np.nonzero(side[u] != side[v])      # two per face, in edge order
+    lo = np.minimum(u[rows, cols], v[rows, cols])
+    hi = np.maximum(u[rows, cols], v[rows, cols])
+    keys, edge_of = np.unique(lo * len(verts) + hi, return_inverse=True)
+    lo, hi = np.divmod(keys, len(verts))
+    du, dv = d[lo], d[hi]
+    t = du / (du - dv)
+    edge_points = verts[lo] + t[:, None] * (verts[hi] - verts[lo])
+    edge_keys = list(zip(lo.tolist(), hi.tolist()))
 
-    # Chain: nodes are crossing edges, links are faces. Open chains start
-    # at degree-1 nodes; what remains are cycles.
-    used_faces = set()
+    # Chain: nodes are crossing edges (numbered in key order), links are
+    # faces (numbered in face order). Open chains start at degree-1 nodes;
+    # what remains are cycles.
+    order = np.argsort(edge_of, kind="stable")   # faces ascending within an edge
+    bounds = np.searchsorted(edge_of[order], np.arange(len(keys) + 1)).tolist()
+    flat = (order // 2).tolist()
+    edge_faces = [flat[bounds[e]:bounds[e + 1]] for e in range(len(keys))]
+    face_edges = edge_of.reshape(-1, 2).tolist()
+    used_faces = [False] * len(cf)
     polylines = []
 
-    def walk(start_key):
-        chain = [start_key]
-        current = start_key
+    def walk(start):
+        chain = [start]
+        current = start
         while True:
             nxt = None
-            for fi in sorted(edge_faces[current]):
-                if fi in used_faces:
+            for fi in edge_faces[current]:
+                if used_faces[fi]:
                     continue
-                used_faces.add(fi)
-                k1, k2 = face_edges[fi]
-                nxt = k2 if k1 == current else k1
+                used_faces[fi] = True
+                e1, e2 = face_edges[fi]
+                nxt = e2 if e1 == current else e1
                 break
             if nxt is None:
                 return chain, False
-            if nxt == start_key:
+            if nxt == start:
                 return chain, True
             chain.append(nxt)
             current = nxt
 
-    open_starts = sorted(k for k, fl in edge_faces.items() if len(fl) == 1)
-    for key in open_starts:
-        if all(fi in used_faces for fi in edge_faces[key]):
+    open_starts = [e for e, fl in enumerate(edge_faces) if len(fl) == 1]
+    for start in open_starts + list(range(len(keys))):
+        if all(used_faces[fi] for fi in edge_faces[start]):
             continue
-        chain, closed = walk(key)
-        polylines.append(_make_polyline(chain, closed, edge_points))
-    for key in sorted(edge_faces):
-        if all(fi in used_faces for fi in edge_faces[key]):
-            continue
-        chain, closed = walk(key)
-        polylines.append(_make_polyline(chain, closed, edge_points))
+        chain, closed = walk(start)
+        polylines.append(_make_polyline(chain, closed, edge_points, edge_keys))
     return [p for p in polylines if len(p) >= 2]
 
 
-def _make_polyline(chain, closed, edge_points):
-    pts = [edge_points[k] for k in chain]
-    keep_pts = [pts[0]]
-    keep_edges = [chain[0]]
-    for p, k in zip(pts[1:], chain[1:]):
-        if np.linalg.norm(p - keep_pts[-1]) > _MIN_POINT_SEP:
-            keep_pts.append(p)
-            keep_edges.append(k)
-    if closed and len(keep_pts) > 1:
-        if np.linalg.norm(keep_pts[0] - keep_pts[-1]) <= _MIN_POINT_SEP:
-            keep_pts.pop()
-            keep_edges.pop()
-    return SectionPolyline(np.array(keep_pts), closed, tuple(keep_edges))
+def _make_polyline(chain, closed, edge_points, edge_keys):
+    pts = edge_points[chain]
+    # Fast path: no consecutive pair is near the merge distance (the margin
+    # covers rounding differences between the batched and 1-D norms).
+    if np.all(np.linalg.norm(np.diff(pts, axis=0), axis=1) > 2 * _MIN_POINT_SEP):
+        keep = chain
+    else:
+        keep = [chain[0]]
+        for k in chain[1:]:
+            if np.linalg.norm(edge_points[k] - edge_points[keep[-1]]) > _MIN_POINT_SEP:
+                keep.append(k)
+    if closed and len(keep) > 1:
+        if np.linalg.norm(edge_points[keep[0]] - edge_points[keep[-1]]) <= _MIN_POINT_SEP:
+            keep = keep[:-1]
+    return SectionPolyline(edge_points[keep], closed, tuple(edge_keys[k] for k in keep))
 
 
 def section_offsets(lo, hi, spacing):

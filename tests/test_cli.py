@@ -86,6 +86,22 @@ class TestExitCodes:
                  "--body", str(mesh_path))
         assert rc == 3
 
+    @pytest.mark.parametrize("name, text", [
+        ("nan.ply", "ply\nformat ascii 1.0\nelement vertex 3\n"
+                    "property double x\nproperty double y\nproperty double z\n"
+                    "element face 1\nproperty list uchar int vertex_indices\n"
+                    "end_header\n0 0 0\n1 nan 0\n0 1 0\n3 0 1 2\n"),
+        ("inf.obj", "v 0 0 0\nv 1 0 inf\nv 0 1 0\nf 1 2 3\n"),
+    ])
+    def test_non_finite_coordinates_exit_2(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        rc = run("simplify", "--out", str(tmp_path / "out"),
+                 "--reference", str(path), "--target-faces", "1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and name in err
+
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"register": {"metric": "nope"}}))

@@ -1,0 +1,175 @@
+"""The batched grid and section kernels against their loop oracles."""
+
+import numpy as np
+import pytest
+
+from violinmorph import grid
+from violinmorph.grid import interpolate_grid, joint_grid_domain
+from violinmorph.mesh import TriangleMesh
+from violinmorph.slicing import SectionPlane, cross_section
+from violinmorph.symmetry import _rotation_to_vertical
+from violinmorph.synthetic import disc_plate, instrument_body
+
+from conftest import grid_mesh
+from oracles import cross_section_loop, interpolate_grid_loop
+
+
+def assert_same_grid(new, old):
+    assert np.array_equal(new.values, old.values, equal_nan=True)
+    assert new.values.tobytes() == old.values.tobytes()  # signed zeros too
+    assert np.array_equal(new.origin, old.origin)
+    assert new.spacing == old.spacing
+
+
+def assert_same_sections(new, old):
+    assert len(new) == len(old)
+    for p, q in zip(new, old):
+        assert np.array_equal(p.points, q.points)
+        assert p.closed == q.closed
+        assert p.source_edges == q.source_edges
+
+
+@pytest.fixture(scope="module")
+def body_plates():
+    body, labels = instrument_body(rings=12, sectors=48, rib_rings=4)
+    return body, [body.submesh(labels[side])[0] for side in ("sound_board", "back")]
+
+
+@pytest.fixture(scope="module")
+def tilt():
+    normal = np.array([0.06, -0.04, 1.0])
+    return _rotation_to_vertical(normal / np.linalg.norm(normal))
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("spacing", [1.0, 0.5, 0.3])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_body_plates_match_loop(self, body_plates, tilt, spacing, rotated):
+        _, plates = body_plates
+        if rotated:
+            plates = [p.transformed(rotation=tilt) for p in plates]
+        origin, shape = joint_grid_domain(plates, spacing)
+        for plate in plates:
+            for side in ("upper", "lower"):
+                assert_same_grid(
+                    interpolate_grid(plate, spacing, side, origin, shape),
+                    interpolate_grid_loop(plate, spacing, side, origin, shape),
+                )
+
+    def test_default_lattice_and_partial_overlap(self, body_plates):
+        _, (sound_board, _) = body_plates
+        assert_same_grid(interpolate_grid(sound_board, 0.7, "upper"),
+                         interpolate_grid_loop(sound_board, 0.7, "upper"))
+        # a lattice that clips the footprint on every side
+        origin, shape = (-20.3, -11.9), (31, 17)
+        assert_same_grid(interpolate_grid(sound_board, 1.3, "lower", origin, shape),
+                         interpolate_grid_loop(sound_board, 1.3, "lower", origin, shape))
+
+    def test_candidates_span_many_chunks(self):
+        plate = disc_plate(radius=30.0, rings=20, sectors=80).mesh
+        origin, shape = joint_grid_domain([plate], 0.25)
+        assert shape[0] * shape[1] > 10 * grid._CHUNK_NODES
+        for side in ("upper", "lower"):
+            assert_same_grid(interpolate_grid(plate, 0.25, side),
+                             interpolate_grid_loop(plate, 0.25, side))
+
+    def test_face_larger_than_one_chunk(self):
+        small = grid_mesh(6, 6, height=lambda x, y: 0.3 * x - 0.1 * y)
+        big = np.array([[-80.0, -60.0, 2.0], [90.0, -50.0, 7.0], [-70.0, 75.0, -3.0]])
+        verts = np.vstack([small.vertices, big])
+        n = small.n_vertices
+        # the big face sits between small ones, so chunks end on both sides
+        faces = np.vstack([small.faces[:20], [[n, n + 1, n + 2]], small.faces[20:]])
+        mesh = TriangleMesh(verts, faces)
+        lo, hi = big[:, :2].min(axis=0), big[:, :2].max(axis=0)
+        assert np.prod(hi - lo + 1) > grid._CHUNK_NODES
+        for side in ("upper", "lower"):
+            assert_same_grid(interpolate_grid(mesh, 1.0, side),
+                             interpolate_grid_loop(mesh, 1.0, side))
+
+    def test_tiny_chunks(self, body_plates, monkeypatch):
+        _, (_, back) = body_plates
+        monkeypatch.setattr(grid, "_CHUNK_NODES", 3)
+        assert_same_grid(interpolate_grid(back, 1.0, "lower"),
+                         interpolate_grid_loop(back, 1.0, "lower"))
+
+    def test_vertical_and_skipped_faces(self):
+        # vertical, nearly vertical (|n_z| < 1e-12 |n| but a usable
+        # barycentric denominator) and ordinary faces
+        verts = [[0, 0, 0], [1, 0, 0], [1, 0, 5], [0, 0, 5], [0.2, 3, 1], [0.9, 3.5, 1.5],
+                 [0, 10, 0], [1, 10, 2], [1, 10 + 1e-14, 5]]
+        mesh = TriangleMesh(verts, [[0, 1, 2], [0, 2, 3], [0, 1, 4], [1, 5, 4], [6, 7, 8]])
+        for spacing in (0.5, 0.1):
+            assert_same_grid(interpolate_grid(mesh, spacing, "upper"),
+                             interpolate_grid_loop(mesh, spacing, "upper"))
+
+
+def _planes_through_vertices(mesh, rng, count):
+    planes = []
+    for vi in rng.choice(mesh.n_vertices, count, replace=False):
+        normal = rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        planes.append(SectionPlane(normal, normal @ mesh.vertices[vi]))
+        axis = "xyz"[vi % 3]
+        planes.append(SectionPlane.orthogonal_to(axis, mesh.vertices[vi, "xyz".index(axis)]))
+    return planes
+
+
+def _random_vertical_planes(mesh, rng, count):
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    planes = []
+    for _ in range(count):
+        theta = rng.uniform(0, 2 * np.pi)
+        normal = np.array([np.cos(theta), np.sin(theta), 0.0])
+        planes.append(SectionPlane(normal, normal @ rng.uniform(lo, hi)))
+    return planes
+
+
+def _axis_planes(mesh, per_axis):
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    return [SectionPlane.orthogonal_to(axis, off)
+            for k, axis in enumerate("xyz")
+            for off in np.linspace(lo[k], hi[k], per_axis + 2)[1:-1]]
+
+
+class TestSectionOracle:
+    @pytest.fixture(scope="class")
+    def meshes(self, body_plates):
+        body, (sound_board, _) = body_plates
+        open_plate = disc_plate(radius=30.0, rings=15, sectors=60,
+                                rng=np.random.default_rng(3), jitter=0.3).mesh
+        return [body, sound_board, open_plate]
+
+    def check(self, mesh, planes):
+        for plane in planes:
+            assert_same_sections(cross_section(mesh, plane),
+                                 cross_section_loop(mesh, plane))
+
+    def test_random_vertical_planes(self, meshes):
+        rng = np.random.default_rng(11)
+        for mesh in meshes:
+            self.check(mesh, _random_vertical_planes(mesh, rng, 25))
+
+    def test_axis_planes(self, meshes):
+        for mesh in meshes:
+            self.check(mesh, _axis_planes(mesh, 15))
+
+    def test_planes_through_vertices(self, meshes):
+        rng = np.random.default_rng(12)
+        for mesh in meshes:
+            self.check(mesh, _planes_through_vertices(mesh, rng, 10))
+
+    def test_flat_mesh_in_plane_and_misses(self):
+        flat = grid_mesh(5, 5)
+        for plane in (SectionPlane((0, 0, 1.0), 0.0), SectionPlane((0, 0, 1.0), 4.0),
+                      SectionPlane((1.0, 0, 0), 2.0), SectionPlane((1.0, 1.0, 0), 3.0)):
+            assert_same_sections(cross_section(flat, plane), cross_section_loop(flat, plane))
+
+    def test_non_manifold_edge(self):
+        # three sheets hinged on one edge, plus a duplicated face
+        verts = [[0, 0, 0], [0, 0, 2], [1, 0, 1], [-1, 0.5, 1], [0, -1, 1], [1, 1, 1]]
+        faces = [[0, 1, 2], [0, 1, 3], [1, 0, 4], [0, 2, 5], [2, 5, 0], [1, 2, 5]]
+        mesh = TriangleMesh(verts, faces)
+        for z in (0.5, 1.0, 1.5):
+            plane = SectionPlane((0, 0, 1.0), z)
+            assert_same_sections(cross_section(mesh, plane), cross_section_loop(mesh, plane))

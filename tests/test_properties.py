@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from violinmorph.grid import HeightGrid, grid_difference_stats
+from violinmorph.grid import HeightGrid, grid_difference_stats, interpolate_grid
 from violinmorph.mesh import PointCloud
 from violinmorph.registration import (
     NormalField,
@@ -15,6 +15,11 @@ from violinmorph.registration import (
     point_to_point,
     point_to_point_sq,
 )
+from violinmorph.slicing import SectionPlane, cross_section
+from violinmorph.symmetry import _rotation_to_vertical
+from violinmorph.synthetic import disc_plate
+
+from oracles import cross_section_loop, interpolate_grid_loop
 
 coords = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False, width=32)
@@ -82,3 +87,28 @@ def test_grid_difference_symmetric(values, rnd):
     ab = grid_difference_stats(a, b)
     ba = grid_difference_stats(b, a)
     assert ab == ba
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 10), st.integers(8, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 0.7, 0.35]), st.sampled_from(["upper", "lower"]),
+       arrays(np.float64, 3, elements=st.floats(-1, 1)), st.floats(-0.5, 0.5))
+def test_batched_kernels_match_loop_oracles(rings, sectors, seed, spacing, side,
+                                            direction, offset):
+    rng = np.random.default_rng(seed)
+    mesh = disc_plate(radius=20.0, height=6.0, rings=rings, sectors=sectors,
+                      groove_radius=14.0, jitter=0.4, rng=rng).mesh
+    up = np.array([0.2 * direction[0], 0.2 * direction[1], 1.0])
+    mesh = mesh.transformed(rotation=_rotation_to_vertical(up / np.linalg.norm(up)))
+    new = interpolate_grid(mesh, spacing, side)
+    old = interpolate_grid_loop(mesh, spacing, side)
+    assert new.values.tobytes() == old.values.tobytes()
+
+    normal = direction if np.linalg.norm(direction) > 1e-3 else np.array([0.0, 0.0, 1.0])
+    vertex = mesh.vertices[seed % mesh.n_vertices]
+    for off in (offset * 20.0, normal @ vertex / np.linalg.norm(normal)):
+        plane = SectionPlane(normal, off)
+        new = cross_section(mesh, plane)
+        old = cross_section_loop(mesh, plane)
+        assert [(p.points.tobytes(), p.closed, p.source_edges) for p in new] == \
+            [(p.points.tobytes(), p.closed, p.source_edges) for p in old]
