@@ -9,7 +9,6 @@ good a registration result actually is.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +127,3 @@ def save_heatmap_csv(distribution, path):
         for p, d in zip(distribution.positions, distribution.distances):
             fh.write(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},{d:.9g}\n")
 
-
-def save_distribution_json(distribution, path):
-    with open(path, "w") as fh:
-        json.dump(distribution.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -3,9 +3,11 @@
 Every command reads one JSON config (flags override config keys, which
 override defaults), writes its artifacts into the output directory, and
 records a manifest with the config hash and content hashes of every
-artifact, so a rerun can be checked for byte-identical replay. Exit
-codes: 0 success (including diagnostic non-convergence), 2 input error,
-3 contract violation, 4 internal error.
+artifact, so a rerun can be checked for byte-identical replay. Each
+command loads its input files and calls its stage; ``pipeline`` calls the
+same stages on results held in memory. Exit codes: 0 success (including
+diagnostic non-convergence), 2 input error, 3 contract violation, 4
+internal error.
 """
 
 from __future__ import annotations
@@ -22,17 +24,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .assessment import (
-    error_distribution,
-    sampling_floor,
-    save_distribution_json,
-    save_heatmap_csv,
-)
-from .config import config_hash, load_config, set_override
+from .assessment import error_distribution, sampling_floor, save_heatmap_csv
+from .config import config_hash, load_config, set_override, validate_config
 from .decimate import decimate
 from .errors import ContractError, InputError, MorphometryError
 from .fileio import load_mesh, load_vertex_mask, save_mesh
-from .grid import grid_difference_stats, interpolate_grid, joint_grid_domain, save_height_grid
+from .grid import grid_difference_stats, interpolate_grid, joint_grid_domain
 from .isolation import IsolationParams, isolate_plate, load_plate, rough_split, save_plate
 from .mesh import PointCloud, VertexMask
 from .morphology import (
@@ -46,13 +43,13 @@ from .morphology import (
 )
 from .orientation import orient_to_frame, principal_frame
 from .registration import (
+    SimilarityTransform,
+    apply_transform,
     estimate_normals,
-    evaluate_metrics,
     pca_initial_transform,
     register,
     register_icp,
 )
-from .slicing import export_polylines_csv
 from .symmetry import CONFIGURATIONS, build_symmetry_frame
 
 
@@ -73,10 +70,10 @@ def _sha256(path):
 class Run:
     """Output directory, manifest bookkeeping and timing for one command."""
 
-    def __init__(self, command, cfg):
+    def __init__(self, command, cfg, out=None):
         self.command = command
         self.cfg = cfg
-        self.out = Path(cfg["output_dir"])
+        self.out = Path(cfg["output_dir"] if out is None else out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.outputs = []
         self.timings = {}
@@ -131,19 +128,45 @@ def _load_masked(path):
     return load_vertex_mask(path) if path else None
 
 
-# ---------------------------------------------------------------------------
-# commands
+def _mesh_name(stem, cfg):
+    """Mesh artifact name with the extension of the configured format."""
+    return stem + (".obj" if cfg["mesh_format"] == "obj" else ".ply")
 
-def cmd_isolate(cfg):
-    run = Run("isolate", cfg)
-    body_path = _require(cfg, "body", "--body")
-    body = load_mesh(body_path, scale=cfg["inputs"]["scale"])
+
+def _load_transform(path):
+    """The first row's transform of a registration table (or a bare transform)."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        row = doc["rows"][0] if "rows" in doc else doc
+        t = row["transform"] if "transform" in row else row
+        return SimilarityTransform(t["translation_mm"], t["angles_deg"], t["scale"])
+    except (OSError, ValueError, LookupError, TypeError, ContractError) as exc:
+        raise InputError(f"cannot read a transform from {path}: {exc}") from exc
+
+
+def _load_plate_pair(cfg):
+    return tuple(
+        load_plate(_require(cfg, side, f"--{flag}"),
+                   _require(cfg, f"{side}_contour", f"--{flag}-contour"), side=side)
+        for side, flag in (("sound_board", "sound-board"), ("back", "back"))
+    )
+
+
+# ---------------------------------------------------------------------------
+# stages: plain functions over in-memory inputs. Each writes its artifacts
+# and the manifest of ``run``; its first lap covers what the caller did
+# between opening ``run`` and calling it (loading files, if any).
+
+def isolate_stage(run, cfg, body_path, scale):
+    """Load and orient a body, isolate both plates; returns (sound board, back)."""
+    body = load_mesh(body_path, scale=scale)
     body = orient_to_frame(body, principal_frame(body.point_cloud()))
     run.lap("load_and_orient")
 
     iso = cfg["isolate"]
     sound_hole = _load_masked(cfg["inputs"]["sound_hole_mask"])
-    results = {}
+    plates, results = [], {}
     for side in ("sound_board", "back"):
         rough, rough_ids = rough_split(body, side, margin=iso["rough_margin"])
         exclude = None
@@ -163,7 +186,7 @@ def cmd_isolate(cfg):
         plate = isolate_plate(rough, side, params)
         save_plate(
             plate,
-            run.path(f"{side}.ply"),
+            run.path(_mesh_name(side, cfg)),
             run.path(f"{side}_contour.txt"),
             cfg["mesh_format"],
         )
@@ -171,6 +194,7 @@ def cmd_isolate(cfg):
             fh.write("x,y,z\n")
             for q in plate.contour_points():
                 fh.write(f"{q[0]:.9g},{q[1]:.9g},{q[2]:.9g}\n")
+        plates.append(plate)
         results[side] = {
             "vertices": plate.mesh.n_vertices,
             "faces": plate.mesh.n_faces,
@@ -178,91 +202,52 @@ def cmd_isolate(cfg):
         }
         run.lap(side)
     run.finish({"plates": results})
-    return 0
+    return tuple(plates)
 
 
-def _load_plate_pair(cfg):
-    sb = load_plate(
-        _require(cfg, "sound_board", "--sound-board"),
-        _require(cfg, "sound_board_contour", "--sound-board-contour"),
-        side="sound_board",
-    )
-    back = load_plate(
-        _require(cfg, "back", "--back"),
-        _require(cfg, "back_contour", "--back-contour"),
-        side="back",
-    )
-    return sb, back
-
-
-def _registration_rows(s, p, cfg):
+def _registrations(s, p, cfg):
+    """(label, report) per optimization route."""
     reg = cfg["register"]
     normals = estimate_normals(s, k=reg["normal_k"])
     init = pca_initial_transform(s, p, reg["allow_scale"]) if reg["pca_init"] else None
     common = dict(normals=normals, ftol=reg["ftol"], max_sweeps=reg["max_sweeps"])
-    rows = []
-
-    def add(label, report):
-        row = report.as_dict()
-        row["label"] = label
-        rows.append((label, report, row))
-
+    metrics = (reg["metric"],) if not reg["all_metrics"] else (
+        "point_to_point", "point_to_point_sq", "point_to_plane_sq")
+    rows = [(metric, register(s, p, metric=metric, allow_scale=reg["allow_scale"],
+                              init=init, **common))
+            for metric in metrics]
     if not reg["all_metrics"]:
-        report = register(s, p, metric=reg["metric"],
-                          allow_scale=reg["allow_scale"], init=init, **common)
-        add(reg["metric"], report)
         return rows
 
-    for metric in ("point_to_point", "point_to_point_sq", "point_to_plane_sq"):
-        report = register(s, p, metric=metric,
-                          allow_scale=reg["allow_scale"], init=init, **common)
-        add(metric, report)
     k_ext = rows[2][1].transform.scale
     rigid_init = pca_initial_transform(s, p, allow_scale=False) if reg["pca_init"] else None
-    add("icp_external_scaling",
-        register_icp(s, p, scale=k_ext, sample_size=reg["icp_sample_size"],
-                     seed=cfg["seed"], normals=normals, init=rigid_init))
-    add("icp_no_scaling",
-        register_icp(s, p, scale=1.0, sample_size=reg["icp_sample_size"],
-                     seed=cfg["seed"], normals=normals, init=rigid_init))
+    for label, scale in (("icp_external_scaling", k_ext), ("icp_no_scaling", 1.0)):
+        rows.append((label, register_icp(s, p, scale=scale, sample_size=reg["icp_sample_size"],
+                                         seed=cfg["seed"], normals=normals, init=rigid_init)))
     return rows
 
 
-def cmd_register(cfg):
-    run = Run("register", cfg)
-    s = _load_cloud(_require(cfg, "reference", "--reference"), cfg["inputs"]["scale"])
-    p = _load_cloud(_require(cfg, "moving", "--moving"), cfg["inputs"]["scale_b"])
+def register_stage(run, cfg, s, p):
+    """Register cloud ``p`` onto ``s``; returns the first route's report."""
     run.lap("load")
-    rows = _registration_rows(s, p, cfg)
+    rows = _registrations(s, p, cfg)
     run.lap("optimize")
     table = {
         "columns_mm": ["D", "sqrt_D2", "sqrt_D2_plane"],
-        "rows": [row for _, _, row in rows],
+        "rows": [dict(report.as_dict(), label=label) for label, report in rows],
     }
     _write_json(table, run.path("registration.json"))
-    run.finish({"converged": all(r.converged for _, r, _ in rows)})
-    return 0
+    run.finish({"converged": all(report.converged for _, report in rows)})
+    return rows[0][1]
 
 
-def cmd_assess(cfg):
-    run = Run("assess", cfg)
-    ref_path = _require(cfg, "reference", "--reference")
-    ref_mesh = load_mesh(ref_path, scale=cfg["inputs"]["scale"])
-    s = PointCloud(ref_mesh.vertices)
-    p = _load_cloud(_require(cfg, "moving", "--moving"), cfg["inputs"]["scale_b"])
-    transform_path = cfg["inputs"]["transform"]
-    if transform_path is not None:
-        from .registration import SimilarityTransform, apply_transform
-
-        with open(transform_path) as fh:
-            doc = json.load(fh)
-        row = doc["rows"][0] if "rows" in doc else doc
-        t = row["transform"] if "transform" in row else row
-        p = apply_transform(
-            SimilarityTransform(t["translation_mm"], t["angles_deg"], t["scale"]), p
-        )
+def assess_stage(run, cfg, ref_mesh, p, transform=None):
+    """Error distribution of ``p`` (moved by ``transform``) against ``ref_mesh``."""
+    if transform is not None:
+        p = apply_transform(transform, p)
     run.lap("load")
-    dist = error_distribution(s, p, threshold=cfg["assess"]["threshold"],
+    dist = error_distribution(PointCloud(ref_mesh.vertices), p,
+                              threshold=cfg["assess"]["threshold"],
                               bin_width=cfg["assess"]["bin_width"])
     payload = dist.as_dict()
     payload["sampling_floor_mm"] = sampling_floor(ref_mesh)
@@ -270,6 +255,109 @@ def cmd_assess(cfg):
     save_heatmap_csv(dist, run.path("heatmap.csv"))
     run.lap("distribution")
     run.finish()
+
+
+def _symmetry_frame(cfg, sb, back, config):
+    sym = cfg["symmetry"]
+    return build_symmetry_frame(
+        sb, back,
+        config=config,
+        mask=_load_masked(cfg["inputs"]["contour_mask"]),
+        back_mask=_load_masked(cfg["inputs"]["contour_mask_back"]),
+        spacing=sym["grid_spacing"],
+        min_nodes=sym["min_nodes"],
+    )
+
+
+def symmetry_stage(run, cfg, sb, back):
+    """Fit all three configurations; returns the configured one's frame.
+
+    A configuration that fails is reported in ``symmetry.json``; when the
+    configured one fails, its error is raised and nothing is written.
+    """
+    run.lap("load")
+    frames = {}
+    for name in CONFIGURATIONS:
+        try:
+            frames[name] = _symmetry_frame(cfg, sb, back, name)
+        except MorphometryError as exc:
+            frames[name] = exc
+    frame = frames[cfg["symmetry"]["config"]]
+    if isinstance(frame, MorphometryError):
+        raise frame
+    payload = frame.as_dict()
+    payload["angles_by_configuration_deg"] = {
+        name: f"failed: {f}" if isinstance(f, MorphometryError) else f.angle_deg
+        for name, f in frames.items()
+    }
+    _write_json(payload, run.path("symmetry.json"))
+    run.lap("fit")
+    run.finish()
+    return frame
+
+
+def contours_stage(run, cfg, plates, frame):
+    run.lap("frame")
+    for plate in plates:
+        lines = contour_lines(plate, frame, spacing=cfg["contours"]["spacing"],
+                              max_range=cfg["contours"]["max_range"])
+        run.outputs += save_contour_lines(lines, run.out, f"contour_lines_{plate.side}")
+    run.lap("slice")
+    run.finish()
+
+
+def asymmetry_stage(run, frame):
+    run.lap("frame")
+    field = asymmetry_field(frame.sound_board_grid, frame.back_grid, frame.offset)
+    run.outputs += save_asymmetry(field, run.out, "asymmetry")
+    run.lap("field")
+    run.finish()
+
+
+def channel_stage(run, cfg, plates, frame):
+    run.lap("frame")
+    params = ChannelParams(
+        window_mm=cfg["channel"]["window_mm"],
+        stations=cfg["channel"]["stations"],
+        smoothing_rms_mm=cfg["channel"]["smoothing_rms_mm"],
+    )
+    summary = {}
+    for plate in plates:
+        trace = channel_of_minima(plate, frame, params)
+        save_channel(trace, run.path(f"channel_{plate.side}.csv"))
+        summary[plate.side] = {
+            "stations_detected": int(len(trace.points)),
+            "stations_skipped": trace.stations_skipped,
+            "no_channel": trace.no_channel,
+        }
+    run.lap("trace")
+    run.finish({"channel": summary})
+
+
+# ---------------------------------------------------------------------------
+# commands: load the inputs from files, open the run, call the stage
+
+def cmd_isolate(cfg):
+    isolate_stage(Run("isolate", cfg), cfg, _require(cfg, "body", "--body"),
+                  cfg["inputs"]["scale"])
+    return 0
+
+
+def cmd_register(cfg):
+    run = Run("register", cfg)
+    s = _load_cloud(_require(cfg, "reference", "--reference"), cfg["inputs"]["scale"])
+    p = _load_cloud(_require(cfg, "moving", "--moving"), cfg["inputs"]["scale_b"])
+    register_stage(run, cfg, s, p)
+    return 0
+
+
+def cmd_assess(cfg):
+    run = Run("assess", cfg)
+    ref_mesh = load_mesh(_require(cfg, "reference", "--reference"), scale=cfg["inputs"]["scale"])
+    p = _load_cloud(_require(cfg, "moving", "--moving"), cfg["inputs"]["scale_b"])
+    transform_path = cfg["inputs"]["transform"]
+    transform = _load_transform(transform_path) if transform_path is not None else None
+    assess_stage(run, cfg, ref_mesh, p, transform)
     return 0
 
 
@@ -283,7 +371,7 @@ def cmd_simplify(cfg):
     run.lap("load")
     simplified = decimate(mesh, int(target))
     run.lap("decimate")
-    save_mesh(simplified, run.path("simplified.ply"), cfg["mesh_format"])
+    save_mesh(simplified, run.path(_mesh_name("simplified", cfg)), cfg["mesh_format"])
     spacing = cfg["simplify"]["grid_spacing"]
     origin, shape = joint_grid_domain([mesh, simplified], spacing)
     g0 = interpolate_grid(mesh, spacing, "upper", origin, shape)
@@ -303,138 +391,51 @@ def cmd_simplify(cfg):
     return 0
 
 
-def _symmetry_frame(cfg, sb, back):
-    sym = cfg["symmetry"]
-    return build_symmetry_frame(
-        sb, back,
-        config=sym["config"],
-        mask=_load_masked(cfg["inputs"]["contour_mask"]),
-        back_mask=_load_masked(cfg["inputs"]["contour_mask_back"]),
-        spacing=sym["grid_spacing"],
-        min_nodes=sym["min_nodes"],
-    )
-
-
 def cmd_symmetry(cfg):
-    run = Run("symmetry", cfg)
-    sb, back = _load_plate_pair(cfg)
-    run.lap("load")
-    angles = {}
-    for name in CONFIGURATIONS:
-        try:
-            frame_n = build_symmetry_frame(
-                sb, back, config=name,
-                mask=_load_masked(cfg["inputs"]["contour_mask"]),
-                back_mask=_load_masked(cfg["inputs"]["contour_mask_back"]),
-                spacing=cfg["symmetry"]["grid_spacing"],
-                min_nodes=cfg["symmetry"]["min_nodes"],
-            )
-            angles[name] = frame_n.angle_deg
-        except MorphometryError as exc:
-            angles[name] = f"failed: {exc}"
-    frame = _symmetry_frame(cfg, sb, back)
-    payload = frame.as_dict()
-    payload["angles_by_configuration_deg"] = angles
-    _write_json(payload, run.path("symmetry.json"))
-    run.lap("fit")
-    run.finish()
+    symmetry_stage(Run("symmetry", cfg), cfg, *_load_plate_pair(cfg))
     return 0
 
 
-def cmd_contours(cfg):
-    run = Run("contours", cfg)
+def _plates_and_frame(cfg):
     sb, back = _load_plate_pair(cfg)
-    frame = _symmetry_frame(cfg, sb, back)
-    run.lap("frame")
-    for plate in (sb, back):
-        lines = contour_lines(plate, frame, spacing=cfg["contours"]["spacing"],
-                              max_range=cfg["contours"]["max_range"])
-        save_contour_lines(lines, run.out, f"contour_lines_{plate.side}")
-        for level in lines.levels:
-            name = f"contour_lines_{plate.side}_level_{level:+.3f}.csv"
-            run.outputs.append(run.out / name.replace("+", "p").replace("-", "m"))
-        run.outputs.append(run.out / f"contour_lines_{plate.side}_index.json")
-    run.lap("slice")
-    run.finish()
+    return (sb, back), _symmetry_frame(cfg, sb, back, cfg["symmetry"]["config"])
+
+
+def cmd_contours(cfg):
+    contours_stage(Run("contours", cfg), cfg, *_plates_and_frame(cfg))
     return 0
 
 
 def cmd_asymmetry(cfg):
-    run = Run("asymmetry", cfg)
-    sb, back = _load_plate_pair(cfg)
-    frame = _symmetry_frame(cfg, sb, back)
-    run.lap("frame")
-    field = asymmetry_field(frame.sound_board_grid, frame.back_grid, frame.offset)
-    save_asymmetry(field, run.out, "asymmetry")
-    for suffix in ("grid.csv", "grid.json", "stats.json", "histogram.csv"):
-        run.outputs.append(run.out / f"asymmetry_{suffix}")
-    run.lap("field")
-    run.finish()
+    asymmetry_stage(Run("asymmetry", cfg), _plates_and_frame(cfg)[1])
     return 0
 
 
 def cmd_channel(cfg):
-    run = Run("channel", cfg)
-    sb, back = _load_plate_pair(cfg)
-    frame = _symmetry_frame(cfg, sb, back)
-    run.lap("frame")
-    params = ChannelParams(
-        window_mm=cfg["channel"]["window_mm"],
-        stations=cfg["channel"]["stations"],
-        smoothing_rms_mm=cfg["channel"]["smoothing_rms_mm"],
-    )
-    summary = {}
-    for plate in (sb, back):
-        trace = channel_of_minima(plate, frame, params)
-        save_channel(trace, run.path(f"channel_{plate.side}.csv"))
-        summary[plate.side] = {
-            "stations_detected": int(len(trace.points)),
-            "stations_skipped": trace.stations_skipped,
-            "no_channel": trace.no_channel,
-        }
-    run.lap("trace")
-    run.finish({"channel": summary})
+    channel_stage(Run("channel", cfg), cfg, *_plates_and_frame(cfg))
     return 0
 
 
+def _second_acquisition(run, cfg, sb):
+    """Isolate body B, register its sound board onto ``sb`` and assess the fit."""
+    sb_b, _ = isolate_stage(Run("isolate", cfg, run.out / "acquisition_b"), cfg,
+                            cfg["inputs"]["body_b"], cfg["inputs"]["scale_b"])
+    s, p = PointCloud(sb.mesh.vertices), PointCloud(sb_b.mesh.vertices)
+    report = register_stage(Run("register", cfg), cfg, s, p)
+    assess_stage(Run("assess", cfg), cfg, sb.mesh, p, report.transform)
+
+
 def cmd_pipeline(cfg):
+    """Every stage on the plates in memory, with one frame per configuration."""
     run = Run("pipeline", cfg)
-    rc = cmd_isolate(cfg)
-    if rc:
-        return rc
-    out = Path(cfg["output_dir"])
-
-    plates_cfg = json.loads(json.dumps(cfg))  # deep copy via JSON (config is JSON-safe)
-    plates_cfg["inputs"]["sound_board"] = str(out / "sound_board.ply")
-    plates_cfg["inputs"]["sound_board_contour"] = str(out / "sound_board_contour.txt")
-    plates_cfg["inputs"]["back"] = str(out / "back.ply")
-    plates_cfg["inputs"]["back_contour"] = str(out / "back_contour.txt")
-
+    plates = isolate_stage(Run("isolate", cfg), cfg, _require(cfg, "body", "--body"),
+                           cfg["inputs"]["scale"])
     if cfg["inputs"]["body_b"] is not None:
-        b_cfg = json.loads(json.dumps(cfg))
-        b_cfg["output_dir"] = str(out / "acquisition_b")
-        b_cfg["inputs"]["body"] = cfg["inputs"]["body_b"]
-        b_cfg["inputs"]["scale"] = cfg["inputs"]["scale_b"]
-        rc = cmd_isolate(b_cfg)
-        if rc:
-            return rc
-        reg_cfg = json.loads(json.dumps(plates_cfg))
-        reg_cfg["inputs"]["reference"] = str(out / "sound_board.ply")
-        reg_cfg["inputs"]["moving"] = str(out / "acquisition_b" / "sound_board.ply")
-        reg_cfg["inputs"]["scale"] = None
-        reg_cfg["inputs"]["scale_b"] = None
-        rc = cmd_register(reg_cfg)
-        if rc:
-            return rc
-        reg_cfg["inputs"]["transform"] = str(out / "registration.json")
-        rc = cmd_assess(reg_cfg)
-        if rc:
-            return rc
-
-    for step in (cmd_symmetry, cmd_contours, cmd_asymmetry, cmd_channel):
-        rc = step(plates_cfg)
-        if rc:
-            return rc
+        _second_acquisition(run, cfg, plates[0])
+    frame = symmetry_stage(Run("symmetry", cfg), cfg, *plates)
+    contours_stage(Run("contours", cfg), cfg, plates, frame)
+    asymmetry_stage(Run("asymmetry", cfg), frame)
+    channel_stage(Run("channel", cfg), cfg, plates, frame)
     run.finish()
     return 0
 
@@ -516,8 +517,6 @@ def main(argv=None):
             set_override(cfg, "register.all_metrics", True)
         if args.no_scale:
             set_override(cfg, "register.allow_scale", False)
-        from .config import validate_config
-
         validate_config(cfg)
         return _COMMANDS[args.command](cfg)
     except InputError as exc:

@@ -167,10 +167,6 @@ def map_to_vertices(mesh, points):
     return out
 
 
-def _tour_length(dist, tour):
-    return float(dist[tour, np.roll(tour, -1)].sum())
-
-
 def order_loop(mesh, anchors):
     """Cyclic anchor order approximately minimizing the Euclidean tour.
 

@@ -330,30 +330,38 @@ def channel_of_minima(plate, frame=None, params=None):
 # artifact export
 
 def save_contour_lines(lineset, out_dir, stem):
-    """Layered CSVs (one per level) plus a JSON index mapping level to file."""
+    """Layered CSVs (one per level) plus a JSON index; returns their paths."""
     index = {"side": lineset.side, "spacing_mm": lineset.spacing,
              "base_level_mm": lineset.base_level, "levels": []}
+    paths = []
     for level, polys in zip(lineset.levels, lineset.polylines):
         fname = f"{stem}_level_{level:+.3f}.csv".replace("+", "p").replace("-", "m")
-        export_polylines_csv(polys, out_dir / fname)
+        paths.append(out_dir / fname)
+        export_polylines_csv(polys, paths[-1])
         index["levels"].append({"level_mm": level, "file": fname})
-    with open(out_dir / f"{stem}_index.json", "w") as fh:
+    paths.append(out_dir / f"{stem}_index.json")
+    with open(paths[-1], "w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return paths
 
 
 def save_asymmetry(field, out_dir, stem):
-    save_height_grid(field.grid, out_dir / f"{stem}_grid.csv",
-                     out_dir / f"{stem}_grid.json")
-    with open(out_dir / f"{stem}_stats.json", "w") as fh:
+    """Grid CSV + JSON header, stats JSON and histogram CSV; returns their paths."""
+    paths = [out_dir / f"{stem}_{suffix}"
+             for suffix in ("grid.csv", "grid.json", "stats.json", "histogram.csv")]
+    grid_csv, grid_json, stats_json, histogram_csv = paths
+    save_height_grid(field.grid, grid_csv, grid_json)
+    with open(stats_json, "w") as fh:
         json.dump({"stats_mm": field.stats, "excluded_nodes": field.excluded_nodes},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out_dir / f"{stem}_histogram.csv", "w", newline="\n") as fh:
+    with open(histogram_csv, "w", newline="\n") as fh:
         fh.write("bin_lo_mm,bin_hi_mm,count\n")
         for lo, hi, n in zip(field.histogram_edges[:-1], field.histogram_edges[1:],
                              field.histogram_counts):
             fh.write(f"{lo:.9g},{hi:.9g},{int(n)}\n")
+    return paths
 
 
 def save_channel(trace, path):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RankDeficiencyError
-from .mesh import PointCloud, TriangleMesh
+from .mesh import TriangleMesh
 
-__all__ = ["PrincipalFrame", "principal_frame", "orient_to_frame"]
+__all__ = ["PrincipalFrame", "principal_frame", "orient_to_frame", "rodrigues"]
 
 _TIE_TOL = 1e-9
 
@@ -109,8 +109,11 @@ def orient_to_frame(mesh, frame):
     return TriangleMesh(v, mesh.faces)
 
 
-def orient_points(points, frame):
-    """Apply the frame mapping to a bare (n, 3) array or PointCloud."""
-    if isinstance(points, PointCloud):
-        return PointCloud((points.points - frame.centroid) @ frame.axes.T)
-    return (np.asarray(points, dtype=np.float64) - frame.centroid) @ frame.axes.T
+def rodrigues(axis, s, c):
+    """Rotation about the unit ``axis`` by the angle of sine ``s``, cosine ``c``."""
+    k = np.array([
+        [0, -axis[2], axis[1]],
+        [axis[2], 0, -axis[0]],
+        [-axis[1], axis[0], 0],
+    ])
+    return np.eye(3) + s * k + (1 - c) * (k @ k)

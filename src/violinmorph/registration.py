@@ -30,6 +30,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ContractError
 from .mesh import PointCloud
+from .orientation import rodrigues
 
 __all__ = [
     "SimilarityTransform",
@@ -440,13 +441,7 @@ def _rodrigues(omega):
     angle = np.linalg.norm(omega)
     if angle < 1e-30:
         return np.eye(3)
-    axis = omega / angle
-    k = np.array([
-        [0, -axis[2], axis[1]],
-        [axis[2], 0, -axis[0]],
-        [-axis[1], axis[0], 0],
-    ])
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+    return rodrigues(omega / angle, np.sin(angle), np.cos(angle))
 
 
 def register_icp(s, p, scale=1.0, sample_size=10_000, seed=0, normals=None,

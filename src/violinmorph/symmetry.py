@@ -24,6 +24,7 @@ from .errors import (
 )
 from .grid import interpolate_grid, joint_grid_domain
 from .mesh import PointCloud
+from .orientation import rodrigues
 
 __all__ = [
     "FittedPlane",
@@ -126,13 +127,7 @@ def _rotation_to_vertical(normal):
     s = np.linalg.norm(axis)
     if s < 1e-15:
         return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    axis = axis / s
-    k = np.array([
-        [0, -axis[2], axis[1]],
-        [axis[2], 0, -axis[0]],
-        [-axis[1], axis[0], 0],
-    ])
-    return np.eye(3) + s * k + (1 - c) * (k @ k)
+    return rodrigues(axis / s, s, c)
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,6 @@ class SymmetryFrame:
         out = pts @ self.rotation.T
         out[:, 2] -= self.offset
         return out
-
-    def apply_mesh(self, mesh):
-        return mesh.transformed(rotation=self.rotation, translation=(0, 0, -self.offset))
 
     def apply_plate(self, plate):
         return plate.transformed(rotation=self.rotation, translation=(0, 0, -self.offset))

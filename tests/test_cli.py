@@ -259,3 +259,153 @@ class TestMorphologyCommands:
         assert rc == 0
         index = json.loads((out / "contour_lines_sound_board_index.json").read_text())
         assert index["spacing_mm"] == 4.0  # flag beat the config's 2.0
+
+
+@pytest.fixture(scope="module")
+def body_b_file(body_file, tmp_path_factory):
+    """Second acquisition of ``body_file``: rigidly moved and slightly scaled."""
+    from violinmorph.fileio import load_mesh
+    from violinmorph.registration import SimilarityTransform
+
+    body = load_mesh(body_file)
+    t = SimilarityTransform((2.0, -1.0, 0.5), (1.0, -0.5, 0.8), 1.0)
+    moved = body.transformed(rotation=t.rotation_matrix().T)
+    moved = moved.transformed(translation=(2.0, -1.0, 0.5), scale=1.0 / 1.02)
+    path = tmp_path_factory.mktemp("body_b") / "body_b.ply"
+    save_mesh(moved, path, "ply-binary-le")
+    return path
+
+
+COUNTED = ("build_symmetry_frame", "interpolate_grid", "load_mesh")
+
+
+@pytest.fixture(scope="module")
+def counted_pipeline(body_file, body_b_file, tmp_path_factory):
+    """One ``pipeline --body-b`` run with calls to COUNTED counted.
+
+    Every violinmorph module that binds one of these names gets a counting
+    wrapper, so a call is counted whichever module it goes through.
+    """
+    import sys
+
+    counts = dict.fromkeys(COUNTED, 0)
+    out = tmp_path_factory.mktemp("pipeline") / "out"
+    with pytest.MonkeyPatch.context() as mp:
+        modules = [m for n, m in list(sys.modules.items()) if n.startswith("violinmorph")]
+        for mod in modules:
+            for name in COUNTED:
+                original = getattr(mod, name, None)
+                if original is None:
+                    continue
+
+                def counting(*args, _fn=original, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                mp.setattr(mod, name, counting)
+        rc = run("pipeline", "--body", str(body_file), "--body-b", str(body_b_file),
+                 "--out", str(out))
+    assert rc == 0
+    return out, counts
+
+
+def _artifacts(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and not p.name.startswith("manifest_")}
+
+
+class TestInMemoryPipeline:
+    def test_each_intermediate_computed_once(self, counted_pipeline):
+        _, counts = counted_pipeline
+        # one frame per symmetry configuration, two grids per frame, two bodies
+        assert counts == {"build_symmetry_frame": 3, "interpolate_grid": 6, "load_mesh": 2}
+
+    def test_artifacts_match_separate_commands(self, counted_pipeline, body_file,
+                                               body_b_file, tmp_path):
+        out, _ = counted_pipeline
+        sep = tmp_path / "sep"
+        plates = ("--sound-board", str(out / "sound_board.ply"),
+                  "--sound-board-contour", str(out / "sound_board_contour.txt"),
+                  "--back", str(out / "back.ply"),
+                  "--back-contour", str(out / "back_contour.txt"))
+        pair = ("--reference", str(out / "sound_board.ply"),
+                "--moving", str(out / "acquisition_b" / "sound_board.ply"))
+        to_sep = ("--out", str(sep))
+        calls = [
+            ("isolate", "--body", str(body_file), *to_sep),
+            ("isolate", "--body", str(body_b_file), "--out", str(sep / "acquisition_b")),
+            ("register", *pair, *to_sep),
+            ("assess", *pair, "--transform", str(sep / "registration.json"), *to_sep),
+            *((command, *plates, *to_sep)
+              for command in ("symmetry", "contours", "asymmetry", "channel")),
+        ]
+        for argv in calls:
+            assert run(*argv) == 0, argv
+
+        got, want = _artifacts(out), _artifacts(sep)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name] == want[name], name
+        # every stage still writes its manifest, listing the same artifacts
+        for manifest in sep.rglob("manifest_*.json"):
+            mine = json.loads((out / manifest.relative_to(sep)).read_text())
+            theirs = json.loads(manifest.read_text())
+            for key in ("artifacts", "plates", "converged", "channel"):
+                assert mine.get(key) == theirs.get(key), (manifest.name, key)
+        assert (out / "manifest_pipeline.json").exists()
+
+    def test_obj_format_writes_obj_plates(self, body_file, body_b_file, tmp_path):
+        from violinmorph.fileio import load_mesh
+
+        out = tmp_path / "obj"
+        rc = run("pipeline", "--body", str(body_file), "--body-b", str(body_b_file),
+                 "--out", str(out), "--format", "obj")
+        assert rc == 0
+        for root in (out, out / "acquisition_b"):
+            for side in ("sound_board", "back"):
+                assert load_mesh(root / f"{side}.obj").n_faces > 0
+        assert not list(out.rglob("*.ply"))
+
+    def test_simplify_obj_writes_obj(self, tmp_path):
+        from violinmorph.fileio import load_mesh
+
+        plate = disc_plate(radius=20.0, height=5.0, rings=8, sectors=30)
+        mesh_path = tmp_path / "p.ply"
+        save_mesh(plate.mesh, mesh_path, "ply-binary-le")
+        out = tmp_path / "simp"
+        rc = run("simplify", "--reference", str(mesh_path), "--target-faces", "200",
+                 "--format", "obj", "--out", str(out))
+        assert rc == 0
+        assert load_mesh(out / "simplified.obj").n_faces <= 200
+
+
+class TestStageErrors:
+    @pytest.mark.parametrize("name, text", [
+        ("missing.json", None),
+        ("garbled.json", "{not json"),
+        ("empty_rows.json", '{"rows": []}'),
+        ("zero_scale.json", '{"translation_mm": [0, 0, 0], "angles_deg": [0, 0, 0], "scale": 0}'),
+    ])
+    def test_bad_transform_file_exits_2(self, tmp_path, capsys, name, text):
+        plate = disc_plate(radius=20.0, height=5.0, rings=8, sectors=30)
+        mesh_path = tmp_path / "p.ply"
+        save_mesh(plate.mesh, mesh_path, "ply-binary-le")
+        transform = tmp_path / name
+        if text is not None:
+            transform.write_text(text)
+        rc = run("assess", "--reference", str(mesh_path), "--moving", str(mesh_path),
+                 "--transform", str(transform), "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
+    def test_configured_symmetry_failure_exits_3(self, plate_files, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"symmetry": {"min_nodes": 10**9}}))
+        out = tmp_path / "sym"
+        rc = run("symmetry", "--config", str(cfg), "--out", str(out),
+                 "--sound-board", str(plate_files / "sb.ply"),
+                 "--sound-board-contour", str(plate_files / "sb_contour.txt"),
+                 "--back", str(plate_files / "back.ply"),
+                 "--back-contour", str(plate_files / "back_contour.txt"))
+        assert rc == 3
+        assert not (out / "symmetry.json").exists()
