@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ContractError
 from .mesh import PointCloud
-from .registration import SimilarityTransform, apply_transform, register
+from .registration import SimilarityTransform, _nn_displacement, apply_transform, register
 
 __all__ = [
     "ErrorDistribution",
@@ -73,9 +72,7 @@ def error_distribution(s, p, threshold=2.0, bin_width=0.1):
     The clouds are assumed registered already. Histogram bins are
     ``bin_width`` mm wide starting at zero.
     """
-    tree = cKDTree(p.points)
-    _, idx = tree.query(s.points, k=1, workers=-1)
-    diff = s.points - p.points[idx]
+    diff = _nn_displacement(s.points, p.points)
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     top = max(float(dist.max()), bin_width)
     edges = np.arange(0.0, top + bin_width, bin_width)

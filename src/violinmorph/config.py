@@ -49,7 +49,7 @@ DEFAULT_CONFIG = {
         "pca_init": True,
         "normal_k": 10,
         "ftol": 1e-5,
-        "max_sweeps": 200,
+        "max_sweeps": 200,  # scipy Powell's maxiter; the key keeps its old name
         "icp_sample_size": 10000,
     },
     "assess": {

@@ -8,8 +8,8 @@ more trusted acquisition is the reference).
 
 Three interchangeable metrics: mean nearest-neighbour distance (D), its
 mean-square variant (D2) and the squared point-to-plane projection
-(D2_plane). Minimization is derivative-free (Powell line searches over a
-maintained direction set); an ICP comparison mode with a closed-form
+(D2_plane). Minimization is derivative-free (scipy's Powell method over a
+scaled parameter vector); an ICP comparison mode with a closed-form
 point-to-plane solve per iteration is provided as well.
 
 Nearest neighbours are exact. One KD-tree is built on the moving cloud;
@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .errors import ContractError
@@ -81,6 +81,8 @@ class SimilarityTransform:
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=np.float64).reshape(3).copy()
         a = np.asarray(self.angles_deg, dtype=np.float64).reshape(3).copy()
+        if not (np.isfinite(t).all() and np.isfinite(a).all() and np.isfinite(self.scale)):
+            raise ContractError("translation, angles and scale must be finite")
         if not self.scale > 0:
             raise ContractError(f"scale must be positive, got {self.scale}")
         t.flags.writeable = False
@@ -160,27 +162,21 @@ class NormalField:
         return len(self.normals)
 
 
-def _nn_indices(s_points, p_points, tree=None):
-    tree = tree or cKDTree(p_points)
-    _, idx = tree.query(s_points, k=1, workers=-1)
-    return idx
-
-
-def _distances(s_points, p_points, idx):
-    diff = s_points - p_points[idx]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+def _nn_displacement(s_points, p_points):
+    """Displacement from each reference point's nearest neighbour in ``p``."""
+    _, idx = cKDTree(p_points).query(s_points, k=1, workers=-1)
+    return s_points - p_points[idx]
 
 
 def point_to_point(s, p):
     """Mean Euclidean distance from each reference point to its NN in ``p``."""
-    idx = _nn_indices(s.points, p.points)
-    return float(np.mean(_distances(s.points, p.points, idx)))
+    diff = _nn_displacement(s.points, p.points)
+    return float(np.mean(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
 
 
 def point_to_point_sq(s, p):
     """Mean squared NN distance (the MSE of the error distribution)."""
-    idx = _nn_indices(s.points, p.points)
-    diff = s.points - p.points[idx]
+    diff = _nn_displacement(s.points, p.points)
     return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
 
 
@@ -188,8 +184,7 @@ def point_to_plane_sq(s, p, normals):
     """Mean squared projection of the NN displacement on the reference normals."""
     if len(normals) != len(s):
         raise ContractError("normals must cover every reference point")
-    idx = _nn_indices(s.points, p.points)
-    diff = s.points - p.points[idx]
+    diff = _nn_displacement(s.points, p.points)
     proj = np.einsum("ij,ij->i", diff, normals.normals)
     return float(np.mean(proj * proj))
 
@@ -262,8 +257,9 @@ class RegistrationReport:
     """Optimal transform plus the three metric values it achieves.
 
     ``metrics`` holds D, sqrt(D2) and sqrt(D2_plane) in mm, recomputed
-    from the final transform. ``objective_history`` is the objective at
-    the end of each accepted sweep (non-increasing by construction).
+    from the final transform. For the Powell method ``iterations`` counts
+    scipy's Powell iterations and ``objective_history`` is the starting
+    objective followed by the objective after each iteration.
     """
 
     transform: SimilarityTransform
@@ -320,17 +316,6 @@ class _Objective:
 _PARAM_STEPS = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.01])
 
 
-def _line_minimize(fun, z, direction, f0):
-    """Brent line search; never accepts a worse point than the start."""
-    g = lambda a: fun(z + a * direction)
-    res = minimize_scalar(
-        g, bracket=(0.0, 1.0), method="brent", options={"xtol": 1e-6, "maxiter": 60}
-    )
-    if res.fun < f0:
-        return z + res.x * direction, float(res.fun)
-    return z, f0
-
-
 def register(s, p, metric="point_to_point", allow_scale=True, init=None,
              normals=None, normal_k=10, ftol=1e-5, max_sweeps=200):
     """Find the similarity transform of the moving cloud that minimizes a metric.
@@ -349,14 +334,16 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
         Reference-cloud normals for the plane metric (estimated with
         ``normal_k`` neighbours when omitted).
     ftol : float
-        Convergence: relative objective improvement across a full
-        direction sweep below this value.
+        Convergence: relative objective improvement across one Powell
+        iteration below this value (scipy's ``ftol``).
+    max_sweeps : int
+        Powell iterations allowed (scipy's ``maxiter``).
 
     Returns
     -------
     RegistrationReport
-        With ``converged=False`` after ``max_sweeps`` sweeps (diagnostic,
-        not an error).
+        With ``converged=False`` when scipy stops for any reason other than
+        convergence (diagnostic, not an error).
     """
     if metric not in METRICS:
         raise ContractError(f"unknown metric {metric!r}, expected one of {METRICS}")
@@ -367,7 +354,6 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
     params = np.concatenate([t0.translation, t0.angles_deg, [t0.scale]])
 
     active = np.arange(7) if allow_scale else np.arange(6)
-    n_active = len(active)
     steps = _PARAM_STEPS
 
     def fun(z):
@@ -375,44 +361,15 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
         q[active] = z * steps[active]
         return objective(q)
 
-    z = params[active] / steps[active]
-    directions = np.eye(n_active)
-    f_current = fun(z)
-    history = [f_current]
-    converged = False
-    sweeps = 0
+    z0 = params[active] / steps[active]
+    history = [fun(z0)]
 
-    while sweeps < max_sweeps:
-        sweeps += 1
-        if sweeps % (3 * 7) == 0:
-            directions = np.eye(n_active)  # periodic reset avoids degeneracy
-        f_start = f_current
-        z_start = z.copy()
-        best_drop = 0.0
-        best_dir = 0
-        for d in range(n_active):
-            f_before = f_current
-            z, f_current = _line_minimize(fun, z, directions[d], f_current)
-            if f_before - f_current > best_drop:
-                best_drop = f_before - f_current
-                best_dir = d
-        # Powell extension: try the net displacement as a new direction.
-        displacement = z - z_start
-        norm = np.linalg.norm(displacement)
-        if norm > 1e-12:
-            f_extrap = fun(z_start + 2.0 * displacement)
-            if f_extrap < f_start:
-                gain = f_start - 2.0 * f_current + f_extrap
-                if 2.0 * gain * (f_start - f_current - best_drop) ** 2 < \
-                        best_drop * (f_start - f_extrap) ** 2:
-                    directions[best_dir] = displacement / norm
-                    z, f_current = _line_minimize(fun, z, directions[best_dir], f_current)
-        history.append(f_current)
-        if 2.0 * (f_start - f_current) <= ftol * (abs(f_start) + abs(f_current)) + 1e-25:
-            converged = True
-            break
+    def record(intermediate_result):
+        history.append(float(intermediate_result.fun))
 
-    params[active] = z * steps[active]
+    res = minimize(fun, z0, method="Powell", callback=record,
+                   options={"ftol": ftol, "maxiter": max_sweeps})
+    params[active] = res.x * steps[active]
     final = SimilarityTransform(params[0:3], params[3:6], params[6])
     report_normals = normals if normals is not None else estimate_normals(s, k=normal_k)
     metrics = evaluate_metrics(s, p, final, report_normals)
@@ -420,8 +377,8 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
         transform=final,
         metrics=metrics,
         optimized_metric=metric,
-        iterations=sweeps,
-        converged=converged,
+        iterations=int(res.nit),
+        converged=bool(res.status == 0),
         objective_history=tuple(history),
         method="powell",
     )
@@ -429,11 +386,16 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
 
 def evaluate_metrics(s, p, transform, normals):
     """D, sqrt(D2), sqrt(D2_plane) in mm for a given transform."""
+    if len(normals) != len(s):
+        raise ContractError("normals must cover every reference point")
     moved = apply_transform(transform, p)
+    diff = _nn_displacement(s.points, moved.points)
+    sq = np.einsum("ij,ij->i", diff, diff)
+    proj = np.einsum("ij,ij->i", diff, normals.normals)
     return {
-        "D": point_to_point(s, moved),
-        "sqrt_D2": float(np.sqrt(point_to_point_sq(s, moved))),
-        "sqrt_D2_plane": float(np.sqrt(point_to_plane_sq(s, moved, normals))),
+        "D": float(np.mean(np.sqrt(sq))),
+        "sqrt_D2": float(np.sqrt(np.mean(sq))),
+        "sqrt_D2_plane": float(np.sqrt(np.mean(proj * proj))),
     }
 
 

@@ -385,6 +385,7 @@ class TestStageErrors:
         ("garbled.json", "{not json"),
         ("empty_rows.json", '{"rows": []}'),
         ("zero_scale.json", '{"translation_mm": [0, 0, 0], "angles_deg": [0, 0, 0], "scale": 0}'),
+        ("nan.json", '{"translation_mm": [NaN, 0, 0], "angles_deg": [0, 0, 0], "scale": 1}'),
     ])
     def test_bad_transform_file_exits_2(self, tmp_path, capsys, name, text):
         plate = disc_plate(radius=20.0, height=5.0, rings=8, sectors=30)

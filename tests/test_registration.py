@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from violinmorph import registration
 from violinmorph.errors import ContractError
 from violinmorph.mesh import PointCloud
 from violinmorph.registration import (
@@ -141,8 +142,25 @@ class TestPointMetrics:
 
     def test_plane_metric_needs_matching_normals(self):
         s, p = random_clouds(7)
+        short = NormalField(np.tile([0, 0, 1.0], (3, 1)))
         with pytest.raises(ContractError):
-            point_to_plane_sq(s, p, NormalField(np.tile([0, 0, 1.0], (3, 1))))
+            point_to_plane_sq(s, p, short)
+        with pytest.raises(ContractError):
+            evaluate_metrics(s, p, SimilarityTransform.identity(), short)
+
+    def test_evaluate_metrics_builds_one_tree(self, monkeypatch):
+        builds = []
+
+        class CountingKDTree(registration.cKDTree):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                builds.append(1)
+
+        monkeypatch.setattr(registration, "cKDTree", CountingKDTree)
+        s, p = random_clouds(8)
+        normals = NormalField(np.tile([0, 0, 1.0], (len(s), 1)))
+        evaluate_metrics(s, p, SimilarityTransform((1, 0, 0), (0, 0, 5), 1.1), normals)
+        assert len(builds) == 1
 
 
 class TestEstimateNormals:
@@ -255,6 +273,12 @@ class TestRegister:
         again = evaluate_metrics(reference_plate, moving, report.transform, normals)
         for key, value in report.metrics.items():
             assert again[key] == pytest.approx(value, abs=1e-9)
+        # one shared query gives the same bits as the three separate metrics
+        moved = apply_transform(report.transform, moving)
+        assert again["D"] == point_to_point(reference_plate, moved)
+        assert again["sqrt_D2"] == np.sqrt(point_to_point_sq(reference_plate, moved))
+        assert again["sqrt_D2_plane"] == np.sqrt(
+            point_to_plane_sq(reference_plate, moved, normals))
 
     def test_unknown_metric(self, reference_plate):
         with pytest.raises(ContractError):
