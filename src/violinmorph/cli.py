@@ -368,6 +368,9 @@ def cmd_simplify(cfg):
     target = cfg["simplify"]["target_faces"]
     if target is None:
         raise InputError("missing simplify.target_faces (--target-faces)")
+    if target > mesh.n_faces:
+        raise InputError(f"simplify.target_faces={target} exceeds the {mesh.n_faces} "
+                         f"faces of {mesh_path}")
     run.lap("load")
     simplified = decimate(mesh, int(target))
     run.lap("decimate")

@@ -83,6 +83,7 @@ _RANGES = {
     ("register", "max_sweeps"): (1, 100000),
     ("register", "icp_sample_size"): (10, 10**8),
     ("assess", "threshold"): (0.0, 1e6),
+    ("simplify", "target_faces"): (1, 10**9),
     ("symmetry", "grid_spacing"): (1e-3, 1e3),
     ("symmetry", "min_nodes"): (1, 10**9),
     ("contours", "spacing"): (1e-6, 1e4),

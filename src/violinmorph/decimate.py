@@ -5,12 +5,15 @@ replacement vertex at the quadric-optimal position when the 3x3 system is
 well conditioned and at the best of {v1, v2, midpoint} otherwise. Plate
 meshes are open surfaces, so boundary edges contribute a perpendicular
 constraint plane that resists contour shrinkage.
+
+Set-up and each collapse's re-push work on edge arrays; the greedy loop
+stays sequential. Row dots and norms use stacked ``matmul``, which rounds
+like the 1-D ``@`` (``einsum`` and ``norm(axis=1)`` do not).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 
 import numpy as np
 
@@ -23,37 +26,46 @@ _COND_LIMIT = 1e7
 _BOUNDARY_WEIGHT = 1.0
 
 
-def _plane_quadric(normal, d, weight=1.0):
-    q = np.empty(4)
-    q[:3] = normal
-    q[3] = d
-    return weight * np.outer(q, q)
+def _dot(a, b):
+    """Row-wise dot products of two stacks of vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _face_geometry(verts, tri):
-    a, b, c = verts[tri[0]], verts[tri[1]], verts[tri[2]]
-    n = np.cross(b - a, c - a)
-    norm = np.linalg.norm(n)
-    return n, norm, a
+def _normals(corners):
+    """Unnormalised normals of triangles given as (k, 3, 3) corner stacks."""
+    return np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
 
 
-def _quadric_error(q, p):
-    return float(p @ q[:3, :3] @ p + 2.0 * (q[:3, 3] @ p) + q[3, 3])
+def _plane_quadrics(normals, points):
+    """Quadrics of the planes through ``points`` with unit ``normals``."""
+    q = np.concatenate([normals, _dot(-normals, points)[:, None]], axis=1)
+    return q[:, :, None] * q[:, None, :]
 
 
-def _optimal_position(q, p1, p2):
-    a = q[:3, :3]
-    try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < _COND_LIMIT:
-        target = np.linalg.solve(a, -q[:3, 3])
-        return target, _quadric_error(q, target)
-    candidates = (p1, p2, 0.5 * (p1 + p2))
-    errors = [_quadric_error(q, p) for p in candidates]
-    best = int(np.argmin(errors))
-    return candidates[best], errors[best]
+def _error(q, p):
+    """Quadric error of positions ``p`` under quadrics ``q``."""
+    row = p[..., None, :]
+    return (row @ q[..., :3, :3] @ p[..., :, None]
+            + 2.0 * (row @ q[..., :3, 3:]))[..., 0, 0] + q[..., 3, 3]
+
+
+def _targets(q, p1, p2):
+    """Contraction targets and their errors for edges (p1, p2) with quadrics q.
+
+    The quadric-optimal point where the 3x3 system is well conditioned,
+    otherwise the first of {p1, p2, midpoint} with the least error.
+    """
+    candidates = np.stack([p1, p2, 0.5 * (p1 + p2)], axis=1)
+    errors = _error(q[:, None], candidates)
+    best = errors.argmin(axis=1)
+    rows = np.arange(len(q))
+    pos, err = candidates[rows, best], errors[rows, best]
+    solvable = np.linalg.cond(q[:, :3, :3]) < _COND_LIMIT
+    if solvable.any():
+        qs = q[solvable]
+        pos[solvable] = np.linalg.solve(qs[:, :3, :3], -qs[:, :3, 3:])[:, :, 0]
+        err[solvable] = _error(qs, pos[solvable])
+    return pos, err
 
 
 def decimate(mesh, target_faces):
@@ -81,138 +93,91 @@ def decimate(mesh, target_faces):
         return mesh
 
     verts = mesh.vertices.copy()
-    faces = [list(f) for f in mesh.faces]
-    face_alive = [True] * len(faces)
-    vert_faces = defaultdict(set)
-    for fi, f in enumerate(faces):
+    faces = mesh.faces.copy()
+    vert_faces = [set() for _ in range(len(verts))]
+    for fi, f in enumerate(faces.tolist()):
         for v in f:
             vert_faces[v].add(fi)
 
-    # vertex quadrics: incident face planes plus boundary constraints
+    # vertex quadrics: incident face planes (in face order), then boundary
+    # constraints in first-seen edge order; zero-area faces take no part
+    n = _normals(verts[faces])
+    norm = np.sqrt(_dot(n, n))
+    area = norm >= 1e-30
+    unit = n[area] / norm[area, None]
+    kept = faces[area]
     quadrics = np.zeros((len(verts), 4, 4))
-    edge_count = defaultdict(int)
-    edge_face = {}
-    for fi, f in enumerate(faces):
-        n, norm, a = _face_geometry(verts, f)
-        if norm < 1e-30:
-            continue
-        n = n / norm
-        q = _plane_quadric(n, -n @ a)
-        for v in f:
-            quadrics[v] += q
-        for u, v in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            key = (u, v) if u < v else (v, u)
-            edge_count[key] += 1
-            edge_face[key] = fi
-    for key, cnt in edge_count.items():
-        if cnt != 1:
-            continue
-        u, v = key
-        n, norm, a = _face_geometry(verts, faces[edge_face[key]])
-        if norm < 1e-30:
-            continue
-        edge_dir = verts[v] - verts[u]
-        c = np.cross(n / norm, edge_dir)
-        cn = np.linalg.norm(c)
-        if cn < 1e-30:
-            continue
-        c /= cn
-        q = _plane_quadric(c, -c @ verts[u], _BOUNDARY_WEIGHT)
-        quadrics[u] += q
-        quadrics[v] += q
+    np.add.at(quadrics, kept.ravel(),
+              np.repeat(_plane_quadrics(unit, verts[kept[:, 0]]), 3, axis=0))
+    ends = np.sort(kept[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, count = np.unique(ends[:, 0] * len(verts) + ends[:, 1],
+                                return_index=True, return_counts=True)
+    once = np.sort(first[count == 1])
+    u, v = ends[once].T
+    c = np.cross(unit[once // 3], verts[v] - verts[u])
+    cn = np.sqrt(_dot(c, c))
+    keep = cn >= 1e-30
+    c, u, v = c[keep] / cn[keep, None], u[keep], v[keep]
+    np.add.at(quadrics, np.column_stack([u, v]).ravel(),
+              np.repeat(_BOUNDARY_WEIGHT * _plane_quadrics(c, verts[u]), 2, axis=0))
 
-    stamp = defaultdict(int)
-    heap = []
-    ticket = 0  # heap tie-break; keeps tuple comparison away from arrays
+    # entries (err, u, v, stamp[u], stamp[v], pos): an edge is pushed again only
+    # after a stamp bump, so entries never tie and pos is never compared
+    stamp = [0] * len(verts)
 
-    def neighbours(v):
-        out = set()
-        for fi in vert_faces[v]:
-            out.update(faces[fi])
-        out.discard(v)
-        return out
+    def entries(u, ws):
+        a, b = np.minimum(u, ws), np.maximum(u, ws)
+        pos, err = _targets(quadrics[a] + quadrics[b], verts[a], verts[b])
+        return [(e, i, j, stamp[i], stamp[j], p)
+                for e, i, j, p in zip(err.tolist(), a.tolist(), b.tolist(), pos)]
 
-    def push_edge(u, v):
-        nonlocal ticket
-        if u > v:
-            u, v = v, u
-        q = quadrics[u] + quadrics[v]
-        pos, err = _optimal_position(q, verts[u], verts[v])
-        ticket += 1
-        heapq.heappush(heap, (err, u, v, stamp[u], stamp[v], ticket, pos))
+    def corners(fis):
+        return set(faces[list(fis)].ravel().tolist())
 
-    pushed = set()
-    for f in faces:
-        for u, v in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            key = (u, v) if u < v else (v, u)
-            if key not in pushed:
-                pushed.add(key)
-                push_edge(*key)
-
+    heap = entries(mesh.edges[:, 0], mesh.edges[:, 1])
+    heapq.heapify(heap)
     n_faces = len(faces)
-
-    def face_normal_after(fi, moved, pos):
-        f = faces[fi]
-        pts = [pos if v == moved else verts[v] for v in f]
-        return np.cross(pts[1] - pts[0], pts[2] - pts[0])
 
     while n_faces > target_faces:
         if not heap:
             raise TopologicalLockError(
                 f"no contractible edge left at {n_faces} faces (target {target_faces})"
             )
-        err, u, v, su, sv, _, pos = heapq.heappop(heap)
+        _, u, v, su, sv, pos = heapq.heappop(heap)
         if stamp[u] != su or stamp[v] != sv:
             continue
         shared = vert_faces[u] & vert_faces[v]
-        if not shared:
-            continue
-        if n_faces - len(shared) < 1:
-            continue  # never decimate the surface away entirely
+        if not shared or len(shared) >= n_faces:
+            continue  # not an edge any more, or the surface would vanish
         # link condition: common neighbours must all come from shared faces
-        common = neighbours(u) & neighbours(v)
-        shared_third = {w for fi in shared for w in faces[fi] if w not in (u, v)}
-        if common != shared_third:
+        if corners(vert_faces[u]) & corners(vert_faces[v]) - corners(shared):
             continue
         # reject collapses that flip or squash any surviving face
-        ok = True
-        for w, other in ((u, v), (v, u)):
-            for fi in vert_faces[w] - shared:
-                before, norm, _ = _face_geometry(verts, faces[fi])
-                after = face_normal_after(fi, w, pos)
-                na = np.linalg.norm(after)
-                if na < 1e-30 or (norm > 1e-30 and before @ after <= 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        around = (vert_faces[u] | vert_faces[v]) - shared
+        tri = faces[list(around)]
+        points = verts[tri]
+        before = _normals(points)
+        points[(tri == u) | (tri == v)] = pos
+        after = _normals(points)
+        if np.any((np.sqrt(_dot(after, after)) < 1e-30)
+                  | ((np.sqrt(_dot(before, before)) > 1e-30) & (_dot(before, after) <= 0))):
             continue
 
         # contract v into u at the optimal position
         verts[u] = pos
         quadrics[u] = quadrics[u] + quadrics[v]
-        for fi in list(shared):
-            face_alive[fi] = False
-            for w in faces[fi]:
-                vert_faces[w].discard(fi)
-            n_faces -= 1
-        for fi in list(vert_faces[v]):
-            faces[fi] = [u if w == v else w for w in faces[fi]]
-            vert_faces[u].add(fi)
-            vert_faces[v].discard(fi)
+        n_faces -= len(shared)
+        for w in corners(shared) - {u, v}:
+            vert_faces[w] -= shared
+        moved = list(vert_faces[v] - shared)
+        faces[moved] = np.where(faces[moved] == v, u, faces[moved])
+        vert_faces[u], vert_faces[v] = around, set()
         stamp[u] += 1
         stamp[v] += 1
-        for w in sorted(neighbours(u)):
-            stamp_key = (u, w) if u < w else (w, u)
-            push_edge(*stamp_key)
+        ring = np.array(sorted(corners(around) - {u}), dtype=np.int64)
+        for entry in entries(u, ring):
+            heapq.heappush(heap, entry)
 
-    # compact: drop dead vertices/faces, preserve index order
-    used = sorted({w for fi, f in enumerate(faces) if face_alive[fi] for w in f})
-    remap = {old: new for new, old in enumerate(used)}
-    new_faces = [
-        [remap[f[0]], remap[f[1]], remap[f[2]]]
-        for fi, f in enumerate(faces)
-        if face_alive[fi]
-    ]
-    return TriangleMesh(verts[used], new_faces)
+    # compact: keep the faces some vertex still holds, preserve index order
+    used, new_faces = np.unique(faces[sorted(set().union(*vert_faces))], return_inverse=True)
+    return TriangleMesh(verts[used], new_faces.reshape(-1, 3))

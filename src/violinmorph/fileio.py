@@ -11,13 +11,14 @@ Ascii floats are emitted with 9 significant digits, which round-trips
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, MeshFormatError
+from .errors import ContractError, InputError, MeshFormatError
 from .mesh import TriangleMesh, VertexMask
 
 __all__ = ["load_mesh", "save_mesh", "load_vertex_mask", "save_vertex_mask"]
@@ -51,7 +52,8 @@ def load_mesh(path, format=None, scale=None):
     Raises
     ------
     MeshFormatError
-        When the file does not parse or holds non-finite coordinates.
+        When the file does not parse, holds non-finite coordinates or
+        describes no valid triangle mesh (say, a face index out of range).
     """
     path = Path(path)
     if not path.exists():
@@ -78,7 +80,10 @@ def load_mesh(path, format=None, scale=None):
         vertices = vertices * float(scale)
     if not np.isfinite(vertices).all():
         raise MeshFormatError("vertices contain non-finite coordinates", path)
-    return TriangleMesh(vertices, faces)
+    try:
+        return TriangleMesh(vertices, faces)
+    except (ContractError, OverflowError) as exc:  # e.g. a face index out of range
+        raise MeshFormatError(str(exc), path) from exc
 
 
 def save_mesh(mesh, path, format):
@@ -113,43 +118,50 @@ def _load_ply(path, declared):
             tokens = raw.decode("ascii", "replace").split()
             if not tokens or tokens[0] == "comment":
                 continue
-            if tokens[0] == "format":
-                if tokens[1] == "ascii":
-                    fmt = "ply-ascii"
-                elif tokens[1] == "binary_little_endian":
-                    fmt = "ply-binary-le"
+            try:
+                if tokens[0] == "format":
+                    if tokens[1] == "ascii":
+                        fmt = "ply-ascii"
+                    elif tokens[1] == "binary_little_endian":
+                        fmt = "ply-binary-le"
+                    else:
+                        raise MeshFormatError(
+                            f"unsupported PLY format {tokens[1]!r}", path, line=lineno
+                        )
+                elif tokens[0] == "element":
+                    if int(tokens[2]) < 0:
+                        raise ValueError
+                    elements.append((tokens[1], int(tokens[2]), [], lineno))
+                elif tokens[0] == "property":
+                    if not elements:
+                        raise MeshFormatError("property before element", path, line=lineno)
+                    props = elements[-1][2]
+                    if tokens[1] == "list":
+                        idx_code = _PLY_SCALAR.get(tokens[2])
+                        val_code = _PLY_SCALAR.get(tokens[3])
+                        if idx_code is None or val_code is None:
+                            raise MeshFormatError(
+                                f"unsupported list types {tokens[2]}/{tokens[3]}",
+                                path, line=lineno,
+                            )
+                        props.append((tokens[4], val_code, idx_code))
+                    else:
+                        code = _PLY_SCALAR.get(tokens[1])
+                        if code is None:
+                            raise MeshFormatError(
+                                f"unsupported property type {tokens[1]!r}", path, line=lineno
+                            )
+                        props.append((tokens[2], code, None))
+                elif tokens[0] == "end_header":
+                    break
                 else:
                     raise MeshFormatError(
-                        f"unsupported PLY format {tokens[1]!r}", path, line=lineno
+                        f"unknown PLY header record {tokens[0]!r}", path, line=lineno
                     )
-            elif tokens[0] == "element":
-                elements.append((tokens[1], int(tokens[2]), []))
-            elif tokens[0] == "property":
-                if not elements:
-                    raise MeshFormatError("property before element", path, line=lineno)
-                props = elements[-1][2]
-                if tokens[1] == "list":
-                    idx_code = _PLY_SCALAR.get(tokens[2])
-                    val_code = _PLY_SCALAR.get(tokens[3])
-                    if idx_code is None or val_code is None:
-                        raise MeshFormatError(
-                            f"unsupported list types {tokens[2]}/{tokens[3]}",
-                            path, line=lineno,
-                        )
-                    props.append((tokens[4], val_code, idx_code))
-                else:
-                    code = _PLY_SCALAR.get(tokens[1])
-                    if code is None:
-                        raise MeshFormatError(
-                            f"unsupported property type {tokens[1]!r}", path, line=lineno
-                        )
-                    props.append((tokens[2], code, None))
-            elif tokens[0] == "end_header":
-                break
-            else:
+            except (IndexError, ValueError):
                 raise MeshFormatError(
-                    f"unknown PLY header record {tokens[0]!r}", path, line=lineno
-                )
+                    f"malformed PLY header record {' '.join(tokens)!r}", path, line=lineno
+                ) from None
         if fmt is None:
             raise MeshFormatError("PLY header lacks a format record", path)
         if declared is not None and declared != fmt:
@@ -178,7 +190,7 @@ def _vertex_face_layout(elements, path):
 def _read_ply_ascii_body(fh, elements, path, lineno):
     xi = yi = zi = 0
     vertices, faces = [], []
-    for name, count, props in elements:
+    for name, count, props, _ in elements:
         if name == "vertex":
             xi, yi, zi = _vertex_face_layout(elements, path)
         for _ in range(count):
@@ -209,7 +221,15 @@ def _read_ply_ascii_body(fh, elements, path, lineno):
 
 def _read_ply_binary_body(fh, elements, path):
     vertices, faces = [], []
-    for name, count, props in elements:
+    file_size = os.fstat(fh.fileno()).st_size
+    for name, count, props, lineno in elements:
+        # every record takes at least its scalars and its list counts
+        least = sum(struct.calcsize(idx_code or code) for _, code, idx_code in props)
+        if count * least > file_size - fh.tell():
+            raise MeshFormatError(
+                f"element {name!r} declares {count} records, more than the file holds",
+                path, line=lineno,
+            )
         if name == "vertex":
             xi, yi, zi = _vertex_face_layout(elements, path)
             fmt = "<" + "".join(code for _, code, _ in props)
@@ -220,7 +240,7 @@ def _read_ply_binary_body(fh, elements, path):
             for rec in struct.iter_unpack(fmt, blob):
                 vertices.append((rec[xi], rec[yi], rec[zi]))
         else:
-            for _ in range(count):
+            for _ in range(count if props else 0):  # no properties, no bytes
                 for pname, code, idx_code in props:
                     if idx_code is None:
                         blob = fh.read(struct.calcsize(code))
@@ -231,6 +251,8 @@ def _read_ply_binary_body(fh, elements, path):
                     if not nraw:
                         raise MeshFormatError("truncated list count", path, offset=fh.tell())
                     (k,) = struct.unpack("<" + idx_code, nraw)
+                    if struct.calcsize(code) * k > file_size - fh.tell():
+                        raise MeshFormatError("list longer than the file", path, offset=fh.tell())
                     body = fh.read(struct.calcsize(code) * k)
                     if len(body) < struct.calcsize(code) * k:
                         raise MeshFormatError("truncated list data", path, offset=fh.tell())
@@ -292,7 +314,7 @@ def _save_ply_binary(mesh, path):
 def _load_obj(path):
     vertices, faces = [], []
     skipped = set()
-    with open(path, "r") as fh:
+    with open(path, "r", errors="replace") as fh:  # stray bytes fail as bad records
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):

@@ -10,13 +10,15 @@ component holding the plate's apex.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ContractError, DisconnectedError, FragmentationError
+from .errors import (ContractError, DisconnectedError, FragmentationError, InputError,
+                     MeshFormatError)
 from .mesh import TriangleMesh, VertexMask, connected_components, shortest_path
 from .slicing import extreme_points
 
@@ -379,10 +381,12 @@ def load_plate(mesh_path, contour_path, side=None):
     from .fileio import load_mesh
 
     mesh = load_mesh(mesh_path)
+    if not os.path.exists(contour_path):
+        raise InputError(f"contour file not found: {contour_path}")
     indices = []
     sources = []
-    with open(contour_path) as fh:
-        for line in fh:
+    with open(contour_path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
             body, _, comment = line.partition("#")
             body = body.strip()
             comment = comment.strip()
@@ -390,7 +394,10 @@ def load_plate(mesh_path, contour_path, side=None):
                 if comment.startswith("side=") and side is None:
                     side = comment[5:]
                 continue
-            indices.append(int(body))
+            try:
+                indices.append(int(body))
+            except ValueError:
+                raise MeshFormatError("bad contour index", contour_path, line=lineno) from None
             sources.append(comment if comment else ANCHOR)
     if side is None:
         raise ContractError(f"plate side missing from {contour_path} and not provided")

@@ -1,17 +1,22 @@
 """Reference kernels kept as test oracles.
 
 These are the original per-face / per-edge loop versions of
-``grid.interpolate_grid`` and ``slicing.cross_section``. The library's
-batched versions must reproduce them bit for bit; the loops are slow but
-transparent, which is what an oracle needs.
+``grid.interpolate_grid``, ``slicing.cross_section`` and
+``decimate.decimate``. The library's batched versions must reproduce them
+bit for bit; the loops are slow but transparent, which is what an oracle
+needs.
 """
 
+import heapq
 import math
+from collections import defaultdict
 
 import numpy as np
 
-from violinmorph.errors import ContractError
+from violinmorph.decimate import _BOUNDARY_WEIGHT, _COND_LIMIT
+from violinmorph.errors import ContractError, TopologicalLockError
 from violinmorph.grid import HeightGrid, joint_grid_domain
+from violinmorph.mesh import TriangleMesh
 from violinmorph.slicing import _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPolyline
 
 
@@ -154,3 +159,198 @@ def _make_polyline_loop(chain, closed, edge_points):
             keep_pts.pop()
             keep_edges.pop()
     return SectionPolyline(np.array(keep_pts), closed, tuple(keep_edges))
+
+
+def _plane_quadric(normal, d, weight=1.0):
+    q = np.empty(4)
+    q[:3] = normal
+    q[3] = d
+    return weight * np.outer(q, q)
+
+
+def _face_geometry(verts, tri):
+    a, b, c = verts[tri[0]], verts[tri[1]], verts[tri[2]]
+    n = np.cross(b - a, c - a)
+    norm = np.linalg.norm(n)
+    return n, norm, a
+
+
+def _quadric_error(q, p):
+    return float(p @ q[:3, :3] @ p + 2.0 * (q[:3, 3] @ p) + q[3, 3])
+
+
+def _optimal_position(q, p1, p2):
+    a = q[:3, :3]
+    try:
+        cond = np.linalg.cond(a)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if np.isfinite(cond) and cond < _COND_LIMIT:
+        target = np.linalg.solve(a, -q[:3, 3])
+        return target, _quadric_error(q, target)
+    candidates = (p1, p2, 0.5 * (p1 + p2))
+    errors = [_quadric_error(q, p) for p in candidates]
+    best = int(np.argmin(errors))
+    return candidates[best], errors[best]
+
+
+def decimate_loop(mesh, target_faces):
+    """Contract minimum-cost edges until at most ``target_faces`` remain.
+
+    Interior collapses remove two faces at a time, so the result can land
+    one face below the target. Returns the input unchanged when it
+    already has ``target_faces`` faces. Collapses that would flip a
+    neighbouring face or pinch the surface into a non-manifold
+    configuration are skipped.
+
+    Raises
+    ------
+    TopologicalLockError
+        When every remaining edge is blocked before the target is met.
+    """
+    target_faces = int(target_faces)
+    if target_faces < 1:
+        raise ContractError("target face count must be >= 1")
+    if target_faces > mesh.n_faces:
+        raise ContractError(
+            f"target {target_faces} exceeds current face count {mesh.n_faces}"
+        )
+    if target_faces == mesh.n_faces:
+        return mesh
+
+    verts = mesh.vertices.copy()
+    faces = [list(f) for f in mesh.faces]
+    face_alive = [True] * len(faces)
+    vert_faces = defaultdict(set)
+    for fi, f in enumerate(faces):
+        for v in f:
+            vert_faces[v].add(fi)
+
+    # vertex quadrics: incident face planes plus boundary constraints
+    quadrics = np.zeros((len(verts), 4, 4))
+    edge_count = defaultdict(int)
+    edge_face = {}
+    for fi, f in enumerate(faces):
+        n, norm, a = _face_geometry(verts, f)
+        if norm < 1e-30:
+            continue
+        n = n / norm
+        q = _plane_quadric(n, -n @ a)
+        for v in f:
+            quadrics[v] += q
+        for u, v in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            key = (u, v) if u < v else (v, u)
+            edge_count[key] += 1
+            edge_face[key] = fi
+    for key, cnt in edge_count.items():
+        if cnt != 1:
+            continue
+        u, v = key
+        n, norm, a = _face_geometry(verts, faces[edge_face[key]])
+        if norm < 1e-30:
+            continue
+        edge_dir = verts[v] - verts[u]
+        c = np.cross(n / norm, edge_dir)
+        cn = np.linalg.norm(c)
+        if cn < 1e-30:
+            continue
+        c /= cn
+        q = _plane_quadric(c, -c @ verts[u], _BOUNDARY_WEIGHT)
+        quadrics[u] += q
+        quadrics[v] += q
+
+    stamp = defaultdict(int)
+    heap = []
+    ticket = 0  # heap tie-break; keeps tuple comparison away from arrays
+
+    def neighbours(v):
+        out = set()
+        for fi in vert_faces[v]:
+            out.update(faces[fi])
+        out.discard(v)
+        return out
+
+    def push_edge(u, v):
+        nonlocal ticket
+        if u > v:
+            u, v = v, u
+        q = quadrics[u] + quadrics[v]
+        pos, err = _optimal_position(q, verts[u], verts[v])
+        ticket += 1
+        heapq.heappush(heap, (err, u, v, stamp[u], stamp[v], ticket, pos))
+
+    pushed = set()
+    for f in faces:
+        for u, v in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            key = (u, v) if u < v else (v, u)
+            if key not in pushed:
+                pushed.add(key)
+                push_edge(*key)
+
+    n_faces = len(faces)
+
+    def face_normal_after(fi, moved, pos):
+        f = faces[fi]
+        pts = [pos if v == moved else verts[v] for v in f]
+        return np.cross(pts[1] - pts[0], pts[2] - pts[0])
+
+    while n_faces > target_faces:
+        if not heap:
+            raise TopologicalLockError(
+                f"no contractible edge left at {n_faces} faces (target {target_faces})"
+            )
+        err, u, v, su, sv, _, pos = heapq.heappop(heap)
+        if stamp[u] != su or stamp[v] != sv:
+            continue
+        shared = vert_faces[u] & vert_faces[v]
+        if not shared:
+            continue
+        if n_faces - len(shared) < 1:
+            continue  # never decimate the surface away entirely
+        # link condition: common neighbours must all come from shared faces
+        common = neighbours(u) & neighbours(v)
+        shared_third = {w for fi in shared for w in faces[fi] if w not in (u, v)}
+        if common != shared_third:
+            continue
+        # reject collapses that flip or squash any surviving face
+        ok = True
+        for w, other in ((u, v), (v, u)):
+            for fi in vert_faces[w] - shared:
+                before, norm, _ = _face_geometry(verts, faces[fi])
+                after = face_normal_after(fi, w, pos)
+                na = np.linalg.norm(after)
+                if na < 1e-30 or (norm > 1e-30 and before @ after <= 0):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+
+        # contract v into u at the optimal position
+        verts[u] = pos
+        quadrics[u] = quadrics[u] + quadrics[v]
+        for fi in list(shared):
+            face_alive[fi] = False
+            for w in faces[fi]:
+                vert_faces[w].discard(fi)
+            n_faces -= 1
+        for fi in list(vert_faces[v]):
+            faces[fi] = [u if w == v else w for w in faces[fi]]
+            vert_faces[u].add(fi)
+            vert_faces[v].discard(fi)
+        stamp[u] += 1
+        stamp[v] += 1
+        for w in sorted(neighbours(u)):
+            stamp_key = (u, w) if u < w else (w, u)
+            push_edge(*stamp_key)
+
+    # compact: drop dead vertices/faces, preserve index order
+    used = sorted({w for fi, f in enumerate(faces) if face_alive[fi] for w in f})
+    remap = {old: new for new, old in enumerate(used)}
+    new_faces = [
+        [remap[f[0]], remap[f[1]], remap[f[2]]]
+        for fi, f in enumerate(faces)
+        if face_alive[fi]
+    ]
+    return TriangleMesh(verts[used], new_faces)

@@ -410,3 +410,38 @@ class TestStageErrors:
                  "--back-contour", str(plate_files / "back_contour.txt"))
         assert rc == 3
         assert not (out / "symmetry.json").exists()
+
+    @pytest.mark.parametrize("command", ["symmetry", "contours", "channel"])
+    def test_bad_contour_index_exits_2(self, plate_files, tmp_path, capsys, command):
+        contour = tmp_path / "sb_contour.txt"
+        lines = (plate_files / "sb_contour.txt").read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if line and not line.startswith("#"))
+        lines[index] = "abc"
+        contour.write_text("\n".join(lines) + "\n")
+        rc = run(command, "--out", str(tmp_path / "out"),
+                 "--sound-board", str(plate_files / "sb.ply"),
+                 "--sound-board-contour", str(contour),
+                 "--back", str(plate_files / "back.ply"),
+                 "--back-contour", str(plate_files / "back_contour.txt"))
+        assert rc == 2
+        assert f"bad contour index ({contour}, line {index + 1})" in capsys.readouterr().err
+
+    def test_missing_contour_file_exits_2(self, plate_files, tmp_path, capsys):
+        rc = run("symmetry", "--out", str(tmp_path / "out"),
+                 "--sound-board", str(plate_files / "sb.ply"),
+                 "--sound-board-contour", str(tmp_path / "ghost.txt"),
+                 "--back", str(plate_files / "back.ply"),
+                 "--back-contour", str(plate_files / "back_contour.txt"))
+        assert rc == 2
+        assert "ghost.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["0", "-3", "101"])
+    def test_bad_target_faces_exits_2(self, tmp_path, capsys, target):
+        plate = disc_plate(radius=20.0, height=5.0, rings=3, sectors=20)
+        assert plate.mesh.n_faces == 100
+        mesh_path = tmp_path / "p.ply"
+        save_mesh(plate.mesh, mesh_path, "ply-binary-le")
+        rc = run("simplify", "--reference", str(mesh_path), "--target-faces", target,
+                 "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert "target_faces" in capsys.readouterr().err

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from violinmorph.errors import InputError, MeshFormatError
 from violinmorph.fileio import (
@@ -140,3 +144,105 @@ def test_vertex_mask_bad_line(tmp_path):
     with pytest.raises(MeshFormatError):
         load_vertex_mask(path)
     assert isinstance(VertexMask([1]).as_array(), np.ndarray)
+
+
+_HEADER_CASES = [
+    ("element vertex x193", "malformed PLY header record 'element vertex x193'"),
+    ("element vertex", "malformed PLY header record 'element vertex'"),
+    ("element vertex -5", "malformed PLY header record 'element vertex -5'"),
+    ("property double", "malformed PLY header record 'property double'"),
+    ("property list uchar int", "malformed PLY header record 'property list uchar int'"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["ply-ascii", "ply-binary-le"])
+@pytest.mark.parametrize("record, message", _HEADER_CASES)
+def test_ply_malformed_header_record_names_line(tmp_path, cube, fmt, record, message):
+    path = tmp_path / "cube.ply"
+    save_mesh(cube, path, fmt)
+    lines = path.read_bytes().split(b"\n")
+    target = 2 if record.startswith("element") else 3  # 0-based: element vertex, property x
+    lines[target] = record.encode()
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(MeshFormatError, match=f"{message}.*line {target + 1}"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("fmt", ["ply-ascii", "ply-binary-le"])
+def test_ply_format_without_token(tmp_path, cube, fmt):
+    path = tmp_path / "cube.ply"
+    save_mesh(cube, path, fmt)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"format"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(MeshFormatError, match="'format'.*line 2"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("element, line", [("vertex", 3), ("face", 7)])
+def test_ply_binary_count_beyond_file_size(tmp_path, cube, element, line):
+    path = tmp_path / "cube.ply"
+    save_mesh(cube, path, "ply-binary-le")
+    count = cube.n_vertices if element == "vertex" else cube.n_faces
+    blob = path.read_bytes().replace(f"element {element} {count}\n".encode(),
+                                     f"element {element} 100000000000000\n".encode())
+    path.write_bytes(blob)
+    with pytest.raises(MeshFormatError, match=f"'{element}' declares 100000000000000.*line {line}"):
+        load_mesh(path)
+
+
+def test_ply_face_index_out_of_range_is_format_error(tmp_path):
+    path = tmp_path / "bad.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
+                    "property double x\nproperty double y\nproperty double z\n"
+                    "element face 1\nproperty list uchar int vertex_indices\n"
+                    "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n")
+    with pytest.raises(MeshFormatError, match="out of range.*bad.ply"):
+        load_mesh(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(tmp_path_factory):
+    from violinmorph.synthetic import icosphere
+
+    root = tmp_path_factory.mktemp("fuzz")
+    mesh = icosphere(3.0, 1)
+    blobs = {}
+    for fmt, ext in (("ply-ascii", ".ply"), ("ply-binary-le", ".ply"), ("obj", ".obj")):
+        path = root / f"{fmt}{ext}"
+        save_mesh(mesh, path, fmt)
+        blobs[fmt] = (path.read_bytes(), ext)
+    return root, blobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["ply-ascii", "ply-binary-le", "obj"]), st.data())
+def test_fuzzed_files_raise_only_input_errors(fuzz_sources, fmt, data):
+    root, blobs = fuzz_sources
+    blob, ext = blobs[fmt]
+    header_end = blob.find(b"end_header\n") + len(b"end_header\n") if ext == ".ply" else 0
+    # bias the edits towards the header, where the counts and types live
+    where = st.one_of(st.integers(0, max(header_end, 1) - 1), st.integers(0, len(blob) - 1))
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(where) % len(blob)  # earlier edits may have shortened it
+        kind = data.draw(st.sampled_from(["byte", "digits", "delete", "truncate"]))
+        if kind == "byte":
+            blob[pos] = data.draw(st.integers(0, 255))
+        elif kind == "digits":
+            blob[pos:pos + 1] = data.draw(st.sampled_from(
+                [b"-5", b"x", b"100000000000000", b"9", b" ", b"\n", b"nan", b"1e999"]))
+        elif kind == "delete":
+            del blob[pos:pos + data.draw(st.integers(1, 16))]
+        else:
+            del blob[pos:]
+        if not blob:
+            break
+    path = root / f"case{ext}"
+    path.write_bytes(bytes(blob))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load_mesh(path)
+    except InputError:
+        pass

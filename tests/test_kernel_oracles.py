@@ -1,17 +1,20 @@
-"""The batched grid and section kernels against their loop oracles."""
+"""The batched grid, section and decimation kernels against their loop oracles."""
 
 import numpy as np
 import pytest
 
 from violinmorph import grid
+from violinmorph.decimate import decimate
+from violinmorph.errors import TopologicalLockError
 from violinmorph.grid import interpolate_grid, joint_grid_domain
 from violinmorph.mesh import TriangleMesh
+from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import SectionPlane, cross_section
 from violinmorph.symmetry import _rotation_to_vertical
-from violinmorph.synthetic import disc_plate, instrument_body
+from violinmorph.synthetic import disc_plate, hemisphere_plate, icosphere, instrument_body
 
 from conftest import grid_mesh
-from oracles import cross_section_loop, interpolate_grid_loop
+from oracles import cross_section_loop, decimate_loop, interpolate_grid_loop
 
 
 def assert_same_grid(new, old):
@@ -173,3 +176,79 @@ class TestSectionOracle:
         for z in (0.5, 1.0, 1.5):
             plane = SectionPlane((0, 0, 1.0), z)
             assert_same_sections(cross_section(mesh, plane), cross_section_loop(mesh, plane))
+
+
+def assert_same_decimation(mesh, target):
+    new, old = decimate(mesh, target), decimate_loop(mesh, target)
+    assert new.vertices.tobytes() == old.vertices.tobytes()
+    assert new.faces.tobytes() == old.faces.tobytes()
+
+
+def _jittered(mesh, seed, scale):
+    rng = np.random.default_rng(seed)
+    return TriangleMesh(mesh.vertices + rng.uniform(-scale, scale, mesh.vertices.shape),
+                        mesh.faces)
+
+
+def _shuffled(mesh, seed):
+    order = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    return TriangleMesh(mesh.vertices[order], np.argsort(order)[mesh.faces])
+
+
+class TestDecimateOracle:
+    @pytest.fixture(scope="class")
+    def bench_plate(self):
+        # the simplify benchmark's seed-0 plate: c10's grooved disc, turned and shifted
+        rng = np.random.default_rng([0, 2])
+        plate = disc_plate(radius=50.0, height=12.0, groove_radius=40.0,
+                           rings=25, sectors=100).mesh
+        t = SimilarityTransform([*rng.uniform(-5.0, 5.0, 2), 0.0],
+                                [0.0, 0.0, rng.uniform(-180.0, 180.0)], 1.0)
+        return TriangleMesh(t.apply_points(plate.vertices), plate.faces)
+
+    @pytest.mark.parametrize("fraction", [0.6, 0.4, 0.1])
+    def test_grooved_plate(self, bench_plate, fraction):
+        assert_same_decimation(bench_plate, int(fraction * bench_plate.n_faces))
+
+    def test_icosphere_and_disc_plate(self):
+        assert_same_decimation(icosphere(5.0, 3), 300)
+        plate = disc_plate(radius=20.0, rings=8, sectors=30, jitter=0.3,
+                           rng=np.random.default_rng(1)).mesh
+        assert_same_decimation(plate, 100)
+
+    def test_planar_sloped_and_jittered_grids(self):
+        # planar quadrics are singular, so the {v1, v2, midpoint} fallback runs;
+        # shuffled, the grid's collapses tie between v1 and v2, not at a corner
+        assert_same_decimation(grid_mesh(12, 12), 60)
+        assert_same_decimation(_shuffled(grid_mesh(12, 12), 0), 60)
+        assert_same_decimation(grid_mesh(10, 10, height=lambda x, y: 0.3 * x - 0.2 * y + 1.0), 40)
+        assert_same_decimation(_jittered(grid_mesh(12, 12), 4, 0.2), 50)
+        assert_same_decimation(_jittered(grid_mesh(9, 14, height=lambda x, y: 0.1 * x * y), 5, 0.05), 30)
+
+    def test_hemisphere(self):
+        assert_same_decimation(hemisphere_plate(rings=10, sectors=40).mesh, 150)
+
+    def test_zero_area_sliver(self):
+        # vertices 0, 1, 2 of the grid are collinear: the sliver adds no
+        # plane and does not stop its two edges from being boundary edges
+        base = grid_mesh(6, 6, height=lambda x, y: 0.05 * x * x)
+        mesh = TriangleMesh(base.vertices, np.vstack([base.faces, [[0, 1, 2]]]))
+        assert_same_decimation(mesh, 20)
+
+    def test_non_manifold_edge(self):
+        # a fin hinged on one interior grid edge: that edge has three faces
+        base = grid_mesh(7, 7, height=lambda x, y: 0.02 * (x - y) ** 2)
+        a, b = base.faces[20, :2]
+        verts = np.vstack([base.vertices, 0.5 * (base.vertices[a] + base.vertices[b]) + [0, 0, 3.0]])
+        mesh = TriangleMesh(verts, np.vstack([base.faces, [[a, b, len(base.vertices)]]]))
+        with pytest.warns(UserWarning, match="1 non-manifold edges"):  # from mesh.edges
+            assert_same_decimation(mesh, 25)
+
+    def test_closed_tetrahedron_same_lock(self):
+        mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+        with pytest.raises(TopologicalLockError) as new:
+            decimate(mesh, 1)
+        with pytest.raises(TopologicalLockError) as old:
+            decimate_loop(mesh, 1)
+        assert str(new.value) == str(old.value)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from violinmorph.decimate import decimate
 from violinmorph.grid import HeightGrid, grid_difference_stats, interpolate_grid
 from violinmorph.mesh import PointCloud
 from violinmorph.registration import (
@@ -19,7 +20,7 @@ from violinmorph.slicing import SectionPlane, cross_section
 from violinmorph.symmetry import _rotation_to_vertical
 from violinmorph.synthetic import disc_plate
 
-from oracles import cross_section_loop, interpolate_grid_loop
+from oracles import cross_section_loop, decimate_loop, interpolate_grid_loop
 
 coords = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False, width=32)
@@ -112,3 +113,15 @@ def test_batched_kernels_match_loop_oracles(rings, sectors, seed, spacing, side,
         old = cross_section_loop(mesh, plane)
         assert [(p.points.tobytes(), p.closed, p.source_edges) for p in new] == \
             [(p.points.tobytes(), p.closed, p.source_edges) for p in old]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(3, 7), st.integers(8, 24), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 0.95))
+def test_decimate_matches_loop_oracle(rings, sectors, seed, fraction):
+    mesh = disc_plate(radius=20.0, height=6.0, rings=rings, sectors=sectors,
+                      groove_radius=14.0, jitter=0.4, rng=np.random.default_rng(seed)).mesh
+    target = max(1, int(fraction * mesh.n_faces))
+    new, old = decimate(mesh, target), decimate_loop(mesh, target)
+    assert new.vertices.tobytes() == old.vertices.tobytes()
+    assert new.faces.tobytes() == old.faces.tobytes()
