@@ -57,7 +57,7 @@ from .registration import (
     register,
     register_icp,
 )
-from .slicing import SectionPlane, SectionPolyline, cross_section, extreme_points
+from .slicing import SectionPlane, SectionPolyline, cross_section, cross_sections, extreme_points
 from .symmetry import (
     FittedPlane,
     SymmetryFrame,

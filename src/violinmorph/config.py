@@ -128,6 +128,8 @@ def validate_config(cfg):
         value = cfg[section][key]
         if value is None:
             continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"config {section}.{key}={value!r} is not a number")
         if not (lo <= value <= hi):
             raise InputError(
                 f"config {section}.{key}={value} outside documented range [{lo}, {hi}]"

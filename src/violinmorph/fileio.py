@@ -369,7 +369,7 @@ def load_vertex_mask(path):
     if not path.exists():
         raise InputError(f"mask file not found: {path}")
     indices = []
-    with open(path, "r") as fh:
+    with open(path, "r", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

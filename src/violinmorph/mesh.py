@@ -104,9 +104,11 @@ class TriangleMesh:
 
     def _build_edges(self):
         f = self.faces
-        pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
-        pairs = np.sort(pairs, axis=1)
-        edges, counts = np.unique(pairs, axis=0, return_counts=True)
+        n = self.n_vertices
+        a = f.ravel()
+        b = f[:, [1, 2, 0]].ravel()
+        keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
+        edges = np.stack(np.divmod(keys, n), axis=1)
         if np.any(counts > 2):
             warnings.warn(
                 f"{int(np.sum(counts > 2))} non-manifold edges "
@@ -265,8 +267,9 @@ def shortest_path(mesh, start, goal):
         raise ContractError("path endpoint out of range")
     if start == goal:
         return [start]
+    # the adjacency is symmetric, so the directed search finds the same paths
     dist, pred = csgraph.dijkstra(
-        mesh.adjacency, directed=False, indices=start, return_predecessors=True
+        mesh.adjacency, directed=True, indices=start, return_predecessors=True
     )
     if not np.isfinite(dist[goal]):
         raise DisconnectedError(f"vertices {start} and {goal} are not connected")

@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline, splev, splprep
 
 from .errors import ContractError, GridMismatchError
 from .grid import HeightGrid, save_height_grid
-from .slicing import SectionPlane, cross_section, export_polylines_csv
+from .slicing import SectionPlane, cross_sections, export_polylines_csv
 
 __all__ = [
     "ContourLineSet",
@@ -87,8 +87,10 @@ def contour_lines(plate, frame=None, spacing=2.0, max_range=24.0, base=None):
 
     kept_levels = []
     kept_polys = []
-    for level in levels:
-        polys = cross_section(mesh, SectionPlane.orthogonal_to("z", float(level)))
+    sections = cross_sections(
+        mesh, [SectionPlane.orthogonal_to("z", float(level)) for level in levels])
+    for i, level in enumerate(levels):
+        polys = sections.polylines(i)
         if polys:
             kept_levels.append(float(level))
             kept_polys.append(polys)
@@ -257,12 +259,9 @@ def channel_of_minima(plate, frame=None, params=None):
     targets = np.linspace(0.0, arc_total, params.stations, endpoint=False)
     station_t = np.interp(targets, arc, dense_t)
 
-    minima = []
-    arcs = []
-    offsets = []
-    tangents_pts = []
+    stations = []
+    planes = []
     skipped = 0
-    at_edge = 0
     for s_arc, t in zip(targets, station_t):
         c = spline(t)
         deriv = spline(t, 1)
@@ -275,13 +274,21 @@ def channel_of_minima(plate, frame=None, params=None):
         inward = np.array([-tau[1], tau[0]])
         if inward @ (centroid_xy - c[:2]) < 0:
             inward = -inward
-        plane = SectionPlane((tau[0], tau[1], 0.0), float(tau @ c[:2]))
-        polys = cross_section(mesh, plane)
-        if not polys:
+        stations.append((s_arc, c, inward))
+        planes.append(SectionPlane((tau[0], tau[1], 0.0), float(tau @ c[:2])))
+
+    minima = []
+    arcs = []
+    offsets = []
+    tangents_pts = []
+    at_edge = 0
+    sections = cross_sections(mesh, planes)
+    for i, (s_arc, c, inward) in enumerate(stations):
+        pts = sections.plane_points(i)
+        if not len(pts):
             skipped += 1
             warnings.warn(f"empty channel section at arc length {s_arc:.1f}", stacklevel=2)
             continue
-        pts = np.concatenate([p.points for p in polys], axis=0)
         s = (pts[:, :2] - c[:2]) @ inward
         window = (s >= 0.0) & (s <= params.window_mm)
         if not window.any():

@@ -12,14 +12,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import ContractError
 
-__all__ = ["SectionPlane", "SectionPolyline", "cross_section", "extreme_points"]
+__all__ = ["SectionPlane", "SectionPolyline", "Sections", "cross_section", "cross_sections",
+           "extreme_points"]
 
 _ON_PLANE = 1e-12   # vertices closer than this are nudged off the plane
 _NUDGE = 1e-9
 _MIN_POINT_SEP = 1e-9
+_CHUNK_ELEMENTS = 2 ** 16   # planes x max(vertices, faces) cut in one batch
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,42 @@ class SectionPolyline:
         return float(segs)
 
 
+@dataclass(frozen=True)
+class Sections:
+    """The cuts of one mesh by a list of planes, one flat block per chunk.
+
+    A block holds its chunk's points, each point's (lo, hi) source edge,
+    polyline starts into both, closed flags, and per-plane starts into the
+    polylines. Blocks are not joined, so the points are held only once.
+    """
+
+    blocks: tuple
+    step: int
+    n_planes: int
+
+    def __len__(self):
+        return self.n_planes
+
+    def _plane(self, i):
+        if not 0 <= i < self.n_planes:
+            raise IndexError(f"plane {i} out of range for {self.n_planes} planes")
+        block = self.blocks[i // self.step]
+        k = i % self.step
+        return block, block[4][k], block[4][k + 1]
+
+    def plane_points(self, i):
+        """All points of plane ``i``, polyline after polyline."""
+        (points, _, starts, _, _), j0, j1 = self._plane(i)
+        return points[starts[j0]:starts[j1]]
+
+    def polylines(self, i):
+        """Plane ``i`` as a list of :class:`SectionPolyline`, in
+        :func:`cross_section` order."""
+        (points, edges, starts, closed, _), j0, j1 = self._plane(i)
+        return [SectionPolyline(points[a:b], bool(c), tuple(map(tuple, edges[a:b].tolist())))
+                for a, b, c in zip(starts[j0:j1], starts[j0 + 1:j1 + 1], closed[j0:j1])]
+
+
 def cross_section(mesh, plane):
     """All intersection polylines of ``mesh`` with ``plane``.
 
@@ -91,94 +131,199 @@ def cross_section(mesh, plane):
     Returns
     -------
     list of SectionPolyline
-        Deterministic order (by smallest source-edge key). Empty when the
-        plane misses the mesh.
+        Deterministic order: open curves first, then closed ones, each by
+        its first source edge. Empty when the plane misses the mesh.
     """
-    verts = mesh.vertices
-    d = verts @ plane.normal - plane.offset
+    return cross_sections(mesh, [plane]).polylines(0)
+
+
+def cross_sections(mesh, planes):
+    """:func:`cross_section` of ``mesh`` with every plane of ``planes``.
+
+    Planes are cut in chunks of at most ``_CHUNK_ELEMENTS`` plane x
+    max(vertices, faces) entries, each with one set of array operations.
+
+    Returns
+    -------
+    Sections
+    """
+    planes = list(planes)
+    step = max(1, _CHUNK_ELEMENTS // max(mesh.n_vertices, mesh.n_faces, 1))
+    blocks = tuple(_cut_chunk(mesh.vertices, mesh.faces, planes[i:i + step])
+                   for i in range(0, len(planes), step))
+    return Sections(blocks, step, len(planes))
+
+
+def _cut_chunk(verts, f, planes):
+    """One :class:`Sections` block: the cuts of one chunk of planes."""
+    nv = len(verts)
+    d = np.empty((len(planes), nv))
+    for i, plane in enumerate(planes):
+        d[i] = verts @ plane.normal - plane.offset
     near = np.abs(d) < _ON_PLANE
-    if near.any():
-        verts = verts.copy()
-        verts[near] += (_NUDGE - d[near])[:, None] * plane.normal
-        d = d.copy()
-        d[near] = _NUDGE
-
-    side = d > 0.0
-    f = mesh.faces
-    s0, s1, s2 = side[f[:, 0]], side[f[:, 1]], side[f[:, 2]]
-    cf = np.flatnonzero((s0 != s1) | (s1 != s2))
+    side = (d > 0.0) | near
+    fs = side[:, f]
+    pf, cf = np.nonzero((fs[:, :, 0] != fs[:, :, 1]) | (fs[:, :, 1] != fs[:, :, 2]))
     if cf.size == 0:
-        return []
+        return (np.empty((0, 3)), np.empty((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                np.empty(0, dtype=bool), np.zeros(len(planes) + 1, dtype=np.int64))
 
-    # Each crossing face has exactly two edges whose endpoints straddle
-    # the plane; identify them by canonical (min, max) vertex pairs, keyed
-    # lo * nv + hi so that sorting keys sorts the pairs.
+    # Each crossing face has exactly two edges whose endpoints straddle the
+    # plane. Nodes are these edges, keyed (plane * nv + lo) * nv + hi so one
+    # sort orders them plane-major, then by vertex pair; links are crossing
+    # faces, numbered plane-major in face order.
     u = f[cf]
-    v = u[:, [1, 2, 0]]                              # edges (a,b), (b,c), (c,a)
-    rows, cols = np.nonzero(side[u] != side[v])      # two per face, in edge order
-    lo = np.minimum(u[rows, cols], v[rows, cols])
-    hi = np.maximum(u[rows, cols], v[rows, cols])
-    keys, edge_of = np.unique(lo * len(verts) + hi, return_inverse=True)
-    lo, hi = np.divmod(keys, len(verts))
-    du, dv = d[lo], d[hi]
+    v = u[:, [1, 2, 0]]                                  # edges (a,b), (b,c), (c,a)
+    su = fs[pf, cf]
+    rows, cols = np.nonzero(su != su[:, [1, 2, 0]])      # two per face, in edge order
+    a, b = u[rows, cols], v[rows, cols]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys, edge_of = np.unique((pf[rows] * nv + lo) * nv + hi, return_inverse=True)
+    plane, rest = np.divmod(keys, nv * nv)
+    lo, hi = np.divmod(rest, nv)
+
+    normals = np.array([p.normal for p in planes])
+
+    def endpoint(idx):
+        # the nudge of on-plane vertices, applied to the gathered endpoints
+        p, dist, moved = verts[idx], d[plane, idx], near[plane, idx]
+        if moved.any():
+            p[moved] += (_NUDGE - dist[moved])[:, None] * normals[plane[moved]]
+            dist[moved] = _NUDGE
+        return p, dist
+
+    (p_lo, du), (p_hi, dv) = endpoint(lo), endpoint(hi)
     t = du / (du - dv)
-    edge_points = verts[lo] + t[:, None] * (verts[hi] - verts[lo])
-    edge_keys = list(zip(lo.tolist(), hi.tolist()))
+    points = p_lo + t[:, None] * (p_hi - p_lo)
 
-    # Chain: nodes are crossing edges (numbered in key order), links are
-    # faces (numbered in face order). Open chains start at degree-1 nodes;
-    # what remains are cycles.
-    order = np.argsort(edge_of, kind="stable")   # faces ascending within an edge
-    bounds = np.searchsorted(edge_of[order], np.arange(len(keys) + 1)).tolist()
-    flat = (order // 2).tolist()
-    edge_faces = [flat[bounds[e]:bounds[e + 1]] for e in range(len(keys))]
-    face_edges = edge_of.reshape(-1, 2).tolist()
-    used_faces = [False] * len(cf)
-    polylines = []
+    nodes, chain_key, closed = _chain(plane, edge_of.reshape(-1, 2))
+    bounds = np.flatnonzero(np.diff(chain_key, prepend=-1, append=-1))
+    closed = closed[bounds[:-1]]
+    keep, sizes = _merge_near_points(points[nodes], bounds, closed)
+    nodes = nodes[keep]
+    whole = sizes >= 2
+    counts = np.bincount(chain_key[bounds[:-1]][whole] // (2 * len(keys)), minlength=len(planes))
+    return (points[nodes], np.stack([lo, hi], axis=1)[nodes],
+            np.concatenate([[0], np.cumsum(sizes[whole])]), closed[whole],
+            np.concatenate([[0], np.cumsum(counts)]))
 
-    def walk(start):
-        chain = [start]
-        current = start
-        while True:
-            nxt = None
-            for fi in edge_faces[current]:
-                if used_faces[fi]:
+
+def _chain(plane, ends):
+    """Order crossing edges into polylines.
+
+    ``ends[k]`` are the two nodes face ``k`` links. Each plane's open chains
+    come first, each starting at its lowest end; then its rings, each
+    starting at its lowest node and leaving it by its lower-numbered face.
+    Returns the nodes in polyline order, each node's chain key (increasing
+    along the output, unique per chain; ``key // (2 * n_nodes)`` is the
+    plane) and each node's closed flag.
+    """
+    n = len(plane)
+    deg = np.bincount(ends.ravel(), minlength=n)
+    faces_of = np.argsort(ends.ravel(), kind="stable") // 2   # per node, ascending
+    first = np.cumsum(deg) - deg
+    branched = np.isin(plane, plane[deg > 2])    # planes crossing a non-manifold edge
+
+    links = sparse.coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    _, label = csgraph.connected_components(links, directed=False)
+    node = np.arange(n)
+    start = np.full(label.max() + 1, 2 * n)
+    np.minimum.at(start, label, np.where(deg == 1, node, node + n))
+    ring = start >= n
+    start[ring] -= n
+    roots = start[~branched[start]]
+    # Cut each ring at its start's higher-numbered face; then every chain is
+    # a path from its start, and one depth-first pass from a super-root
+    # linked to every start lists each chain contiguously, in walk order.
+    kept = ~branched[ends[:, 0]]
+    kept[faces_of[first[roots[ring[label[roots]]]] + 1]] = False
+    a, b = ends[kept, 0], ends[kept, 1]
+    graph = sparse.csr_matrix(
+        (np.ones(2 * len(a) + len(roots)),
+         (np.concatenate([a, b, np.full(len(roots), n)]), np.concatenate([b, a, roots]))),
+        shape=(n + 1, n + 1))
+    nodes = csgraph.depth_first_order(graph, n, directed=True, return_predecessors=False)[1:]
+    chain_key = ((plane[start] * 2 + ring) * n + start)[label[nodes]]
+    closed = ring[label[nodes]]
+
+    if branched.any():
+        walked = _walk(np.unique(plane[branched]), plane, deg, faces_of, first, ends)
+        nodes = np.concatenate([nodes, walked[0]])
+        chain_key = np.concatenate([chain_key, walked[1]])
+        closed = np.concatenate([closed, walked[2]])
+    order = np.argsort(chain_key, kind="stable")
+    return nodes[order], chain_key[order], closed[order]
+
+
+def _walk(branched_planes, plane, deg, faces_of, first, ends):
+    """Sequential face-adjacency walk for planes crossing a non-manifold edge.
+
+    Open ends start chains first, in node order; then every node with an
+    unused face does. A chain follows each node's lowest unused face.
+    """
+    n = len(plane)
+    used = np.zeros(len(ends), dtype=bool)
+    nodes, keys, closed = [], [], []
+    for p in branched_planes.tolist():
+        e0, e1 = np.searchsorted(plane, [p, p + 1]).tolist()
+        edge_faces = {e: faces_of[first[e]:first[e] + deg[e]].tolist() for e in range(e0, e1)}
+        open_starts = [e for e in range(e0, e1) if deg[e] == 1]
+        for phase, starts in ((0, open_starts), (1, range(e0, e1))):
+            for start in starts:
+                if used[edge_faces[start]].all():
                     continue
-                used_faces[fi] = True
-                e1, e2 = face_edges[fi]
-                nxt = e2 if e1 == current else e1
-                break
-            if nxt is None:
-                return chain, False
-            if nxt == start:
-                return chain, True
-            chain.append(nxt)
-            current = nxt
+                chain = [start]
+                current = start
+                while True:
+                    nxt = None
+                    for fi in edge_faces[current]:
+                        if not used[fi]:
+                            used[fi] = True
+                            e, g = ends[fi].tolist()
+                            nxt = g if e == current else e
+                            break
+                    if nxt is None or nxt == start:
+                        break
+                    chain.append(nxt)
+                    current = nxt
+                nodes += chain
+                keys += [(p * 2 + phase) * n + start] * len(chain)
+                closed += [nxt is not None] * len(chain)
+    return (np.asarray(nodes, dtype=np.int64), np.asarray(keys, dtype=np.int64),
+            np.asarray(closed, dtype=bool))
 
-    open_starts = [e for e, fl in enumerate(edge_faces) if len(fl) == 1]
-    for start in open_starts + list(range(len(keys))):
-        if all(used_faces[fi] for fi in edge_faces[start]):
-            continue
-        chain, closed = walk(start)
-        polylines.append(_make_polyline(chain, closed, edge_points, edge_keys))
-    return [p for p in polylines if len(p) >= 2]
 
+def _merge_near_points(pts, bounds, closed):
+    """Drop each point within ``_MIN_POINT_SEP`` of the last kept one, and a
+    closed polyline's last kept point when it is that close to the first;
+    then polylines left with fewer than two points.
 
-def _make_polyline(chain, closed, edge_points, edge_keys):
-    pts = edge_points[chain]
-    # Fast path: no consecutive pair is near the merge distance (the margin
-    # covers rounding differences between the batched and 1-D norms).
-    if np.all(np.linalg.norm(np.diff(pts, axis=0), axis=1) > 2 * _MIN_POINT_SEP):
-        keep = chain
-    else:
-        keep = [chain[0]]
-        for k in chain[1:]:
-            if np.linalg.norm(edge_points[k] - edge_points[keep[-1]]) > _MIN_POINT_SEP:
-                keep.append(k)
-    if closed and len(keep) > 1:
-        if np.linalg.norm(edge_points[keep[0]] - edge_points[keep[-1]]) <= _MIN_POINT_SEP:
-            keep = keep[:-1]
-    return SectionPolyline(edge_points[keep], closed, tuple(edge_keys[k] for k in keep))
+    Returns the keep mask and each polyline's kept size. A point more than
+    3 x ``_MIN_POINT_SEP`` from its predecessor is kept whatever happened
+    before it (the predecessor is kept or merged into a point at most
+    ``_MIN_POINT_SEP`` away), so only the points nearer than that take the
+    sequential decision, with 1-D norms.
+    """
+    chain = np.repeat(np.arange(len(closed)), np.diff(bounds))
+    near = np.zeros(len(pts), dtype=bool)
+    near[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) <= 3 * _MIN_POINT_SEP
+    near[bounds[:-1]] = False
+    keep = np.ones(len(pts), dtype=bool)
+    last = 0
+    for j in np.flatnonzero(near).tolist():
+        if not near[j - 1]:
+            last = j - 1
+        keep[j] = np.linalg.norm(pts[j] - pts[last]) > _MIN_POINT_SEP
+        if keep[j]:
+            last = j
+    ends = np.linalg.norm(pts[bounds[:-1]] - pts[bounds[1:] - 1], axis=1)
+    for c in np.flatnonzero(closed & (ends <= 3 * _MIN_POINT_SEP)).tolist():
+        kept = bounds[c] + np.flatnonzero(keep[bounds[c]:bounds[c + 1]])
+        if len(kept) > 1 and np.linalg.norm(pts[kept[0]] - pts[kept[-1]]) <= _MIN_POINT_SEP:
+            keep[kept[-1]] = False
+    sizes = np.bincount(chain[keep], minlength=len(closed))
+    keep &= (sizes >= 2)[chain]
+    return keep, sizes
 
 
 def section_offsets(lo, hi, spacing):
@@ -238,12 +383,13 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
         return int(cand[np.argmax(z) if prefer_z == "max" else np.argmin(z)])
 
     result = []
-    for off in section_offsets(lo, hi, spacing):
-        polys = cross_section(mesh, SectionPlane.orthogonal_to(axis, off))
-        if not polys:
+    offsets = section_offsets(lo, hi, spacing)
+    sections = cross_sections(mesh, [SectionPlane.orthogonal_to(axis, off) for off in offsets])
+    for i, off in enumerate(offsets):
+        pts = sections.plane_points(i)
+        if not len(pts):
             warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
             continue
-        pts = np.concatenate([p.points for p in polys], axis=0)
         coords = pts[:, other]
         if keep_interval is not None and keep_interval[0] <= off <= keep_interval[1]:
             k = max(2, int(keep_count))

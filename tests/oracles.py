@@ -2,8 +2,9 @@
 
 These are the original per-face / per-edge loop versions of
 ``grid.interpolate_grid``, ``slicing.cross_section`` and
-``decimate.decimate``. The library's batched versions must reproduce them
-bit for bit; the loops are slow but transparent, which is what an oracle
+``decimate.decimate``, plus the earlier formulations of the mesh's edge
+list and shortest path. The library's versions must reproduce them bit
+for bit; the oracles are slow but transparent, which is what an oracle
 needs.
 """
 
@@ -12,6 +13,7 @@ import math
 from collections import defaultdict
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from violinmorph.decimate import _BOUNDARY_WEIGHT, _COND_LIMIT
 from violinmorph.errors import ContractError, TopologicalLockError
@@ -73,6 +75,20 @@ def interpolate_grid_loop(mesh, spacing=1.0, side="upper", origin=None, shape=No
 
     values[~np.isfinite(values)] = np.nan
     return HeightGrid(origin, spacing, values)
+
+
+def mesh_edges_axis0(mesh):
+    """Unique sorted vertex pairs by row-wise ``np.unique``, with their face counts."""
+    f = mesh.faces
+    pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
+    pairs = np.sort(pairs, axis=1)
+    return np.unique(pairs, axis=0, return_counts=True)
+
+
+def dijkstra_undirected(mesh, start):
+    """Distances and predecessors of the undirected search on the edge graph."""
+    return csgraph.dijkstra(mesh.adjacency, directed=False, indices=start,
+                            return_predecessors=True)
 
 
 def cross_section_loop(mesh, plane):

@@ -108,6 +108,26 @@ class TestExitCodes:
         rc = run("register", "--config", str(cfg))
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["abc", True, [5], {"n": 5}])
+    def test_non_numeric_config_value_exits_2(self, tmp_path, capsys, value):
+        plate = disc_plate(radius=20.0, height=5.0, rings=3, sectors=20)
+        mesh_path = tmp_path / "p.ply"
+        save_mesh(plate.mesh, mesh_path, "ply-binary-le")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simplify": {"target_faces": value}}))
+        rc = run("simplify", "--config", str(cfg), "--reference", str(mesh_path),
+                 "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert "simplify.target_faces" in capsys.readouterr().err
+
+    def test_non_utf8_mask_exits_2(self, body_file, tmp_path, capsys):
+        mask = tmp_path / "hole.txt"
+        mask.write_bytes(b"12\n\xff\xfe3\n")
+        rc = run("isolate", "--body", str(body_file), "--sound-hole-mask", str(mask),
+                 "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert f"bad mask index ({mask}, line 2)" in capsys.readouterr().err
+
 
 class TestIsolateCommand:
     def test_writes_connected_plates(self, body_file, tmp_path):

@@ -3,18 +3,24 @@
 import numpy as np
 import pytest
 
-from violinmorph import grid
+from violinmorph import grid, slicing
 from violinmorph.decimate import decimate
 from violinmorph.errors import TopologicalLockError
 from violinmorph.grid import interpolate_grid, joint_grid_domain
-from violinmorph.mesh import TriangleMesh
+from violinmorph.mesh import TriangleMesh, shortest_path
 from violinmorph.registration import SimilarityTransform
-from violinmorph.slicing import SectionPlane, cross_section
+from violinmorph.slicing import SectionPlane, cross_section, cross_sections
 from violinmorph.symmetry import _rotation_to_vertical
 from violinmorph.synthetic import disc_plate, hemisphere_plate, icosphere, instrument_body
 
 from conftest import grid_mesh
-from oracles import cross_section_loop, decimate_loop, interpolate_grid_loop
+from oracles import (
+    cross_section_loop,
+    decimate_loop,
+    dijkstra_undirected,
+    interpolate_grid_loop,
+    mesh_edges_axis0,
+)
 
 
 def assert_same_grid(new, old):
@@ -176,6 +182,162 @@ class TestSectionOracle:
         for z in (0.5, 1.0, 1.5):
             plane = SectionPlane((0, 0, 1.0), z)
             assert_same_sections(cross_section(mesh, plane), cross_section_loop(mesh, plane))
+
+
+def _fin_mesh(ball=False):
+    # a fin hinged on one interior grid edge: that edge has three faces;
+    # with ``ball``, a sphere above the hinge that vertical planes through
+    # the hinge cut into a ring
+    base = grid_mesh(7, 7, height=lambda x, y: 0.02 * (x - y) ** 2)
+    a, b = base.faces[20, :2]
+    hinge = 0.5 * (base.vertices[a] + base.vertices[b])
+    verts = np.vstack([base.vertices, hinge + [0, 0, 3.0]])
+    faces = np.vstack([base.faces, [[a, b, len(base.vertices)]]])
+    if ball:
+        sphere = icosphere(2.0, 2)
+        faces = np.vstack([faces, sphere.faces + len(verts)])
+        verts = np.vstack([verts, sphere.vertices + hinge + [0, 0, 10.0]])
+    with pytest.warns(UserWarning, match="1 non-manifold edges"):
+        mesh = TriangleMesh(verts, faces)
+        mesh.edges
+    return mesh, hinge
+
+
+class TestBatchedSectionsOracle:
+    """Every plane of a ``cross_sections`` batch against the loop oracle."""
+
+    @pytest.fixture(scope="class")
+    def body(self, body_plates):
+        return body_plates[0]
+
+    def check(self, mesh, planes):
+        sections = cross_sections(mesh, planes)
+        assert len(sections) == len(planes)
+        for i, plane in enumerate(planes):
+            old = cross_section_loop(mesh, plane)
+            assert_same_sections(sections.polylines(i), old)
+            flat = np.concatenate([p.points for p in old]) if old else np.empty((0, 3))
+            assert sections.plane_points(i).tobytes() == flat.tobytes()
+        return sections
+
+    def test_mixed_empty_and_crossing_planes(self, body):
+        lo, hi = body.vertices.min(axis=0), body.vertices.max(axis=0)
+        planes = []
+        for k, axis in enumerate("xyz"):
+            for off in (lo[k] - 1.0, 0.5 * (lo[k] + hi[k]), hi[k] + 1.0, lo[k] + 0.1):
+                planes.append(SectionPlane.orthogonal_to(axis, off))
+        sections = self.check(body, [planes[0]] + planes + [planes[-2]])
+        assert sum(not sections.polylines(i) for i in range(len(sections))) == 8
+        assert len(self.check(body, planes[2::4])) == 3          # every plane misses
+        assert len(cross_sections(body, [])) == 0
+        with pytest.raises(IndexError):
+            sections.plane_points(len(sections))
+
+    def test_lattice_planes_through_vertices(self):
+        # every grid vertex sits on some plane, so the nudge path runs everywhere
+        mesh = grid_mesh(9, 7, height=lambda x, y: np.round(0.25 * x * y))
+        planes = [SectionPlane.orthogonal_to(axis, float(off))
+                  for axis in "xyz" for off in range(-1, 10)]
+        planes += [SectionPlane((1.0, 1.0, 0.0), off / np.sqrt(2.0)) for off in range(14)]
+        self.check(mesh, planes)
+
+    def test_planes_through_body_vertices(self, body):
+        self.check(body, _planes_through_vertices(body, np.random.default_rng(21), 20))
+
+    def test_several_chunks_and_plane_larger_than_chunk(self, body, monkeypatch):
+        rng = np.random.default_rng(22)
+        planes = _random_vertical_planes(body, rng, 10) + _axis_planes(body, 3)
+        size = max(body.n_vertices, body.n_faces)
+        for budget in (3 * size + 1, 4 * size - 1, size, size - 1, 3):
+            monkeypatch.setattr(slicing, "_CHUNK_ELEMENTS", budget)
+            self.check(body, planes)
+
+    def test_rings_and_open_chains_in_one_plane(self, body):
+        # the closed body beside an open plate: planes across both cut a ring
+        # from the body and an open chain from the plate
+        plate = disc_plate(radius=20.0, height=5.0, rings=8, sectors=40, groove_radius=14.0,
+                           jitter=0.2, rng=np.random.default_rng(5)).mesh
+        shift = body.vertices[:, 1].max() - plate.vertices[:, 1].min() + 2.0
+        mesh = TriangleMesh(np.vstack([plate.vertices + [0.0, shift, 0.0], body.vertices]),
+                            np.vstack([plate.faces, body.faces + plate.n_vertices]))
+        planes = [SectionPlane((1.0, 0.01 * k, 0.02), float(off))
+                  for k, off in enumerate(np.linspace(-15.0, 15.0, 9))]
+        sections = self.check(mesh, planes)
+        for i in range(len(planes)):
+            assert {p.closed for p in sections.polylines(i)} == {False, True}
+
+    def test_seam_and_collapsed_polylines(self):
+        # two sheets with separate vertices along a seam at x = 5: one open
+        # polyline ends on the seam where the next one starts
+        left, right = grid_mesh(6, 5), grid_mesh(6, 5)
+        seam = TriangleMesh(np.vstack([left.vertices, right.vertices + [5.0, 0.0, 0.0]]),
+                            np.vstack([left.faces, right.faces + left.n_vertices]))
+        sections = self.check(seam, [SectionPlane.orthogonal_to("y", off)
+                                     for off in (0.5, 1.0, 2.25, 3.7)])
+        first, second = sections.polylines(0)
+        assert np.array_equal(first.points[-1], second.points[0])
+        # a plane touching a needle's tip: the whole ring of crossing points
+        # sits within 1e-9 mm of the tip and merges into one point
+        ring = [[0.1 * np.cos(a), 0.1 * np.sin(a), 0.0]
+                for a in np.linspace(0, 2 * np.pi, 7)[:-1]]
+        needle = TriangleMesh([[0.0, 0.0, 10.0]] + ring,
+                              [[0, 1 + k, 1 + (k + 1) % 6] for k in range(6)])
+        planes = [SectionPlane((0, 0, 1.0), 10.0), SectionPlane((0, 0, 1.0), 5.0),
+                  SectionPlane((0, 0, 1.0), 10.0)]
+        sections = self.check(needle, planes)
+        assert [len(sections.polylines(i)) for i in range(3)] == [0, 1, 0]
+
+    def test_non_manifold_fin_beside_manifold_planes(self):
+        mesh, hinge = _fin_mesh(ball=True)
+        planes = [SectionPlane((0, 0, 1.0), z) for z in (0.05, 0.5, 1.0, 2.0, 2.9, 10.0)]
+        planes += [SectionPlane.orthogonal_to(axis, off)
+                   for axis in "xy" for off in np.linspace(0.3, 5.7, 7)]
+        planes += _random_vertical_planes(mesh, np.random.default_rng(23), 10)
+        # through the hinge: open chains and a ring in a plane that takes the walk
+        for theta in np.linspace(0.1, 3.0, 6):
+            normal = np.array([np.cos(theta), np.sin(theta), 0.0])
+            planes.append(SectionPlane(normal, normal @ hinge + 0.01))
+        sections = self.check(mesh, planes)
+        assert {p.closed for p in sections.polylines(len(planes) - 1)} == {False, True}
+        hinged = TriangleMesh([[0, 0, 0], [0, 0, 2], [1, 0, 1], [-1, 0.5, 1], [0, -1, 1],
+                               [1, 1, 1]],
+                              [[0, 1, 2], [0, 1, 3], [1, 0, 4], [0, 2, 5], [2, 5, 0],
+                               [1, 2, 5]])
+        self.check(hinged, [SectionPlane((0, 0, 1.0), z) for z in (0.5, 1.5, 1.0, 3.0, 0.7)])
+
+    def test_channel_like_vertical_planes(self, body_plates):
+        rng = np.random.default_rng(24)
+        for mesh in body_plates[1]:
+            self.check(mesh, _random_vertical_planes(mesh, rng, 60))
+
+
+class TestEdgesAndPathsOracle:
+    @pytest.fixture(scope="class")
+    def meshes(self, body_plates):
+        plate = disc_plate(radius=20.0, rings=10, sectors=40, jitter=0.3,
+                           rng=np.random.default_rng(2)).mesh
+        return [grid_mesh(12, 12), grid_mesh(30, 30, 0.5), plate, body_plates[0]]
+
+    def test_edges_match_row_unique(self, meshes):
+        fin = _fin_mesh()[0]
+        for mesh in meshes + [fin, icosphere(5.0, 2)]:
+            edges, counts = mesh_edges_axis0(mesh)
+            assert mesh.edges.tobytes() == edges.tobytes()
+            assert mesh.edges.shape == edges.shape
+        assert np.count_nonzero(mesh_edges_axis0(fin)[1] > 2) == 1
+
+    def test_directed_search_matches_undirected(self, meshes):
+        # grids have many equal-length paths, so predecessor ties are common
+        rng = np.random.default_rng(31)
+        for mesh in meshes:
+            for start in rng.choice(mesh.n_vertices, 40, replace=False).tolist():
+                dist, pred = dijkstra_undirected(mesh, start)
+                goals = [int(np.argmax(dist))] + rng.choice(mesh.n_vertices, 4).tolist()
+                for goal in goals:
+                    path = [goal]
+                    while path[-1] != start:
+                        path.append(int(pred[path[-1]]))
+                    assert shortest_path(mesh, start, goal) == path[::-1]
 
 
 def assert_same_decimation(mesh, target):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from violinmorph import slicing
 from violinmorph.decimate import decimate
 from violinmorph.grid import HeightGrid, grid_difference_stats, interpolate_grid
 from violinmorph.mesh import PointCloud
@@ -16,7 +17,7 @@ from violinmorph.registration import (
     point_to_point,
     point_to_point_sq,
 )
-from violinmorph.slicing import SectionPlane, cross_section
+from violinmorph.slicing import SectionPlane, cross_section, cross_sections
 from violinmorph.symmetry import _rotation_to_vertical
 from violinmorph.synthetic import disc_plate
 
@@ -113,6 +114,35 @@ def test_batched_kernels_match_loop_oracles(rings, sectors, seed, spacing, side,
         old = cross_section_loop(mesh, plane)
         assert [(p.points.tobytes(), p.closed, p.source_edges) for p in new] == \
             [(p.points.tobytes(), p.closed, p.source_edges) for p in old]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 8), st.integers(8, 30), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(arrays(np.float64, 3, elements=st.floats(-1, 1)),
+                          st.floats(-25.0, 25.0), st.booleans()), max_size=12),
+       st.sampled_from([3, 200, 2**10, 2**16]))
+def test_batched_sections_match_loop_oracle(rings, sectors, seed, specs, budget):
+    mesh = disc_plate(radius=20.0, height=6.0, rings=rings, sectors=sectors,
+                      groove_radius=14.0, jitter=0.4, rng=np.random.default_rng(seed)).mesh
+    planes = []
+    for k, (direction, offset, through_vertex) in enumerate(specs):
+        normal = direction if np.linalg.norm(direction) > 1e-3 else np.array([0.0, 0.0, 1.0])
+        plane = SectionPlane(normal, offset)
+        if through_vertex:
+            vertex = mesh.vertices[(seed + k) % mesh.n_vertices]
+            plane = SectionPlane(plane.normal, plane.normal @ vertex)
+        planes.append(plane)
+    saved = slicing._CHUNK_ELEMENTS
+    slicing._CHUNK_ELEMENTS = budget
+    try:
+        sections = cross_sections(mesh, planes)
+    finally:
+        slicing._CHUNK_ELEMENTS = saved
+    assert len(sections) == len(planes)
+    for i, plane in enumerate(planes):
+        assert [(p.points.tobytes(), p.closed, p.source_edges) for p in sections.polylines(i)] == \
+            [(p.points.tobytes(), p.closed, p.source_edges)
+             for p in cross_section_loop(mesh, plane)]
 
 
 @settings(max_examples=15, deadline=None)
