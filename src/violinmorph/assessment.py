@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError
 from .mesh import PointCloud
-from .registration import SimilarityTransform, _nn_displacement, apply_transform, register
+from .registration import SimilarityTransform, _nn_displacement, register
 
 __all__ = [
     "ErrorDistribution",
@@ -66,14 +66,21 @@ class ErrorDistribution:
         }
 
 
-def error_distribution(s, p, threshold=2.0, bin_width=0.1):
+def error_distribution(s, p, threshold=2.0, bin_width=0.1, distances=None):
     """Exact NN distance of every reference point into ``p``.
 
     The clouds are assumed registered already. Histogram bins are
-    ``bin_width`` mm wide starting at zero.
+    ``bin_width`` mm wide starting at zero. ``distances`` takes NN
+    distances already computed for this pair (a registration report's);
+    ``p`` is then not queried and may be None.
     """
-    diff = _nn_displacement(s.points, p.points)
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if distances is None:
+        diff = _nn_displacement(s.points, p.points)
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    else:
+        dist = np.asarray(distances, dtype=np.float64)
+        if dist.shape != (len(s),):
+            raise ContractError("distances must hold one value per reference point")
     top = max(float(dist.max()), bin_width)
     edges = np.arange(0.0, top + bin_width, bin_width)
     counts, edges = np.histogram(dist, bins=edges)
@@ -112,8 +119,7 @@ def cross_compare(a, b, fixed_scales=(1.0, 1.0), threshold=2.0, **register_kwarg
     p = PointCloud(b.mesh.vertices * float(k_b))
     report = register(s, p, metric="point_to_point", allow_scale=False,
                       init=SimilarityTransform.identity(), **register_kwargs)
-    moved = apply_transform(report.transform, p)
-    dist = error_distribution(s, moved, threshold=threshold)
+    dist = error_distribution(s, None, threshold=threshold, distances=report.distances)
     return report, dist
 
 

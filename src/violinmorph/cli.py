@@ -241,14 +241,17 @@ def register_stage(run, cfg, s, p):
     return rows[0][1]
 
 
-def assess_stage(run, cfg, ref_mesh, p, transform=None):
-    """Error distribution of ``p`` (moved by ``transform``) against ``ref_mesh``."""
-    if transform is not None:
-        p = apply_transform(transform, p)
+def assess_stage(run, cfg, ref_mesh, p, distances=None):
+    """Error distribution of the registered cloud ``p`` against ``ref_mesh``.
+
+    ``distances`` are the NN distances of the pair when registration has
+    computed them already; ``p`` is then not queried again.
+    """
     run.lap("load")
     dist = error_distribution(PointCloud(ref_mesh.vertices), p,
                               threshold=cfg["assess"]["threshold"],
-                              bin_width=cfg["assess"]["bin_width"])
+                              bin_width=cfg["assess"]["bin_width"],
+                              distances=distances)
     payload = dist.as_dict()
     payload["sampling_floor_mm"] = sampling_floor(ref_mesh)
     _write_json(payload, run.path("assessment.json"))
@@ -356,8 +359,9 @@ def cmd_assess(cfg):
     ref_mesh = load_mesh(_require(cfg, "reference", "--reference"), scale=cfg["inputs"]["scale"])
     p = _load_cloud(_require(cfg, "moving", "--moving"), cfg["inputs"]["scale_b"])
     transform_path = cfg["inputs"]["transform"]
-    transform = _load_transform(transform_path) if transform_path is not None else None
-    assess_stage(run, cfg, ref_mesh, p, transform)
+    if transform_path is not None:
+        p = apply_transform(_load_transform(transform_path), p)
+    assess_stage(run, cfg, ref_mesh, p)
     return 0
 
 
@@ -425,7 +429,7 @@ def _second_acquisition(run, cfg, sb):
                             cfg["inputs"]["body_b"], cfg["inputs"]["scale_b"])
     s, p = PointCloud(sb.mesh.vertices), PointCloud(sb_b.mesh.vertices)
     report = register_stage(Run("register", cfg), cfg, s, p)
-    assess_stage(Run("assess", cfg), cfg, sb.mesh, p, report.transform)
+    assess_stage(Run("assess", cfg), cfg, sb.mesh, None, report.distances)
 
 
 def cmd_pipeline(cfg):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,8 @@ from scipy.spatial import cKDTree
 
 from .errors import (ContractError, DisconnectedError, FragmentationError, InputError,
                      MeshFormatError)
-from .mesh import TriangleMesh, VertexMask, connected_components, shortest_path
+from .mesh import (TriangleMesh, VertexMask, connected_components, kd_workers,
+                   shortest_path)
 from .slicing import extreme_points
 
 __all__ = [
@@ -70,11 +72,13 @@ class ClosedContour:
 
     def validate_against(self, mesh):
         """Check every consecutive pair (cyclically) shares a mesh edge."""
-        edge_set = {tuple(e) for e in mesh.edges.tolist()}
+        n = mesh.n_vertices
+        indptr, neighbours = mesh.adjacency.indptr, mesh.adjacency.indices
         idx = self.vertex_indices
         for a, b in zip(idx, idx[1:] + idx[:1]):
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_set:
+            # b among the stored entries of a's adjacency row
+            if not (0 <= a < n and 0 <= b < n
+                    and b in neighbours[indptr[a]:indptr[a + 1]]):
                 raise ContractError(f"contour vertices {a}, {b} are not adjacent")
 
     def remapped(self, remap):
@@ -153,10 +157,11 @@ def map_to_vertices(mesh, points):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     tree = cKDTree(mesh.vertices)
-    dist, idx = tree.query(pts, k=1, workers=-1)
+    workers = kd_workers(len(pts))
+    dist, idx = tree.query(pts, k=1, workers=workers)
     # exact-tie cleanup: take the lowest index within the winning distance
-    for i in range(len(pts)):
-        ball = tree.query_ball_point(pts[i], dist[i] * (1 + 1e-12) + 1e-300)
+    balls = tree.query_ball_point(pts, dist * (1 + 1e-12) + 1e-300, workers=workers)
+    for i, ball in enumerate(balls):
         if len(ball) > 1:
             idx[i] = min(ball)
     seen = set()
@@ -270,10 +275,10 @@ def close_contour(mesh, ordered_anchors):
             changed = True
             break
 
-    dupes = {v for v in loop if loop.count(v) > 1}
+    dupes = sum(1 for count in Counter(loop).values() if count > 1)
     if dupes:
         warnings.warn(
-            f"contour visits {len(dupes)} vertices more than once", stacklevel=2
+            f"contour visits {dupes} vertices more than once", stacklevel=2
         )
     contour = ClosedContour(tuple(loop), tuple(src))
     contour.validate_against(mesh)

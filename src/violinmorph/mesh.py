@@ -192,6 +192,21 @@ class PointCloud:
         return len(self.points)
 
 
+# KD-tree queries of fewer points than this run on one thread: below it,
+# starting the worker threads costs more than they save. Measured on a
+# 2-vCPU VM (scipy 1.17) with `register --all-metrics` on elliptical
+# disc_plate pairs, every query forced to one thread or to all cores,
+# alternating, median of 5-9 runs (all-cores time / one-thread time):
+# 1.1-1.6 at 2,451 points, 1.5 at 2,776, 0.9-1.2 at 3,004, 0.76-0.89 at
+# 3.5k-4.5k, 0.77 at 5,001 and 0.55 at 10,012.
+_KD_PARALLEL_MIN_POINTS = 3000
+
+
+def kd_workers(n_queries):
+    """``workers`` for a cKDTree query of ``n_queries`` points (1 or all cores)."""
+    return 1 if n_queries < _KD_PARALLEL_MIN_POINTS else -1
+
+
 @dataclass(frozen=True)
 class VertexMask:
     """Set of vertex indices to exclude from (or select in) a mesh."""
@@ -267,11 +282,18 @@ def shortest_path(mesh, start, goal):
         raise ContractError("path endpoint out of range")
     if start == goal:
         return [start]
-    # the adjacency is symmetric, so the directed search finds the same paths
-    dist, pred = csgraph.dijkstra(
-        mesh.adjacency, directed=True, indices=start, return_predecessors=True
-    )
-    if not np.isfinite(dist[goal]):
+    # The adjacency is symmetric, so the directed search finds the same paths.
+    # Edge weights are Euclidean lengths, so no path is shorter than the
+    # straight-line gap: the search first stops at twice the gap (anchor
+    # pairs are close, so this visits a small patch of the mesh) and reruns
+    # unbounded only when the goal lies beyond that.
+    gap = float(np.linalg.norm(mesh.vertices[goal] - mesh.vertices[start]))
+    for limit in (2.0 * gap, np.inf):
+        dist, pred = csgraph.dijkstra(mesh.adjacency, directed=True, indices=start,
+                                      return_predecessors=True, limit=limit)
+        if np.isfinite(dist[goal]):
+            break
+    else:
         raise DisconnectedError(f"vertices {start} and {goal} are not connected")
     path = [goal]
     v = goal

@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .errors import ContractError
-from .mesh import PointCloud
+from .mesh import PointCloud, kd_workers
 from .orientation import rodrigues
 
 __all__ = [
@@ -164,7 +164,7 @@ class NormalField:
 
 def _nn_displacement(s_points, p_points):
     """Displacement from each reference point's nearest neighbour in ``p``."""
-    _, idx = cKDTree(p_points).query(s_points, k=1, workers=-1)
+    _, idx = cKDTree(p_points).query(s_points, k=1, workers=kd_workers(len(s_points)))
     return s_points - p_points[idx]
 
 
@@ -228,7 +228,8 @@ def estimate_normals(cloud, k=10):
     if len(pts) <= k:
         raise ContractError("cloud must contain more than k points")
     tree = cKDTree(pts)
-    _, nbrs = tree.query(pts, k=k + 1, workers=-1)  # neighbourhood includes the point
+    # the neighbourhood includes the point itself
+    _, nbrs = tree.query(pts, k=k + 1, workers=kd_workers(len(pts)))
     local = pts[nbrs]
     centered = local - local.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
@@ -257,9 +258,11 @@ class RegistrationReport:
     """Optimal transform plus the three metric values it achieves.
 
     ``metrics`` holds D, sqrt(D2) and sqrt(D2_plane) in mm, recomputed
-    from the final transform. For the Powell method ``iterations`` counts
-    scipy's Powell iterations and ``objective_history`` is the starting
-    objective followed by the objective after each iteration.
+    from the final transform, and ``distances`` the NN distance of each
+    reference point into the moved cloud they were computed from. For the
+    Powell method ``iterations`` counts scipy's Powell iterations and
+    ``objective_history`` is the starting objective followed by the
+    objective after each iteration.
     """
 
     transform: SimilarityTransform
@@ -269,6 +272,7 @@ class RegistrationReport:
     converged: bool
     objective_history: tuple = ()
     method: str = "powell"
+    distances: np.ndarray = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -282,7 +286,11 @@ class RegistrationReport:
 
 
 class _Objective:
-    """Objective over the 7-parameter vector with a frozen KD-tree on p."""
+    """Objective over the 7-parameter vector with a frozen KD-tree on p.
+
+    Values are memoized on the exact bytes of the parameter vector: Powell's
+    line searches revisit points they have already evaluated.
+    """
 
     def __init__(self, s, p, metric, normals):
         self.s = s.points
@@ -292,16 +300,23 @@ class _Objective:
         if metric == "point_to_plane_sq" and self.normals is None:
             raise ContractError("point_to_plane_sq needs normals on the reference cloud")
         self.tree = cKDTree(self.p)
-        self.evaluations = 0
+        self.workers = kd_workers(len(self.s))
+        self.memo = {}
 
     def __call__(self, params):
+        key = params.tobytes()
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = self._evaluate(params)
+        return value
+
+    def _evaluate(self, params):
         x, angles, k = params[0:3], params[3:6], params[6]
         if k <= 1e-9:
             return 1e12 * (1.0 + abs(k))
-        self.evaluations += 1
         t = SimilarityTransform(x, angles, k)
         queries = t.pull_back_points(self.s)
-        dist, idx = self.tree.query(queries, k=1, workers=-1)
+        dist, idx = self.tree.query(queries, k=1, workers=self.workers)
         if self.metric == "point_to_point":
             return k * float(np.mean(dist))
         if self.metric == "point_to_point_sq":
@@ -372,7 +387,7 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
     params[active] = res.x * steps[active]
     final = SimilarityTransform(params[0:3], params[3:6], params[6])
     report_normals = normals if normals is not None else estimate_normals(s, k=normal_k)
-    metrics = evaluate_metrics(s, p, final, report_normals)
+    metrics, distances = _metrics_and_distances(s, p, final, report_normals)
     return RegistrationReport(
         transform=final,
         metrics=metrics,
@@ -381,22 +396,31 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
         converged=bool(res.status == 0),
         objective_history=tuple(history),
         method="powell",
+        distances=distances,
     )
 
 
 def evaluate_metrics(s, p, transform, normals):
     """D, sqrt(D2), sqrt(D2_plane) in mm for a given transform."""
+    return _metrics_and_distances(s, p, transform, normals)[0]
+
+
+def _metrics_and_distances(s, p, transform, normals):
+    """``evaluate_metrics``'s dict plus the per-reference-point NN distances
+    it was computed from (the registration routes keep them for assess)."""
     if len(normals) != len(s):
         raise ContractError("normals must cover every reference point")
     moved = apply_transform(transform, p)
     diff = _nn_displacement(s.points, moved.points)
     sq = np.einsum("ij,ij->i", diff, diff)
+    dist = np.sqrt(sq)
     proj = np.einsum("ij,ij->i", diff, normals.normals)
-    return {
-        "D": float(np.mean(np.sqrt(sq))),
+    metrics = {
+        "D": float(np.mean(dist)),
         "sqrt_D2": float(np.sqrt(np.mean(sq))),
         "sqrt_D2_plane": float(np.sqrt(np.mean(proj * proj))),
     }
+    return metrics, dist
 
 
 def _rodrigues(omega):
@@ -439,7 +463,7 @@ def register_icp(s, p, scale=1.0, sample_size=10_000, seed=0, normals=None,
     for iterations in range(1, max_iterations + 1):
         # query through the inverse of the current rigid guess
         queries = (s_pts - trans) @ rot
-        _, idx = tree.query(queries, k=1, workers=-1)
+        _, idx = tree.query(queries, k=1, workers=kd_workers(len(queries)))
         q = p_scaled[idx] @ rot.T + trans
         resid = np.einsum("ij,ij->i", s_pts - q, s_nrm)
         obj = float(np.mean(resid * resid))
@@ -458,7 +482,7 @@ def register_icp(s, p, scale=1.0, sample_size=10_000, seed=0, normals=None,
     final = SimilarityTransform.from_rotation_matrix(
         rot, trans / float(scale), float(scale)
     )
-    metrics = evaluate_metrics(s, p, final, normals)
+    metrics, distances = _metrics_and_distances(s, p, final, normals)
     return RegistrationReport(
         transform=final,
         metrics=metrics,
@@ -467,4 +491,5 @@ def register_icp(s, p, scale=1.0, sample_size=10_000, seed=0, normals=None,
         converged=converged,
         objective_history=(),
         method="icp",
+        distances=distances,
     )

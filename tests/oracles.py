@@ -3,9 +3,10 @@
 These are the original per-face / per-edge loop versions of
 ``grid.interpolate_grid``, ``slicing.cross_section`` and
 ``decimate.decimate``, plus the earlier formulations of the mesh's edge
-list and shortest path. The library's versions must reproduce them bit
-for bit; the oracles are slow but transparent, which is what an oracle
-needs.
+list, the shortest path (undirected, then unbounded), the nearest-vertex
+snap, the contour checks and the registration objective (unmemoized, all
+cores). The library's versions must reproduce them bit for bit; the
+oracles are slow but transparent, which is what an oracle needs.
 """
 
 import heapq
@@ -14,11 +15,14 @@ from collections import defaultdict
 
 import numpy as np
 from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
 
 from violinmorph.decimate import _BOUNDARY_WEIGHT, _COND_LIMIT
-from violinmorph.errors import ContractError, TopologicalLockError
+from violinmorph.errors import ContractError, DisconnectedError, TopologicalLockError
 from violinmorph.grid import HeightGrid, joint_grid_domain
 from violinmorph.mesh import TriangleMesh
+from violinmorph import registration
+from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPolyline
 
 
@@ -89,6 +93,83 @@ def dijkstra_undirected(mesh, start):
     """Distances and predecessors of the undirected search on the edge graph."""
     return csgraph.dijkstra(mesh.adjacency, directed=False, indices=start,
                             return_predecessors=True)
+
+
+def shortest_path_unbounded(mesh, start, goal):
+    """Path from one directed search over the whole mesh, without a limit."""
+    if start == goal:
+        return [start]
+    dist, pred = csgraph.dijkstra(mesh.adjacency, directed=True, indices=start,
+                                  return_predecessors=True)
+    if not np.isfinite(dist[goal]):
+        raise DisconnectedError(f"vertices {start} and {goal} are not connected")
+    path = [goal]
+    while path[-1] != start:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
+
+
+def map_to_vertices_loop(mesh, points):
+    """Nearest vertex per point with one tie query per point, duplicates collapsed."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    tree = cKDTree(mesh.vertices)
+    dist, idx = tree.query(pts, k=1)
+    for i in range(len(pts)):
+        ball = tree.query_ball_point(pts[i], dist[i] * (1 + 1e-12) + 1e-300)
+        if len(ball) > 1:
+            idx[i] = min(ball)
+    out = []
+    for v in idx.tolist():
+        if v not in out:
+            out.append(v)
+    return out
+
+
+def repeated_vertex_count(loop):
+    """Distinct vertices that appear more than once, by ``list.count``."""
+    return len({v for v in loop if loop.count(v) > 1})
+
+
+def first_non_adjacent_pair(contour, mesh):
+    """First cyclic pair of a contour missing from a set of every mesh edge."""
+    edge_set = {tuple(e) for e in mesh.edges.tolist()}
+    idx = contour.vertex_indices
+    for a, b in zip(idx, idx[1:] + idx[:1]):
+        if ((a, b) if a < b else (b, a)) not in edge_set:
+            return a, b
+    return None
+
+
+class ObjectiveUnmemoized:
+    """Registration objective that queries the tree on every call (all cores).
+
+    The tree comes from ``registration.cKDTree``, where tests swap in a
+    counting subclass.
+    """
+
+    def __init__(self, s, p, metric, normals):
+        self.s = s.points
+        self.p = p.points
+        self.metric = metric
+        self.normals = normals.normals if normals is not None else None
+        if metric == "point_to_plane_sq" and self.normals is None:
+            raise ContractError("point_to_plane_sq needs normals on the reference cloud")
+        self.tree = registration.cKDTree(self.p)
+
+    def __call__(self, params):
+        x, angles, k = params[0:3], params[3:6], params[6]
+        if k <= 1e-9:
+            return 1e12 * (1.0 + abs(k))
+        t = SimilarityTransform(x, angles, k)
+        queries = t.pull_back_points(self.s)
+        dist, idx = self.tree.query(queries, k=1, workers=-1)
+        if self.metric == "point_to_point":
+            return k * float(np.mean(dist))
+        if self.metric == "point_to_point_sq":
+            return k * k * float(np.mean(dist * dist))
+        moved = t.apply_points(self.p[idx])
+        proj = np.einsum("ij,ij->i", self.s - moved, self.normals)
+        return float(np.mean(proj * proj))
 
 
 def cross_section_loop(mesh, plane):

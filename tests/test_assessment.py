@@ -8,7 +8,7 @@ from violinmorph.assessment import (
 )
 from violinmorph.errors import ContractError
 from violinmorph.mesh import PointCloud, TriangleMesh
-from violinmorph.registration import point_to_point
+from violinmorph.registration import apply_transform, point_to_point, register
 from violinmorph.synthetic import disc_plate
 
 
@@ -56,6 +56,18 @@ class TestErrorDistribution:
         p = PointCloud(rng.uniform(0, 10, size=(180, 3)))
         dist = error_distribution(s, p, bin_width=0.1)
         assert dist.histogram_counts.sum() == len(s)
+
+    def test_registration_distances_give_the_same_distribution(self):
+        rng = np.random.default_rng(5)
+        s = PointCloud(rng.uniform(0, 10, size=(300, 3)))
+        p = PointCloud(s.points + rng.normal(0, 0.2, size=(300, 3)))
+        report = register(s, p, max_sweeps=3)
+        want = error_distribution(s, apply_transform(report.transform, p), threshold=0.3)
+        got = error_distribution(s, None, threshold=0.3, distances=report.distances)
+        assert got.as_dict() == want.as_dict()
+        assert got.distances.tobytes() == want.distances.tobytes()
+        with pytest.raises(ContractError):
+            error_distribution(s, None, distances=report.distances[:-1])
 
 
 class TestSamplingFloor:

@@ -304,13 +304,24 @@ def counted_pipeline(body_file, body_b_file, tmp_path_factory):
     """One ``pipeline --body-b`` run with calls to COUNTED counted.
 
     Every violinmorph module that binds one of these names gets a counting
-    wrapper, so a call is counted whichever module it goes through.
+    wrapper, so a call is counted whichever module it goes through. KD-tree
+    builds in registration and assessment are counted as ``kdtree``.
     """
     import sys
 
+    from violinmorph import registration
+
     counts = dict.fromkeys(COUNTED, 0)
+    counts["kdtree"] = 0
     out = tmp_path_factory.mktemp("pipeline") / "out"
+
+    class CountingKDTree(registration.cKDTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts["kdtree"] += 1
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(registration, "cKDTree", CountingKDTree)
         modules = [m for n, m in list(sys.modules.items()) if n.startswith("violinmorph")]
         for mod in modules:
             for name in COUNTED:
@@ -337,8 +348,11 @@ def _artifacts(root):
 class TestInMemoryPipeline:
     def test_each_intermediate_computed_once(self, counted_pipeline):
         _, counts = counted_pipeline
-        # one frame per symmetry configuration, two grids per frame, two bodies
-        assert counts == {"build_symmetry_frame": 3, "interpolate_grid": 6, "load_mesh": 2}
+        # one frame per symmetry configuration, two grids per frame, two bodies;
+        # trees for the normals, the objective and the final metrics, which
+        # assess reuses
+        assert counts == {"build_symmetry_frame": 3, "interpolate_grid": 6, "load_mesh": 2,
+                          "kdtree": 3}
 
     def test_artifacts_match_separate_commands(self, counted_pipeline, body_file,
                                                body_b_file, tmp_path):

@@ -19,6 +19,11 @@ from violinmorph.mesh import TriangleMesh, shortest_path
 from violinmorph.synthetic import disc_plate, instrument_body, skirted_plate
 
 from conftest import grid_mesh
+from oracles import (
+    first_non_adjacent_pair,
+    map_to_vertices_loop,
+    repeated_vertex_count,
+)
 
 
 class TestMapToVertices:
@@ -52,6 +57,17 @@ class TestMapToVertices:
             [[0, 1, 2], [0, 1, 3]],
         )
         assert map_to_vertices(mesh, [[1.0, 0.0, 0.0]]) == [0]
+
+    @pytest.mark.parametrize("n", [9, 40])  # below and above the threaded query size
+    def test_seeds_between_vertices_match_loop(self, n):
+        mesh = grid_mesh(n, n)
+        v, e = mesh.vertices, mesh.edges
+        # edge midpoints tie two vertices, cell centres four
+        seeds = np.vstack([0.5 * (v[e[:, 0]] + v[e[:, 1]]), v[v[:, 0] < n - 1] + [0.5, 0.5, 0]])
+        seeds = seeds[np.random.default_rng(n).permutation(len(seeds))]
+        got = map_to_vertices(mesh, seeds)
+        assert got == map_to_vertices_loop(mesh, seeds)
+        assert len(got) == mesh.n_vertices - 1  # every vertex but the far corner
 
 
 def brute_force_tour_length(points):
@@ -156,6 +172,42 @@ class TestCloseContour:
         mesh = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
         with pytest.raises(DisconnectedError):
             close_contour(mesh, [0, 1, 4])
+
+    @pytest.mark.parametrize("n, anchors", [
+        (9, [(0, 4), (8, 4), (4, 0), (4, 8)]),
+        (13, [(0, 4), (12, 4), (8, 0), (8, 12), (4, 8), (4, 0)]),
+    ])
+    def test_repeated_vertices_warning_matches_loop(self, n, anchors):
+        # straight and diagonal runs have unique shortest paths; they cross
+        mesh = grid_mesh(n, n)
+        with pytest.warns(UserWarning, match="more than once") as record:
+            contour = close_contour(mesh, [i * n + j for i, j in anchors])
+        count = repeated_vertex_count(list(contour.vertex_indices))
+        assert count >= 1
+        assert str(record[0].message) == f"contour visits {count} vertices more than once"
+
+    def test_adjacency_check_matches_edge_set(self):
+        base = grid_mesh(7, 7)
+        a, b = (int(i) for i in base.faces[20, :2])
+        fin = len(base.vertices)
+        with pytest.warns(UserWarning, match="1 non-manifold edges"):
+            mesh = TriangleMesh(np.vstack([base.vertices, [[3.0, 3.0, 3.0]]]),
+                                np.vstack([base.faces, [[a, b, fin]]]))
+            mesh.edges
+        c = int(base.faces[20, 2])
+        loops = {(a, b, fin): True, (fin, a, c, b): True, (0, 1, 8, 7): True,
+                 (a, fin, c): False, (0, 1, 2): False, (0, 1, 9): False,
+                 (a, b, fin + 1): False, (-1, 0, 1): False}
+        for loop, valid in loops.items():
+            contour = ClosedContour(loop, ("nearest-neighbour",) * len(loop))
+            bad = first_non_adjacent_pair(contour, mesh)
+            assert (bad is None) == valid
+            if valid:
+                contour.validate_against(mesh)
+            else:
+                with pytest.raises(ContractError) as info:
+                    contour.validate_against(mesh)
+                assert str(info.value) == f"contour vertices {bad[0]}, {bad[1]} are not adjacent"
 
     def test_contour_invariants(self):
         contour = ClosedContour((1, 2, 3), ("nearest-neighbour",) * 3)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from violinmorph import grid, slicing
 from violinmorph.decimate import decimate
-from violinmorph.errors import TopologicalLockError
+from violinmorph.errors import DisconnectedError, TopologicalLockError
 from violinmorph.grid import interpolate_grid, joint_grid_domain
+from violinmorph.isolation import rough_split
 from violinmorph.mesh import TriangleMesh, shortest_path
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import SectionPlane, cross_section, cross_sections
@@ -20,6 +22,7 @@ from oracles import (
     dijkstra_undirected,
     interpolate_grid_loop,
     mesh_edges_axis0,
+    shortest_path_unbounded,
 )
 
 
@@ -338,6 +341,58 @@ class TestEdgesAndPathsOracle:
                     while path[-1] != start:
                         path.append(int(pred[path[-1]]))
                     assert shortest_path(mesh, start, goal) == path[::-1]
+
+    def test_bounded_search_matches_unbounded(self, meshes, body_plates):
+        rough = [rough_split(body_plates[0], side)[0] for side in ("sound_board", "back")]
+        rng = np.random.default_rng(37)
+        for mesh in meshes + rough:
+            for start in rng.choice(mesh.n_vertices, 30, replace=False).tolist():
+                # close goals like consecutive anchors, and a few far ones
+                gaps = np.linalg.norm(mesh.vertices - mesh.vertices[start], axis=1)
+                near = np.argsort(gaps, kind="stable")[1:13].tolist()
+                for goal in near + rng.choice(mesh.n_vertices, 3).tolist():
+                    assert shortest_path(mesh, start, goal) == \
+                        shortest_path_unbounded(mesh, start, goal)
+
+    @pytest.fixture
+    def limits(self, monkeypatch):
+        """The ``limit`` of every csgraph.dijkstra call."""
+        seen = []
+        dijkstra = csgraph.dijkstra
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("limit"))
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "dijkstra", recording)
+        return seen
+
+    def test_slit_falls_back_to_full_search(self, limits):
+        # a 21 x 11 grid cut between columns 10 and 11 below row 9: the
+        # vertices facing each other across the slit are 1 mm apart, but
+        # the path between them runs around the end of the slit
+        n = 11
+        base = grid_mesh(21, n)
+        i, j = np.divmod(np.arange(base.n_faces) // 2, n - 1)
+        mesh = TriangleMesh(base.vertices, base.faces[~((i == 10) & (j < 9))])
+        start, goal = 10 * n, 11 * n
+        path = shortest_path(mesh, start, goal)
+        assert limits == [2.0, np.inf]
+        assert path == shortest_path_unbounded(mesh, start, goal)
+        assert len(path) > 10
+
+    def test_close_goal_needs_one_bounded_search(self, limits):
+        mesh = grid_mesh(30, 30, 0.5)
+        path = shortest_path(mesh, 0, 62)  # vertex 62 sits at (1, 1)
+        assert limits == [pytest.approx(2.0 * np.sqrt(2.0))]
+        assert path == shortest_path_unbounded(mesh, 0, 62)
+
+    def test_disconnected_pair_raises_after_full_search(self, limits):
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [3, 0, 0], [4, 0, 0], [3, 1, 0]]
+        mesh = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
+        with pytest.raises(DisconnectedError):
+            shortest_path(mesh, 0, 3)
+        assert limits == [6.0, np.inf]
 
 
 def assert_same_decimation(mesh, target):

@@ -3,7 +3,7 @@ import pytest
 
 from violinmorph import registration
 from violinmorph.errors import ContractError
-from violinmorph.mesh import PointCloud
+from violinmorph.mesh import _KD_PARALLEL_MIN_POINTS, PointCloud, kd_workers
 from violinmorph.registration import (
     NormalField,
     SimilarityTransform,
@@ -18,6 +18,8 @@ from violinmorph.registration import (
     register_icp,
 )
 from violinmorph.synthetic import disc_plate
+
+from oracles import ObjectiveUnmemoized
 
 # arching irregularities pin tangential slides for the plane metric
 BUMPS = ((18.0, 10.0, 3.0, 14.0), (-15.0, -12.0, -2.0, 12.0), (-5.0, 20.0, 1.5, 9.0))
@@ -290,6 +292,49 @@ class TestRegister:
                           init=SimilarityTransform.identity())
         assert report.converged is False
         assert report.iterations == 1
+
+
+class TestObjectiveOracle:
+    """The memoized objective and the thread rule against the plain objective."""
+
+    @pytest.mark.parametrize("rings, sectors", [(15, 60), (40, 160)])  # 901, 6,401 points
+    @pytest.mark.parametrize("metric", ["point_to_point", "point_to_plane_sq"])
+    def test_same_report_as_unmemoized(self, monkeypatch, rings, sectors, metric):
+        s = PointCloud(disc_plate(radius=40.0, height=8.0, rings=rings, sectors=sectors,
+                                  bumps=BUMPS).mesh.vertices)
+        true = SimilarityTransform((1.5, -1.0, 0.5), (1.0, -0.5, 2.0), 1.01)
+        p = PointCloud(true.inverse().apply_points(s.points)
+                       + np.random.default_rng(rings).normal(0.0, 0.05, (len(s), 3)))
+        normals = estimate_normals(s)
+
+        def run(objective):
+            queries = []
+
+            class CountingKDTree(registration.cKDTree):
+                def query(self, *args, **kwargs):
+                    queries.append(kwargs.get("workers"))
+                    return super().query(*args, **kwargs)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(registration, "cKDTree", CountingKDTree)
+                mp.setattr(registration, "_Objective", objective)
+                report = register(s, p, metric=metric, normals=normals, max_sweeps=8)
+            return report, queries
+
+        new, new_queries = run(registration._Objective)
+        old, old_queries = run(ObjectiveUnmemoized)
+        assert new.transform.as_dict() == old.transform.as_dict()
+        assert new.metrics == old.metrics
+        assert new.iterations == old.iterations and new.converged == old.converged
+        assert new.objective_history == old.objective_history
+        assert new.distances.tobytes() == old.distances.tobytes()
+        assert len(new_queries) < len(old_queries)  # repeated vectors answered from memo
+        assert set(new_queries) == {1 if len(s) < _KD_PARALLEL_MIN_POINTS else -1}
+
+    def test_crossover_separates_the_cases(self):
+        assert 901 < _KD_PARALLEL_MIN_POINTS <= 6401
+        assert kd_workers(_KD_PARALLEL_MIN_POINTS - 1) == 1
+        assert kd_workers(_KD_PARALLEL_MIN_POINTS) == -1
 
 
 class TestRegisterIcp:
