@@ -7,8 +7,10 @@ meshes are open surfaces, so boundary edges contribute a perpendicular
 constraint plane that resists contour shrinkage.
 
 Set-up and each collapse's re-push work on edge arrays; the greedy loop
-stays sequential. Row dots and norms use stacked ``matmul``, which rounds
-like the 1-D ``@`` (``einsum`` and ``norm(axis=1)`` do not).
+stays sequential and keeps the faces as Python lists, since a collapse
+reads and edits only a handful of them. Row dots and norms use stacked
+``matmul``, which rounds like the 1-D ``@`` (``einsum`` and
+``norm(axis=1)`` do not).
 """
 
 from __future__ import annotations
@@ -32,8 +34,14 @@ def _dot(a, b):
 
 
 def _normals(corners):
-    """Unnormalised normals of triangles given as (k, 3, 3) corner stacks."""
-    return np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    """Unnormalised normals of triangles given as (k, 3, 3) corner stacks.
+
+    ``np.cross`` by component (one product minus another, so the same
+    rounding) without its per-call axis handling: with the edges a, b
+    indexed [1, 2, 0, 1, 2], the normal is a[:3] * b[1:4] - a[1:4] * b[:3].
+    """
+    d = (corners[:, 1:] - corners[:, :1])[..., [1, 2, 0, 1, 2]]
+    return d[:, 0, :3] * d[:, 1, 1:4] - d[:, 0, 1:4] * d[:, 1, :3]
 
 
 def _plane_quadrics(normals, points):
@@ -53,19 +61,22 @@ def _targets(q, p1, p2):
     """Contraction targets and their errors for edges (p1, p2) with quadrics q.
 
     The quadric-optimal point where the 3x3 system is well conditioned,
-    otherwise the first of {p1, p2, midpoint} with the least error.
+    otherwise the first of {p1, p2, midpoint} with the least error. The
+    condition number is ``np.linalg.cond``'s singular-value ratio; a
+    singular system gives inf or NaN there, and both fail the test.
     """
-    candidates = np.stack([p1, p2, 0.5 * (p1 + p2)], axis=1)
-    errors = _error(q[:, None], candidates)
-    best = errors.argmin(axis=1)
-    rows = np.arange(len(q))
-    pos, err = candidates[rows, best], errors[rows, best]
-    solvable = np.linalg.cond(q[:, :3, :3]) < _COND_LIMIT
-    if solvable.any():
-        qs = q[solvable]
-        pos[solvable] = np.linalg.solve(qs[:, :3, :3], -qs[:, :3, 3:])[:, :, 0]
-        err[solvable] = _error(qs, pos[solvable])
-    return pos, err
+    s = np.linalg.svd(q[:, :3, :3], compute_uv=False)
+    with np.errstate(all="ignore"):
+        solvable = s[:, 0] / s[:, -1] < _COND_LIMIT
+    pos = np.empty_like(p1)
+    qs = q[solvable]
+    pos[solvable] = np.linalg.solve(qs[:, :3, :3], -qs[:, :3, 3:])[:, :, 0]
+    if not solvable.all():
+        rest = ~solvable
+        candidates = np.stack([p1[rest], p2[rest], 0.5 * (p1[rest] + p2[rest])], axis=1)
+        best = _error(q[rest][:, None], candidates).argmin(axis=1)
+        pos[rest] = candidates[np.arange(len(best)), best]
+    return pos, _error(q, pos)
 
 
 def decimate(mesh, target_faces):
@@ -93,19 +104,19 @@ def decimate(mesh, target_faces):
         return mesh
 
     verts = mesh.vertices.copy()
-    faces = mesh.faces.copy()
+    faces = mesh.faces.tolist()
     vert_faces = [set() for _ in range(len(verts))]
-    for fi, f in enumerate(faces.tolist()):
+    for fi, f in enumerate(faces):
         for v in f:
             vert_faces[v].add(fi)
 
     # vertex quadrics: incident face planes (in face order), then boundary
     # constraints in first-seen edge order; zero-area faces take no part
-    n = _normals(verts[faces])
+    n = _normals(verts[mesh.faces])
     norm = np.sqrt(_dot(n, n))
     area = norm >= 1e-30
     unit = n[area] / norm[area, None]
-    kept = faces[area]
+    kept = mesh.faces[area]
     quadrics = np.zeros((len(verts), 4, 4))
     np.add.at(quadrics, kept.ravel(),
               np.repeat(_plane_quadrics(unit, verts[kept[:, 0]]), 3, axis=0))
@@ -132,7 +143,7 @@ def decimate(mesh, target_faces):
                 for e, i, j, p in zip(err.tolist(), a.tolist(), b.tolist(), pos)]
 
     def corners(fis):
-        return set(faces[list(fis)].ravel().tolist())
+        return {w for fi in fis for w in faces[fi]}
 
     heap = entries(mesh.edges[:, 0], mesh.edges[:, 1])
     heapq.heapify(heap)
@@ -150,27 +161,31 @@ def decimate(mesh, target_faces):
         if not shared or len(shared) >= n_faces:
             continue  # not an edge any more, or the surface would vanish
         # link condition: common neighbours must all come from shared faces
-        if corners(vert_faces[u]) & corners(vert_faces[v]) - corners(shared):
+        hinge = corners(shared)
+        if corners(vert_faces[u]) & corners(vert_faces[v]) - hinge:
             continue
         # reject collapses that flip or squash any surviving face
         around = (vert_faces[u] | vert_faces[v]) - shared
-        tri = faces[list(around)]
-        points = verts[tri]
-        before = _normals(points)
-        points[(tri == u) | (tri == v)] = pos
-        after = _normals(points)
-        if np.any((np.sqrt(_dot(after, after)) < 1e-30)
-                  | ((np.sqrt(_dot(before, before)) > 1e-30) & (_dot(before, after) <= 0))):
+        # (0, 3) when the collapse takes a lone triangle: nothing around it to check
+        tri = np.array([faces[fi] for fi in around], dtype=np.int64).reshape(-1, 3)
+        k = len(tri)
+        points = verts[np.concatenate([tri, tri])]
+        points[k:][(tri == u) | (tri == v)] = pos  # before, then after
+        normals = _normals(points)
+        length = np.sqrt(_dot(normals, normals))
+        if ((length[k:] < 1e-30)
+                | ((length[:k] > 1e-30) & (_dot(normals[:k], normals[k:]) <= 0))).any():
             continue
 
         # contract v into u at the optimal position
         verts[u] = pos
-        quadrics[u] = quadrics[u] + quadrics[v]
+        quadrics[u] += quadrics[v]
         n_faces -= len(shared)
-        for w in corners(shared) - {u, v}:
+        for w in hinge - {u, v}:
             vert_faces[w] -= shared
-        moved = list(vert_faces[v] - shared)
-        faces[moved] = np.where(faces[moved] == v, u, faces[moved])
+        for fi in vert_faces[v] - shared:
+            f = faces[fi]
+            f[f.index(v)] = u
         vert_faces[u], vert_faces[v] = around, set()
         stamp[u] += 1
         stamp[v] += 1
@@ -179,5 +194,6 @@ def decimate(mesh, target_faces):
             heapq.heappush(heap, entry)
 
     # compact: keep the faces some vertex still holds, preserve index order
-    used, new_faces = np.unique(faces[sorted(set().union(*vert_faces))], return_inverse=True)
+    alive = [faces[fi] for fi in sorted(set().union(*vert_faces))]
+    used, new_faces = np.unique(alive, return_inverse=True)
     return TriangleMesh(verts[used], new_faces.reshape(-1, 3))

@@ -220,7 +220,7 @@ def _read_ply_ascii_body(fh, elements, path, lineno):
 
 
 def _read_ply_binary_body(fh, elements, path):
-    vertices, faces = [], []
+    vertices, faces = [], []  # blocks of rows, one per element that yields any
     file_size = os.fstat(fh.fileno()).st_size
     for name, count, props, lineno in elements:
         # every record takes at least its scalars and its list counts
@@ -232,14 +232,17 @@ def _read_ply_binary_body(fh, elements, path):
             )
         if name == "vertex":
             xi, yi, zi = _vertex_face_layout(elements, path)
-            fmt = "<" + "".join(code for _, code, _ in props)
-            size = struct.calcsize(fmt)
-            blob = fh.read(size * count)
-            if len(blob) != size * count:
+            record = np.dtype([(f"p{i}", "<" + code) for i, (_, code, _) in enumerate(props)])
+            blob = fh.read(record.itemsize * count)
+            if len(blob) != record.itemsize * count:
                 raise MeshFormatError("truncated vertex data", path, offset=fh.tell())
-            for rec in struct.iter_unpack(fmt, blob):
-                vertices.append((rec[xi], rec[yi], rec[zi]))
+            if count:
+                rec = np.frombuffer(blob, record)
+                vertices.append(np.column_stack([rec[f"p{i}"] for i in (xi, yi, zi)]))
+        elif name == "face" and (block := _triangle_block(fh, count, props)) is not None:
+            faces.append(block)
         else:
+            rows = []
             for _ in range(count if props else 0):  # no properties, no bytes
                 for pname, code, idx_code in props:
                     if idx_code is None:
@@ -258,8 +261,34 @@ def _read_ply_binary_body(fh, elements, path):
                         raise MeshFormatError("truncated list data", path, offset=fh.tell())
                     if name == "face" and pname in ("vertex_indices", "vertex_index"):
                         idx = list(struct.unpack("<" + code * k, body))
-                        faces.extend(_triangulate(idx, path, None))
-    return vertices, faces
+                        rows.extend(_triangulate(idx, path, None))
+            if rows:
+                faces.append(rows)
+    return _joined(vertices), _joined(faces)
+
+
+def _triangle_block(fh, count, props):
+    """A ``list uchar int|uint vertex_indices`` face block as one (count, 3) array.
+
+    None, with the file position unchanged, when the element has other
+    properties, the block is short or some face is not a triangle.
+    """
+    if props not in ([("vertex_indices", "i", "B")], [("vertex_indices", "I", "B")]):
+        return None
+    start = fh.tell()
+    record = np.dtype([("n", "u1"), ("v", "<" + props[0][1], 3)])
+    blob = fh.read(record.itemsize * count)
+    if len(blob) == record.itemsize * count:
+        rec = np.frombuffer(blob, record)
+        if (rec["n"] == 3).all():
+            return rec["v"]
+    fh.seek(start)
+    return None
+
+
+def _joined(blocks):
+    """One element's block as it is, several as one list of rows in file order."""
+    return blocks[0] if len(blocks) == 1 else [row for block in blocks for row in block]
 
 
 def _triangulate(indices, path, lineno):

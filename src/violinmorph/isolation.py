@@ -400,9 +400,15 @@ def load_plate(mesh_path, contour_path, side=None):
                     side = comment[5:]
                 continue
             try:
-                indices.append(int(body))
+                index = int(body)
             except ValueError:
                 raise MeshFormatError("bad contour index", contour_path, line=lineno) from None
+            if not 0 <= index < mesh.n_vertices:
+                raise MeshFormatError(
+                    f"contour index {index} outside the mesh's {mesh.n_vertices} vertices",
+                    contour_path, line=lineno,
+                )
+            indices.append(index)
             sources.append(comment if comment else ANCHOR)
     if side is None:
         raise ContractError(f"plate side missing from {contour_path} and not provided")

@@ -1,16 +1,18 @@
 """Reference kernels kept as test oracles.
 
 These are the original per-face / per-edge loop versions of
-``grid.interpolate_grid``, ``slicing.cross_section`` and
-``decimate.decimate``, plus the earlier formulations of the mesh's edge
-list, the shortest path (undirected, then unbounded), the nearest-vertex
-snap, the contour checks and the registration objective (unmemoized, all
-cores). The library's versions must reproduce them bit for bit; the
+``grid.interpolate_grid``, ``slicing.cross_section``,
+``decimate.decimate`` and the binary PLY body reader, plus the earlier
+formulations of the mesh's edge list, the shortest path (undirected,
+then unbounded), the nearest-vertex snap, the contour checks and the
+registration objective (unmemoized, all cores). The library's versions must reproduce them bit for bit; the
 oracles are slow but transparent, which is what an oracle needs.
 """
 
 import heapq
 import math
+import os
+import struct
 from collections import defaultdict
 
 import numpy as np
@@ -18,7 +20,10 @@ from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from violinmorph.decimate import _BOUNDARY_WEIGHT, _COND_LIMIT
-from violinmorph.errors import ContractError, DisconnectedError, TopologicalLockError
+from violinmorph.errors import (
+    ContractError, DisconnectedError, MeshFormatError, TopologicalLockError,
+)
+from violinmorph.fileio import _triangulate, _vertex_face_layout
 from violinmorph.grid import HeightGrid, joint_grid_domain
 from violinmorph.mesh import TriangleMesh
 from violinmorph import registration
@@ -451,3 +456,47 @@ def decimate_loop(mesh, target_faces):
         if face_alive[fi]
     ]
     return TriangleMesh(verts[used], new_faces)
+
+
+def read_ply_binary_body_loop(fh, elements, path):
+    """``fileio``'s binary PLY body reader: ``struct`` per vertex and per face."""
+    vertices, faces = [], []
+    file_size = os.fstat(fh.fileno()).st_size
+    for name, count, props, lineno in elements:
+        # every record takes at least its scalars and its list counts
+        least = sum(struct.calcsize(idx_code or code) for _, code, idx_code in props)
+        if count * least > file_size - fh.tell():
+            raise MeshFormatError(
+                f"element {name!r} declares {count} records, more than the file holds",
+                path, line=lineno,
+            )
+        if name == "vertex":
+            xi, yi, zi = _vertex_face_layout(elements, path)
+            fmt = "<" + "".join(code for _, code, _ in props)
+            size = struct.calcsize(fmt)
+            blob = fh.read(size * count)
+            if len(blob) != size * count:
+                raise MeshFormatError("truncated vertex data", path, offset=fh.tell())
+            for rec in struct.iter_unpack(fmt, blob):
+                vertices.append((rec[xi], rec[yi], rec[zi]))
+        else:
+            for _ in range(count if props else 0):  # no properties, no bytes
+                for pname, code, idx_code in props:
+                    if idx_code is None:
+                        blob = fh.read(struct.calcsize(code))
+                        if len(blob) < struct.calcsize(code):
+                            raise MeshFormatError("truncated data", path, offset=fh.tell())
+                        continue
+                    nraw = fh.read(struct.calcsize(idx_code))
+                    if not nraw:
+                        raise MeshFormatError("truncated list count", path, offset=fh.tell())
+                    (k,) = struct.unpack("<" + idx_code, nraw)
+                    if struct.calcsize(code) * k > file_size - fh.tell():
+                        raise MeshFormatError("list longer than the file", path, offset=fh.tell())
+                    body = fh.read(struct.calcsize(code) * k)
+                    if len(body) < struct.calcsize(code) * k:
+                        raise MeshFormatError("truncated list data", path, offset=fh.tell())
+                    if name == "face" and pname in ("vertex_indices", "vertex_index"):
+                        idx = list(struct.unpack("<" + code * k, body))
+                        faces.extend(_triangulate(idx, path, None))
+    return vertices, faces

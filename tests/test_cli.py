@@ -460,6 +460,23 @@ class TestStageErrors:
         assert rc == 2
         assert f"bad contour index ({contour}, line {index + 1})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["99999", "-1"])
+    def test_contour_index_outside_mesh_exits_2(self, plate_files, tmp_path, capsys, value):
+        contour = tmp_path / "sb_contour.txt"
+        lines = (plate_files / "sb_contour.txt").read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if line and not line.startswith("#"))
+        lines[index] = f"{value}  # anchor"
+        contour.write_text("\n".join(lines) + "\n")
+        rc = run("symmetry", "--out", str(tmp_path / "out"),
+                 "--sound-board", str(plate_files / "sb.ply"),
+                 "--sound-board-contour", str(contour),
+                 "--back", str(plate_files / "back.ply"),
+                 "--back-contour", str(plate_files / "back_contour.txt"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"contour index {value} outside the mesh's" in err
+        assert f"({contour}, line {index + 1})" in err
+
     def test_missing_contour_file_exits_2(self, plate_files, tmp_path, capsys):
         rc = run("symmetry", "--out", str(tmp_path / "out"),
                  "--sound-board", str(plate_files / "sb.ply"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from violinmorph import fileio
 from violinmorph.errors import InputError, MeshFormatError
 from violinmorph.fileio import (
     load_mesh,
@@ -13,6 +14,8 @@ from violinmorph.fileio import (
     save_vertex_mask,
 )
 from violinmorph.mesh import VertexMask
+
+from oracles import read_ply_binary_body_loop
 
 
 def test_minimal_obj(tmp_path):
@@ -246,3 +249,106 @@ def test_fuzzed_files_raise_only_input_errors(fuzz_sources, fmt, data):
             load_mesh(path)
     except InputError:
         pass
+
+
+def _write_binary_ply(path, header, body):
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\n" + header.encode()
+                     + b"end_header\n" + body)
+
+
+def _load_fast_and_loop(path, monkeypatch):
+    fast = load_mesh(path)
+    with monkeypatch.context() as m:
+        m.setattr(fileio, "_read_ply_binary_body", read_ply_binary_body_loop)
+        loop = load_mesh(path)
+    return fast, loop
+
+
+def _assert_same_mesh(a, b):
+    assert a.vertices.dtype == b.vertices.dtype and a.faces.dtype == b.faces.dtype
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.faces.tobytes() == b.faces.tobytes()
+
+
+def _load_by_block(path, monkeypatch):
+    """``load_mesh``, asserting that the face block was read in one piece."""
+    blocks, read = [], fileio._triangle_block
+
+    def spy(*args):
+        blocks.append(read(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(fileio, "_triangle_block", spy)
+    mesh = load_mesh(path)
+    assert len(blocks) == 1 and blocks[0] is not None
+    return mesh
+
+
+class TestBinaryPlyBlocks:
+    """The block reads against the record-by-record reader in ``oracles``."""
+
+    def test_float64_vertices_written_by_save_mesh(self, tmp_path, monkeypatch):
+        from violinmorph.synthetic import icosphere
+
+        path = tmp_path / "sphere.ply"
+        save_mesh(icosphere(7.5, 3), path, "ply-binary-le")
+        fast, loop = _load_fast_and_loop(path, monkeypatch)
+        _assert_same_mesh(fast, loop)
+        _assert_same_mesh(_load_by_block(path, monkeypatch), loop)
+
+    def test_float32_vertices_extra_property_and_uint_indices(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        vrec = np.zeros(40, [("z", "<f4"), ("red", "u1"), ("x", "<f4"), ("y", "<f4")])
+        for axis in "xyz":
+            vrec[axis] = rng.normal(0.0, 30.0, 40)
+        frec = np.zeros(38, [("n", "u1"), ("v", "<u4", 3)])
+        frec["n"] = 3
+        frec["v"] = np.arange(38)[:, None] + [0, 1, 2]
+        header = ("element vertex 40\nproperty float z\nproperty uchar red\n"
+                  "property float x\nproperty float y\nelement face 38\n"
+                  "property list uchar uint vertex_indices\n")
+        path = tmp_path / "f32.ply"
+        _write_binary_ply(path, header, vrec.tobytes() + frec.tobytes())
+        fast, loop = _load_fast_and_loop(path, monkeypatch)
+        _assert_same_mesh(fast, loop)
+        np.testing.assert_array_equal(fast.vertices[:, 2], vrec["z"])
+        _assert_same_mesh(_load_by_block(path, monkeypatch), loop)
+
+    def test_quads_fall_back_to_the_record_loop(self, tmp_path, monkeypatch):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0]], "<f8")
+        faces = (b"\x03" + np.array([0, 1, 4], "<i4").tobytes()
+                 + b"\x04" + np.array([0, 1, 2, 3], "<i4").tobytes())
+        header = ("element vertex 5\nproperty double x\nproperty double y\nproperty double z\n"
+                  "element face 2\nproperty list uchar int vertex_indices\n")
+        path = tmp_path / "quad.ply"
+        _write_binary_ply(path, header, verts.tobytes() + faces)
+        fast, loop = _load_fast_and_loop(path, monkeypatch)
+        _assert_same_mesh(fast, loop)
+        assert fast.faces.tolist() == [[0, 1, 4], [0, 1, 2], [0, 2, 3]]
+
+    def test_extra_face_property_falls_back(self, tmp_path, monkeypatch):
+        from violinmorph.synthetic import icosphere
+
+        mesh = icosphere(2.0, 1)
+        frec = np.zeros(mesh.n_faces, [("n", "u1"), ("v", "<i4", 3), ("flags", "u1")])
+        frec["n"], frec["v"], frec["flags"] = 3, mesh.faces, 7
+        header = (f"element vertex {mesh.n_vertices}\nproperty double x\nproperty double y\n"
+                  f"property double z\nelement face {mesh.n_faces}\n"
+                  "property list uchar int vertex_indices\nproperty uchar flags\n")
+        path = tmp_path / "flags.ply"
+        _write_binary_ply(path, header, mesh.vertices.astype("<f8").tobytes() + frec.tobytes())
+        fast, loop = _load_fast_and_loop(path, monkeypatch)
+        _assert_same_mesh(fast, loop)
+        _assert_same_mesh(fast, mesh)
+
+    @pytest.mark.parametrize("cut", [1, 5, 13, 40])
+    def test_short_face_block_same_error(self, tmp_path, cube, monkeypatch, cut):
+        path = tmp_path / "cube.ply"
+        save_mesh(cube, path, "ply-binary-le")
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(MeshFormatError) as fast:
+            load_mesh(path)
+        monkeypatch.setattr(fileio, "_read_ply_binary_body", read_ply_binary_body_loop)
+        with pytest.raises(MeshFormatError) as loop:
+            load_mesh(path)
+        assert str(fast.value) == str(loop.value)

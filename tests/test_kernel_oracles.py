@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import csgraph
 
 from violinmorph import grid, slicing
-from violinmorph.decimate import decimate
+from violinmorph.decimate import _normals, _targets, decimate
 from violinmorph.errors import DisconnectedError, TopologicalLockError
 from violinmorph.grid import interpolate_grid, joint_grid_domain
 from violinmorph.isolation import rough_split
@@ -17,6 +17,7 @@ from violinmorph.synthetic import disc_plate, hemisphere_plate, icosphere, instr
 
 from conftest import grid_mesh
 from oracles import (
+    _optimal_position,
     cross_section_loop,
     decimate_loop,
     dijkstra_undirected,
@@ -460,6 +461,70 @@ class TestDecimateOracle:
         mesh = TriangleMesh(verts, np.vstack([base.faces, [[a, b, len(base.vertices)]]]))
         with pytest.warns(UserWarning, match="1 non-manifold edges"):  # from mesh.edges
             assert_same_decimation(mesh, 25)
+
+    def test_face_turned_exactly_90_degrees(self):
+        # at 46 faces the cheapest edge (8, 9) moves vertex 9 to (3, 4, 1e-17):
+        # face (9, 16, 10) then has its corners on the line y = 4, and its
+        # normal turns from +z to one with z exactly 0, so before . after == 0
+        # and the collapse is refused (a 90-degree turn counts as a flip)
+        bump = grid_mesh(6, 6, height=lambda x, y: ((x == 4) & (y == 5)).astype(float))
+        for target in (45, 30, 10):
+            assert_same_decimation(bump, target)
+
+    def test_lone_triangle(self):
+        # collapsing an edge of a triangle with no neighbours leaves no face to check
+        base = grid_mesh(6, 6, height=lambda x, y: 0.05 * x * y)
+        mesh = TriangleMesh(np.vstack([base.vertices, [[10, 0, 0], [11, 0, 0], [10, 1, 0]]]),
+                            np.vstack([base.faces, [[36, 37, 38]]]))
+        for target in (3, 1):
+            assert_same_decimation(mesh, target)
+
+    def test_targets_match_optimal_position_row_by_row(self):
+        rng = np.random.default_rng(8)
+
+        def quadric(a, b, c=0.0):
+            q = np.zeros((4, 4))
+            q[:3, :3], q[:3, 3], q[3, :3], q[3, 3] = a, b, b, c
+            return q
+
+        spd = rng.normal(size=(2, 3, 3))
+        plane = np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+        q = np.array([
+            quadric(spd[0] @ spd[0].T + np.eye(3), rng.normal(size=3), 2.0),
+            quadric(np.diag([2.0, 1.0, 5e-7]), [0.3, -0.2, 1e-6], 1.0),  # cond 4e6: solved
+            quadric(np.diag([1.0, 1.0, 3e-8]), [0.3, -0.2, 1e-6], 1.0),  # cond 3.3e7: not
+            quadric(np.zeros((3, 3)), np.zeros(3)),  # singular values 0 / 0
+            quadric(plane, [0.0, 0.0, -2.0], 4.0),  # 1 / 0
+            quadric(spd[1] @ spd[1].T + 0.5 * np.eye(3), rng.normal(size=3), 0.5),
+        ])
+        p1 = rng.uniform(-5.0, 5.0, (6, 3))
+        p2 = p1 + rng.uniform(-1.0, 1.0, (6, 3))
+        cond = np.linalg.cond(q[:, :3, :3])
+        assert 1e6 < cond[1] < 1e7 < cond[2] < 1e8
+        assert np.isinf(cond[[3, 4]]).all()  # 0 / 0 and 1 / 0 both read as inf
+        pos, err = _targets(q, p1, p2)
+        for i in range(len(q)):
+            want_pos, want_err = _optimal_position(q[i], p1[i], p2[i])
+            assert pos[i].tobytes() == np.asarray(want_pos).tobytes()
+            assert err[i].tobytes() == np.float64(want_err).tobytes()
+        solved = np.linalg.solve(q[:, :3, :3][[0, 1, 5]], -q[:, :3, 3:][[0, 1, 5]])[:, :, 0]
+        assert pos[[0, 1, 5]].tobytes() == solved.tobytes()
+        for i in (2, 3, 4):
+            candidates = [p1[i], p2[i], 0.5 * (p1[i] + p2[i])]
+            assert any(pos[i].tobytes() == c.tobytes() for c in candidates)
+        assert pos[3].tobytes() == p1[3].tobytes()  # all three candidates cost 0: the first
+
+    def test_normals_match_np_cross(self):
+        rng = np.random.default_rng(9)
+        stacks = [rng.normal(size=(50, 3, 3)) * 10.0 ** rng.integers(-8, 8, (50, 1, 1)),
+                  rng.integers(-3, 4, (50, 3, 3)).astype(float) * 0.5]
+        line = rng.normal(size=(20, 1, 3))
+        stacks.append(line * np.array([0.0, 1.0, -2.5])[None, :, None])  # collinear
+        stacks.append(np.repeat(rng.normal(size=(10, 1, 3)), 3, axis=1))  # one point
+        stacks.append(np.array([[[0.0, -0.0, 0.0], [1.0, 0.0, -0.0], [0.0, 1.0, 0.0]]]))
+        for corners in stacks:
+            want = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+            assert _normals(corners).tobytes() == want.tobytes()
 
     def test_closed_tetrahedron_same_lock(self):
         mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
