@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .fileio import save_csv
 from .mesh import PointCloud
 from .registration import SimilarityTransform, _nn_displacement, register
 
@@ -125,8 +126,6 @@ def cross_compare(a, b, fixed_scales=(1.0, 1.0), threshold=2.0, **register_kwarg
 
 def save_heatmap_csv(distribution, path):
     """Heat-map data: x, y, z of each reference point and its NN distance."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,z,distance_mm\n")
-        for p, d in zip(distribution.positions, distribution.distances):
-            fh.write(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},{d:.9g}\n")
+    save_csv(path, np.column_stack([distribution.positions, distribution.distances]),
+             header="x,y,z,distance_mm")
 

@@ -28,7 +28,7 @@ from .assessment import error_distribution, sampling_floor, save_heatmap_csv
 from .config import config_hash, load_config, set_override, validate_config
 from .decimate import decimate
 from .errors import ContractError, InputError, MorphometryError
-from .fileio import load_mesh, load_vertex_mask, save_mesh
+from .fileio import load_mesh, load_vertex_mask, save_csv, save_json, save_mesh
 from .grid import grid_difference_stats, interpolate_grid, joint_grid_domain
 from .isolation import IsolationParams, isolate_plate, load_plate, rough_split, save_plate
 from .mesh import PointCloud, VertexMask
@@ -51,12 +51,6 @@ from .registration import (
     register_icp,
 )
 from .symmetry import CONFIGURATIONS, build_symmetry_frame
-
-
-def _write_json(payload, path):
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _sha256(path):
@@ -109,7 +103,7 @@ class Run:
         }
         if extra:
             manifest.update(extra)
-        _write_json(manifest, self.out / f"manifest_{self.command}.json")
+        save_json(manifest, self.out / f"manifest_{self.command}.json")
         return manifest
 
 
@@ -190,10 +184,7 @@ def isolate_stage(run, cfg, body_path, scale):
             run.path(f"{side}_contour.txt"),
             cfg["mesh_format"],
         )
-        with open(run.path(f"{side}_contour.csv"), "w", newline="\n") as fh:
-            fh.write("x,y,z\n")
-            for q in plate.contour_points():
-                fh.write(f"{q[0]:.9g},{q[1]:.9g},{q[2]:.9g}\n")
+        save_csv(run.path(f"{side}_contour.csv"), plate.contour_points(), header="x,y,z")
         plates.append(plate)
         results[side] = {
             "vertices": plate.mesh.n_vertices,
@@ -236,7 +227,7 @@ def register_stage(run, cfg, s, p):
         "columns_mm": ["D", "sqrt_D2", "sqrt_D2_plane"],
         "rows": [dict(report.as_dict(), label=label) for label, report in rows],
     }
-    _write_json(table, run.path("registration.json"))
+    save_json(table, run.path("registration.json"))
     run.finish({"converged": all(report.converged for _, report in rows)})
     return rows[0][1]
 
@@ -254,7 +245,7 @@ def assess_stage(run, cfg, ref_mesh, p, distances=None):
                               distances=distances)
     payload = dist.as_dict()
     payload["sampling_floor_mm"] = sampling_floor(ref_mesh)
-    _write_json(payload, run.path("assessment.json"))
+    save_json(payload, run.path("assessment.json"))
     save_heatmap_csv(dist, run.path("heatmap.csv"))
     run.lap("distribution")
     run.finish()
@@ -293,7 +284,7 @@ def symmetry_stage(run, cfg, sb, back):
         name: f"failed: {f}" if isinstance(f, MorphometryError) else f.angle_deg
         for name, f in frames.items()
     }
-    _write_json(payload, run.path("symmetry.json"))
+    save_json(payload, run.path("symmetry.json"))
     run.lap("fit")
     run.finish()
     return frame
@@ -384,7 +375,7 @@ def cmd_simplify(cfg):
     g0 = interpolate_grid(mesh, spacing, "upper", origin, shape)
     g1 = interpolate_grid(simplified, spacing, "upper", origin, shape)
     stats = grid_difference_stats(g0, g1)
-    _write_json(
+    save_json(
         {
             "input_faces": mesh.n_faces,
             "output_faces": simplified.n_faces,

@@ -1,16 +1,22 @@
-"""Mesh and mask file I/O.
+"""Mesh, mask and text-artifact file I/O.
 
 Supported carriers: PLY (ascii and binary little-endian; ``vertex`` element
-with x/y/z floating-point properties, ``face`` element with a
+with x/y/z scalar properties, ``face`` element with an integer
 ``vertex_indices`` list) and Wavefront OBJ (``v``/``f`` records only).
-Vertex masks are plain text, one decimal index per line, ``#`` comments.
+Vertex masks and contour files are plain text, one decimal index per line,
+``#`` comments.
 
-Ascii floats are emitted with 9 significant digits, which round-trips
-32-bit inputs exactly; binary PLY stores doubles and is bit-exact.
+This module owns the text format of every artifact the pipeline writes,
+so the manifest's SHA-256 of a file pins its content: floats are emitted
+with 9 significant digits (``%.9g``, which round-trips 32-bit inputs
+exactly), CSV rows are comma-separated, JSON has a 2-space indent and
+sorted keys, and every text file ends its lines (and itself) with LF on
+every platform. Binary PLY stores doubles and is bit-exact.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import warnings
@@ -21,9 +27,15 @@ import numpy as np
 from .errors import ContractError, InputError, MeshFormatError
 from .mesh import TriangleMesh, VertexMask
 
-__all__ = ["load_mesh", "save_mesh", "load_vertex_mask", "save_vertex_mask"]
+__all__ = [
+    "load_mesh", "save_mesh", "load_vertex_mask", "save_vertex_mask",
+    "read_index_lines", "save_csv", "save_json",
+]
 
 FORMATS = ("ply-ascii", "ply-binary-le", "obj")
+
+FLOAT_FORMAT = "%.9g"  # every float in a text file
+_XYZ = " ".join([FLOAT_FORMAT] * 3)  # a mesh vertex
 
 _PLY_SCALAR = {
     "char": "b", "int8": "b",
@@ -35,6 +47,7 @@ _PLY_SCALAR = {
     "float": "f", "float32": "f",
     "double": "d", "float64": "d",
 }
+_FACE_LISTS = ("vertex_indices", "vertex_index")
 
 
 def load_mesh(path, format=None, scale=None):
@@ -145,6 +158,18 @@ def _load_ply(path, declared):
                                 path, line=lineno,
                             )
                         props.append((tokens[4], val_code, idx_code))
+                        element = elements[-1][0]
+                        if element == "vertex":  # the readers take x/y/z at fixed positions
+                            raise MeshFormatError(
+                                f"list property {tokens[4]!r} on the vertex element",
+                                path, line=lineno,
+                            )
+                        if (element == "face" and tokens[4] in _FACE_LISTS
+                                and val_code in "fd"):
+                            raise MeshFormatError(
+                                f"face indices of non-integer type {tokens[3]!r}",
+                                path, line=lineno,
+                            )
                     else:
                         code = _PLY_SCALAR.get(tokens[1])
                         if code is None:
@@ -259,7 +284,7 @@ def _read_ply_binary_body(fh, elements, path):
                     body = fh.read(struct.calcsize(code) * k)
                     if len(body) < struct.calcsize(code) * k:
                         raise MeshFormatError("truncated list data", path, offset=fh.tell())
-                    if name == "face" and pname in ("vertex_indices", "vertex_index"):
+                    if name == "face" and pname in _FACE_LISTS:
                         idx = list(struct.unpack("<" + code * k, body))
                         rows.extend(_triangulate(idx, path, None))
             if rows:
@@ -276,7 +301,7 @@ def _triangle_block(fh, count, props):
     if props not in ([("vertex_indices", "i", "B")], [("vertex_indices", "I", "B")]):
         return None
     start = fh.tell()
-    record = np.dtype([("n", "u1"), ("v", "<" + props[0][1], 3)])
+    record = _triangle_record(props[0][1])
     blob = fh.read(record.itemsize * count)
     if len(blob) == record.itemsize * count:
         rec = np.frombuffer(blob, record)
@@ -284,6 +309,11 @@ def _triangle_block(fh, count, props):
             return rec["v"]
     fh.seek(start)
     return None
+
+
+def _triangle_record(code):
+    """One face record ``3 a b c`` of a ``list uchar <code> vertex_indices``."""
+    return np.dtype([("n", "u1"), ("v", "<" + code, 3)])
 
 
 def _joined(blocks):
@@ -298,43 +328,31 @@ def _triangulate(indices, path, lineno):
     return [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
 
 
-def _format_float(x):
-    return format(float(x), ".9g")
-
-
-def _save_ply_ascii(mesh, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {mesh.n_vertices}\n")
-        fh.write("property double x\nproperty double y\nproperty double z\n")
-        fh.write(f"element face {mesh.n_faces}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
-        for v in mesh.vertices:
-            fh.write(f"{_format_float(v[0])} {_format_float(v[1])} {_format_float(v[2])}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-
-
-def _save_ply_binary(mesh, path):
-    header = (
-        "ply\nformat binary_little_endian 1.0\n"
+def _ply_header(mesh, encoding):
+    return (
+        f"ply\nformat {encoding} 1.0\n"
         f"element vertex {mesh.n_vertices}\n"
         "property double x\nproperty double y\nproperty double z\n"
         f"element face {mesh.n_faces}\n"
         "property list uchar int vertex_indices\nend_header\n"
     )
+
+
+def _save_ply_ascii(mesh, path):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(_ply_header(mesh, "ascii"))
+        np.savetxt(fh, mesh.vertices, fmt=_XYZ)
+        np.savetxt(fh, mesh.faces, fmt="3 %d %d %d")
+
+
+def _save_ply_binary(mesh, path):
+    faces = np.empty(mesh.n_faces, dtype=_triangle_record("i"))
+    faces["n"] = 3
+    faces["v"] = mesh.faces
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(
-            np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes()
-        )
-        if mesh.n_faces:
-            counts = np.full((mesh.n_faces, 1), 3, dtype=np.uint8)
-            idx = np.ascontiguousarray(mesh.faces, dtype="<i4")
-            rec = np.empty(mesh.n_faces, dtype=[("n", "u1"), ("v", "<i4", (3,))])
-            rec["n"] = counts[:, 0]
-            rec["v"] = idx
-            fh.write(rec.tobytes())
+        fh.write(_ply_header(mesh, "binary_little_endian").encode("ascii"))
+        fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
+        fh.write(faces.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -383,34 +401,55 @@ def _load_obj(path):
 
 def _save_obj(mesh, path):
     with open(path, "w", newline="\n") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {_format_float(v[0])} {_format_float(v[1])} {_format_float(v[2])}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        np.savetxt(fh, mesh.vertices, fmt="v " + _XYZ)
+        np.savetxt(fh, mesh.faces + 1, fmt="f %d %d %d")
 
 
 # ---------------------------------------------------------------------------
-# Vertex masks
+# Index files (vertex masks, plate contours)
+
+def read_index_lines(path, what):
+    """Yield ``(line number, index or None, comment)`` for each line of an index file.
+
+    One decimal index per line; text after ``#`` is the line's comment
+    (stripped), and a line with no index yields None. ``what`` names the
+    file in the errors: "<what> file not found", "bad <what> index".
+    """
+    if not os.path.exists(path):
+        raise InputError(f"{what} file not found: {path}")
+    with open(path, errors="replace") as fh:  # stray bytes fail as bad indices
+        for lineno, line in enumerate(fh, start=1):
+            body, _, comment = line.partition("#")
+            body = body.strip()
+            try:
+                index = int(body) if body else None
+            except ValueError:
+                raise MeshFormatError(f"bad {what} index", path, line=lineno) from None
+            yield lineno, index, comment.strip()
+
 
 def load_vertex_mask(path):
     """Read a vertex mask: one decimal index per line, ``#`` comments allowed."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"mask file not found: {path}")
-    indices = []
-    with open(path, "r", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                indices.append(int(body))
-            except ValueError:
-                raise MeshFormatError("bad mask index", path, line=lineno) from None
-    return VertexMask(indices)
+    return VertexMask([i for _, i, _ in read_index_lines(path, "mask") if i is not None])
 
 
 def save_vertex_mask(mask, path):
     with open(path, "w", newline="\n") as fh:
-        for i in sorted(mask.indices):
-            fh.write(f"{i}\n")
+        np.savetxt(fh, sorted(mask.indices), fmt="%d")
+
+
+# ---------------------------------------------------------------------------
+# Text artifacts
+
+def save_csv(path, rows, header=None, fmt=FLOAT_FORMAT):
+    """Comma-separated rows under an optional header line; ``fmt`` per column or for all."""
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt=fmt, delimiter=",", header=header or "", comments="")
+
+
+def save_json(payload, path):
+    """JSON with a 2-space indent, sorted keys and a trailing newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, GridMismatchError
+from .fileio import save_csv, save_json
 
 __all__ = [
     "HeightGrid",
@@ -199,20 +200,10 @@ def grid_difference_stats(a, b):
 
 def save_height_grid(grid, csv_path, header_path=None):
     """CSV matrix (rows = x index, NaN sentinels) plus a JSON header."""
-    np.savetxt(csv_path, grid.values, delimiter=",", fmt="%.9g")
+    save_csv(csv_path, grid.values)
     if header_path is not None:
-        with open(header_path, "w") as fh:
-            json.dump(
-                {
-                    "origin_mm": grid.origin.tolist(),
-                    "spacing_mm": grid.spacing,
-                    "shape": list(grid.shape),
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        save_json({"origin_mm": grid.origin.tolist(), "spacing_mm": grid.spacing,
+                   "shape": list(grid.shape)}, header_path)
 
 
 def load_height_grid(csv_path, header_path):

@@ -10,7 +10,6 @@ component holding the plate's apex.
 
 from __future__ import annotations
 
-import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -18,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (ContractError, DisconnectedError, FragmentationError, InputError,
-                     MeshFormatError)
+from .errors import ContractError, DisconnectedError, FragmentationError, MeshFormatError
 from .mesh import (TriangleMesh, VertexMask, connected_components, kd_workers,
                    shortest_path)
 from .slicing import extreme_points
@@ -164,14 +162,8 @@ def map_to_vertices(mesh, points):
     for i, ball in enumerate(balls):
         if len(ball) > 1:
             idx[i] = min(ball)
-    seen = set()
-    out = []
-    for v in idx:
-        v = int(v)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    _, first = np.unique(idx, return_index=True)
+    return idx[np.sort(first)].tolist()
 
 
 def order_loop(mesh, anchors):
@@ -194,7 +186,6 @@ def order_loop(mesh, anchors):
 
     # greedy construction, ties to the lowest vertex index
     start = int(np.argmin(anchors))
-    order = np.argsort(anchors, kind="stable")
     unvisited = set(range(n))
     unvisited.remove(start)
     tour = [start]
@@ -383,33 +374,23 @@ def save_plate(plate, mesh_path, contour_path, format="ply-binary-le"):
 
 def load_plate(mesh_path, contour_path, side=None):
     """Rebuild a PlateMesh from the files written by :func:`save_plate`."""
-    from .fileio import load_mesh
+    from .fileio import load_mesh, read_index_lines
 
     mesh = load_mesh(mesh_path)
-    if not os.path.exists(contour_path):
-        raise InputError(f"contour file not found: {contour_path}")
     indices = []
     sources = []
-    with open(contour_path, errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body, _, comment = line.partition("#")
-            body = body.strip()
-            comment = comment.strip()
-            if not body:
-                if comment.startswith("side=") and side is None:
-                    side = comment[5:]
-                continue
-            try:
-                index = int(body)
-            except ValueError:
-                raise MeshFormatError("bad contour index", contour_path, line=lineno) from None
-            if not 0 <= index < mesh.n_vertices:
-                raise MeshFormatError(
-                    f"contour index {index} outside the mesh's {mesh.n_vertices} vertices",
-                    contour_path, line=lineno,
-                )
-            indices.append(index)
-            sources.append(comment if comment else ANCHOR)
+    for lineno, index, comment in read_index_lines(contour_path, "contour"):
+        if index is None:
+            if comment.startswith("side=") and side is None:
+                side = comment[5:]
+            continue
+        if not 0 <= index < mesh.n_vertices:
+            raise MeshFormatError(
+                f"contour index {index} outside the mesh's {mesh.n_vertices} vertices",
+                contour_path, line=lineno,
+            )
+        indices.append(index)
+        sources.append(comment if comment else ANCHOR)
     if side is None:
         raise ContractError(f"plate side missing from {contour_path} and not provided")
     contour = ClosedContour(tuple(indices), tuple(sources))

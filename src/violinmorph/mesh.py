@@ -163,7 +163,7 @@ class TriangleMesh:
         orig_ids : (k,) ndarray
             For each new vertex, its index in the parent mesh.
         """
-        keep = np.asarray(sorted(set(int(i) for i in vertex_indices)), dtype=np.int64)
+        keep = np.unique(np.asarray(vertex_indices, dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.n_vertices):
             raise ContractError("submesh index out of range")
         remap = np.full(self.n_vertices, -1, dtype=np.int64)

@@ -8,7 +8,6 @@ contour whose trace relative to the contour flags historical re-cutting.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,6 +15,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, splev, splprep
 
 from .errors import ContractError, GridMismatchError
+from .fileio import FLOAT_FORMAT, save_csv, save_json
 from .grid import HeightGrid, save_height_grid
 from .slicing import SectionPlane, cross_sections, export_polylines_csv
 
@@ -347,9 +347,7 @@ def save_contour_lines(lineset, out_dir, stem):
         export_polylines_csv(polys, paths[-1])
         index["levels"].append({"level_mm": level, "file": fname})
     paths.append(out_dir / f"{stem}_index.json")
-    with open(paths[-1], "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(index, paths[-1])
     return paths
 
 
@@ -359,24 +357,14 @@ def save_asymmetry(field, out_dir, stem):
              for suffix in ("grid.csv", "grid.json", "stats.json", "histogram.csv")]
     grid_csv, grid_json, stats_json, histogram_csv = paths
     save_height_grid(field.grid, grid_csv, grid_json)
-    with open(stats_json, "w") as fh:
-        json.dump({"stats_mm": field.stats, "excluded_nodes": field.excluded_nodes},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(histogram_csv, "w", newline="\n") as fh:
-        fh.write("bin_lo_mm,bin_hi_mm,count\n")
-        for lo, hi, n in zip(field.histogram_edges[:-1], field.histogram_edges[1:],
-                             field.histogram_counts):
-            fh.write(f"{lo:.9g},{hi:.9g},{int(n)}\n")
+    save_json({"stats_mm": field.stats, "excluded_nodes": field.excluded_nodes}, stats_json)
+    edges = field.histogram_edges
+    save_csv(histogram_csv, np.column_stack([edges[:-1], edges[1:], field.histogram_counts]),
+             header="bin_lo_mm,bin_hi_mm,count", fmt=[FLOAT_FORMAT, FLOAT_FORMAT, "%d"])
     return paths
 
 
 def save_channel(trace, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("arc_length_mm,x,y,z,smoothed_x,smoothed_y,smoothed_z,inward_offset_mm\n")
-        for arc, p, q, off in zip(trace.arc_lengths, trace.points,
-                                  trace.smoothed_points, trace.inward_offsets):
-            fh.write(
-                f"{arc:.9g},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},"
-                f"{q[0]:.9g},{q[1]:.9g},{q[2]:.9g},{off:.9g}\n"
-            )
+    save_csv(path, np.column_stack([trace.arc_lengths, trace.points, trace.smoothed_points,
+                                    trace.inward_offsets]),
+             header="arc_length_mm,x,y,z,smoothed_x,smoothed_y,smoothed_z,inward_offset_mm")

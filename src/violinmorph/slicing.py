@@ -16,6 +16,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import ContractError
+from .fileio import FLOAT_FORMAT
 
 __all__ = ["SectionPlane", "SectionPolyline", "Sections", "cross_section", "cross_sections",
            "extreme_points"]
@@ -412,5 +413,4 @@ def export_polylines_csv(polylines, path):
         for i, poly in enumerate(polylines):
             if i:
                 fh.write("\n")
-            for p in poly.points:
-                fh.write(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g}\n")
+            np.savetxt(fh, poly.points, fmt=FLOAT_FORMAT, delimiter=",")

@@ -2,7 +2,8 @@
 
 These are the original per-face / per-edge loop versions of
 ``grid.interpolate_grid``, ``slicing.cross_section``,
-``decimate.decimate`` and the binary PLY body reader, plus the earlier
+``decimate.decimate`` and the binary PLY body reader, the per-row
+f-string writers of every text artifact (CSV, JSON, PLY, OBJ), plus the earlier
 formulations of the mesh's edge list, the shortest path (undirected,
 then unbounded), the nearest-vertex snap, the contour checks and the
 registration objective (unmemoized, all cores). The library's versions must reproduce them bit for bit; the
@@ -10,6 +11,7 @@ oracles are slow but transparent, which is what an oracle needs.
 """
 
 import heapq
+import json
 import math
 import os
 import struct
@@ -500,3 +502,136 @@ def read_ply_binary_body_loop(fh, elements, path):
                         idx = list(struct.unpack("<" + code * k, body))
                         faces.extend(_triangulate(idx, path, None))
     return vertices, faces
+
+
+# ---------------------------------------------------------------------------
+# Text artifacts, written row by row as the modules did before ``fileio`` owned
+# the format. Each takes the same arguments as the writer it pins.
+
+def write_json(payload, path):
+    """``cli._write_json``; the grid header, contour index and asymmetry stats
+    were written the same way."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_vertex_mask(mask, path):
+    with open(path, "w", newline="\n") as fh:
+        for i in sorted(mask.indices):
+            fh.write(f"{i}\n")
+
+
+def save_contour_csv(points, path):
+    """``cli.isolate_stage``'s ``<side>_contour.csv``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,y,z\n")
+        for q in points:
+            fh.write(f"{q[0]:.9g},{q[1]:.9g},{q[2]:.9g}\n")
+
+
+def save_heatmap_csv(distribution, path):
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,y,z,distance_mm\n")
+        for p, d in zip(distribution.positions, distribution.distances):
+            fh.write(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},{d:.9g}\n")
+
+
+def export_polylines_csv(polylines, path):
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,y,z\n")
+        for i, poly in enumerate(polylines):
+            if i:
+                fh.write("\n")
+            for p in poly.points:
+                fh.write(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g}\n")
+
+
+def save_contour_lines(lineset, out_dir, stem):
+    index = {"side": lineset.side, "spacing_mm": lineset.spacing,
+             "base_level_mm": lineset.base_level, "levels": []}
+    paths = []
+    for level, polys in zip(lineset.levels, lineset.polylines):
+        fname = f"{stem}_level_{level:+.3f}.csv".replace("+", "p").replace("-", "m")
+        paths.append(out_dir / fname)
+        export_polylines_csv(polys, paths[-1])
+        index["levels"].append({"level_mm": level, "file": fname})
+    paths.append(out_dir / f"{stem}_index.json")
+    write_json(index, paths[-1])
+    return paths
+
+
+def save_asymmetry(field, out_dir, stem):
+    paths = [out_dir / f"{stem}_{suffix}"
+             for suffix in ("grid.csv", "grid.json", "stats.json", "histogram.csv")]
+    grid_csv, grid_json, stats_json, histogram_csv = paths
+    grid = field.grid
+    np.savetxt(grid_csv, grid.values, delimiter=",", fmt="%.9g")
+    write_json({"origin_mm": grid.origin.tolist(), "spacing_mm": grid.spacing,
+                "shape": list(grid.shape)}, grid_json)
+    write_json({"stats_mm": field.stats, "excluded_nodes": field.excluded_nodes}, stats_json)
+    with open(histogram_csv, "w", newline="\n") as fh:
+        fh.write("bin_lo_mm,bin_hi_mm,count\n")
+        for lo, hi, n in zip(field.histogram_edges[:-1], field.histogram_edges[1:],
+                             field.histogram_counts):
+            fh.write(f"{lo:.9g},{hi:.9g},{int(n)}\n")
+    return paths
+
+
+def save_channel(trace, path):
+    with open(path, "w", newline="\n") as fh:
+        fh.write("arc_length_mm,x,y,z,smoothed_x,smoothed_y,smoothed_z,inward_offset_mm\n")
+        for arc, p, q, off in zip(trace.arc_lengths, trace.points,
+                                  trace.smoothed_points, trace.inward_offsets):
+            fh.write(
+                f"{arc:.9g},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},"
+                f"{q[0]:.9g},{q[1]:.9g},{q[2]:.9g},{off:.9g}\n"
+            )
+
+
+def format_float(x):
+    return format(float(x), ".9g")
+
+
+def save_ply_ascii(mesh, path):
+    with open(path, "w", newline="\n") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {mesh.n_vertices}\n")
+        fh.write("property double x\nproperty double y\nproperty double z\n")
+        fh.write(f"element face {mesh.n_faces}\n")
+        fh.write("property list uchar int vertex_indices\nend_header\n")
+        for v in mesh.vertices:
+            fh.write(f"{format_float(v[0])} {format_float(v[1])} {format_float(v[2])}\n")
+        for f in mesh.faces:
+            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+
+
+def save_ply_binary(mesh, path):
+    header = (
+        "ply\nformat binary_little_endian 1.0\n"
+        f"element vertex {mesh.n_vertices}\n"
+        "property double x\nproperty double y\nproperty double z\n"
+        f"element face {mesh.n_faces}\n"
+        "property list uchar int vertex_indices\nend_header\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
+        if mesh.n_faces:
+            counts = np.full((mesh.n_faces, 1), 3, dtype=np.uint8)
+            idx = np.ascontiguousarray(mesh.faces, dtype="<i4")
+            rec = np.empty(mesh.n_faces, dtype=[("n", "u1"), ("v", "<i4", (3,))])
+            rec["n"] = counts[:, 0]
+            rec["v"] = idx
+            fh.write(rec.tobytes())
+
+
+def save_obj(mesh, path):
+    with open(path, "w", newline="\n") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {format_float(v[0])} {format_float(v[1])} {format_float(v[2])}\n")
+        for f in mesh.faces:
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+SAVE_MESH = {"ply-ascii": save_ply_ascii, "ply-binary-le": save_ply_binary, "obj": save_obj}

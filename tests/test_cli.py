@@ -102,6 +102,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite" in err and name in err
 
+    @pytest.mark.parametrize("third", [2.7, float("nan")])
+    def test_non_integer_face_indices_exit_2(self, tmp_path, capsys, third):
+        path = tmp_path / "faces.ply"
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+                  "property double x\nproperty double y\nproperty double z\n"
+                  "element face 1\nproperty list uchar double vertex_indices\nend_header\n")
+        xyz = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "<f8")
+        path.write_bytes(header.encode() + xyz.tobytes()
+                         + b"\x03" + np.array([0, 1, third], "<f8").tobytes())
+        rc = run("simplify", "--out", str(tmp_path / "out"),
+                 "--reference", str(path), "--target-faces", "1")
+        assert rc == 2
+        assert f"face indices of non-integer type 'double' ({path}, line 8)" in \
+            capsys.readouterr().err
+
+    def test_vertex_list_property_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "listed.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
+                        "property list uchar float extra\nproperty double x\n"
+                        "property double y\nproperty double z\nelement face 1\n"
+                        "property list uchar int vertex_indices\nend_header\n"
+                        "1 9 0 0 0\n1 9 1 0 0\n1 9 0 1 0\n3 0 1 2\n")
+        rc = run("simplify", "--out", str(tmp_path / "out"),
+                 "--reference", str(path), "--target-faces", "1")
+        assert rc == 2
+        assert f"on the vertex element ({path}, line 4)" in capsys.readouterr().err
+
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"register": {"metric": "nope"}}))

@@ -204,6 +204,45 @@ def test_ply_face_index_out_of_range_is_format_error(tmp_path):
         load_mesh(path)
 
 
+_XYZ = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "<f8")
+
+
+def _ply_with_vertex_list(path, fmt):
+    """Three vertices, each led by a one-float ``extra`` list, and one face."""
+    header = ("element vertex 3\nproperty list uchar float extra\nproperty double x\n"
+              "property double y\nproperty double z\nelement face 1\n"
+              "property list uchar int vertex_indices\n")
+    if fmt == "ply-ascii":
+        body = "".join(f"1 9 {x:g} {y:g} {z:g}\n" for x, y, z in _XYZ) + "3 0 1 2\n"
+        path.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n{body}")
+    else:
+        vrec = np.zeros(3, [("n", "u1"), ("extra", "<f4"), ("xyz", "<f8", 3)])
+        vrec["n"], vrec["extra"], vrec["xyz"] = 1, 9.0, _XYZ
+        face = b"\x03" + np.array([0, 1, 2], "<i4").tobytes()
+        _write_binary_ply(path, header, vrec.tobytes() + face)
+
+
+@pytest.mark.parametrize("fmt", ["ply-ascii", "ply-binary-le"])
+def test_ply_vertex_list_property_rejected(tmp_path, fmt):
+    path = tmp_path / "listed.ply"
+    _ply_with_vertex_list(path, fmt)
+    with pytest.raises(MeshFormatError,
+                       match=r"list property 'extra' on the vertex element \(.*listed.ply, line 4\)"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("value_type", ["float", "double"])
+def test_ply_non_integer_face_indices_rejected(tmp_path, value_type):
+    path = tmp_path / "faces.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+                    "property double y\nproperty double z\nelement face 1\n"
+                    f"property list uchar {value_type} vertex_indices\nend_header\n"
+                    "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(MeshFormatError,
+                       match=f"face indices of non-integer type '{value_type}'.*line 8"):
+        load_mesh(path)
+
+
 @pytest.fixture(scope="module")
 def fuzz_sources(tmp_path_factory):
     from violinmorph.synthetic import icosphere
