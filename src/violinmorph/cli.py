@@ -28,7 +28,7 @@ from .assessment import error_distribution, sampling_floor, save_heatmap_csv
 from .config import config_hash, load_config, set_override, validate_config
 from .decimate import decimate
 from .errors import ContractError, InputError, MorphometryError
-from .fileio import load_mesh, load_vertex_mask, save_csv, save_json, save_mesh
+from .fileio import load_mesh, load_surface, load_vertex_mask, save_csv, save_json, save_mesh
 from .grid import grid_difference_stats, interpolate_grid, joint_grid_domain
 from .isolation import IsolationParams, isolate_plate, load_plate, rough_split, save_plate
 from .mesh import PointCloud, VertexMask
@@ -154,7 +154,7 @@ def _load_plate_pair(cfg):
 
 def isolate_stage(run, cfg, body_path, scale):
     """Load and orient a body, isolate both plates; returns (sound board, back)."""
-    body = load_mesh(body_path, scale=scale)
+    body = load_surface(body_path, scale=scale)
     body = orient_to_frame(body, principal_frame(body.point_cloud()))
     run.lap("load_and_orient")
 
@@ -164,11 +164,8 @@ def isolate_stage(run, cfg, body_path, scale):
     for side in ("sound_board", "back"):
         rough, rough_ids = rough_split(body, side, margin=iso["rough_margin"])
         exclude = None
-        if sound_hole is not None:
-            inv = {int(v): i for i, v in enumerate(rough_ids)}
-            exclude = VertexMask(
-                [inv[i] for i in sound_hole.indices if int(i) in inv]
-            )
+        if sound_hole is not None:  # rough vertex i is body vertex rough_ids[i]
+            exclude = VertexMask(np.flatnonzero(np.isin(rough_ids, sound_hole.as_array())))
         params = IsolationParams(
             section_axis=iso["section_axis"],
             spacing=iso["spacing"],
@@ -347,7 +344,8 @@ def cmd_register(cfg):
 
 def cmd_assess(cfg):
     run = Run("assess", cfg)
-    ref_mesh = load_mesh(_require(cfg, "reference", "--reference"), scale=cfg["inputs"]["scale"])
+    ref_mesh = load_surface(_require(cfg, "reference", "--reference"),
+                            scale=cfg["inputs"]["scale"])
     p = _load_cloud(_require(cfg, "moving", "--moving"), cfg["inputs"]["scale_b"])
     transform_path = cfg["inputs"]["transform"]
     if transform_path is not None:
@@ -359,7 +357,7 @@ def cmd_assess(cfg):
 def cmd_simplify(cfg):
     run = Run("simplify", cfg)
     mesh_path = _require(cfg, "reference", "--reference")
-    mesh = load_mesh(mesh_path, scale=cfg["inputs"]["scale"])
+    mesh = load_surface(mesh_path, scale=cfg["inputs"]["scale"])
     target = cfg["simplify"]["target_faces"]
     if target is None:
         raise InputError("missing simplify.target_faces (--target-faces)")

@@ -1,8 +1,9 @@
 """Mesh, mask and text-artifact file I/O.
 
 Supported carriers: PLY (ascii and binary little-endian; ``vertex`` element
-with x/y/z scalar properties, ``face`` element with an integer
-``vertex_indices`` list) and Wavefront OBJ (``v``/``f`` records only).
+with x/y/z scalar properties, optional ``face`` element with an integer
+``vertex_indices`` list) and Wavefront OBJ (``v``/``f`` records only). A
+file without faces loads as a point cloud; :func:`load_surface` rejects it.
 Vertex masks and contour files are plain text, one decimal index per line,
 ``#`` comments.
 
@@ -28,7 +29,7 @@ from .errors import ContractError, InputError, MeshFormatError
 from .mesh import TriangleMesh, VertexMask
 
 __all__ = [
-    "load_mesh", "save_mesh", "load_vertex_mask", "save_vertex_mask",
+    "load_mesh", "load_surface", "save_mesh", "load_vertex_mask", "save_vertex_mask",
     "read_index_lines", "save_csv", "save_json",
 ]
 
@@ -97,6 +98,14 @@ def load_mesh(path, format=None, scale=None):
         return TriangleMesh(vertices, faces)
     except (ContractError, OverflowError) as exc:  # e.g. a face index out of range
         raise MeshFormatError(str(exc), path) from exc
+
+
+def load_surface(path, scale=None):
+    """:func:`load_mesh` for a command that needs faces, not a bare point cloud."""
+    mesh = load_mesh(path, scale=scale)
+    if mesh.n_faces == 0:
+        raise InputError(f"mesh has no faces, a surface is needed: {path}")
+    return mesh
 
 
 def save_mesh(mesh, path, format):
@@ -189,6 +198,8 @@ def _load_ply(path, declared):
                 ) from None
         if fmt is None:
             raise MeshFormatError("PLY header lacks a format record", path)
+        if "vertex" not in [e[0] for e in elements]:
+            raise MeshFormatError("PLY must declare a 'vertex' element", path)
         if declared is not None and declared != fmt:
             raise MeshFormatError(
                 f"declared format {declared!r} but header says {fmt!r}", path
@@ -200,12 +211,9 @@ def _load_ply(path, declared):
     return vertices, faces
 
 
-def _vertex_face_layout(elements, path):
-    names = [e[0] for e in elements]
-    if "vertex" not in names or "face" not in names:
-        raise MeshFormatError("PLY must declare 'vertex' and 'face' elements", path)
-    vprops = dict((e[0], e[2]) for e in elements)["vertex"]
-    pnames = [p[0] for p in vprops]
+def _vertex_layout(props, path):
+    """Positions of x, y and z among the vertex element's properties."""
+    pnames = [p[0] for p in props]
     for axis in ("x", "y", "z"):
         if axis not in pnames:
             raise MeshFormatError(f"vertex element lacks property {axis!r}", path)
@@ -217,7 +225,11 @@ def _read_ply_ascii_body(fh, elements, path, lineno):
     vertices, faces = [], []
     for name, count, props, _ in elements:
         if name == "vertex":
-            xi, yi, zi = _vertex_face_layout(elements, path)
+            xi, yi, zi = _vertex_layout(props, path)
+        lists = [idx_code is not None for _, _, idx_code in props]
+        face_at = next((i for i, (pname, _, _) in enumerate(props)
+                        if lists[i] and pname in _FACE_LISTS), None)
+        lead = lists[:face_at]
         for _ in range(count):
             raw = fh.readline()
             lineno += 1
@@ -231,10 +243,13 @@ def _read_ply_ascii_body(fh, elements, path, lineno):
                     )
                 except (ValueError, IndexError):
                     raise MeshFormatError("bad vertex record", path, line=lineno) from None
-            elif name == "face":
+            elif name == "face" and face_at is not None:
                 try:
-                    k = int(tokens[0])
-                    idx = [int(t) for t in tokens[1:1 + k]]
+                    at = 0  # a scalar ahead of the index list takes one token, a list 1 + count
+                    for listed in lead:
+                        at += 1 + int(tokens[at]) if listed else 1
+                    k = int(tokens[at])
+                    idx = [int(t) for t in tokens[at + 1:at + 1 + k]]
                 except (ValueError, IndexError):
                     raise MeshFormatError("bad face record", path, line=lineno) from None
                 if len(idx) != k:
@@ -256,7 +271,7 @@ def _read_ply_binary_body(fh, elements, path):
                 path, line=lineno,
             )
         if name == "vertex":
-            xi, yi, zi = _vertex_face_layout(elements, path)
+            xi, yi, zi = _vertex_layout(props, path)
             record = np.dtype([(f"p{i}", "<" + code) for i, (_, code, _) in enumerate(props)])
             blob = fh.read(record.itemsize * count)
             if len(blob) != record.itemsize * count:

@@ -374,9 +374,9 @@ def save_plate(plate, mesh_path, contour_path, format="ply-binary-le"):
 
 def load_plate(mesh_path, contour_path, side=None):
     """Rebuild a PlateMesh from the files written by :func:`save_plate`."""
-    from .fileio import load_mesh, read_index_lines
+    from .fileio import load_surface, read_index_lines
 
-    mesh = load_mesh(mesh_path)
+    mesh = load_surface(mesh_path)
     indices = []
     sources = []
     for lineno, index, comment in read_index_lines(contour_path, "contour"):

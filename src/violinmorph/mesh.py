@@ -255,12 +255,11 @@ def connected_components(mesh, removed=None):
     sub = sparse.coo_matrix(
         (np.ones(keep.sum()), (e[keep, 0], e[keep, 1])), shape=(n, n)
     )
-    ncomp, labels = csgraph.connected_components(sub, directed=False)
-    comps = []
-    for lab in range(ncomp):
-        members = np.flatnonzero((labels == lab) & alive)
-        if members.size:
-            comps.append(members)
+    _, labels = csgraph.connected_components(sub, directed=False)
+    ids = np.flatnonzero(alive)
+    lab = labels[ids]
+    order = np.argsort(lab, kind="stable")  # stable: each component stays ascending
+    comps = np.split(ids[order], np.flatnonzero(np.diff(lab[order])) + 1)
     comps.sort(key=lambda m: (-m.size, int(m[0])))
     return comps
 

@@ -6,6 +6,14 @@ closed form: arched discs with an optional rim groove, skirted plates
 with labelled regions, exactly mirror-symmetric plate pairs, a whole
 instrument body, and a reduced/unreduced plate pair modelling the removal
 of an axial slice of wood.
+
+Every surface is built from two index rules. A ring is ``sectors``
+vertices at θ_j = 2πj / sectors; a disc numbers its center 0 and its
+ring i, sector j as ``1 + i * sectors + j``, and the rings hanging off
+a rim (skirt, ribs) follow in ring-major order. Consecutive rings r, n
+are stitched by :func:`_strip`: per sector j, ``[r_j, r_{j+1}, n_{j+1}]``
+then ``[r_j, n_{j+1}, n_j]``; a fan ``[0, r_j, r_{j+1}]`` closes the
+disc's center.
 """
 
 from __future__ import annotations
@@ -25,6 +33,30 @@ __all__ = [
     "icosphere",
     "hemisphere_plate",
 ]
+
+
+def _strip(ring, nxt):
+    """Two triangles per sector between rows of closed rings of vertex ids.
+
+    For each row pair and each sector j in order: ``[r_j, r_{j+1}, n_{j+1}]``
+    then ``[r_j, n_{j+1}, n_j]``, the last sector wrapping to the first.
+    """
+    r1, n1 = np.roll(ring, -1, axis=-1), np.roll(nxt, -1, axis=-1)
+    return np.stack([ring, r1, n1, ring, n1, nxt], axis=-1).reshape(-1, 3)
+
+
+def _rings(rho, scales, heights, first_id):
+    """Vertices of the rings k = 0 .. len(scales) - 1, numbered from ``first_id``.
+
+    Vertex (k, j) sits at ``(scales[k] * rho(θ_j)) * (cos θ_j, sin θ_j)``
+    and height ``heights[k, j]``, θ_j = 2πj / sectors, sectors =
+    ``heights.shape[1]``. Returns (vertices, ids of shape (rings, sectors)).
+    """
+    thetas = 2 * np.pi * np.arange(heights.shape[1]) / heights.shape[1]
+    r = scales[:, None] * rho(thetas)
+    verts = np.column_stack([(r * np.cos(thetas)).ravel(), (r * np.sin(thetas)).ravel(),
+                             heights.ravel()])
+    return verts, first_id + np.arange(heights.size).reshape(heights.shape)
 
 
 def _disc_mesh(footprint, height, rings, sectors, jitter=0.0, rng=None):
@@ -49,20 +81,10 @@ def _disc_mesh(footprint, height, rings, sectors, jitter=0.0, rng=None):
     verts = [np.array([0.0, 0.0, float(height(np.zeros(1), np.zeros(1))[0])])]
     verts = np.vstack([verts, np.column_stack([x.ravel(), y.ravel(), z.ravel()])])
 
-    def vid(i, j):
-        return 1 + i * sectors + (j % sectors)
-
-    faces = []
-    for j in range(sectors):
-        faces.append([0, vid(0, j), vid(0, j + 1)])
-    for i in range(rings - 1):
-        for j in range(sectors):
-            a, b = vid(i, j), vid(i, j + 1)
-            c, d = vid(i + 1, j), vid(i + 1, j + 1)
-            faces.append([a, b, d])
-            faces.append([a, d, c])
-    boundary = [vid(rings - 1, j) for j in range(sectors)]
-    return TriangleMesh(verts, faces), boundary
+    ids = 1 + np.arange(rings * sectors).reshape(rings, sectors)
+    fan = np.column_stack([np.zeros_like(ids[0]), ids[0], np.roll(ids[0], -1)])
+    faces = np.vstack([fan, _strip(ids[:-1], ids[1:])])
+    return TriangleMesh(verts, faces), ids[-1]
 
 
 def plate_from_disc(mesh, boundary, side="sound_board"):
@@ -165,42 +187,17 @@ def skirted_plate(a=60.0, b=45.0, height=8.0, rings=70, sectors=240,
     """
     rho = _ellipse(a, b)
     mesh, rim = _disc_mesh(rho, _dome(max(a, b), height), rings, sectors)
-    verts = [mesh.vertices]
-    faces = [mesh.faces]
-    rim_z = mesh.vertices[rim, 2]
-    n_plate = mesh.n_vertices
-
-    prev_ring = list(rim)
-    next_id = n_plate
-    skirt_ids = []
-    thetas = 2 * np.pi * np.arange(sectors) / sectors
-    for k in range(1, skirt_rings + 1):
-        t = k / skirt_rings
-        shrink = 1.0 - skirt_inset * t / max(a, b)
-        ring_xy = np.column_stack([
-            shrink * rho(thetas) * np.cos(thetas),
-            shrink * rho(thetas) * np.sin(thetas),
-        ])
-        ring_z = rim_z - skirt_drop * t
-        ring_pts = np.column_stack([ring_xy, ring_z])
-        ring_ids = list(range(next_id, next_id + sectors))
-        next_id += sectors
-        skirt_ids.extend(ring_ids)
-        verts.append(ring_pts)
-        ring_faces = []
-        for j in range(sectors):
-            a0, a1 = prev_ring[j], prev_ring[(j + 1) % sectors]
-            b0, b1 = ring_ids[j], ring_ids[(j + 1) % sectors]
-            ring_faces.append([a0, a1, b1])
-            ring_faces.append([a0, b1, b0])
-        faces.append(np.asarray(ring_faces))
-        prev_ring = ring_ids
-
-    full = TriangleMesh(np.vstack(verts), np.vstack(faces))
+    t = np.arange(1, skirt_rings + 1) / skirt_rings
+    shrink = 1.0 - skirt_inset * t / max(a, b)
+    ring_z = mesh.vertices[rim, 2] - (skirt_drop * t)[:, None]
+    skirt, skirt_ids = _rings(rho, shrink, ring_z, mesh.n_vertices)
+    chain = np.vstack([rim, skirt_ids])
+    full = TriangleMesh(np.vstack([mesh.vertices, skirt]),
+                        np.vstack([mesh.faces, _strip(chain[:-1], chain[1:])]))
     labels = {
-        "plate": np.arange(n_plate),
-        "rim": np.asarray(rim),
-        "skirt": np.asarray(skirt_ids),
+        "plate": np.arange(mesh.n_vertices),
+        "rim": rim,
+        "skirt": skirt_ids.ravel(),
     }
     return full, labels
 
@@ -213,61 +210,26 @@ def instrument_body(a=60.0, b=45.0, arch=8.0, rib_height=18.0,
     them. Returns the mesh and labels ``sound_board``, ``back``, ``ribs``.
     """
     rho = _ellipse(a, b)
-    top, top_rim = _disc_mesh(rho, _dome(max(a, b), arch), rings, sectors)
+    top, rim = _disc_mesh(rho, _dome(max(a, b), arch), rings, sectors)
     top_verts = top.vertices.copy()
     top_verts[:, 2] += rib_height / 2.0
-
-    bottom, bottom_rim = _disc_mesh(rho, _dome(max(a, b), arch), rings, sectors)
-    bot_verts = bottom.vertices.copy()
+    bot_verts = top.vertices.copy()
     bot_verts[:, 2] = -rib_height / 2.0 - bot_verts[:, 2]
-    bot_faces = bottom.faces[:, ::-1] + len(top_verts)
-
-    verts = [top_verts, bot_verts]
-    faces = [top.faces, bot_faces]
     n_top = len(top_verts)
-    thetas = 2 * np.pi * np.arange(sectors) / sectors
-    top_rim_z = top_verts[top_rim, 2]
-    bot_rim_z = bot_verts[bottom_rim, 2]
 
-    prev_ring = list(top_rim)
-    next_id = n_top + len(bot_verts)
-    rib_ids = []
-    for k in range(1, rib_rings):
-        t = k / rib_rings
-        bulge = 1.0 - (rib_inset / max(a, b)) * np.sin(np.pi * t)
-        ring_xy = np.column_stack([
-            bulge * rho(thetas) * np.cos(thetas),
-            bulge * rho(thetas) * np.sin(thetas),
-        ])
-        ring_z = top_rim_z + (bot_rim_z - top_rim_z) * t
-        ring_ids = list(range(next_id, next_id + sectors))
-        next_id += sectors
-        rib_ids.extend(ring_ids)
-        verts.append(np.column_stack([ring_xy, ring_z]))
-        prev = prev_ring
-        ring_faces = []
-        for j in range(sectors):
-            a0, a1 = prev[j], prev[(j + 1) % sectors]
-            b0, b1 = ring_ids[j], ring_ids[(j + 1) % sectors]
-            ring_faces.append([a0, a1, b1])
-            ring_faces.append([a0, b1, b0])
-        faces.append(np.asarray(ring_faces))
-        prev_ring = ring_ids
-
-    bottom_ring = [n_top + r for r in bottom_rim]
-    ring_faces = []
-    for j in range(sectors):
-        a0, a1 = prev_ring[j], prev_ring[(j + 1) % sectors]
-        b0, b1 = bottom_ring[j], bottom_ring[(j + 1) % sectors]
-        ring_faces.append([a0, a1, b1])
-        ring_faces.append([a0, b1, b0])
-    faces.append(np.asarray(ring_faces))
-
-    body = TriangleMesh(np.vstack(verts), np.vstack(faces))
+    t = np.arange(1, rib_rings) / rib_rings
+    bulge = 1.0 - (rib_inset / max(a, b)) * np.sin(np.pi * t)
+    top_z, bot_z = top_verts[rim, 2], bot_verts[rim, 2]
+    ribs, rib_ids = _rings(rho, bulge, top_z + (bot_z - top_z) * t[:, None], 2 * n_top)
+    chain = np.vstack([rim, rib_ids, n_top + rim])
+    body = TriangleMesh(
+        np.vstack([top_verts, bot_verts, ribs]),
+        np.vstack([top.faces, top.faces[:, ::-1] + n_top, _strip(chain[:-1], chain[1:])]),
+    )
     labels = {
         "sound_board": np.arange(n_top),
-        "back": np.arange(n_top, n_top + len(bot_verts)),
-        "ribs": np.asarray(rib_ids),
+        "back": np.arange(n_top, 2 * n_top),
+        "ribs": rib_ids.ravel(),
     }
     return body, labels
 

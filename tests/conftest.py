@@ -38,6 +38,18 @@ def grid_mesh(nx, ny, spacing=1.0, height=None):
     return TriangleMesh(verts, faces)
 
 
+def write_without_faces(mesh_path, cloud_path, n_vertices):
+    """Copy a PLY written by ``save_mesh`` without its face element."""
+    head, body = mesh_path.read_bytes().split(b"end_header\n", 1)
+    head = b"".join(line for line in head.splitlines(keepends=True)
+                    if not line.startswith((b"element face", b"property list")))
+    if b"format ascii" in head:
+        body = b"".join(body.splitlines(keepends=True)[:n_vertices])
+    else:
+        body = body[:24 * n_vertices]  # three little-endian doubles per vertex
+    cloud_path.write_bytes(head + b"end_header\n" + body)
+
+
 @pytest.fixture
 def plane_grid():
     return grid_mesh(8, 8)

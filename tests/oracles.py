@@ -6,7 +6,9 @@ These are the original per-face / per-edge loop versions of
 f-string writers of every text artifact (CSV, JSON, PLY, OBJ), plus the earlier
 formulations of the mesh's edge list, the shortest path (undirected,
 then unbounded), the nearest-vertex snap, the contour checks and the
-registration objective (unmemoized, all cores). The library's versions must reproduce them bit for bit; the
+registration objective (unmemoized, all cores), the per-sector loops
+that built the synthetic discs, skirts and bodies, and the per-label
+component scan. The library's versions must reproduce them bit for bit; the
 oracles are slow but transparent, which is what an oracle needs.
 """
 
@@ -18,6 +20,7 @@ import struct
 from collections import defaultdict
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
@@ -25,10 +28,10 @@ from violinmorph.decimate import _BOUNDARY_WEIGHT, _COND_LIMIT
 from violinmorph.errors import (
     ContractError, DisconnectedError, MeshFormatError, TopologicalLockError,
 )
-from violinmorph.fileio import _triangulate, _vertex_face_layout
+from violinmorph.fileio import _triangulate, _vertex_layout
 from violinmorph.grid import HeightGrid, joint_grid_domain
 from violinmorph.mesh import TriangleMesh
-from violinmorph import registration
+from violinmorph import registration, synthetic
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPolyline
 
@@ -473,7 +476,7 @@ def read_ply_binary_body_loop(fh, elements, path):
                 path, line=lineno,
             )
         if name == "vertex":
-            xi, yi, zi = _vertex_face_layout(elements, path)
+            xi, yi, zi = _vertex_layout(props, path)
             fmt = "<" + "".join(code for _, code, _ in props)
             size = struct.calcsize(fmt)
             blob = fh.read(size * count)
@@ -635,3 +638,153 @@ def save_obj(mesh, path):
 
 
 SAVE_MESH = {"ply-ascii": save_ply_ascii, "ply-binary-le": save_ply_binary, "obj": save_obj}
+
+
+# ---------------------------------------------------------------------------
+# Synthetic surfaces and components, as built one sector and one label at a
+# time before ``synthetic._strip``/``_rings`` and the sorted grouping.
+
+def disc_mesh_loop(footprint, height, rings, sectors, jitter=0.0, rng=None):
+    """``synthetic._disc_mesh`` with faces and boundary listed per sector."""
+    thetas = 2 * np.pi * np.arange(sectors) / sectors
+    fracs = np.arange(1, rings + 1) / rings
+    if jitter > 0:
+        rng = rng or np.random.default_rng(0)
+        tj = thetas[None, :] + jitter * (2 * np.pi / sectors) * (
+            rng.random((rings, sectors)) - 0.5
+        )
+        fj = fracs[:, None] + jitter * (1.0 / rings) * (rng.random((rings, sectors)) - 0.5)
+        fj[-1, :] = 1.0
+        tj[-1, :] = thetas
+    else:
+        tj = np.broadcast_to(thetas, (rings, sectors)).copy()
+        fj = np.broadcast_to(fracs[:, None], (rings, sectors)).copy()
+    rho = footprint(tj)
+    x = fj * rho * np.cos(tj)
+    y = fj * rho * np.sin(tj)
+    z = height(x, y)
+    verts = [np.array([0.0, 0.0, float(height(np.zeros(1), np.zeros(1))[0])])]
+    verts = np.vstack([verts, np.column_stack([x.ravel(), y.ravel(), z.ravel()])])
+
+    def vid(i, j):
+        return 1 + i * sectors + (j % sectors)
+
+    faces = []
+    for j in range(sectors):
+        faces.append([0, vid(0, j), vid(0, j + 1)])
+    for i in range(rings - 1):
+        for j in range(sectors):
+            a, b = vid(i, j), vid(i, j + 1)
+            c, d = vid(i + 1, j), vid(i + 1, j + 1)
+            faces.append([a, b, d])
+            faces.append([a, d, c])
+    boundary = [vid(rings - 1, j) for j in range(sectors)]
+    return TriangleMesh(verts, faces), boundary
+
+
+def _ring_faces(prev_ring, ring_ids, sectors):
+    ring_faces = []
+    for j in range(sectors):
+        a0, a1 = prev_ring[j], prev_ring[(j + 1) % sectors]
+        b0, b1 = ring_ids[j], ring_ids[(j + 1) % sectors]
+        ring_faces.append([a0, a1, b1])
+        ring_faces.append([a0, b1, b0])
+    return np.asarray(ring_faces)
+
+
+def skirted_plate_loop(a=60.0, b=45.0, height=8.0, rings=70, sectors=240,
+                       skirt_rings=6, skirt_drop=6.0, skirt_inset=2.0):
+    """``synthetic.skirted_plate`` with the skirt built ring by ring."""
+    rho = synthetic._ellipse(a, b)
+    mesh, rim = disc_mesh_loop(rho, synthetic._dome(max(a, b), height), rings, sectors)
+    verts = [mesh.vertices]
+    faces = [mesh.faces]
+    rim_z = mesh.vertices[rim, 2]
+    n_plate = mesh.n_vertices
+    prev_ring = list(rim)
+    next_id = n_plate
+    skirt_ids = []
+    thetas = 2 * np.pi * np.arange(sectors) / sectors
+    for k in range(1, skirt_rings + 1):
+        t = k / skirt_rings
+        shrink = 1.0 - skirt_inset * t / max(a, b)
+        ring_xy = np.column_stack([
+            shrink * rho(thetas) * np.cos(thetas),
+            shrink * rho(thetas) * np.sin(thetas),
+        ])
+        ring_ids = list(range(next_id, next_id + sectors))
+        next_id += sectors
+        skirt_ids.extend(ring_ids)
+        verts.append(np.column_stack([ring_xy, rim_z - skirt_drop * t]))
+        faces.append(_ring_faces(prev_ring, ring_ids, sectors))
+        prev_ring = ring_ids
+    full = TriangleMesh(np.vstack(verts), np.vstack(faces))
+    labels = {"plate": np.arange(n_plate), "rim": np.asarray(rim),
+              "skirt": np.asarray(skirt_ids)}
+    return full, labels
+
+
+def instrument_body_loop(a=60.0, b=45.0, arch=8.0, rib_height=18.0,
+                         rings=50, sectors=200, rib_rings=8, rib_inset=2.0):
+    """``synthetic.instrument_body`` with the ribs and closing strip built ring by ring."""
+    rho = synthetic._ellipse(a, b)
+    top, top_rim = disc_mesh_loop(rho, synthetic._dome(max(a, b), arch), rings, sectors)
+    top_verts = top.vertices.copy()
+    top_verts[:, 2] += rib_height / 2.0
+    bottom, bottom_rim = disc_mesh_loop(rho, synthetic._dome(max(a, b), arch), rings, sectors)
+    bot_verts = bottom.vertices.copy()
+    bot_verts[:, 2] = -rib_height / 2.0 - bot_verts[:, 2]
+    verts = [top_verts, bot_verts]
+    faces = [top.faces, bottom.faces[:, ::-1] + len(top_verts)]
+    n_top = len(top_verts)
+    thetas = 2 * np.pi * np.arange(sectors) / sectors
+    top_rim_z = top_verts[top_rim, 2]
+    bot_rim_z = bot_verts[bottom_rim, 2]
+    prev_ring = list(top_rim)
+    next_id = n_top + len(bot_verts)
+    rib_ids = []
+    for k in range(1, rib_rings):
+        t = k / rib_rings
+        bulge = 1.0 - (rib_inset / max(a, b)) * np.sin(np.pi * t)
+        ring_xy = np.column_stack([
+            bulge * rho(thetas) * np.cos(thetas),
+            bulge * rho(thetas) * np.sin(thetas),
+        ])
+        ring_z = top_rim_z + (bot_rim_z - top_rim_z) * t
+        ring_ids = list(range(next_id, next_id + sectors))
+        next_id += sectors
+        rib_ids.extend(ring_ids)
+        verts.append(np.column_stack([ring_xy, ring_z]))
+        faces.append(_ring_faces(prev_ring, ring_ids, sectors))
+        prev_ring = ring_ids
+    faces.append(_ring_faces(prev_ring, [n_top + r for r in bottom_rim], sectors))
+    body = TriangleMesh(np.vstack(verts), np.vstack(faces))
+    labels = {"sound_board": np.arange(n_top),
+              "back": np.arange(n_top, n_top + len(bot_verts)),
+              "ribs": np.asarray(rib_ids)}
+    return body, labels
+
+
+def connected_components_loop(mesh, removed=None):
+    """``mesh.connected_components`` gathering each label with a full-array scan."""
+    n = mesh.n_vertices
+    alive = np.ones(n, dtype=bool)
+    if removed is not None:
+        removed.validate(mesh)
+        if removed.indices:
+            alive[removed.as_array()] = False
+    if not alive.any():
+        return []
+    e = mesh.edges
+    keep = alive[e[:, 0]] & alive[e[:, 1]]
+    sub = sparse.coo_matrix(
+        (np.ones(keep.sum()), (e[keep, 0], e[keep, 1])), shape=(n, n)
+    )
+    ncomp, labels = csgraph.connected_components(sub, directed=False)
+    comps = []
+    for lab in range(ncomp):
+        members = np.flatnonzero((labels == lab) & alive)
+        if members.size:
+            comps.append(members)
+    comps.sort(key=lambda m: (-m.size, int(m[0])))
+    return comps

@@ -1,15 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from violinmorph import cli
 from violinmorph.cli import main
 from violinmorph.config import config_hash, load_config, set_override
 from violinmorph.errors import InputError
-from violinmorph.fileio import save_mesh
+from violinmorph.fileio import load_mesh, save_mesh, save_vertex_mask
 from violinmorph.isolation import load_plate, save_plate
-from violinmorph.mesh import connected_components
+from violinmorph.mesh import VertexMask, connected_components
 from violinmorph.synthetic import disc_plate, instrument_body, mirror_pair
+
+from conftest import write_without_faces
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +182,97 @@ class TestIsolateCommand:
         for p in out.iterdir():
             if not p.name.startswith("manifest"):
                 assert p.read_bytes() == blobs[p.name], p.name
+
+
+    def test_sound_hole_mask_cuts_a_hole_in_one_plate(self, body_file, tmp_path,
+                                                      monkeypatch):
+        # interior of the sound-board disc (instrument_body(rings=25, sectors=100)):
+        # rings 8-11, sectors 20-29, far from the rim
+        hole = [1 + i * 100 + j for i in range(8, 12) for j in range(20, 30)]
+        mask = tmp_path / "hole.txt"
+        save_vertex_mask(VertexMask(hole), mask)
+        splits, calls = [], []
+        real_split, real_isolate = cli.rough_split, cli.isolate_plate
+
+        def split(*args, **kwargs):
+            splits.append(real_split(*args, **kwargs))
+            return splits[-1]
+
+        def isolate(rough, side, params):
+            calls.append((rough, side, params))
+            return real_isolate(rough, side, params)
+
+        monkeypatch.setattr(cli, "rough_split", split)
+        monkeypatch.setattr(cli, "isolate_plate", isolate)
+        out = tmp_path / "iso"
+        assert run("isolate", "--body", str(body_file), "--sound-hole-mask", str(mask),
+                   "--out", str(out)) == 0
+        assert sorted(len(params.exclude) for _, _, params in calls) == [0, len(hole)]
+        for (_, rough_ids), (rough, side, params) in zip(splits, calls):
+            inv = {int(v): i for i, v in enumerate(rough_ids)}  # the remap as a dict
+            exclude = VertexMask([inv[i] for i in hole if i in inv])
+            assert params.exclude == exclude
+            plate = real_isolate(rough, side, dataclasses.replace(params, exclude=exclude))
+            assert not np.isin(rough_ids[plate.orig_vertex_ids], hole).any()
+            save_plate(plate, tmp_path / "dict.ply", tmp_path / "dict_contour.txt")
+            assert (out / f"{side}.ply").read_bytes() == (tmp_path / "dict.ply").read_bytes()
+            assert ((out / f"{side}_contour.txt").read_bytes()
+                    == (tmp_path / "dict_contour.txt").read_bytes())
+            written = load_plate(out / f"{side}.ply", out / f"{side}_contour.txt")
+            assert len(connected_components(written.mesh)) == 1
+
+
+class TestPlyInputs:
+    def test_simplify_reads_the_face_list_after_a_scalar(self, tmp_path):
+        path = tmp_path / "flags.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 4\nproperty double x\n"
+                        "property double y\nproperty double z\nelement face 2\n"
+                        "property uchar flags\nproperty list uchar int vertex_indices\n"
+                        "end_header\n0 0 0\n1 0 0\n1 1 0.5\n0 1 0\n3 3 0 1 2\n3 3 0 2 3\n")
+        out = tmp_path / "out"
+        assert run("simplify", "--reference", str(path), "--target-faces", "2",
+                   "--out", str(out)) == 0
+        assert load_mesh(out / "simplified.ply").faces.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+    @pytest.mark.parametrize("fmt", ["ply-ascii", "ply-binary-le"])
+    def test_register_takes_a_vertex_only_cloud(self, tmp_path, fmt):
+        plate = disc_plate(radius=30.0, minor=20.0, height=7.0, rings=20, sectors=60,
+                           bumps=((8, 5, 2.0, 8.0),))
+        reference, moving = tmp_path / "s.ply", tmp_path / "p.ply"
+        save_mesh(plate.mesh, reference, fmt)
+        save_mesh(plate.mesh.transformed(translation=(0.4, -0.2, 0.1)), moving, fmt)
+        cloud = tmp_path / "cloud.ply"
+        write_without_faces(moving, cloud, plate.mesh.n_vertices)
+        tables = []
+        for p in (moving, cloud):
+            out = tmp_path / p.stem
+            assert run("register", "--reference", str(reference), "--moving", str(p),
+                       "--out", str(out)) == 0
+            tables.append((out / "registration.json").read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("suffix", [".ply", ".obj"])
+    @pytest.mark.parametrize("command", ["isolate", "assess", "simplify", "symmetry",
+                                         "contours", "asymmetry", "channel"])
+    def test_surface_commands_reject_a_vertex_only_mesh(self, body_file, plate_files,
+                                                         tmp_path, capsys, command, suffix):
+        cloud = tmp_path / f"cloud{suffix}"
+        full = body_file if command == "isolate" else plate_files / "sb.ply"
+        if suffix == ".ply":
+            write_without_faces(full, cloud, load_mesh(full).n_vertices)
+        else:
+            np.savetxt(cloud, load_mesh(full).vertices, fmt="v %.17g %.17g %.17g")
+        args = {
+            "isolate": ["--body", cloud],
+            "assess": ["--reference", cloud, "--moving", full],
+            "simplify": ["--reference", cloud, "--target-faces", "10"],
+        }.get(command, ["--sound-board", cloud,
+                        "--sound-board-contour", plate_files / "sb_contour.txt",
+                        "--back", plate_files / "back.ply",
+                        "--back-contour", plate_files / "back_contour.txt"])
+        rc = run(command, *map(str, args), "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert f"mesh has no faces, a surface is needed: {cloud}" in capsys.readouterr().err
 
 
 class TestRegisterCommand:

@@ -15,6 +15,7 @@ from violinmorph.fileio import (
 )
 from violinmorph.mesh import VertexMask
 
+from conftest import write_without_faces
 from oracles import read_ply_binary_body_loop
 
 
@@ -391,3 +392,44 @@ class TestBinaryPlyBlocks:
         with pytest.raises(MeshFormatError) as loop:
             load_mesh(path)
         assert str(fast.value) == str(loop.value)
+
+
+@pytest.mark.parametrize("before,after", [(1, 0), (0, 1), (1, 1)])
+def test_ply_face_scalars_read_in_header_order(tmp_path, before, after):
+    """Scalar face properties around the index list: ascii reads what binary reads."""
+    from violinmorph.synthetic import icosphere
+
+    mesh = icosphere(2.0, 1)
+    header = (f"element vertex {mesh.n_vertices}\nproperty double x\nproperty double y\n"
+              f"property double z\nelement face {mesh.n_faces}\n"
+              + "property uchar flags\n" * before
+              + "property list uchar int vertex_indices\n"
+              + "property float quality\n" * after)
+    frec = np.zeros(mesh.n_faces, [("flags", "u1")] * before + [("n", "u1"), ("v", "<i4", 3)]
+                    + [("quality", "<f4")] * after)
+    frec["n"], frec["v"] = 3, mesh.faces
+    if before:
+        frec["flags"] = 3  # a count-like value where the list count used to be read
+    binary = tmp_path / "binary.ply"
+    _write_binary_ply(binary, header, mesh.vertices.astype("<f8").tobytes() + frec.tobytes())
+    ascii_ = tmp_path / "ascii.ply"
+    rows = "".join("3 " * before + "3 %d %d %d" % tuple(f) + " 0.5" * after + "\n"
+                   for f in mesh.faces)
+    ascii_.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n"
+                      + "".join("%.17g %.17g %.17g\n" % tuple(v) for v in mesh.vertices) + rows)
+    for path in (ascii_, binary):
+        _assert_same_mesh(load_mesh(path), mesh)
+
+
+@pytest.mark.parametrize("fmt", ["ply-ascii", "ply-binary-le"])
+def test_ply_without_face_element_is_a_point_cloud(tmp_path, cube, fmt):
+    full = tmp_path / "full.ply"
+    save_mesh(cube, full, fmt)
+    cloud = tmp_path / "cloud.ply"
+    write_without_faces(full, cloud, cube.n_vertices)
+    mesh = load_mesh(cloud)
+    assert mesh.n_faces == 0
+    assert mesh.vertices.tobytes() == load_mesh(full).vertices.tobytes()
+    with pytest.raises(InputError, match="mesh has no faces, a surface is needed") as exc:
+        fileio.load_surface(cloud)
+    assert str(cloud) in str(exc.value)

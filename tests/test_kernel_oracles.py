@@ -1,29 +1,37 @@
-"""The batched grid, section and decimation kernels against their loop oracles."""
+"""The batched grid, section and decimation kernels, the synthetic builders and the
+component grouping against their loop oracles."""
 
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from violinmorph import grid, slicing
+from violinmorph import grid, slicing, synthetic
 from violinmorph.decimate import _normals, _targets, decimate
 from violinmorph.errors import DisconnectedError, TopologicalLockError
 from violinmorph.grid import interpolate_grid, joint_grid_domain
 from violinmorph.isolation import rough_split
-from violinmorph.mesh import TriangleMesh, shortest_path
+from violinmorph.mesh import TriangleMesh, VertexMask, connected_components, shortest_path
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import SectionPlane, cross_section, cross_sections
 from violinmorph.symmetry import _rotation_to_vertical
-from violinmorph.synthetic import disc_plate, hemisphere_plate, icosphere, instrument_body
+from violinmorph.synthetic import (
+    disc_plate, hemisphere_plate, icosphere, instrument_body, mirror_pair, reduced_pair,
+    skirted_plate,
+)
 
 from conftest import grid_mesh
 from oracles import (
     _optimal_position,
+    connected_components_loop,
     cross_section_loop,
     decimate_loop,
     dijkstra_undirected,
+    disc_mesh_loop,
+    instrument_body_loop,
     interpolate_grid_loop,
     mesh_edges_axis0,
     shortest_path_unbounded,
+    skirted_plate_loop,
 )
 
 
@@ -534,3 +542,100 @@ class TestDecimateOracle:
         with pytest.raises(TopologicalLockError) as old:
             decimate_loop(mesh, 1)
         assert str(new.value) == str(old.value)
+
+
+def assert_same_array(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def assert_same_build(new, old):
+    """Meshes, plates, label dicts and index arrays equal byte for byte."""
+    if isinstance(new, tuple):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert_same_build(a, b)
+    elif isinstance(new, dict):
+        assert new.keys() == old.keys()
+        for key in new:
+            assert_same_array(new[key], old[key])
+    elif isinstance(new, TriangleMesh):
+        assert_same_array(new.vertices, old.vertices)
+        assert_same_array(new.faces, old.faces)
+    elif isinstance(new, np.ndarray):
+        assert_same_array(new, old)
+    else:  # PlateMesh
+        assert_same_build(new.mesh, old.mesh)
+        assert new.contour == old.contour and new.side == old.side
+        assert_same_array(new.orig_vertex_ids, old.orig_vertex_ids)
+        assert_same_array(new.inner_ids, old.inner_ids)
+
+
+class TestSyntheticOracle:
+    """Strip- and ring-built surfaces against the per-sector loops."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: disc_plate(),
+        lambda: disc_plate(minor=35.0),
+        lambda: disc_plate(groove_radius=40.0),
+        lambda: disc_plate(bumps=((8.0, 5.0, 2.0, 8.0), (-20.0, 10.0, -1.0, 5.0))),
+        lambda: disc_plate(rings=40, sectors=120, jitter=0.6, rng=np.random.default_rng(7)),
+        lambda: hemisphere_plate(),
+        lambda: mirror_pair(bump_deg=(20.0, 80.0), tilt_deg=2.0),
+        lambda: reduced_pair(),
+    ], ids=["plain", "minor", "groove", "bumps", "jitter", "hemisphere", "mirror", "reduced"])
+    def test_disc_builders(self, build, monkeypatch):
+        new = build()
+        monkeypatch.setattr(synthetic, "_disc_mesh", disc_mesh_loop)
+        assert_same_build(new, build())
+
+    def test_skirted_plate(self):
+        assert_same_build(skirted_plate(), skirted_plate_loop())
+
+    @pytest.mark.parametrize("size", [
+        {}, dict(rings=15, sectors=60, rib_rings=4), dict(rings=25, sectors=100, rib_rings=6),
+    ], ids=["default", "bench-small", "bench-large"])
+    def test_instrument_body(self, size):
+        assert_same_build(instrument_body(**size), instrument_body_loop(**size))
+
+
+class TestComponentsOracle:
+    @pytest.fixture(scope="class")
+    def body(self):
+        return instrument_body(rings=12, sectors=48, rib_rings=4)
+
+    def assert_same_components(self, mesh, removed=None):
+        new, old = connected_components(mesh, removed), connected_components_loop(mesh, removed)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert_same_array(a, b)
+        return new
+
+    def test_no_removal(self, body):
+        assert len(self.assert_same_components(body[0])) == 1
+
+    def test_removed_contour(self, body):
+        mesh, labels = body
+        ring = labels["ribs"][:48]  # the first rib ring cuts the top off
+        assert len(self.assert_same_components(mesh, VertexMask(ring))) == 2
+
+    def test_many_singletons(self):
+        mesh = disc_plate(rings=30, sectors=90).mesh
+        rng = np.random.default_rng(4)
+        removed = VertexMask(rng.choice(mesh.n_vertices, mesh.n_vertices * 7 // 10,
+                                        replace=False))
+        comps = self.assert_same_components(mesh, removed)
+        assert sum(len(c) == 1 for c in comps) > 100
+
+    def test_everything_removed(self, body):
+        mesh = body[0]
+        assert self.assert_same_components(mesh, VertexMask(range(mesh.n_vertices))) == []
+
+    def test_size_ties(self, body):
+        mesh, labels = body
+        comps = self.assert_same_components(mesh, VertexMask(labels["ribs"]))
+        assert len(comps) == 2 and len(comps[0]) == len(comps[1])
+        grid = grid_mesh(9, 9)  # a cross of removed vertices leaves four equal squares
+        cross = [i * 9 + 4 for i in range(9)] + [4 * 9 + j for j in range(9)]
+        comps = self.assert_same_components(grid, VertexMask(cross))
+        assert [len(c) for c in comps] == [16] * 4
