@@ -43,6 +43,7 @@ from .morphology import (
 )
 from .orientation import orient_to_frame, principal_frame
 from .registration import (
+    METRICS,
     SimilarityTransform,
     apply_transform,
     estimate_normals,
@@ -118,8 +119,9 @@ def _load_cloud(path, scale=None):
     return PointCloud(load_mesh(path, scale=scale).vertices)
 
 
-def _load_masked(path):
-    return load_vertex_mask(path) if path else None
+def _load_masked(path, mesh):
+    """The vertex mask at ``path`` (None without one), each index a vertex of ``mesh``."""
+    return load_vertex_mask(path, mesh.n_vertices) if path else None
 
 
 def _mesh_name(stem, cfg):
@@ -159,7 +161,7 @@ def isolate_stage(run, cfg, body_path, scale):
     run.lap("load_and_orient")
 
     iso = cfg["isolate"]
-    sound_hole = _load_masked(cfg["inputs"]["sound_hole_mask"])
+    sound_hole = _load_masked(cfg["inputs"]["sound_hole_mask"], body)
     plates, results = [], {}
     for side in ("sound_board", "back"):
         rough, rough_ids = rough_split(body, side, margin=iso["rough_margin"])
@@ -199,15 +201,14 @@ def _registrations(s, p, cfg):
     normals = estimate_normals(s, k=reg["normal_k"])
     init = pca_initial_transform(s, p, reg["allow_scale"]) if reg["pca_init"] else None
     common = dict(normals=normals, ftol=reg["ftol"], max_sweeps=reg["max_sweeps"])
-    metrics = (reg["metric"],) if not reg["all_metrics"] else (
-        "point_to_point", "point_to_point_sq", "point_to_plane_sq")
+    metrics = METRICS if reg["all_metrics"] else (reg["metric"],)
     rows = [(metric, register(s, p, metric=metric, allow_scale=reg["allow_scale"],
                               init=init, **common))
             for metric in metrics]
     if not reg["all_metrics"]:
         return rows
 
-    k_ext = rows[2][1].transform.scale
+    k_ext = dict(rows)["point_to_plane_sq"].transform.scale
     rigid_init = pca_initial_transform(s, p, allow_scale=False) if reg["pca_init"] else None
     for label, scale in (("icp_external_scaling", k_ext), ("icp_no_scaling", 1.0)):
         rows.append((label, register_icp(s, p, scale=scale, sample_size=reg["icp_sample_size"],
@@ -248,13 +249,19 @@ def assess_stage(run, cfg, ref_mesh, p, distances=None):
     run.finish()
 
 
-def _symmetry_frame(cfg, sb, back, config):
+def _contour_masks(cfg, sb, back):
+    """The sound-board and back contour masks, read once and checked against their plates."""
+    return (_load_masked(cfg["inputs"]["contour_mask"], sb.mesh),
+            _load_masked(cfg["inputs"]["contour_mask_back"], back.mesh))
+
+
+def _symmetry_frame(cfg, sb, back, config, masks):
     sym = cfg["symmetry"]
     return build_symmetry_frame(
         sb, back,
         config=config,
-        mask=_load_masked(cfg["inputs"]["contour_mask"]),
-        back_mask=_load_masked(cfg["inputs"]["contour_mask_back"]),
+        mask=masks[0],
+        back_mask=masks[1],
         spacing=sym["grid_spacing"],
         min_nodes=sym["min_nodes"],
     )
@@ -267,10 +274,11 @@ def symmetry_stage(run, cfg, sb, back):
     configured one fails, its error is raised and nothing is written.
     """
     run.lap("load")
+    masks = _contour_masks(cfg, sb, back)
     frames = {}
     for name in CONFIGURATIONS:
         try:
-            frames[name] = _symmetry_frame(cfg, sb, back, name)
+            frames[name] = _symmetry_frame(cfg, sb, back, name, masks)
         except MorphometryError as exc:
             frames[name] = exc
     frame = frames[cfg["symmetry"]["config"]]
@@ -394,7 +402,8 @@ def cmd_symmetry(cfg):
 
 def _plates_and_frame(cfg):
     sb, back = _load_plate_pair(cfg)
-    return (sb, back), _symmetry_frame(cfg, sb, back, cfg["symmetry"]["config"])
+    masks = _contour_masks(cfg, sb, back)
+    return (sb, back), _symmetry_frame(cfg, sb, back, cfg["symmetry"]["config"], masks)
 
 
 def cmd_contours(cfg):

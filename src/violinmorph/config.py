@@ -13,6 +13,9 @@ import json
 from pathlib import Path
 
 from .errors import InputError
+from .fileio import FORMATS
+from .registration import METRICS
+from .symmetry import CONFIGURATIONS
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -76,19 +79,30 @@ DEFAULT_CONFIG = {
     },
 }
 
+# Documented ranges; a key whose bounds are ints takes an int.
 _RANGES = {
+    (None, "seed"): (0, 2**63 - 1),
     ("isolate", "spacing"): (1e-6, 1e4),
     ("isolate", "keep_count"): (2, 64),
+    ("isolate", "tie_tol"): (0.0, 1e4),
+    ("isolate", "rough_margin"): (0.0, 0.5),  # fraction of the body's z-extent
+    ("register", "normal_k"): (3, 1000),
     ("register", "ftol"): (1e-12, 1.0),
     ("register", "max_sweeps"): (1, 100000),
     ("register", "icp_sample_size"): (10, 10**8),
     ("assess", "threshold"): (0.0, 1e6),
+    ("assess", "bin_width"): (1e-3, 1e3),
     ("simplify", "target_faces"): (1, 10**9),
+    ("simplify", "grid_spacing"): (1e-3, 1e3),
     ("symmetry", "grid_spacing"): (1e-3, 1e3),
     ("symmetry", "min_nodes"): (1, 10**9),
     ("contours", "spacing"): (1e-6, 1e4),
+    ("contours", "max_range"): (0.0, 1e4),
     ("channel", "window_mm"): (1e-3, 1e4),
     ("channel", "stations"): (8, 10**6),
+    ("channel", "smoothing_rms_mm"): (0.0, 1e3),
+    ("inputs", "scale"): (1e-6, 1e6),  # mm per file unit
+    ("inputs", "scale_b"): (1e-6, 1e6),
 }
 
 
@@ -97,7 +111,9 @@ def _merge(base, override, path=""):
     for key, value in override.items():
         if key not in base:
             raise InputError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict) and not isinstance(value, dict):
+            raise InputError(f"config key {path + key!r} must be a JSON object")
+        if isinstance(base[key], dict):
             out[key] = _merge(base[key], value, path=f"{path}{key}.")
         else:
             out[key] = value
@@ -123,24 +139,48 @@ def load_config(path=None):
     return cfg
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config(cfg):
+    """Check every typed key, before a command does any work."""
     for (section, key), (lo, hi) in _RANGES.items():
-        value = cfg[section][key]
+        value = cfg[key] if section is None else cfg[section][key]
+        name = key if section is None else f"{section}.{key}"
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputError(f"config {section}.{key}={value!r} is not a number")
+        if not _is_number(value):
+            raise InputError(f"config {name}={value!r} is not a number")
+        if isinstance(lo, int) and not isinstance(value, int):
+            raise InputError(f"config {name}={value!r} is not an integer")
         if not (lo <= value <= hi):
-            raise InputError(
-                f"config {section}.{key}={value} outside documented range [{lo}, {hi}]"
-            )
-    metric = cfg["register"]["metric"]
-    if metric not in ("point_to_point", "point_to_point_sq", "point_to_plane_sq"):
-        raise InputError(f"unknown register.metric {metric!r}")
-    if cfg["symmetry"]["config"] not in ("two_meshes", "two_contours", "two_contours_masked"):
-        raise InputError(f"unknown symmetry.config {cfg['symmetry']['config']!r}")
-    if cfg["isolate"]["section_axis"] not in ("x", "y"):
-        raise InputError("isolate.section_axis must be 'x' or 'y'")
+            raise InputError(f"config {name}={value} outside documented range [{lo}, {hi}]")
+    paths = [("output_dir", cfg["output_dir"])] + [
+        (f"inputs.{key}", value) for key, value in cfg["inputs"].items()
+        if key not in ("scale", "scale_b") and value is not None]
+    for key, value in paths:
+        if not isinstance(value, str):
+            raise InputError(f"config {key}={value!r} is not a path")
+    for section, keys in DEFAULT_CONFIG.items():  # a key whose default is a bool takes a bool
+        for key, default in (keys.items() if isinstance(keys, dict) else ()):
+            value = cfg[section][key]
+            if isinstance(default, bool) and not isinstance(value, bool):
+                raise InputError(f"config {section}.{key}={value!r} is not true or false")
+    interval = cfg["isolate"]["keep_interval"]
+    if interval is not None and not (isinstance(interval, (list, tuple)) and len(interval) == 2
+                                     and all(map(_is_number, interval))
+                                     and interval[0] <= interval[1]):
+        raise InputError(f"config isolate.keep_interval={interval!r} is not null or a "
+                         "[lo, hi] pair")
+    for key, value, allowed in (
+        ("register.metric", cfg["register"]["metric"], METRICS),
+        ("symmetry.config", cfg["symmetry"]["config"], CONFIGURATIONS),
+        ("isolate.section_axis", cfg["isolate"]["section_axis"], ("x", "y")),
+        ("mesh_format", cfg["mesh_format"], FORMATS),
+    ):
+        if value not in allowed:
+            raise InputError(f"unknown {key} {value!r}, expected one of {allowed}")
 
 
 def set_override(cfg, dotted_key, value):

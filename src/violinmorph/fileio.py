@@ -2,10 +2,12 @@
 
 Supported carriers: PLY (ascii and binary little-endian; ``vertex`` element
 with x/y/z scalar properties, optional ``face`` element with an integer
-``vertex_indices`` list) and Wavefront OBJ (``v``/``f`` records only). A
-file without faces loads as a point cloud; :func:`load_surface` rejects it.
-Vertex masks and contour files are plain text, one decimal index per line,
-``#`` comments.
+``vertex_indices`` list) and Wavefront OBJ (``v``/``f`` records only). Both
+PLY encodings accept the same layouts, read by one record walker; a record
+that does not match its header is a format error naming its line (ascii)
+or byte offset (binary). A file without faces loads as a point cloud;
+:func:`load_surface` rejects it. Vertex masks and contour files are plain
+text, one decimal index per line, ``#`` comments.
 
 This module owns the text format of every artifact the pipeline writes,
 so the manifest's SHA-256 of a file pins its content: floats are emitted
@@ -204,11 +206,7 @@ def _load_ply(path, declared):
             raise MeshFormatError(
                 f"declared format {declared!r} but header says {fmt!r}", path
             )
-        if fmt == "ply-ascii":
-            vertices, faces = _read_ply_ascii_body(fh, elements, path, lineno)
-        else:
-            vertices, faces = _read_ply_binary_body(fh, elements, path)
-    return vertices, faces
+        return _read_ply_body(fh, fmt, elements, path, lineno)
 
 
 def _vertex_layout(props, path):
@@ -220,110 +218,153 @@ def _vertex_layout(props, path):
     return pnames.index("x"), pnames.index("y"), pnames.index("z")
 
 
-def _read_ply_ascii_body(fh, elements, path, lineno):
-    xi = yi = zi = 0
-    vertices, faces = [], []
-    for name, count, props, _ in elements:
-        if name == "vertex":
-            xi, yi, zi = _vertex_layout(props, path)
-        lists = [idx_code is not None for _, _, idx_code in props]
-        face_at = next((i for i, (pname, _, _) in enumerate(props)
-                        if lists[i] and pname in _FACE_LISTS), None)
-        lead = lists[:face_at]
-        for _ in range(count):
-            raw = fh.readline()
-            lineno += 1
-            if not raw:
-                raise MeshFormatError("unexpected EOF in PLY body", path, line=lineno)
-            tokens = raw.split()
-            if name == "vertex":
-                try:
-                    vertices.append(
-                        (float(tokens[xi]), float(tokens[yi]), float(tokens[zi]))
-                    )
-                except (ValueError, IndexError):
-                    raise MeshFormatError("bad vertex record", path, line=lineno) from None
-            elif name == "face" and face_at is not None:
-                try:
-                    at = 0  # a scalar ahead of the index list takes one token, a list 1 + count
-                    for listed in lead:
-                        at += 1 + int(tokens[at]) if listed else 1
-                    k = int(tokens[at])
-                    idx = [int(t) for t in tokens[at + 1:at + 1 + k]]
-                except (ValueError, IndexError):
-                    raise MeshFormatError("bad face record", path, line=lineno) from None
-                if len(idx) != k:
-                    raise MeshFormatError("face list shorter than declared", path, line=lineno)
-                faces.extend(_triangulate(idx, path, lineno))
-            # other elements are skipped line-by-line
-    return vertices, faces
+def _read_ply_body(fh, fmt, elements, path, lineno):
+    """Vertex and face rows of a PLY body, ascii or binary, in file order.
 
-
-def _read_ply_binary_body(fh, elements, path):
+    A binary element of fixed layout is read as one block
+    (:meth:`_BinaryBody.block`); every other element, and a block that
+    fails its check, is walked record by record (:func:`_walk`), which
+    raises every error.
+    """
+    body = _AsciiBody(fh, path, lineno) if fmt == "ply-ascii" else _BinaryBody(fh, path)
     vertices, faces = [], []  # blocks of rows, one per element that yields any
-    file_size = os.fstat(fh.fileno()).st_size
-    for name, count, props, lineno in elements:
-        # every record takes at least its scalars and its list counts
-        least = sum(struct.calcsize(idx_code or code) for _, code, idx_code in props)
-        if count * least > file_size - fh.tell():
-            raise MeshFormatError(
-                f"element {name!r} declares {count} records, more than the file holds",
-                path, line=lineno,
-            )
-        if name == "vertex":
-            xi, yi, zi = _vertex_layout(props, path)
-            record = np.dtype([(f"p{i}", "<" + code) for i, (_, code, _) in enumerate(props)])
-            blob = fh.read(record.itemsize * count)
-            if len(blob) != record.itemsize * count:
-                raise MeshFormatError("truncated vertex data", path, offset=fh.tell())
-            if count:
-                rec = np.frombuffer(blob, record)
-                vertices.append(np.column_stack([rec[f"p{i}"] for i in (xi, yi, zi)]))
-        elif name == "face" and (block := _triangle_block(fh, count, props)) is not None:
-            faces.append(block)
-        else:
-            rows = []
-            for _ in range(count if props else 0):  # no properties, no bytes
-                for pname, code, idx_code in props:
-                    if idx_code is None:
-                        blob = fh.read(struct.calcsize(code))
-                        if len(blob) < struct.calcsize(code):
-                            raise MeshFormatError("truncated data", path, offset=fh.tell())
-                        continue
-                    nraw = fh.read(struct.calcsize(idx_code))
-                    if not nraw:
-                        raise MeshFormatError("truncated list count", path, offset=fh.tell())
-                    (k,) = struct.unpack("<" + idx_code, nraw)
-                    if struct.calcsize(code) * k > file_size - fh.tell():
-                        raise MeshFormatError("list longer than the file", path, offset=fh.tell())
-                    body = fh.read(struct.calcsize(code) * k)
-                    if len(body) < struct.calcsize(code) * k:
-                        raise MeshFormatError("truncated list data", path, offset=fh.tell())
-                    if name == "face" and pname in _FACE_LISTS:
-                        idx = list(struct.unpack("<" + code * k, body))
-                        rows.extend(_triangulate(idx, path, None))
-            if rows:
-                faces.append(rows)
+    for name, count, props, header_line in elements:
+        body.element(name, count, props, header_line)
+        xyz = _vertex_layout(props, path) if name == "vertex" else None
+        rows = body.block(name, props, xyz) if fmt == "ply-binary-le" else None
+        if rows is None:
+            rows = _walk(body, name, count, props, xyz)
+        if len(rows):
+            (vertices if name == "vertex" else faces).append(rows)
     return _joined(vertices), _joined(faces)
 
 
-def _triangle_block(fh, count, props):
-    """A ``list uchar int|uint vertex_indices`` face block as one (count, 3) array.
+def _walk(body, name, count, props, xyz):
+    """An element's rows, read record by record against its header.
 
-    None, with the file position unchanged, when the element has other
-    properties, the block is short or some face is not a triangle.
+    Each property is consumed in header order: a scalar is one value, a
+    list its count and then that many values. Only the vertex coordinates
+    and the face index lists are converted.
     """
-    if props not in ([("vertex_indices", "i", "B")], [("vertex_indices", "I", "B")]):
-        return None
-    start = fh.tell()
-    record = _triangle_record(props[0][1])
-    blob = fh.read(record.itemsize * count)
-    if len(blob) == record.itemsize * count:
+    rows = []
+    for _ in body.records(count, props):
+        record = []
+        for i, (pname, code, idx_code) in enumerate(props):
+            if idx_code is None:
+                record.append(body.scalar(code, keep=xyz is not None and i in xyz))
+                continue
+            k = body.length(idx_code)
+            if k < 0:
+                body.fail("negative list count")
+            indices = name == "face" and pname in _FACE_LISTS
+            record.append(body.values(code, k, keep=indices))
+            if indices:
+                rows.extend(_triangulate(record[-1], body.path, body.line))
+        if xyz is not None:
+            rows.append(tuple(record[i][0] for i in xyz))
+    return rows
+
+
+class _AsciiBody:
+    """An ascii body: one record per line, its tokens taken in header order."""
+
+    def __init__(self, fh, path, lineno):
+        self.fh, self.path, self.line = fh, path, lineno  # the last line read
+
+    def element(self, name, count, props, header_line):
+        self.name = name
+
+    def records(self, count, props):
+        for _ in range(count):
+            raw = self.fh.readline()
+            self.line += 1
+            if not raw:
+                self.fail("unexpected EOF in PLY body")
+            self.tokens, self.at = raw.split(), 0
+            yield
+            if self.at < len(self.tokens):  # checked when the next record is asked for
+                self.fail(f"{self.name} record longer than its header declares")
+
+    def scalar(self, code, keep):  # a kept scalar is a vertex coordinate
+        return self.values(code, 1, keep, float)
+
+    def length(self, code):
+        return self.values(code, 1, True)[0]
+
+    def values(self, code, k, keep, kind=int):  # a kept list holds face indices
+        tokens, self.at = self.tokens[self.at:self.at + k], self.at + k
+        if self.at > len(self.tokens):
+            self.fail(f"{self.name} record shorter than its header declares")
+        try:
+            return list(map(kind, tokens)) if keep else None  # others are only counted
+        except ValueError:
+            self.fail(f"bad {self.name} record")
+
+    def fail(self, message):
+        raise MeshFormatError(message, self.path, line=self.line) from None
+
+
+class _BinaryBody:
+    """A binary little-endian body: records packed back to back."""
+
+    line = None  # errors name a byte offset instead
+
+    def __init__(self, fh, path):
+        self.fh, self.path, self.size = fh, path, os.fstat(fh.fileno()).st_size
+
+    def element(self, name, count, props, header_line):
+        # every record takes at least its scalars and its list counts
+        least = sum(struct.calcsize(idx_code or code) for _, code, idx_code in props)
+        if count * least > self.size - self.fh.tell():
+            raise MeshFormatError(
+                f"element {name!r} declares {count} records, more than the file holds",
+                self.path, line=header_line,
+            )
+        self.count, self.start = count, self.fh.tell()
+
+    def block(self, name, props, xyz):
+        """An element of fixed layout as one (count, 3) array; None when it must be walked.
+
+        Two layouts are fixed: a vertex element (the header admits only
+        scalars there), and a face element holding nothing but a ``list
+        uchar int|uint vertex_indices``, kept when every face is a triangle.
+        """
+        if name == "vertex":
+            record = np.dtype([(f"p{i}", "<" + code) for i, (_, code, _) in enumerate(props)])
+        elif name == "face" and props in ([("vertex_indices", "i", "B")],
+                                          [("vertex_indices", "I", "B")]):
+            record = _triangle_record(props[0][1])
+        else:
+            return None
+        blob = self.fh.read(record.itemsize * self.count)
+        if len(blob) < record.itemsize * self.count:
+            return None
         rec = np.frombuffer(blob, record)
-        if (rec["n"] == 3).all():
-            return rec["v"]
-    fh.seek(start)
-    return None
+        if name == "vertex":
+            return np.column_stack([rec[f"p{i}"] for i in xyz])
+        return rec["v"] if (rec["n"] == 3).all() else None
+
+    def records(self, count, props):
+        self.fh.seek(self.start)  # back over a block that failed its check
+        return range(count if props else 0)  # a record without properties takes no bytes
+
+    def scalar(self, code, keep, message="truncated data"):
+        blob = self.fh.read(struct.calcsize(code))
+        if len(blob) < struct.calcsize(code):
+            self.fail(message)
+        return struct.unpack("<" + code, blob) if keep else None
+
+    def length(self, code):
+        return self.scalar(code, True, "truncated list count")[0]
+
+    def values(self, code, k, keep):
+        if struct.calcsize(code) * k > self.size - self.fh.tell():
+            self.fail("list longer than the file")
+        blob = self.fh.read(struct.calcsize(code) * k)
+        return struct.unpack(f"<{k}{code}", blob) if keep else None
+
+    def fail(self, message):
+        raise MeshFormatError(message, self.path, offset=self.fh.tell())
 
 
 def _triangle_record(code):
@@ -423,12 +464,14 @@ def _save_obj(mesh, path):
 # ---------------------------------------------------------------------------
 # Index files (vertex masks, plate contours)
 
-def read_index_lines(path, what):
+def read_index_lines(path, what, n_vertices):
     """Yield ``(line number, index or None, comment)`` for each line of an index file.
 
-    One decimal index per line; text after ``#`` is the line's comment
-    (stripped), and a line with no index yields None. ``what`` names the
-    file in the errors: "<what> file not found", "bad <what> index".
+    One decimal index per line, each a vertex of a mesh with ``n_vertices``
+    vertices; text after ``#`` is the line's comment (stripped), and a line
+    with no index yields None. ``what`` names the file in the errors:
+    "<what> file not found", "bad <what> index", "<what> index i outside
+    the mesh's n vertices".
     """
     if not os.path.exists(path):
         raise InputError(f"{what} file not found: {path}")
@@ -440,13 +483,16 @@ def read_index_lines(path, what):
                 index = int(body) if body else None
             except ValueError:
                 raise MeshFormatError(f"bad {what} index", path, line=lineno) from None
+            if index is not None and not 0 <= index < n_vertices:
+                raise MeshFormatError(f"{what} index {index} outside the mesh's {n_vertices} "
+                                      "vertices", path, line=lineno)
             yield lineno, index, comment.strip()
 
 
-def load_vertex_mask(path):
-    """Read a vertex mask: one decimal index per line, ``#`` comments allowed."""
-    path = Path(path)
-    return VertexMask([i for _, i, _ in read_index_lines(path, "mask") if i is not None])
+def load_vertex_mask(path, n_vertices):
+    """Read a vertex mask: one index below ``n_vertices`` per line, ``#`` comments allowed."""
+    lines = read_index_lines(Path(path), "mask", n_vertices)
+    return VertexMask([i for _, i, _ in lines if i is not None])
 
 
 def save_vertex_mask(mask, path):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ContractError, DisconnectedError, FragmentationError, MeshFormatError
+from .errors import ContractError, DisconnectedError, FragmentationError
 from .mesh import (TriangleMesh, VertexMask, connected_components, kd_workers,
                    shortest_path)
 from .slicing import extreme_points
@@ -379,16 +379,11 @@ def load_plate(mesh_path, contour_path, side=None):
     mesh = load_surface(mesh_path)
     indices = []
     sources = []
-    for lineno, index, comment in read_index_lines(contour_path, "contour"):
+    for _, index, comment in read_index_lines(contour_path, "contour", mesh.n_vertices):
         if index is None:
             if comment.startswith("side=") and side is None:
                 side = comment[5:]
             continue
-        if not 0 <= index < mesh.n_vertices:
-            raise MeshFormatError(
-                f"contour index {index} outside the mesh's {mesh.n_vertices} vertices",
-                contour_path, line=lineno,
-            )
         indices.append(index)
         sources.append(comment if comment else ANCHOR)
     if side is None:

@@ -2,7 +2,7 @@
 
 These are the original per-face / per-edge loop versions of
 ``grid.interpolate_grid``, ``slicing.cross_section``,
-``decimate.decimate`` and the binary PLY body reader, the per-row
+``decimate.decimate`` and the ascii and binary PLY body readers, the per-row
 f-string writers of every text artifact (CSV, JSON, PLY, OBJ), plus the earlier
 formulations of the mesh's edge list, the shortest path (undirected,
 then unbounded), the nearest-vertex snap, the contour checks and the
@@ -461,6 +461,58 @@ def decimate_loop(mesh, target_faces):
         if face_alive[fi]
     ]
     return TriangleMesh(verts[used], new_faces)
+
+
+def read_ply_ascii_body_loop(fh, elements, path, lineno):
+    """``fileio``'s ascii PLY body reader: one Python line at a time.
+
+    It reads only the tokens it needs, so it also loads records that do
+    not match their header (a vertex line shorter or longer than declared,
+    a face line missing or adding a trailing token).
+    """
+    xi = yi = zi = 0
+    vertices, faces = [], []
+    for name, count, props, _ in elements:
+        if name == "vertex":
+            xi, yi, zi = _vertex_layout(props, path)
+        lists = [idx_code is not None for _, _, idx_code in props]
+        face_at = next((i for i, (pname, _, _) in enumerate(props)
+                        if lists[i] and pname in ("vertex_indices", "vertex_index")), None)
+        lead = lists[:face_at]
+        for _ in range(count):
+            raw = fh.readline()
+            lineno += 1
+            if not raw:
+                raise MeshFormatError("unexpected EOF in PLY body", path, line=lineno)
+            tokens = raw.split()
+            if name == "vertex":
+                try:
+                    vertices.append(
+                        (float(tokens[xi]), float(tokens[yi]), float(tokens[zi]))
+                    )
+                except (ValueError, IndexError):
+                    raise MeshFormatError("bad vertex record", path, line=lineno) from None
+            elif name == "face" and face_at is not None:
+                try:
+                    at = 0  # a scalar ahead of the index list takes one token, a list 1 + count
+                    for listed in lead:
+                        at += 1 + int(tokens[at]) if listed else 1
+                    k = int(tokens[at])
+                    idx = [int(t) for t in tokens[at + 1:at + 1 + k]]
+                except (ValueError, IndexError):
+                    raise MeshFormatError("bad face record", path, line=lineno) from None
+                if len(idx) != k:
+                    raise MeshFormatError("face list shorter than declared", path, line=lineno)
+                faces.extend(_triangulate(idx, path, lineno))
+            # other elements are skipped line-by-line
+    return vertices, faces
+
+
+def read_ply_body_loop(fh, fmt, elements, path, lineno):
+    """``fileio._read_ply_body`` as the two record loops above, one per encoding."""
+    if fmt == "ply-ascii":
+        return read_ply_ascii_body_loop(fh, elements, path, lineno)
+    return read_ply_binary_body_loop(fh, elements, path)
 
 
 def read_ply_binary_body_loop(fh, elements, path):

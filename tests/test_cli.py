@@ -1,10 +1,11 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from violinmorph import cli
+from violinmorph import cli, fileio
 from violinmorph.cli import main
 from violinmorph.config import config_hash, load_config, set_override
 from violinmorph.errors import InputError
@@ -14,6 +15,7 @@ from violinmorph.mesh import VertexMask, connected_components
 from violinmorph.synthetic import disc_plate, instrument_body, mirror_pair
 
 from conftest import write_without_faces
+from oracles import read_ply_body_loop
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,63 @@ class TestExitCodes:
         assert rc == 2
         assert "simplify.target_faces" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("pipeline", "assess", "bin_width", 0),
+        ("pipeline", "isolate", "tie_tol", "abc"),
+        ("pipeline", "isolate", "rough_margin", "abc"),
+        ("pipeline", "isolate", "rough_margin", 0.9),
+        ("pipeline", "register", "normal_k", "x"),
+        ("pipeline", "register", "normal_k", 4.5),
+        ("pipeline", "contours", "max_range", "x"),
+        ("pipeline", "channel", "smoothing_rms_mm", -1.0),
+        ("pipeline", "isolate", "keep_interval", 5),
+        ("pipeline", "isolate", "keep_interval", [3.0, "x"]),
+        ("pipeline", "isolate", "keep_interval", [5.0, 1.0]),
+        ("pipeline", "register", "pca_init", "false"),
+        ("pipeline", "register", "allow_scale", 1),
+        ("pipeline", "register", "all_metrics", None),
+        ("simplify", "simplify", "grid_spacing", 0),
+        ("pipeline", None, "mesh_format", "xyz"),
+        ("pipeline", "isolate", None, 5),
+        ("pipeline", None, "seed", "x"),
+        ("pipeline", None, "seed", -1),
+        ("pipeline", "inputs", "scale", "x"),
+        ("pipeline", "inputs", "sound_hole_mask", 7),
+        ("pipeline", None, "output_dir", 5),
+    ])
+    def test_bad_config_key_exits_2_before_any_work(self, body_file, tmp_path, capsys,
+                                                    command, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        doc = {key: value} if section is None else {section: value if key is None
+                                                    else {key: value}}
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = run(command, "--config", str(cfg), "--body", str(body_file),
+                 "--reference", str(body_file), "--target-faces", "10", "--out", str(out))
+        assert rc == 2
+        assert ".".join(k for k in (section, key) if k) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_format_flag_exits_2_before_isolation(self, body_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run("pipeline", "--body", str(body_file), "--format", "xyz", "--out", str(out))
+        assert rc == 2
+        assert "unknown mesh_format 'xyz'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["99999999", "-3"])
+    def test_sound_hole_mask_index_outside_the_body_exits_2(self, body_file, tmp_path,
+                                                             capsys, value):
+        mask = tmp_path / "hole.txt"
+        mask.write_text(f"# hole\n12\n{value}\n")
+        out = tmp_path / "out"
+        rc = run("isolate", "--body", str(body_file), "--sound-hole-mask", str(mask),
+                 "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"mask index {value} outside the mesh's" in err and f"({mask}, line 3)" in err
+        assert not list(out.rglob("*"))
+
     def test_non_utf8_mask_exits_2(self, body_file, tmp_path, capsys):
         mask = tmp_path / "hole.txt"
         mask.write_bytes(b"12\n\xff\xfe3\n")
@@ -223,6 +282,30 @@ class TestIsolateCommand:
 
 
 class TestPlyInputs:
+    @pytest.mark.parametrize("vertex_extra, face_extra, body, line, message", [
+        ("property uchar red\n", "", "0 0 0 1\n1 0 0\n0 1 0 1\n3 0 1 2\n", 12,
+         "vertex record shorter"),
+        ("", "", "0 0 0\n1 0 0 7\n0 1 0\n3 0 1 2\n", 11, "vertex record longer"),
+        ("", "property float quality\n", "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 14,
+         "face record shorter"),
+        ("", "", "0 0 0\n1 0 0\n0 1 0\n3 0 1 2 9\n", 13, "face record longer"),
+    ])
+    def test_ascii_record_off_its_header_exits_2_naming_the_line(
+            self, tmp_path, capsys, vertex_extra, face_extra, body, line, message):
+        path = tmp_path / "off.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+                        f"property double y\nproperty double z\n{vertex_extra}element face 1\n"
+                        f"property list uchar int vertex_indices\n{face_extra}end_header\n"
+                        + body)
+        with mock.patch.object(fileio, "_read_ply_body", read_ply_body_loop):
+            assert load_mesh(path).n_faces == 1  # the line-by-line reader took it
+        out = tmp_path / "out"
+        assert run("simplify", "--reference", str(path), "--target-faces", "1",
+                   "--out", str(out)) == 2
+        assert (f"{message} than its header declares ({path}, line {line})"
+                in capsys.readouterr().err)
+        assert not list(out.rglob("*"))
+
     def test_simplify_reads_the_face_list_after_a_scalar(self, tmp_path):
         path = tmp_path / "flags.ply"
         path.write_text("ply\nformat ascii 1.0\nelement vertex 4\nproperty double x\n"
@@ -598,6 +681,24 @@ class TestStageErrors:
         err = capsys.readouterr().err
         assert f"contour index {value} outside the mesh's" in err
         assert f"({contour}, line {index + 1})" in err
+
+    @pytest.mark.parametrize("config", ["two_contours_masked", "two_meshes"])
+    @pytest.mark.parametrize("value", ["99999", "-1"])
+    def test_contour_mask_index_outside_the_plate_exits_2(self, plate_files, tmp_path,
+                                                           capsys, config, value):
+        mask = tmp_path / "rim.txt"
+        mask.write_text(f"5\n{value}\n")
+        out = tmp_path / "out"
+        rc = run("symmetry", "--out", str(out), "--symmetry-config", config,
+                 "--sound-board", str(plate_files / "sb.ply"),
+                 "--sound-board-contour", str(plate_files / "sb_contour.txt"),
+                 "--back", str(plate_files / "back.ply"),
+                 "--back-contour", str(plate_files / "back_contour.txt"),
+                 "--contour-mask", str(mask))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"mask index {value} outside the mesh's" in err and f"({mask}, line 2)" in err
+        assert not list(out.rglob("*"))
 
     def test_missing_contour_file_exits_2(self, plate_files, tmp_path, capsys):
         rc = run("symmetry", "--out", str(tmp_path / "out"),

@@ -1,4 +1,6 @@
+import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from violinmorph.fileio import (
     save_mesh,
     save_vertex_mask,
 )
-from violinmorph.mesh import VertexMask
+from violinmorph.mesh import TriangleMesh, VertexMask
 
 from conftest import write_without_faces
-from oracles import read_ply_binary_body_loop
+from oracles import read_ply_body_loop
 
 
 def test_minimal_obj(tmp_path):
@@ -135,18 +137,18 @@ def test_float_emission_roundtrips_float32(tmp_path):
 def test_vertex_mask_roundtrip(tmp_path):
     path = tmp_path / "mask.txt"
     path.write_text("# heading comment\n3\n1\n\n17 # trailing note\n")
-    mask = load_vertex_mask(path)
+    mask = load_vertex_mask(path, 18)
     assert mask.indices == frozenset({1, 3, 17})
     out = tmp_path / "mask_out.txt"
     save_vertex_mask(mask, out)
-    assert load_vertex_mask(out).indices == mask.indices
+    assert load_vertex_mask(out, 18).indices == mask.indices
 
 
 def test_vertex_mask_bad_line(tmp_path):
     path = tmp_path / "mask.txt"
     path.write_text("1\nfoo\n")
     with pytest.raises(MeshFormatError):
-        load_vertex_mask(path)
+        load_vertex_mask(path, 2)
     assert isinstance(VertexMask([1]).as_array(), np.ndarray)
 
 
@@ -299,7 +301,7 @@ def _write_binary_ply(path, header, body):
 def _load_fast_and_loop(path, monkeypatch):
     fast = load_mesh(path)
     with monkeypatch.context() as m:
-        m.setattr(fileio, "_read_ply_binary_body", read_ply_binary_body_loop)
+        m.setattr(fileio, "_read_ply_body", read_ply_body_loop)
         loop = load_mesh(path)
     return fast, loop
 
@@ -311,16 +313,17 @@ def _assert_same_mesh(a, b):
 
 
 def _load_by_block(path, monkeypatch):
-    """``load_mesh``, asserting that the face block was read in one piece."""
-    blocks, read = [], fileio._triangle_block
+    """``load_mesh``, asserting that the vertex and face blocks were each read in one piece."""
+    blocks, read = [], fileio._BinaryBody.block
 
-    def spy(*args):
-        blocks.append(read(*args))
-        return blocks[-1]
+    def spy(body, name, *args):
+        blocks.append((name, read(body, name, *args)))
+        return blocks[-1][1]
 
-    monkeypatch.setattr(fileio, "_triangle_block", spy)
+    monkeypatch.setattr(fileio._BinaryBody, "block", spy)
     mesh = load_mesh(path)
-    assert len(blocks) == 1 and blocks[0] is not None
+    assert [name for name, _ in blocks] == ["vertex", "face"]
+    assert all(block is not None for _, block in blocks)
     return mesh
 
 
@@ -388,10 +391,46 @@ class TestBinaryPlyBlocks:
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(MeshFormatError) as fast:
             load_mesh(path)
-        monkeypatch.setattr(fileio, "_read_ply_binary_body", read_ply_binary_body_loop)
+        monkeypatch.setattr(fileio, "_read_ply_body", read_ply_body_loop)
         with pytest.raises(MeshFormatError) as loop:
             load_mesh(path)
         assert str(fast.value) == str(loop.value)
+
+
+_ASCII_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\nproperty double y\n"
+               "property double z\nelement face 1\nproperty list uchar int vertex_indices\n"
+               "end_header\n")
+
+
+@pytest.mark.parametrize("body, message, line", [
+    ("0 0 0\n\n0 1 0\n3 0 1 2\n", "vertex record shorter than its header declares", 11),
+    ("0 0 0\n1 0 0\n0 1 0\n", "unexpected EOF in PLY body", 13),
+    ("0 0 0\n1 0 0\n0 1 0\n-3 0 1 2\n", "negative list count", 13),
+    ("0 0 0\n1 0 0\n0 1 0\n3 0 1 2.0\n", "bad face record", 13),
+    ("0 0 0\n1 0 0\n0 1 0\n3 0 1 2.7\n", "bad face record", 13),
+    ("0 0 0\n1 0 0\n0 1 0\n3 0 1 1e0\n", "bad face record", 13),
+    ("0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", "bad vertex record", 11),
+    ("0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "face record shorter than its header declares", 13),
+])
+def test_ascii_record_errors_name_the_line(tmp_path, body, message, line):
+    path = tmp_path / "bad.ply"
+    path.write_text(_ASCII_HEAD + body)
+    with pytest.raises(MeshFormatError, match=f"^{message} \\(.*bad.ply, line {line}\\)$"):
+        load_mesh(path)
+
+
+def test_binary_partial_list_count_is_a_format_error(tmp_path, monkeypatch):
+    """A list count cut short by the end of the file (the record loop raised struct.error)."""
+    header = ("element vertex 3\nproperty double x\nproperty double y\nproperty double z\n"
+              "element face 2\nproperty list int int vertex_indices\n")
+    path = tmp_path / "cut.ply"
+    faces = np.array([3, 0, 1, 2], "<i4").tobytes() + b"\x03\x00"
+    _write_binary_ply(path, header, _XYZ.tobytes() + faces)
+    with pytest.raises(MeshFormatError, match=r"truncated list count \(.*cut.ply, byte \d+\)"):
+        load_mesh(path)
+    monkeypatch.setattr(fileio, "_read_ply_body", read_ply_body_loop)
+    with pytest.raises(struct.error):
+        load_mesh(path)
 
 
 @pytest.mark.parametrize("before,after", [(1, 0), (0, 1), (1, 1)])
@@ -433,3 +472,97 @@ def test_ply_without_face_element_is_a_point_cloud(tmp_path, cube, fmt):
     with pytest.raises(InputError, match="mesh has no faces, a surface is needed") as exc:
         fileio.load_surface(cloud)
     assert str(cloud) in str(exc.value)
+
+
+_INT_BOUNDS = {"char": (-2**7, 2**7 - 1), "uchar": (0, 2**8 - 1), "short": (-2**15, 2**15 - 1),
+               "ushort": (0, 2**16 - 1), "int": (-2**31, 2**31 - 1), "uint": (0, 2**32 - 1)}
+_SCALAR_TYPES = sorted(_INT_BOUNDS) + ["float", "double"]
+
+
+def _values_of(ptype):
+    if ptype in _INT_BOUNDS:
+        return st.integers(*_INT_BOUNDS[ptype])
+    return st.floats(allow_nan=False, allow_infinity=False,
+                     width=32 if ptype == "float" else 64)
+
+
+@st.composite
+def _ply_layouts(draw):
+    """A PLY layout and its records: ``(header, vertex rows, face rows, expected mesh)``.
+
+    The vertex element has x/y/z among other scalars in any order; the face
+    element has scalars before and after its index list, whose count and
+    index types vary, and some faces are quads.
+    """
+    n = draw(st.integers(4, 10))
+    extra = st.lists(st.sampled_from(_SCALAR_TYPES), max_size=2)
+    vprops = [(f"v{i}", t) for i, t in enumerate(draw(extra))] + [
+        (axis, draw(st.sampled_from(["float", "double", "int", "short"]))) for axis in "xyz"]
+    vprops += [(f"w{i}", t) for i, t in enumerate(draw(extra))]
+    vprops = draw(st.permutations(vprops))
+    vrows = [[draw(_values_of(t)) for _, t in vprops] for _ in range(n)]
+    count_type = draw(st.sampled_from(["uchar", "uchar", "int"]))
+    index_type = draw(st.sampled_from(["uchar", "int", "uint"]))
+    listed = ("list", count_type, index_type)
+    fprops = ([(f"a{i}", t) for i, t in enumerate(draw(extra))]
+              + [(draw(st.sampled_from(["vertex_indices", "vertex_indices", "vertex_index"])),
+                  listed)]
+              + [(f"b{i}", t) for i, t in enumerate(draw(extra))])
+    frows, triangles = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        corners = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=4, unique=True))
+        triangles += [corners[:3]] + ([[corners[0], corners[2], corners[3]]]
+                                      if len(corners) == 4 else [])
+        frows.append([corners if t == listed else draw(_values_of(t)) for _, t in fprops])
+    header = f"element vertex {n}\n" + "".join(f"property {t} {p}\n" for p, t in vprops)
+    header += f"element face {len(frows)}\n" + "".join(
+        f"property {' '.join(t) if t == listed else t} {p}\n" for p, t in fprops)
+    names = [p for p, _ in vprops]
+    vertices = [[row[names.index(axis)] for axis in "xyz"] for row in vrows]
+    expected = TriangleMesh(np.array(vertices, np.float64), np.array(triangles, np.int64))
+    return header, (vprops, vrows), (fprops, frows), expected
+
+
+def _ascii_ply(header, *elements):
+    def token(value):
+        return " ".join(["%d" % len(value)] + ["%.17g" % v for v in value]) \
+            if isinstance(value, list) else "%.17g" % value
+    lines = [" ".join(token(v) for v in row) for _, rows in elements for row in rows]
+    return (f"ply\nformat ascii 1.0\n{header}end_header\n"
+            + "".join(line + "\n" for line in lines)).encode()
+
+
+def _binary_ply(header, *elements):
+    code = fileio._PLY_SCALAR
+    blob = b""
+    for props, rows in elements:
+        for row in rows:
+            for (_, ptype), value in zip(props, row):
+                if isinstance(value, list):
+                    blob += struct.pack(f"<{code[ptype[1]]}{len(value)}{code[ptype[2]]}",
+                                        len(value), *value)
+                else:
+                    blob += struct.pack("<" + code[ptype], value)
+    return f"ply\nformat binary_little_endian 1.0\n{header}end_header\n".encode() + blob
+
+
+@pytest.fixture(scope="module")
+def layout_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("layouts")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ply_layouts())
+def test_generated_layouts_same_arrays_in_both_encodings(layout_dir, layout):
+    """Ascii and binary, block read and record walk, this reader and the oracles agree."""
+    header, vertex, face, expected = layout
+    paths = []
+    for name, write in (("ascii.ply", _ascii_ply), ("binary.ply", _binary_ply)):
+        paths.append(layout_dir / name)
+        paths[-1].write_bytes(write(header, vertex, face))
+    for path in paths:
+        _assert_same_mesh(load_mesh(path), expected)
+        with mock.patch.object(fileio._BinaryBody, "block", lambda *args: None):
+            _assert_same_mesh(load_mesh(path), expected)
+        with mock.patch.object(fileio, "_read_ply_body", read_ply_body_loop):
+            _assert_same_mesh(load_mesh(path), expected)
