@@ -18,7 +18,6 @@ from .fileio import load_mesh, load_vertex_mask, save_mesh, save_vertex_mask
 from .grid import HeightGrid, grid_difference_stats, interpolate_grid
 from .isolation import (
     ClosedContour,
-    IsolationParams,
     PlateMesh,
     close_contour,
     isolate_plate,
@@ -36,7 +35,6 @@ from .mesh import (
 )
 from .morphology import (
     AsymmetryField,
-    ChannelParams,
     ChannelTrace,
     ContourLineSet,
     asymmetry_field,

@@ -30,10 +30,9 @@ from .decimate import decimate
 from .errors import ContractError, InputError, MorphometryError
 from .fileio import load_mesh, load_surface, load_vertex_mask, save_csv, save_json, save_mesh
 from .grid import grid_difference_stats, interpolate_grid, joint_grid_domain
-from .isolation import IsolationParams, isolate_plate, load_plate, rough_split, save_plate
+from .isolation import isolate_plate, load_plate, rough_split, save_plate
 from .mesh import PointCloud, VertexMask
 from .morphology import (
-    ChannelParams,
     asymmetry_field,
     channel_of_minima,
     contour_lines,
@@ -160,23 +159,16 @@ def isolate_stage(run, cfg, body_path, scale):
     body = orient_to_frame(body, principal_frame(body.point_cloud()))
     run.lap("load_and_orient")
 
-    iso = cfg["isolate"]
+    knobs = dict(cfg["isolate"])
+    margin = knobs.pop("rough_margin")
     sound_hole = _load_masked(cfg["inputs"]["sound_hole_mask"], body)
     plates, results = [], {}
     for side in ("sound_board", "back"):
-        rough, rough_ids = rough_split(body, side, margin=iso["rough_margin"])
+        rough, rough_ids = rough_split(body, side, margin=margin)
         exclude = None
         if sound_hole is not None:  # rough vertex i is body vertex rough_ids[i]
             exclude = VertexMask(np.flatnonzero(np.isin(rough_ids, sound_hole.as_array())))
-        params = IsolationParams(
-            section_axis=iso["section_axis"],
-            spacing=iso["spacing"],
-            keep_interval=tuple(iso["keep_interval"]) if iso["keep_interval"] else None,
-            keep_count=iso["keep_count"],
-            exclude=exclude,
-            tie_tol=iso["tie_tol"],
-        )
-        plate = isolate_plate(rough, side, params)
+        plate = isolate_plate(rough, side, exclude=exclude, **knobs)
         save_plate(
             plate,
             run.path(_mesh_name(side, cfg)),
@@ -295,11 +287,11 @@ def symmetry_stage(run, cfg, sb, back):
     return frame
 
 
-def contours_stage(run, cfg, plates, frame):
+def contours_stage(run, cfg, plates):
+    """Contour lines of the plates, already in the symmetry frame."""
     run.lap("frame")
     for plate in plates:
-        lines = contour_lines(plate, frame, spacing=cfg["contours"]["spacing"],
-                              max_range=cfg["contours"]["max_range"])
+        lines = contour_lines(plate, **cfg["contours"])
         run.outputs += save_contour_lines(lines, run.out, f"contour_lines_{plate.side}")
     run.lap("slice")
     run.finish()
@@ -313,16 +305,12 @@ def asymmetry_stage(run, frame):
     run.finish()
 
 
-def channel_stage(run, cfg, plates, frame):
+def channel_stage(run, cfg, plates):
+    """Channel of minima of the plates, already in the symmetry frame."""
     run.lap("frame")
-    params = ChannelParams(
-        window_mm=cfg["channel"]["window_mm"],
-        stations=cfg["channel"]["stations"],
-        smoothing_rms_mm=cfg["channel"]["smoothing_rms_mm"],
-    )
     summary = {}
     for plate in plates:
-        trace = channel_of_minima(plate, frame, params)
+        trace = channel_of_minima(plate, **cfg["channel"])
         save_channel(trace, run.path(f"channel_{plate.side}.csv"))
         summary[plate.side] = {
             "stations_detected": int(len(trace.points)),
@@ -401,13 +389,20 @@ def cmd_symmetry(cfg):
 
 
 def _plates_and_frame(cfg):
+    """The plate files and the symmetry frame of the configured configuration."""
     sb, back = _load_plate_pair(cfg)
     masks = _contour_masks(cfg, sb, back)
     return (sb, back), _symmetry_frame(cfg, sb, back, cfg["symmetry"]["config"], masks)
 
 
+def _framed_plates(cfg):
+    """The plate files moved into their symmetry frame."""
+    plates, frame = _plates_and_frame(cfg)
+    return tuple(frame.apply_plate(plate) for plate in plates)
+
+
 def cmd_contours(cfg):
-    contours_stage(Run("contours", cfg), cfg, *_plates_and_frame(cfg))
+    contours_stage(Run("contours", cfg), cfg, _framed_plates(cfg))
     return 0
 
 
@@ -417,7 +412,7 @@ def cmd_asymmetry(cfg):
 
 
 def cmd_channel(cfg):
-    channel_stage(Run("channel", cfg), cfg, *_plates_and_frame(cfg))
+    channel_stage(Run("channel", cfg), cfg, _framed_plates(cfg))
     return 0
 
 
@@ -438,9 +433,10 @@ def cmd_pipeline(cfg):
     if cfg["inputs"]["body_b"] is not None:
         _second_acquisition(run, cfg, plates[0])
     frame = symmetry_stage(Run("symmetry", cfg), cfg, *plates)
-    contours_stage(Run("contours", cfg), cfg, plates, frame)
+    framed = tuple(frame.apply_plate(plate) for plate in plates)
+    contours_stage(Run("contours", cfg), cfg, framed)
     asymmetry_stage(Run("asymmetry", cfg), frame)
-    channel_stage(Run("channel", cfg), cfg, plates, frame)
+    channel_stage(Run("channel", cfg), cfg, framed)
     run.finish()
     return 0
 

@@ -8,9 +8,8 @@ constraint plane that resists contour shrinkage.
 
 Set-up and each collapse's re-push work on edge arrays; the greedy loop
 stays sequential and keeps the faces as Python lists, since a collapse
-reads and edits only a handful of them. Row dots and norms use stacked
-``matmul``, which rounds like the 1-D ``@`` (``einsum`` and
-``norm(axis=1)`` do not).
+reads and edits only a handful of them. Row dots and norms use
+:func:`~violinmorph.mesh.row_dot`, which rounds like the 1-D ``@``.
 """
 
 from __future__ import annotations
@@ -20,17 +19,12 @@ import heapq
 import numpy as np
 
 from .errors import ContractError, TopologicalLockError
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, row_dot
 
 __all__ = ["decimate"]
 
 _COND_LIMIT = 1e7
 _BOUNDARY_WEIGHT = 1.0
-
-
-def _dot(a, b):
-    """Row-wise dot products of two stacks of vectors."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _normals(corners):
@@ -46,7 +40,7 @@ def _normals(corners):
 
 def _plane_quadrics(normals, points):
     """Quadrics of the planes through ``points`` with unit ``normals``."""
-    q = np.concatenate([normals, _dot(-normals, points)[:, None]], axis=1)
+    q = np.concatenate([normals, row_dot(-normals, points)[:, None]], axis=1)
     return q[:, :, None] * q[:, None, :]
 
 
@@ -113,7 +107,7 @@ def decimate(mesh, target_faces):
     # vertex quadrics: incident face planes (in face order), then boundary
     # constraints in first-seen edge order; zero-area faces take no part
     n = _normals(verts[mesh.faces])
-    norm = np.sqrt(_dot(n, n))
+    norm = np.sqrt(row_dot(n, n))
     area = norm >= 1e-30
     unit = n[area] / norm[area, None]
     kept = mesh.faces[area]
@@ -126,7 +120,7 @@ def decimate(mesh, target_faces):
     once = np.sort(first[count == 1])
     u, v = ends[once].T
     c = np.cross(unit[once // 3], verts[v] - verts[u])
-    cn = np.sqrt(_dot(c, c))
+    cn = np.sqrt(row_dot(c, c))
     keep = cn >= 1e-30
     c, u, v = c[keep] / cn[keep, None], u[keep], v[keep]
     np.add.at(quadrics, np.column_stack([u, v]).ravel(),
@@ -172,9 +166,9 @@ def decimate(mesh, target_faces):
         points = verts[np.concatenate([tri, tri])]
         points[k:][(tri == u) | (tri == v)] = pos  # before, then after
         normals = _normals(points)
-        length = np.sqrt(_dot(normals, normals))
+        length = np.sqrt(row_dot(normals, normals))
         if ((length[k:] < 1e-30)
-                | ((length[:k] > 1e-30) & (_dot(normals[:k], normals[k:]) <= 0))).any():
+                | ((length[:k] > 1e-30) & (row_dot(normals[:k], normals[k:]) <= 0))).any():
             continue
 
         # contract v into u at the optimal position

@@ -32,7 +32,7 @@ from .mesh import TriangleMesh, VertexMask
 
 __all__ = [
     "load_mesh", "load_surface", "save_mesh", "load_vertex_mask", "save_vertex_mask",
-    "read_index_lines", "save_csv", "save_json",
+    "read_index_lines", "save_index_lines", "save_csv", "save_polylines_csv", "save_json",
 ]
 
 FORMATS = ("ply-ascii", "ply-binary-le", "obj")
@@ -496,8 +496,17 @@ def load_vertex_mask(path, n_vertices):
 
 
 def save_vertex_mask(mask, path):
+    save_index_lines(path, sorted(mask.indices))
+
+
+def save_index_lines(path, indices, comments=None, head=None):
+    """The index file :func:`read_index_lines` reads back: ``head`` as a first,
+    comment-only line, then one index per line, with its `` # <comment>``
+    when ``comments`` gives one per index."""
+    tails = [""] * len(indices) if comments is None else [f" # {c}" for c in comments]
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, sorted(mask.indices), fmt="%d")
+        fh.write("" if head is None else f"# {head}\n")
+        fh.writelines(f"{i}{tail}\n" for i, tail in zip(indices, tails, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +516,16 @@ def save_csv(path, rows, header=None, fmt=FLOAT_FORMAT):
     """Comma-separated rows under an optional header line; ``fmt`` per column or for all."""
     with open(path, "w", newline="\n") as fh:
         np.savetxt(fh, rows, fmt=fmt, delimiter=",", header=header or "", comments="")
+
+
+def save_polylines_csv(polylines, path):
+    """The points of each polyline as x,y,z rows, blank-line separated."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,y,z\n")
+        for i, poly in enumerate(polylines):
+            if i:
+                fh.write("\n")
+            np.savetxt(fh, poly.points, fmt=FLOAT_FORMAT, delimiter=",")
 
 
 def save_json(payload, path):

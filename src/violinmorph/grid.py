@@ -100,19 +100,17 @@ def interpolate_grid(mesh, spacing=1.0, side="upper", origin=None, shape=None):
     ``side="upper"`` and the smallest for ``side="lower"``. Faces seen
     edge-on (vertical) carry no height and are ignored.
 
-    ``origin``/``shape`` override the default lattice (snapped to spacing
-    multiples over the mesh footprint), e.g. to share one lattice between
-    two plates.
+    ``origin`` and ``shape``, given together, override the default
+    lattice (snapped to spacing multiples over the mesh footprint), e.g.
+    to share one lattice between two plates.
     """
     if side not in ("upper", "lower"):
         raise ContractError(f"side must be 'upper' or 'lower', got {side!r}")
-    if origin is None or shape is None:
-        d_origin, d_shape = joint_grid_domain([mesh], spacing)
-        origin = d_origin if origin is None else np.asarray(origin, dtype=np.float64)
-        shape = d_shape if shape is None else tuple(shape)
-    else:
-        origin = np.asarray(origin, dtype=np.float64)
-        shape = tuple(shape)
+    if (origin is None) != (shape is None):
+        raise ContractError("grid origin and shape must be given together or not at all")
+    if origin is None:
+        origin, shape = joint_grid_domain([mesh], spacing)
+    origin, shape = np.asarray(origin, dtype=np.float64), tuple(shape)
     nx, ny = shape
 
     values = np.full(nx * ny, -np.inf if side == "upper" else np.inf)

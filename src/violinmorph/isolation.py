@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ContractError, DisconnectedError, FragmentationError
+from .fileio import load_surface, read_index_lines, save_index_lines, save_mesh
 from .mesh import (TriangleMesh, VertexMask, connected_components, kd_workers,
                    shortest_path)
 from .slicing import extreme_points
@@ -25,7 +26,6 @@ from .slicing import extreme_points
 __all__ = [
     "ClosedContour",
     "PlateMesh",
-    "IsolationParams",
     "map_to_vertices",
     "order_loop",
     "close_contour",
@@ -125,26 +125,6 @@ class PlateMesh:
             self.orig_vertex_ids,
             self.inner_ids,
         )
-
-
-@dataclass(frozen=True)
-class IsolationParams:
-    """Knobs for :func:`isolate_plate`.
-
-    ``section_axis`` is the horizontal axis the cutting planes march
-    along (the long axis after PCA orientation). ``keep_interval`` and
-    ``keep_count`` implement the exception region where more than two
-    extreme points are retained per section (e.g. around a removed neck).
-    ``tie_tol`` > 0 makes extreme-point selection prefer the chosen
-    side's surface when both rims of a body reach equally far out.
-    """
-
-    section_axis: str = "x"
-    spacing: float = 1.0
-    keep_interval: tuple = None
-    keep_count: int = 4
-    exclude: VertexMask = None
-    tie_tol: float = 0.0
 
 
 def map_to_vertices(mesh, points):
@@ -276,13 +256,22 @@ def close_contour(mesh, ordered_anchors):
     return contour
 
 
-def isolate_plate(mesh, side, params=None):
+def isolate_plate(mesh, side, section_axis="x", spacing=1.0, keep_interval=None,
+                  keep_count=4, tie_tol=0.0, exclude=None):
     """Isolate the sound board or back from a roughly delineated mesh.
 
     The mesh must be PCA-oriented (long axis x, thin axis z). ``side``
     selects which surface the apex is sought on: +z for the sound board,
     -z for the back. Returns a :class:`PlateMesh` whose vertices index
     back into the input mesh via ``orig_vertex_ids``.
+
+    The cutting planes march along ``section_axis`` (the long axis after
+    PCA orientation) every ``spacing`` mm. Inside ``keep_interval`` (lo,
+    hi), e.g. around a removed neck, ``keep_count`` extreme points are
+    kept per cut instead of two. ``tie_tol`` > 0 makes the selection
+    prefer the chosen side's surface when both rims of a body reach
+    equally far out. ``exclude`` (a VertexMask, e.g. a sound hole) is
+    removed from the mesh first.
 
     Raises
     ------
@@ -291,26 +280,18 @@ def isolate_plate(mesh, side, params=None):
         component with less than half of the remaining vertices (a failed
         contour), or the apex component is not the largest.
     """
-    params = params or IsolationParams()
     if side not in ("sound_board", "back"):
         raise ContractError(f"side must be 'sound_board' or 'back', got {side!r}")
 
     work = mesh
     work_to_orig = np.arange(mesh.n_vertices)
-    if params.exclude is not None and len(params.exclude):
-        params.exclude.validate(mesh)
-        keep = np.setdiff1d(np.arange(mesh.n_vertices), params.exclude.as_array())
+    if exclude is not None and len(exclude):
+        exclude.validate(mesh)
+        keep = np.setdiff1d(np.arange(mesh.n_vertices), exclude.as_array())
         work, work_to_orig = mesh.submesh(keep)
 
-    seeds = extreme_points(
-        work,
-        axis=params.section_axis,
-        spacing=params.spacing,
-        keep_interval=params.keep_interval,
-        keep_count=params.keep_count,
-        prefer_z="max" if side == "sound_board" else "min",
-        tie_tol=params.tie_tol,
-    )
+    seeds = extreme_points(work, section_axis, spacing, keep_interval, keep_count,
+                           prefer_z="max" if side == "sound_board" else "min", tie_tol=tie_tol)
     anchors = map_to_vertices(work, seeds)
     if len(anchors) < 3:
         raise ContractError("fewer than 3 distinct anchor vertices")
@@ -363,19 +344,13 @@ def save_plate(plate, mesh_path, contour_path, format="ply-binary-le"):
     The contour file is mask-format (one index per line) with the
     provenance recorded as a trailing comment.
     """
-    from .fileio import save_mesh
-
     save_mesh(plate.mesh, mesh_path, format)
-    with open(contour_path, "w", newline="\n") as fh:
-        fh.write(f"# side={plate.side}\n")
-        for idx, src in zip(plate.contour.vertex_indices, plate.contour.source):
-            fh.write(f"{idx} # {src}\n")
+    save_index_lines(contour_path, plate.contour.vertex_indices, plate.contour.source,
+                     head=f"side={plate.side}")
 
 
 def load_plate(mesh_path, contour_path, side=None):
     """Rebuild a PlateMesh from the files written by :func:`save_plate`."""
-    from .fileio import load_surface, read_index_lines
-
     mesh = load_surface(mesh_path)
     indices = []
     sources = []

@@ -192,6 +192,16 @@ class PointCloud:
         return len(self.points)
 
 
+def row_dot(a, b):
+    """Row-wise dot products of two stacks of vectors.
+
+    Stacked ``matmul`` rounds like the 1-D ``@``; ``einsum`` and
+    ``norm(axis=1)`` do not, and would move the last bit of results
+    that must replay.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 # KD-tree queries of fewer points than this run on one thread: below it,
 # starting the worker threads costs more than they save. Measured on a
 # 2-vCPU VM (scipy 1.17) with `register --all-metrics` on elliptical

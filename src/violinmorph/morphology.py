@@ -9,21 +9,21 @@ contour whose trace relative to the contour flags historical re-cutting.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, splev, splprep
 
 from .errors import ContractError, GridMismatchError
-from .fileio import FLOAT_FORMAT, save_csv, save_json
+from .fileio import FLOAT_FORMAT, save_csv, save_json, save_polylines_csv
 from .grid import HeightGrid, save_height_grid
-from .slicing import SectionPlane, cross_sections, export_polylines_csv
+from .mesh import row_dot
+from .slicing import cross_sections
 
 __all__ = [
     "ContourLineSet",
     "AsymmetryField",
     "ChannelTrace",
-    "ChannelParams",
     "contour_lines",
     "asymmetry_field",
     "channel_of_minima",
@@ -55,19 +55,17 @@ class ContourLineSet:
         return len(self.levels)
 
 
-def contour_lines(plate, frame=None, spacing=2.0, max_range=24.0, base=None):
+def contour_lines(plate, spacing=2.0, max_range=24.0, base=None):
     """Horizontal sections of a plate every ``spacing`` mm.
 
-    The plate must sit in the symmetry frame (pass ``frame`` to apply it
-    here). Levels run away from the symmetry plane: upward for the sound
+    The plate must sit in the symmetry frame (``frame.apply_plate``).
+    Levels run away from the symmetry plane: upward for the sound
     board, downward for the back, starting at the lattice level closest
     to the plane (or the explicit ``base``) and covering at most
     ``max_range`` mm.
     """
     if spacing <= 0:
         raise ContractError("level spacing must be positive")
-    if frame is not None:
-        plate = frame.apply_plate(plate)
     mesh = plate.mesh
     z_lo = float(mesh.vertices[:, 2].min())
     z_hi = float(mesh.vertices[:, 2].max())
@@ -87,8 +85,7 @@ def contour_lines(plate, frame=None, spacing=2.0, max_range=24.0, base=None):
 
     kept_levels = []
     kept_polys = []
-    sections = cross_sections(
-        mesh, [SectionPlane.orthogonal_to("z", float(level)) for level in levels])
+    sections = cross_sections(mesh, np.eye(3)[[2] * len(levels)], levels)
     for i, level in enumerate(levels):
         polys = sections.polylines(i)
         if polys:
@@ -176,21 +173,6 @@ def asymmetry_field(sound_board_grid, back_grid, z_bar, bin_width=0.25):
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Channel search knobs.
-
-    ``window_mm`` bounds the inward search from the contour tangent
-    point; stations whose minimum lands at either window boundary count
-    toward the no-channel verdict. ``smoothing_rms_mm`` caps the rms
-    deviation of the smoothed trace from the raw minima.
-    """
-
-    window_mm: float = 15.0
-    stations: int = 400
-    smoothing_rms_mm: float = 0.5
-
-
-@dataclass(frozen=True)
 class ChannelTrace:
     """Raw channel minima and their smoothed spline approximation."""
 
@@ -227,70 +209,73 @@ def _periodic_spline(points):
     return CubicSpline(t, closed, axis=0, bc_type="periodic"), t[-1]
 
 
-def channel_of_minima(plate, frame=None, params=None):
+def _stations(spline, station_t, centroid_xy):
+    """The section planes of the channel stations at spline parameters ``station_t``.
+
+    Returns which stations are kept (those with a nonzero horizontal
+    tangent) and, per kept station, its centre on the contour, the unit
+    normal and offset of its vertical plane perpendicular to the contour,
+    and its horizontal inward direction (towards ``centroid_xy``).
+    """
+    centres = spline(station_t)
+    tau = spline(station_t, 1)[:, :2]
+    norm = np.sqrt(row_dot(tau, tau))
+    kept = norm >= 1e-12
+    centres, tau = centres[kept], tau[kept] / norm[kept, None]
+    inward = np.column_stack([-tau[:, 1], tau[:, 0]])
+    inward[row_dot(inward, centroid_xy - centres[:, :2]) < 0] *= -1.0
+    normals = np.column_stack([tau, np.zeros(len(tau))])
+    return kept, centres, normals, row_dot(tau, centres[:, :2]), inward
+
+
+def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5):
     """Trace the groove of extremal height running near the plate contour.
 
-    At ``params.stations`` equally spaced arc-length stations of the
-    contour spline, a vertical section perpendicular to the contour
-    tangent is cut and searched inward over ``params.window_mm`` for the
-    lowest point (highest for the back). A station is skipped, with a
-    warning, when its section is empty. The trace is declared
-    ``no_channel`` when more than half of the minima sit at the search
-    window's boundary (nothing concave to find).
+    The plate must sit in the symmetry frame (``frame.apply_plate``). At
+    ``stations`` equally spaced arc-length stations of the contour spline,
+    a vertical section perpendicular to the contour tangent is cut and
+    searched inward over ``window_mm`` for the lowest point (highest for
+    the back). A station is skipped, with a warning, when its section is
+    empty. The trace is declared ``no_channel`` when more than half of the
+    minima sit at the search window's boundary (nothing concave to find).
+    ``smoothing_rms_mm`` caps the rms deviation of the smoothed trace from
+    the raw minima.
     """
-    params = params or ChannelParams()
-    if params.window_mm <= 0 or params.stations < 8:
+    if window_mm <= 0 or stations < 8:
         raise ContractError("window must be positive and stations >= 8")
-    if frame is not None:
-        plate = frame.apply_plate(plate)
     mesh = plate.mesh
     spline, total_len = _periodic_spline(plate.contour_points())
     centroid_xy = mesh.vertices[:, :2].mean(axis=0)
     mean_edge = float(mesh.edge_lengths.mean())
-    edge_tol = max(mean_edge, 0.05 * params.window_mm)
+    edge_tol = max(mean_edge, 0.05 * window_mm)
     pick = np.argmin if plate.side == "sound_board" else np.argmax
 
     # equal arc-length stations via dense resampling of the spline
-    dense_t = np.linspace(0.0, total_len, 10 * params.stations + 1)
+    dense_t = np.linspace(0.0, total_len, 10 * stations + 1)
     dense = spline(dense_t)
     seg = np.linalg.norm(np.diff(dense, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     arc_total = float(arc[-1])
-    targets = np.linspace(0.0, arc_total, params.stations, endpoint=False)
-    station_t = np.interp(targets, arc, dense_t)
-
-    stations = []
-    planes = []
-    skipped = 0
-    for s_arc, t in zip(targets, station_t):
-        c = spline(t)
-        deriv = spline(t, 1)
-        tau = deriv[:2]
-        norm = np.linalg.norm(tau)
-        if norm < 1e-12:
-            skipped += 1
-            continue
-        tau = tau / norm
-        inward = np.array([-tau[1], tau[0]])
-        if inward @ (centroid_xy - c[:2]) < 0:
-            inward = -inward
-        stations.append((s_arc, c, inward))
-        planes.append(SectionPlane((tau[0], tau[1], 0.0), float(tau @ c[:2])))
+    targets = np.linspace(0.0, arc_total, stations, endpoint=False)
+    kept, centres, normals, offsets, inward = _stations(
+        spline, np.interp(targets, arc, dense_t), centroid_xy)
+    targets = targets[kept]
+    skipped = len(kept) - len(targets)
+    sections = cross_sections(mesh, normals, offsets)
 
     minima = []
     arcs = []
-    offsets = []
+    depths = []
     tangents_pts = []
     at_edge = 0
-    sections = cross_sections(mesh, planes)
-    for i, (s_arc, c, inward) in enumerate(stations):
+    for i, (s_arc, c, inward_i) in enumerate(zip(targets, centres, inward)):
         pts = sections.plane_points(i)
         if not len(pts):
             skipped += 1
             warnings.warn(f"empty channel section at arc length {s_arc:.1f}", stacklevel=2)
             continue
-        s = (pts[:, :2] - c[:2]) @ inward
-        window = (s >= 0.0) & (s <= params.window_mm)
+        s = (pts[:, :2] - c[:2]) @ inward_i
+        window = (s >= 0.0) & (s <= window_mm)
         if not window.any():
             skipped += 1
             warnings.warn(
@@ -302,19 +287,19 @@ def channel_of_minima(plate, frame=None, params=None):
         best = int(pick(cand[:, 2]))
         minima.append(cand[best])
         arcs.append(s_arc)
-        offsets.append(float(cand_s[best]))
+        depths.append(float(cand_s[best]))
         tangents_pts.append(c)
-        if cand_s[best] < edge_tol or cand_s[best] > params.window_mm - edge_tol:
+        if cand_s[best] < edge_tol or cand_s[best] > window_mm - edge_tol:
             at_edge += 1
 
     if len(minima) < 4:
         raise ContractError(
-            f"only {len(minima)} channel stations detected out of {params.stations}"
+            f"only {len(minima)} channel stations detected out of {stations}"
         )
     minima = np.asarray(minima)
     no_channel = at_edge * 2 > len(minima)
 
-    smooth_cap = len(minima) * params.smoothing_rms_mm ** 2
+    smooth_cap = len(minima) * smoothing_rms_mm ** 2
     closed = np.vstack([minima, minima[:1]])
     u = np.asarray(arcs + [arc_total])
     u = (u - u[0]) / (u[-1] - u[0])
@@ -324,11 +309,11 @@ def channel_of_minima(plate, frame=None, params=None):
     return ChannelTrace(
         points=minima,
         arc_lengths=np.asarray(arcs),
-        inward_offsets=np.asarray(offsets),
+        inward_offsets=np.asarray(depths),
         smoothed_points=smoothed,
         contour_points=np.asarray(tangents_pts),
         no_channel=bool(no_channel),
-        stations_total=params.stations,
+        stations_total=stations,
         stations_skipped=skipped,
     )
 
@@ -344,7 +329,7 @@ def save_contour_lines(lineset, out_dir, stem):
     for level, polys in zip(lineset.levels, lineset.polylines):
         fname = f"{stem}_level_{level:+.3f}.csv".replace("+", "p").replace("-", "m")
         paths.append(out_dir / fname)
-        export_polylines_csv(polys, paths[-1])
+        save_polylines_csv(polys, paths[-1])
         index["levels"].append({"level_mm": level, "file": fname})
     paths.append(out_dir / f"{stem}_index.json")
     save_json(index, paths[-1])

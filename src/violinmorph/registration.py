@@ -44,6 +44,7 @@ __all__ = [
     "pca_initial_transform",
     "register",
     "register_icp",
+    "evaluate_metrics",
 ]
 
 METRICS = ("point_to_point", "point_to_point_sq", "point_to_plane_sq")
@@ -387,7 +388,7 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
     params[active] = res.x * steps[active]
     final = SimilarityTransform(params[0:3], params[3:6], params[6])
     report_normals = normals if normals is not None else estimate_normals(s, k=normal_k)
-    metrics, distances = _metrics_and_distances(s, p, final, report_normals)
+    metrics, distances = evaluate_metrics(s, p, final, report_normals)
     return RegistrationReport(
         transform=final,
         metrics=metrics,
@@ -401,13 +402,11 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
 
 
 def evaluate_metrics(s, p, transform, normals):
-    """D, sqrt(D2), sqrt(D2_plane) in mm for a given transform."""
-    return _metrics_and_distances(s, p, transform, normals)[0]
+    """D, sqrt(D2), sqrt(D2_plane) in mm for a given transform.
 
-
-def _metrics_and_distances(s, p, transform, normals):
-    """``evaluate_metrics``'s dict plus the per-reference-point NN distances
-    it was computed from (the registration routes keep them for assess)."""
+    Returns the metrics dict and the per-reference-point NN distances it
+    was computed from (the registration routes keep them for assess).
+    """
     if len(normals) != len(s):
         raise ContractError("normals must cover every reference point")
     moved = apply_transform(transform, p)
@@ -482,7 +481,7 @@ def register_icp(s, p, scale=1.0, sample_size=10_000, seed=0, normals=None,
     final = SimilarityTransform.from_rotation_matrix(
         rot, trans / float(scale), float(scale)
     )
-    metrics, distances = _metrics_and_distances(s, p, final, normals)
+    metrics, distances = evaluate_metrics(s, p, final, normals)
     return RegistrationReport(
         transform=final,
         metrics=metrics,

@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import ContractError
-from .fileio import FLOAT_FORMAT
+from .mesh import row_dot
 
 __all__ = ["SectionPlane", "SectionPolyline", "Sections", "cross_section", "cross_sections",
            "extreme_points"]
@@ -135,39 +135,48 @@ def cross_section(mesh, plane):
         Deterministic order: open curves first, then closed ones, each by
         its first source edge. Empty when the plane misses the mesh.
     """
-    return cross_sections(mesh, [plane]).polylines(0)
+    return cross_sections(mesh, plane.normal[None], [plane.offset]).polylines(0)
 
 
-def cross_sections(mesh, planes):
-    """:func:`cross_section` of ``mesh`` with every plane of ``planes``.
+def cross_sections(mesh, normals, offsets):
+    """:func:`cross_section` of ``mesh`` with every plane ``normals[i] . q = offsets[i]``.
 
-    Planes are cut in chunks of at most ``_CHUNK_ELEMENTS`` plane x
-    max(vertices, faces) entries, each with one set of array operations.
+    ``normals`` is a (k, 3) array of unit rows, ``offsets`` holds one
+    offset per row. Planes are cut in chunks of at most
+    ``_CHUNK_ELEMENTS`` plane x max(vertices, faces) entries, each with
+    one set of array operations.
 
     Returns
     -------
     Sections
     """
-    planes = list(planes)
+    normals = np.asarray(normals, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.float64)
+    if normals.shape != (len(offsets), 3) or offsets.ndim != 1:
+        raise ContractError(f"plane normals of shape {normals.shape} need a (k, 3) array "
+                            f"and one offset each, got {offsets.shape}")
+    if not (np.abs(np.sqrt(row_dot(normals, normals)) - 1.0) <= 1e-12).all():
+        raise ContractError("plane normals must be unit length within 1e-12")
     step = max(1, _CHUNK_ELEMENTS // max(mesh.n_vertices, mesh.n_faces, 1))
-    blocks = tuple(_cut_chunk(mesh.vertices, mesh.faces, planes[i:i + step])
-                   for i in range(0, len(planes), step))
-    return Sections(blocks, step, len(planes))
+    blocks = tuple(_cut_chunk(mesh.vertices, mesh.faces, normals[i:i + step],
+                              offsets[i:i + step])
+                   for i in range(0, len(normals), step))
+    return Sections(blocks, step, len(normals))
 
 
-def _cut_chunk(verts, f, planes):
+def _cut_chunk(verts, f, normals, offsets):
     """One :class:`Sections` block: the cuts of one chunk of planes."""
     nv = len(verts)
-    d = np.empty((len(planes), nv))
-    for i, plane in enumerate(planes):
-        d[i] = verts @ plane.normal - plane.offset
+    d = np.empty((len(normals), nv))
+    for i, (normal, offset) in enumerate(zip(normals, offsets)):
+        d[i] = verts @ normal - offset
     near = np.abs(d) < _ON_PLANE
     side = (d > 0.0) | near
     fs = side[:, f]
     pf, cf = np.nonzero((fs[:, :, 0] != fs[:, :, 1]) | (fs[:, :, 1] != fs[:, :, 2]))
     if cf.size == 0:
         return (np.empty((0, 3)), np.empty((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
-                np.empty(0, dtype=bool), np.zeros(len(planes) + 1, dtype=np.int64))
+                np.empty(0, dtype=bool), np.zeros(len(normals) + 1, dtype=np.int64))
 
     # Each crossing face has exactly two edges whose endpoints straddle the
     # plane. Nodes are these edges, keyed (plane * nv + lo) * nv + hi so one
@@ -182,8 +191,6 @@ def _cut_chunk(verts, f, planes):
     keys, edge_of = np.unique((pf[rows] * nv + lo) * nv + hi, return_inverse=True)
     plane, rest = np.divmod(keys, nv * nv)
     lo, hi = np.divmod(rest, nv)
-
-    normals = np.array([p.normal for p in planes])
 
     def endpoint(idx):
         # the nudge of on-plane vertices, applied to the gathered endpoints
@@ -203,7 +210,7 @@ def _cut_chunk(verts, f, planes):
     keep, sizes = _merge_near_points(points[nodes], bounds, closed)
     nodes = nodes[keep]
     whole = sizes >= 2
-    counts = np.bincount(chain_key[bounds[:-1]][whole] // (2 * len(keys)), minlength=len(planes))
+    counts = np.bincount(chain_key[bounds[:-1]][whole] // (2 * len(keys)), minlength=len(normals))
     return (points[nodes], np.stack([lo, hi], axis=1)[nodes],
             np.concatenate([[0], np.cumsum(sizes[whole])]), closed[whole],
             np.concatenate([[0], np.cumsum(counts)]))
@@ -385,7 +392,7 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
 
     result = []
     offsets = section_offsets(lo, hi, spacing)
-    sections = cross_sections(mesh, [SectionPlane.orthogonal_to(axis, off) for off in offsets])
+    sections = cross_sections(mesh, np.eye(3)[[ax] * len(offsets)], offsets)
     for i, off in enumerate(offsets):
         pts = sections.plane_points(i)
         if not len(pts):
@@ -404,13 +411,3 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
     if not result:
         raise ContractError("no section produced any points")
     return np.concatenate(result, axis=0)
-
-
-def export_polylines_csv(polylines, path):
-    """Write polylines as x,y,z CSV rows, blank-line separated."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,z\n")
-        for i, poly in enumerate(polylines):
-            if i:
-                fh.write("\n")
-            np.savetxt(fh, poly.points, fmt=FLOAT_FORMAT, delimiter=",")

@@ -2,7 +2,8 @@
 
 These are the original per-face / per-edge loop versions of
 ``grid.interpolate_grid``, ``slicing.cross_section``,
-``decimate.decimate`` and the ascii and binary PLY body readers, the per-row
+``decimate.decimate``, the per-station loop that placed the channel's
+section planes, and the ascii and binary PLY body readers, the per-row
 f-string writers of every text artifact (CSV, JSON, PLY, OBJ), plus the earlier
 formulations of the mesh's edge list, the shortest path (undirected,
 then unbounded), the nearest-vertex snap, the contour checks and the
@@ -33,7 +34,7 @@ from violinmorph.grid import HeightGrid, joint_grid_domain
 from violinmorph.mesh import TriangleMesh
 from violinmorph import registration, synthetic
 from violinmorph.registration import SimilarityTransform
-from violinmorph.slicing import _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPolyline
+from violinmorph.slicing import _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPlane, SectionPolyline
 
 
 def interpolate_grid_loop(mesh, spacing=1.0, side="upper", origin=None, shape=None):
@@ -251,6 +252,31 @@ def cross_section_loop(mesh, plane):
         chain, closed = walk(key)
         polylines.append(_make_polyline_loop(chain, closed, edge_points))
     return [p for p in polylines if len(p) >= 2]
+
+
+def channel_stations_loop(spline, station_t, centroid_xy):
+    """``morphology._stations`` one station at a time, with two scalar spline
+    calls and one :class:`SectionPlane` per station."""
+    kept, centres, normals, offsets, inward = [], [], [], [], []
+    for t in station_t:
+        c = spline(t)
+        deriv = spline(t, 1)
+        tau = deriv[:2]
+        norm = np.linalg.norm(tau)
+        kept.append(not norm < 1e-12)
+        if not kept[-1]:
+            continue
+        tau = tau / norm
+        direction = np.array([-tau[1], tau[0]])
+        if direction @ (centroid_xy - c[:2]) < 0:
+            direction = -direction
+        plane = SectionPlane((tau[0], tau[1], 0.0), float(tau @ c[:2]))
+        centres.append(c)
+        normals.append(plane.normal)
+        offsets.append(plane.offset)
+        inward.append(direction)
+    return (np.array(kept), np.array(centres).reshape(-1, 3), np.array(normals).reshape(-1, 3),
+            np.array(offsets), np.array(inward).reshape(-1, 2))
 
 
 def _make_polyline_loop(chain, closed, edge_points):
@@ -575,6 +601,14 @@ def save_vertex_mask(mask, path):
     with open(path, "w", newline="\n") as fh:
         for i in sorted(mask.indices):
             fh.write(f"{i}\n")
+
+
+def save_contour_file(plate, path):
+    """``isolation.save_plate``'s contour index file."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# side={plate.side}\n")
+        for idx, src in zip(plate.contour.vertex_indices, plate.contour.source):
+            fh.write(f"{idx} # {src}\n")
 
 
 def save_contour_csv(points, path):

@@ -17,7 +17,7 @@ from violinmorph.fileio import save_mesh
 from violinmorph.grid import HeightGrid, grid_difference_stats, interpolate_grid
 from violinmorph.isolation import isolate_plate, order_loop
 from violinmorph.mesh import PointCloud, TriangleMesh
-from violinmorph.morphology import ChannelParams, asymmetry_field, channel_of_minima
+from violinmorph.morphology import asymmetry_field, channel_of_minima
 from violinmorph.registration import (
     NormalField,
     SimilarityTransform,
@@ -246,7 +246,7 @@ def test_c10_channel_detection():
                          groove_radius=40.0, groove_depth=1.0, groove_width=1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trace = channel_of_minima(grooved, params=ChannelParams(stations=400))
+        trace = channel_of_minima(grooved, stations=400)
     mean_edge = float(grooved.mesh.edge_lengths.mean())
     radii = np.linalg.norm(trace.points[:, :2], axis=1)
     frac = float(np.mean(np.abs(radii - 40.0) <= mean_edge))
@@ -255,7 +255,7 @@ def test_c10_channel_detection():
     plain = disc_plate(radius=50.0, height=12.0, rings=60, sectors=200)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        flat_trace = channel_of_minima(plain, params=ChannelParams(stations=200))
+        flat_trace = channel_of_minima(plain, stations=200)
     ok = frac >= 0.95 and detected >= 0.95 and not trace.no_channel \
         and flat_trace.no_channel
     report(10, "channel detection", ok,
@@ -273,8 +273,8 @@ def test_c11_reduction_signature(reduction_fixture):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        t_un = channel_of_minima(unreduced, params=ChannelParams(stations=240))
-        t_red = channel_of_minima(reduced, params=ChannelParams(stations=240))
+        t_un = channel_of_minima(unreduced, stations=240)
+        t_red = channel_of_minima(reduced, stations=240)
     joint_red = np.abs(t_red.contour_points[:, 1]) < 5.0
     joint_un = np.abs(t_un.contour_points[:, 1]) < 5.0
     red_joint = float(t_red.inward_offsets[joint_red].mean())

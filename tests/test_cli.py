@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from unittest import mock
 
@@ -257,21 +256,21 @@ class TestIsolateCommand:
             splits.append(real_split(*args, **kwargs))
             return splits[-1]
 
-        def isolate(rough, side, params):
-            calls.append((rough, side, params))
-            return real_isolate(rough, side, params)
+        def isolate(rough, side, **knobs):
+            calls.append((rough, side, knobs))
+            return real_isolate(rough, side, **knobs)
 
         monkeypatch.setattr(cli, "rough_split", split)
         monkeypatch.setattr(cli, "isolate_plate", isolate)
         out = tmp_path / "iso"
         assert run("isolate", "--body", str(body_file), "--sound-hole-mask", str(mask),
                    "--out", str(out)) == 0
-        assert sorted(len(params.exclude) for _, _, params in calls) == [0, len(hole)]
-        for (_, rough_ids), (rough, side, params) in zip(splits, calls):
+        assert sorted(len(knobs["exclude"]) for _, _, knobs in calls) == [0, len(hole)]
+        for (_, rough_ids), (rough, side, knobs) in zip(splits, calls):
             inv = {int(v): i for i, v in enumerate(rough_ids)}  # the remap as a dict
             exclude = VertexMask([inv[i] for i in hole if i in inv])
-            assert params.exclude == exclude
-            plate = real_isolate(rough, side, dataclasses.replace(params, exclude=exclude))
+            assert knobs["exclude"] == exclude
+            plate = real_isolate(rough, side, **dict(knobs, exclude=exclude))
             assert not np.isin(rough_ids[plate.orig_vertex_ids], hole).any()
             save_plate(plate, tmp_path / "dict.ply", tmp_path / "dict_contour.txt")
             assert (out / f"{side}.ply").read_bytes() == (tmp_path / "dict.ply").read_bytes()

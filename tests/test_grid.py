@@ -11,7 +11,7 @@ from violinmorph.grid import (
     save_height_grid,
 )
 from violinmorph.mesh import TriangleMesh
-from violinmorph.synthetic import hemisphere_plate
+from violinmorph.synthetic import disc_plate, hemisphere_plate
 
 from conftest import grid_mesh
 
@@ -56,6 +56,19 @@ class TestInterpolateGrid:
                              origin=(0.0, 0.0), shape=(6, 6))
         assert not g.valid[5, 5]
         assert g.valid[1, 1]
+
+    def test_origin_and_shape_only_together(self):
+        # a lone origin used to get the shape of the footprint-snapped
+        # origin: a (100, 100) grid holding 6,928 of the 7,856 valid nodes
+        mesh = disc_plate(radius=50.0, rings=30, sectors=120).mesh
+        mesh = mesh.transformed(translation=(0.4, 0.4, 0.0))
+        with pytest.raises(ContractError, match="together"):
+            interpolate_grid(mesh, 1.0, "upper", origin=(-60.0, -60.0))
+        with pytest.raises(ContractError, match="together"):
+            interpolate_grid(mesh, 1.0, "upper", shape=(121, 121))
+        covering = interpolate_grid(mesh, 1.0, "upper", origin=(-60.0, -60.0), shape=(121, 121))
+        default = interpolate_grid(mesh, 1.0, "upper")
+        assert covering.valid.sum() == default.valid.sum() == 7856
 
     def test_upper_lower_pick_extremal_sheet(self):
         # two stacked horizontal sheets

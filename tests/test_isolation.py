@@ -6,7 +6,6 @@ import pytest
 from violinmorph.errors import ContractError, DisconnectedError, FragmentationError
 from violinmorph.isolation import (
     ClosedContour,
-    IsolationParams,
     close_contour,
     isolate_plate,
     load_plate,
@@ -266,8 +265,7 @@ class TestIsolatePlate:
 
     def test_pure_plate_loses_only_boundary_ring(self):
         plate = disc_plate(rings=25, sectors=80)
-        again = isolate_plate(plate.mesh, "sound_board",
-                              IsolationParams(spacing=2.0))
+        again = isolate_plate(plate.mesh, "sound_board", spacing=2.0)
         # every non-contour vertex of the input plate is retained
         contour_orig = {int(again.orig_vertex_ids[i])
                         for i in again.contour.vertex_indices}

@@ -1,19 +1,23 @@
 """The batched grid, section and decimation kernels, the synthetic builders and the
 component grouping against their loop oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from violinmorph import grid, slicing, synthetic
+from violinmorph import grid, morphology, slicing, synthetic
 from violinmorph.decimate import _normals, _targets, decimate
 from violinmorph.errors import DisconnectedError, TopologicalLockError
 from violinmorph.grid import interpolate_grid, joint_grid_domain
-from violinmorph.isolation import rough_split
+from violinmorph.isolation import isolate_plate, rough_split
 from violinmorph.mesh import TriangleMesh, VertexMask, connected_components, shortest_path
+from violinmorph.morphology import channel_of_minima
+from violinmorph.orientation import orient_to_frame, principal_frame
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import SectionPlane, cross_section, cross_sections
-from violinmorph.symmetry import _rotation_to_vertical
+from violinmorph.symmetry import _rotation_to_vertical, build_symmetry_frame
 from violinmorph.synthetic import (
     disc_plate, hemisphere_plate, icosphere, instrument_body, mirror_pair, reduced_pair,
     skirted_plate,
@@ -22,6 +26,7 @@ from violinmorph.synthetic import (
 from conftest import grid_mesh
 from oracles import (
     _optimal_position,
+    channel_stations_loop,
     connected_components_loop,
     cross_section_loop,
     decimate_loop,
@@ -125,6 +130,12 @@ class TestGridOracle:
                              interpolate_grid_loop(mesh, spacing, "upper"))
 
 
+def _batch(planes):
+    """``cross_sections``' arrays of a list of planes: (k, 3) normals, k offsets."""
+    return (np.array([p.normal for p in planes]).reshape(-1, 3),
+            np.array([p.offset for p in planes]))
+
+
 def _planes_through_vertices(mesh, rng, count):
     planes = []
     for vi in rng.choice(mesh.n_vertices, count, replace=False):
@@ -223,7 +234,7 @@ class TestBatchedSectionsOracle:
         return body_plates[0]
 
     def check(self, mesh, planes):
-        sections = cross_sections(mesh, planes)
+        sections = cross_sections(mesh, *_batch(planes))
         assert len(sections) == len(planes)
         for i, plane in enumerate(planes):
             old = cross_section_loop(mesh, plane)
@@ -241,7 +252,7 @@ class TestBatchedSectionsOracle:
         sections = self.check(body, [planes[0]] + planes + [planes[-2]])
         assert sum(not sections.polylines(i) for i in range(len(sections))) == 8
         assert len(self.check(body, planes[2::4])) == 3          # every plane misses
-        assert len(cross_sections(body, [])) == 0
+        assert len(cross_sections(body, *_batch([]))) == 0
         with pytest.raises(IndexError):
             sections.plane_points(len(sections))
 
@@ -321,6 +332,42 @@ class TestBatchedSectionsOracle:
         rng = np.random.default_rng(24)
         for mesh in body_plates[1]:
             self.check(mesh, _random_vertical_planes(mesh, rng, 60))
+
+
+class TestChannelStationsOracle:
+    """The channel's stations as arrays against the per-station loop, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def plates(self):
+        # body A of the pipeline benchmark, isolated and framed as ``pipeline`` does
+        body, _ = instrument_body(rings=15, sectors=60, rib_rings=4)
+        body = orient_to_frame(body, principal_frame(body.point_cloud()))
+        a = [isolate_plate(rough_split(body, side)[0], side, tie_tol=1.0)
+             for side in ("sound_board", "back")]
+        frame = build_symmetry_frame(*a)
+        return ([frame.apply_plate(p) for p in a] + list(mirror_pair(rings=20, sectors=90)[:2])
+                + [disc_plate(radius=60.0, minor=42.0, height=12.0, rings=20, sectors=90)])
+
+    @pytest.mark.parametrize("stations", [8, 37, 400, 1000])
+    def test_array_stations_match_loop(self, plates, stations, monkeypatch):
+        calls, real = [], morphology._stations
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(morphology, "_stations", spy)
+        for plate in plates:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                channel_of_minima(plate, stations=stations)
+        assert len(calls) == len(plates)
+        for args, new in calls:
+            old = channel_stations_loop(*args)
+            assert old[0].all() and len(old[1]) == stations
+            for a, b in zip(new, old, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 class TestEdgesAndPathsOracle:

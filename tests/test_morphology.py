@@ -6,7 +6,6 @@ import pytest
 from violinmorph.errors import ContractError, GridMismatchError
 from violinmorph.grid import HeightGrid
 from violinmorph.morphology import (
-    ChannelParams,
     asymmetry_field,
     channel_of_minima,
     contour_lines,
@@ -26,10 +25,10 @@ def grooveless():
     return disc_plate(radius=50.0, height=12.0, rings=60, sectors=200)
 
 
-def quiet_channel(plate, frame=None, **kw):
+def quiet_channel(plate, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return channel_of_minima(plate, frame, ChannelParams(**kw))
+        return channel_of_minima(plate, **kw)
 
 
 class TestContourLines:

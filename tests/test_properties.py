@@ -135,7 +135,8 @@ def test_batched_sections_match_loop_oracle(rings, sectors, seed, specs, budget)
     saved = slicing._CHUNK_ELEMENTS
     slicing._CHUNK_ELEMENTS = budget
     try:
-        sections = cross_sections(mesh, planes)
+        sections = cross_sections(mesh, np.array([p.normal for p in planes]).reshape(-1, 3),
+                                  [p.offset for p in planes])
     finally:
         slicing._CHUNK_ELEMENTS = saved
     assert len(sections) == len(planes)

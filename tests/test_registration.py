@@ -272,7 +272,8 @@ class TestRegister:
         normals = estimate_normals(reference_plate, k=10)
         report = register(reference_plate, moving, normals=normals,
                           init=pca_initial_transform(reference_plate, moving))
-        again = evaluate_metrics(reference_plate, moving, report.transform, normals)
+        again, distances = evaluate_metrics(reference_plate, moving, report.transform, normals)
+        assert distances.tobytes() == report.distances.tobytes()
         for key, value in report.metrics.items():
             assert again[key] == pytest.approx(value, abs=1e-9)
         # one shared query gives the same bits as the three separate metrics

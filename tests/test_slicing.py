@@ -6,6 +6,7 @@ from violinmorph.mesh import TriangleMesh
 from violinmorph.slicing import (
     SectionPlane,
     cross_section,
+    cross_sections,
     extreme_points,
     section_offsets,
 )
@@ -22,6 +23,25 @@ class TestSectionPlane:
     def test_zero_normal_rejected(self):
         with pytest.raises(ContractError):
             SectionPlane((0, 0, 0), 0.0)
+
+
+class TestCrossSectionsArguments:
+    @pytest.mark.parametrize("normals, offsets, message", [
+        ([[0, 0, 1.0], [0, 0, 1.0 + 1e-9]], [0.5, 0.5], "unit length"),
+        ([[0, 0, 1.0], [0, 0, 0.0]], [0.5, 0.5], "unit length"),
+        ([[0, 0, 1.0], [np.nan, 0, 0]], [0.5, 0.5], "unit length"),
+        ([[0, 0, 1.0], [1.0, 0, 0]], [0.5], "one offset each"),
+        ([[0, 0, 1.0]], [0.5, 0.7], "one offset each"),
+        ([0, 0, 1.0], [0.5], "one offset each"),
+    ])
+    def test_bad_batch_rejected(self, cube, normals, offsets, message):
+        with pytest.raises(ContractError, match=message):
+            cross_sections(cube, normals, offsets)
+
+    def test_rows_unit_within_tolerance_accepted(self, cube):
+        tilted = np.array([0.6, 0.0, 0.8]) * (1.0 + 5e-13)
+        sections = cross_sections(cube, [[0, 0, 1.0], tilted], [0.5, 0.7])
+        assert len(sections) == 2 and len(sections.polylines(0)) == 1
 
 
 class TestCrossSection:

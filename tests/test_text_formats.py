@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from violinmorph.assessment import save_heatmap_csv
-from violinmorph.fileio import save_csv, save_json, save_mesh, save_vertex_mask
+from violinmorph.fileio import (
+    read_index_lines, save_csv, save_index_lines, save_json, save_mesh, save_polylines_csv,
+    save_vertex_mask,
+)
 from violinmorph.grid import HeightGrid
+from violinmorph.isolation import save_plate
 from violinmorph.mesh import TriangleMesh, VertexMask
 from violinmorph.morphology import AsymmetryField, save_asymmetry, save_channel, save_contour_lines
-from violinmorph.slicing import export_polylines_csv
+from violinmorph.synthetic import disc_plate
 
 import oracles
 
@@ -71,7 +75,7 @@ def test_polylines_csv(tmp_path, sizes):
     """No polyline, an empty one, one, and several (blank-line separated)."""
     polys = [SimpleNamespace(points=_values(n * 3, seed=i).reshape(n, 3))
              for i, n in enumerate(sizes)]
-    export_polylines_csv(polys, tmp_path / "new.csv")
+    save_polylines_csv(polys, tmp_path / "new.csv")
     oracles.export_polylines_csv(polys, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -131,4 +135,25 @@ def test_mesh_files(tmp_path, fmt, n_faces):
 def test_vertex_mask(tmp_path, indices):
     save_vertex_mask(VertexMask(indices), tmp_path / "new.txt")
     oracles.save_vertex_mask(VertexMask(indices), tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 2], [17, 3, 2**40, 5, 3], list(range(500))])
+def test_contour_file(tmp_path, indices):
+    sources = [("nearest-neighbour", "inserted-intermediate", "")[i % 3] for i in indices]
+    plate = SimpleNamespace(side="back", contour=SimpleNamespace(vertex_indices=tuple(indices),
+                                                                 source=tuple(sources)))
+    save_index_lines(tmp_path / "new.txt", indices, sources, head=f"side={plate.side}")
+    oracles.save_contour_file(plate, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+    # the reader reads back what the writer wrote
+    lines = list(read_index_lines(tmp_path / "new.txt", "contour", 2**41))
+    assert lines[0][1:] == (None, "side=back")
+    assert [line[1:] for line in lines[1:]] == list(zip(indices, sources))
+
+
+def test_save_plate_writes_the_contour_file(tmp_path):
+    plate = disc_plate(radius=20.0, rings=6, sectors=24)
+    save_plate(plate, tmp_path / "plate.ply", tmp_path / "new.txt")
+    oracles.save_contour_file(plate, tmp_path / "old.txt")
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
