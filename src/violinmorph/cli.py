@@ -5,16 +5,19 @@ override defaults), writes its artifacts into the output directory, and
 records a manifest with the config hash and content hashes of every
 artifact, so a rerun can be checked for byte-identical replay. Each
 command loads its input files and calls its stage; ``pipeline`` calls the
-same stages on results held in memory. Exit codes: 0 success (including
-diagnostic non-convergence), 2 input error, 3 contract violation, 4
-internal error.
+same stages on results held in memory, with body A's features computed in
+a forked child while a second body is registered. Exit codes: 0 success
+(including diagnostic non-convergence), 2 input error, 3 contract
+violation, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -425,18 +428,89 @@ def _second_acquisition(run, cfg, sb):
     assess_stage(Run("assess", cfg), cfg, sb.mesh, None, report.distances)
 
 
-def cmd_pipeline(cfg):
-    """Every stage on the plates in memory, with one frame per configuration."""
-    run = Run("pipeline", cfg)
-    plates = isolate_stage(Run("isolate", cfg), cfg, _require(cfg, "body", "--body"),
-                           cfg["inputs"]["scale"])
-    if cfg["inputs"]["body_b"] is not None:
-        _second_acquisition(run, cfg, plates[0])
+def _features(cfg, plates):
+    """Symmetry, contour lines, asymmetry and channel of one body's plates."""
     frame = symmetry_stage(Run("symmetry", cfg), cfg, *plates)
     framed = tuple(frame.apply_plate(plate) for plate in plates)
     contours_stage(Run("contours", cfg), cfg, framed)
     asymmetry_stage(Run("asymmetry", cfg), frame)
     channel_stage(Run("channel", cfg), cfg, framed)
+
+
+def _status(exc):
+    """(exit code, stderr line) that ``main`` reports for ``exc``."""
+    if isinstance(exc, InputError):
+        return 2, f"error: {exc}"
+    if isinstance(exc, MorphometryError):
+        return 3, f"error: {exc}"
+    return 4, f"internal error: {exc}"
+
+
+def _beside(work, other=None):
+    """Run ``other()`` (if given) and ``work()``; returns ``work``'s (exit code, message).
+
+    Where ``os.fork`` exists, ``work`` runs in a forked child while this
+    process runs ``other``, and the outcome is the one of running ``other``
+    first: an exception of ``other`` propagates once the child is reaped;
+    otherwise a failure of ``work`` comes back as the ``_status`` that
+    ``main`` would give it, and success as (0, ""). The child sends only
+    that pair through a pipe, never an exception object, and always leaves
+    through ``os._exit``. Inline, an exception of ``work`` propagates.
+    """
+    if other is None or not hasattr(os, "fork"):
+        if other is not None:
+            other()
+        work()
+        return 0, ""
+    sys.stdout.flush()  # else the child would print the buffered text again
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 4, "internal error: the feature worker stopped without a result"
+        try:
+            os.close(read_fd)
+            work()
+            status = 0, ""
+        except Exception as exc:
+            status = _status(exc)
+        finally:  # never return into the caller, never run its atexit handlers
+            try:
+                with os.fdopen(write_fd, "wb") as fh:
+                    fh.write(json.dumps(status).encode())
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(status[0])
+    os.close(write_fd)
+    try:
+        other()
+    finally:
+        with os.fdopen(read_fd, "rb") as fh:
+            sent = fh.read()
+        _, wait_status = os.waitpid(pid, 0)
+    if not sent:
+        return 4, (f"internal error: the feature worker ended without a report "
+                   f"(exit code {os.waitstatus_to_exitcode(wait_status)})")
+    return tuple(json.loads(sent))
+
+
+def cmd_pipeline(cfg):
+    """Every stage on the plates in memory, with one frame per configuration.
+
+    With a second body, its isolation, registration and assessment run in
+    this process while a forked child computes A's features.
+    """
+    run = Run("pipeline", cfg)
+    plates = isolate_stage(Run("isolate", cfg), cfg, _require(cfg, "body", "--body"),
+                           cfg["inputs"]["scale"])
+    second = None
+    if cfg["inputs"]["body_b"] is not None:
+        second = functools.partial(_second_acquisition, run, cfg, plates[0])
+    code, message = _beside(functools.partial(_features, cfg, plates), second)
+    if code:
+        print(message, file=sys.stderr)
+        return code
     run.finish()
     return 0
 
@@ -520,15 +594,10 @@ def main(argv=None):
             set_override(cfg, "register.allow_scale", False)
         validate_config(cfg)
         return _COMMANDS[args.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MorphometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        code, message = _status(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

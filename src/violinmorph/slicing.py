@@ -29,21 +29,26 @@ _CHUNK_ELEMENTS = 2 ** 16   # planes x max(vertices, faces) cut in one batch
 
 @dataclass(frozen=True)
 class SectionPlane:
-    """Plane {q : normal . q = offset} with a unit normal."""
+    """Plane {q : normal . q = offset}, stored with a unit normal.
+
+    A normal that is not unit length is divided by its norm, and so is the
+    offset: ``SectionPlane((0, 0, 2.0), 1.0)`` is the plane z = 0.5.
+    """
 
     normal: np.ndarray
     offset: float
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=np.float64).reshape(3)
+        offset = float(self.offset)
         norm = np.linalg.norm(n)
         if abs(norm - 1.0) > 1e-12:
             if norm == 0:
                 raise ContractError("plane normal is zero")
-            n = n / norm
+            n, offset = n / norm, offset / norm
         n.flags.writeable = False
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def orthogonal_to(cls, axis, value):

@@ -1,4 +1,5 @@
 import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from violinmorph import cli, fileio
 from violinmorph.cli import main
 from violinmorph.config import config_hash, load_config, set_override
-from violinmorph.errors import InputError
+from violinmorph.errors import ContractError, InputError
 from violinmorph.fileio import load_mesh, save_mesh, save_vertex_mask
 from violinmorph.isolation import load_plate, save_plate
 from violinmorph.mesh import VertexMask, connected_components
@@ -509,20 +510,29 @@ def counted_pipeline(body_file, body_b_file, tmp_path_factory):
 
     Every violinmorph module that binds one of these names gets a counting
     wrapper, so a call is counted whichever module it goes through. KD-tree
-    builds in registration and assessment are counted as ``kdtree``.
+    builds in registration and assessment are counted as ``kdtree``. The
+    features run in a forked worker, so each call appends its name as one
+    line to a count file opened with ``O_APPEND``, read after the run.
     """
     import sys
+    from collections import Counter
 
     from violinmorph import registration
 
-    counts = dict.fromkeys(COUNTED, 0)
-    counts["kdtree"] = 0
-    out = tmp_path_factory.mktemp("pipeline") / "out"
+    root = tmp_path_factory.mktemp("pipeline")
+    out, count_file = root / "out", root / "counts.txt"
+
+    def count(name):
+        fd = os.open(count_file, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{name}\n".encode())
+        finally:
+            os.close(fd)
 
     class CountingKDTree(registration.cKDTree):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            counts["kdtree"] += 1
+            count("kdtree")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(registration, "cKDTree", CountingKDTree)
@@ -534,13 +544,15 @@ def counted_pipeline(body_file, body_b_file, tmp_path_factory):
                     continue
 
                 def counting(*args, _fn=original, _name=name, **kwargs):
-                    counts[_name] += 1
+                    count(_name)
                     return _fn(*args, **kwargs)
 
                 mp.setattr(mod, name, counting)
         rc = run("pipeline", "--body", str(body_file), "--body-b", str(body_b_file),
                  "--out", str(out))
     assert rc == 0
+    counts = dict.fromkeys(COUNTED + ("kdtree",), 0)
+    counts.update(Counter(count_file.read_text().splitlines()))
     return out, counts
 
 
@@ -615,6 +627,79 @@ class TestInMemoryPipeline:
                  "--format", "obj", "--out", str(out))
         assert rc == 0
         assert load_mesh(out / "simplified.obj").n_faces <= 200
+
+
+class TestFeatureWorker:
+    """``pipeline --body-b`` computes A's features in a forked child while it
+    registers B; the outcome matches running the two halves in sequence."""
+
+    def pipeline(self, monkeypatch, capfd, body_file, body_b, out, forked):
+        forks = []
+        real_fork = os.fork
+        with monkeypatch.context() as mp:
+            if forked:
+                mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+            else:
+                mp.delattr(os, "fork")
+            rc = run("pipeline", "--body", str(body_file), "--body-b", str(body_b),
+                     "--out", str(out))
+        assert forks == ([1] if forked else [])
+        with pytest.raises(ChildProcessError):  # no child outlives the command
+            os.waitpid(-1, os.WNOHANG)
+        return rc, capfd.readouterr().err
+
+    def test_forked_and_inline_write_the_same_bytes(self, monkeypatch, capfd, body_file,
+                                                    body_b_file, tmp_path):
+        forked_out, inline_out = tmp_path / "forked", tmp_path / "inline"
+        for out, forked in ((forked_out, True), (inline_out, False)):
+            rc, _ = self.pipeline(monkeypatch, capfd, body_file, body_b_file, out, forked)
+            assert rc == 0
+        forked, inline = _artifacts(forked_out), _artifacts(inline_out)
+        assert sorted(forked) == sorted(inline) and "channel_back.csv" in forked
+        for name in inline:
+            assert forked[name] == inline[name], name
+        for manifest in inline_out.rglob("manifest_*.json"):
+            mine = json.loads((forked_out / manifest.relative_to(inline_out)).read_text())
+            assert mine["artifacts"] == json.loads(manifest.read_text())["artifacts"]
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (InputError("no channel here"), 2, "error: no channel here"),
+        (ContractError("channel contract broken"), 3, "error: channel contract broken"),
+        (ValueError("bad value"), 4, "internal error: bad value"),
+    ])
+    def test_worker_failure_reported_as_in_sequence(self, monkeypatch, capfd, body_file,
+                                                    body_b_file, tmp_path, exc, code, line):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "channel_of_minima", fail)
+        results = {forked: self.pipeline(monkeypatch, capfd, body_file, body_b_file,
+                                         tmp_path / f"forked{forked}", forked)
+                   for forked in (True, False)}
+        assert results[True] == results[False]
+        assert results[True][0] == code
+        assert results[True][1].splitlines()[-1] == line
+        for forked in (True, False):
+            out = tmp_path / f"forked{forked}"
+            assert (out / "symmetry.json").exists() and (out / "assessment.json").exists()
+            assert not (out / "manifest_pipeline.json").exists()
+        assert _artifacts(tmp_path / "forkedTrue") == _artifacts(tmp_path / "forkedFalse")
+
+    def test_second_acquisition_error_wins_when_both_fail(self, monkeypatch, capfd,
+                                                          body_file, tmp_path):
+        def fail(*args, **kwargs):
+            raise ContractError("channel contract broken")
+
+        monkeypatch.setattr(cli, "channel_of_minima", fail)
+        ghost = tmp_path / "ghost.ply"
+        for forked in (True, False):
+            rc, err = self.pipeline(monkeypatch, capfd, body_file, ghost,
+                                    tmp_path / f"forked{forked}", forked)
+            assert rc == 2
+            assert "ghost.ply" in err and "channel contract broken" not in err
+        # the features ran beside the failed validation; in sequence they never start
+        assert (tmp_path / "forkedTrue" / "asymmetry_stats.json").exists()
+        assert not (tmp_path / "forkedFalse" / "asymmetry_stats.json").exists()
 
 
 class TestStageErrors:

@@ -261,7 +261,7 @@ class TestBatchedSectionsOracle:
         mesh = grid_mesh(9, 7, height=lambda x, y: np.round(0.25 * x * y))
         planes = [SectionPlane.orthogonal_to(axis, float(off))
                   for axis in "xyz" for off in range(-1, 10)]
-        planes += [SectionPlane((1.0, 1.0, 0.0), off / np.sqrt(2.0)) for off in range(14)]
+        planes += [SectionPlane((1.0, 1.0, 0.0), off) for off in range(14)]
         self.check(mesh, planes)
 
     def test_planes_through_body_vertices(self, body):

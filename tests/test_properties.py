@@ -108,7 +108,7 @@ def test_batched_kernels_match_loop_oracles(rings, sectors, seed, spacing, side,
 
     normal = direction if np.linalg.norm(direction) > 1e-3 else np.array([0.0, 0.0, 1.0])
     vertex = mesh.vertices[seed % mesh.n_vertices]
-    for off in (offset * 20.0, normal @ vertex / np.linalg.norm(normal)):
+    for off in (offset * 20.0, normal @ vertex):
         plane = SectionPlane(normal, off)
         new = cross_section(mesh, plane)
         old = cross_section_loop(mesh, plane)
@@ -127,11 +127,9 @@ def test_batched_sections_match_loop_oracle(rings, sectors, seed, specs, budget)
     planes = []
     for k, (direction, offset, through_vertex) in enumerate(specs):
         normal = direction if np.linalg.norm(direction) > 1e-3 else np.array([0.0, 0.0, 1.0])
-        plane = SectionPlane(normal, offset)
         if through_vertex:
-            vertex = mesh.vertices[(seed + k) % mesh.n_vertices]
-            plane = SectionPlane(plane.normal, plane.normal @ vertex)
-        planes.append(plane)
+            offset = normal @ mesh.vertices[(seed + k) % mesh.n_vertices]
+        planes.append(SectionPlane(normal, offset))
     saved = slicing._CHUNK_ELEMENTS
     slicing._CHUNK_ELEMENTS = budget
     try:

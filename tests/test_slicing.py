@@ -19,6 +19,15 @@ class TestSectionPlane:
     def test_normal_is_normalized(self):
         plane = SectionPlane((0, 0, 2.0), 1.0)
         assert np.linalg.norm(plane.normal) == pytest.approx(1.0, abs=1e-15)
+        assert plane.offset == 0.5
+
+    def test_scaled_normal_cuts_the_plane_it_describes(self):
+        # 2z = 1 is the plane z = 0.5, not z = 1
+        plate = disc_plate(radius=20.0, height=6.0, rings=10, sectors=40)
+        polys = cross_section(plate.mesh, SectionPlane((0, 0, 2.0), 1.0))
+        assert polys
+        for poly in polys:
+            assert np.abs(poly.points[:, 2] - 0.5).max() < 1e-9
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ContractError):
