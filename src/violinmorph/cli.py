@@ -221,7 +221,12 @@ def register_stage(run, cfg, s, p):
         "rows": [dict(report.as_dict(), label=label) for label, report in rows],
     }
     save_json(table, run.path("registration.json"))
-    run.finish({"converged": all(report.converged for _, report in rows)})
+    run.finish({
+        "converged": all(report.converged for _, report in rows),
+        "counters": {label: {"evaluations": report.evaluations,
+                             "tree_points": report.tree_points}
+                     for label, report in rows},
+    })
     return rows[0][1]
 
 

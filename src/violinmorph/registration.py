@@ -16,7 +16,19 @@ Nearest neighbours are exact. One KD-tree is built on the moving cloud;
 every objective evaluation maps the reference points through the inverse
 transform instead of rebuilding an index on the transformed cloud
 (similarity transforms preserve nearest-neighbour assignments, distances
-pick up the factor K).
+pick up the factor K). Each reference point keeps its last tree answer
+(position q0, nearest and second-nearest distances d1 < d2, nearest
+index). At a new position q its old neighbour is at most d1 + |q - q0|
+away and every other point at least d2 - |q - q0|, so it keeps that
+neighbour while ``d1 + 2|q - q0| + margin < d2``; the objective tests
+the sharper ``|q - p_nearest| + |q - q0| + margin < d2`` with the
+distance it computes anyway. margin = 1e-10 (largest moving coordinate
++ |q - p_nearest| + |q - q0|) covers the rounding of the compared
+distances. Only the other points go to the tree. Exact ties (d1 == d2)
+are always asked again, with the tree's own tie-break. A kept point's
+distance is summed as ``sqrt(dx*dx + dy*dy + dz*dz)``, cKDTree's order,
+so every objective value is bit for bit what a full query gives
+(``einsum`` rounds about 12 % of random rows differently).
 """
 
 from __future__ import annotations
@@ -263,7 +275,9 @@ class RegistrationReport:
     reference point into the moved cloud they were computed from. For the
     Powell method ``iterations`` counts scipy's Powell iterations and
     ``objective_history`` is the starting objective followed by the
-    objective after each iteration.
+    objective after each iteration. ``evaluations`` counts objective
+    evaluations (ICP: iterations) and ``tree_points`` the query rows they
+    sent to the KD-tree; the final metrics' query is not included.
     """
 
     transform: SimilarityTransform
@@ -274,6 +288,8 @@ class RegistrationReport:
     objective_history: tuple = ()
     method: str = "powell"
     distances: np.ndarray = field(default=None, repr=False, compare=False)
+    evaluations: int = field(default=0, compare=False)
+    tree_points: int = field(default=0, compare=False)
 
     def as_dict(self):
         return {
@@ -286,11 +302,20 @@ class RegistrationReport:
         }
 
 
+# Relative margin of the keep test (module docstring): it must exceed the
+# rounding of the compared distances, ~1e-15 of the coordinates involved.
+_KEEP_MARGIN = 1e-10
+
+
 class _Objective:
     """Objective over the 7-parameter vector with a frozen KD-tree on p.
 
     Values are memoized on the exact bytes of the parameter vector: Powell's
-    line searches revisit points they have already evaluated.
+    line searches revisit points they have already evaluated. Each reference
+    point also keeps its last tree answer, and only points whose neighbour
+    may have changed are sent to the tree again. ``evaluations`` counts the
+    evaluations that were not answered from the memo, ``tree_points`` the
+    query rows sent to the tree.
     """
 
     def __init__(self, s, p, metric, normals):
@@ -301,8 +326,16 @@ class _Objective:
         if metric == "point_to_plane_sq" and self.normals is None:
             raise ContractError("point_to_plane_sq needs normals on the reference cloud")
         self.tree = cKDTree(self.p)
-        self.workers = kd_workers(len(self.s))
+        self.extent = float(np.abs(self.p).max())
+        n = len(self.s)
+        # last tree answer per reference point: query position (NaN: ask
+        # next time), second-nearest distance, nearest index
+        self.q0 = np.full((n, 3), np.nan)
+        self.d2 = np.zeros(n)
+        self.idx = np.zeros(n, dtype=np.intp)
         self.memo = {}
+        self.evaluations = 0
+        self.tree_points = 0
 
     def __call__(self, params):
         key = params.tobytes()
@@ -311,13 +344,46 @@ class _Objective:
             value = self.memo[key] = self._evaluate(params)
         return value
 
+    def _query(self, queries, k):
+        self.tree_points += len(queries)
+        return self.tree.query(queries, k=k, workers=kd_workers(len(queries)))
+
+    def _nearest(self, queries):
+        """Distance and index of each query's nearest neighbour, bit for bit
+        what ``tree.query(queries, k=1)`` returns.
+
+        A point keeps its last neighbour while ``|q - p_nearest| + |q - q0|
+        + margin < d2`` (module docstring). The others are asked again with
+        ``k=2``, and exact ties once more with ``k=1``, so that the tree's
+        own tie-break picks their neighbour; ties are never kept.
+        """
+        diff = queries - self.p[self.idx]
+        dx, dy, dz = diff[:, 0], diff[:, 1], diff[:, 2]
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        step = queries - self.q0
+        shift = np.sqrt(np.einsum("ij,ij->i", step, step))
+        bound = dist + shift + _KEEP_MARGIN * (self.extent + dist + shift)
+        ask = np.flatnonzero(~(bound < self.d2))
+        if len(ask):
+            asked = queries[ask]
+            d, idx = self._query(asked, 2)
+            dist[ask] = d[:, 0]
+            self.q0[ask] = asked
+            self.d2[ask] = d[:, 1]
+            self.idx[ask] = idx[:, 0]
+            tie = ask[d[:, 0] == d[:, 1]]
+            if len(tie):
+                self.q0[tie] = np.nan  # asked again next time
+                self.idx[tie] = self._query(queries[tie], 1)[1]
+        return dist, self.idx
+
     def _evaluate(self, params):
+        self.evaluations += 1
         x, angles, k = params[0:3], params[3:6], params[6]
         if k <= 1e-9:
             return 1e12 * (1.0 + abs(k))
         t = SimilarityTransform(x, angles, k)
-        queries = t.pull_back_points(self.s)
-        dist, idx = self.tree.query(queries, k=1, workers=self.workers)
+        dist, idx = self._nearest(t.pull_back_points(self.s))
         if self.metric == "point_to_point":
             return k * float(np.mean(dist))
         if self.metric == "point_to_point_sq":
@@ -398,6 +464,8 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
         objective_history=tuple(history),
         method="powell",
         distances=distances,
+        evaluations=objective.evaluations,
+        tree_points=objective.tree_points,
     )
 
 
@@ -491,4 +559,6 @@ def register_icp(s, p, scale=1.0, sample_size=10_000, seed=0, normals=None,
         objective_history=(),
         method="icp",
         distances=distances,
+        evaluations=iterations,
+        tree_points=iterations * take,
     )

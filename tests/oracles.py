@@ -155,7 +155,8 @@ class ObjectiveUnmemoized:
     """Registration objective that queries the tree on every call (all cores).
 
     The tree comes from ``registration.cKDTree``, where tests swap in a
-    counting subclass.
+    counting subclass. Every reference point is sent to the tree with
+    ``k=1`` on every call, and the counters say so.
     """
 
     def __init__(self, s, p, metric, normals):
@@ -166,13 +167,17 @@ class ObjectiveUnmemoized:
         if metric == "point_to_plane_sq" and self.normals is None:
             raise ContractError("point_to_plane_sq needs normals on the reference cloud")
         self.tree = registration.cKDTree(self.p)
+        self.evaluations = 0
+        self.tree_points = 0
 
     def __call__(self, params):
+        self.evaluations += 1
         x, angles, k = params[0:3], params[3:6], params[6]
         if k <= 1e-9:
             return 1e12 * (1.0 + abs(k))
         t = SimilarityTransform(x, angles, k)
         queries = t.pull_back_points(self.s)
+        self.tree_points += len(queries)
         dist, idx = self.tree.query(queries, k=1, workers=-1)
         if self.metric == "point_to_point":
             return k * float(np.mean(dist))

@@ -600,7 +600,7 @@ class TestInMemoryPipeline:
         for manifest in sep.rglob("manifest_*.json"):
             mine = json.loads((out / manifest.relative_to(sep)).read_text())
             theirs = json.loads(manifest.read_text())
-            for key in ("artifacts", "plates", "converged", "channel"):
+            for key in ("artifacts", "plates", "converged", "counters", "channel"):
                 assert mine.get(key) == theirs.get(key), (manifest.name, key)
         assert (out / "manifest_pipeline.json").exists()
 

@@ -312,9 +312,9 @@ class TestObjectiveOracle:
             queries = []
 
             class CountingKDTree(registration.cKDTree):
-                def query(self, *args, **kwargs):
-                    queries.append(kwargs.get("workers"))
-                    return super().query(*args, **kwargs)
+                def query(self, x, *args, **kwargs):
+                    queries.append((kwargs.get("workers"), len(x)))
+                    return super().query(x, *args, **kwargs)
 
             with monkeypatch.context() as mp:
                 mp.setattr(registration, "cKDTree", CountingKDTree)
@@ -330,7 +330,104 @@ class TestObjectiveOracle:
         assert new.objective_history == old.objective_history
         assert new.distances.tobytes() == old.distances.tobytes()
         assert len(new_queries) < len(old_queries)  # repeated vectors answered from memo
-        assert set(new_queries) == {1 if len(s) < _KD_PARALLEL_MIN_POINTS else -1}
+        # each query, partial re-queries included, takes the rule for its own rows
+        assert all(workers == kd_workers(rows) for workers, rows in new_queries)
+        assert new_queries[0] == (kd_workers(len(s)), len(s))
+        assert new.evaluations < old.evaluations
+        assert new.tree_points < old.tree_points == old.evaluations * len(s)
+
+    @staticmethod
+    def sequence(v0, seed, count=160):
+        """Parameter vectors a line search might visit: steps of 1e-9 mm to
+        several lattice steps, walks along one line, returns to earlier ones."""
+        rng = np.random.default_rng(seed)
+        vectors = [np.array(v0, dtype=np.float64)]
+        while len(vectors) < count:
+            move = rng.integers(4)
+            if move == 0:  # an earlier vector again (answered from the memo)
+                vectors.append(vectors[rng.integers(len(vectors))])
+                continue
+            base = vectors[-1] if move < 3 else vectors[rng.integers(len(vectors))]
+            direction = np.zeros(7)
+            if rng.random() < 0.5:
+                direction[rng.integers(7)] = 1.0
+            else:
+                direction = rng.normal(size=7)
+                direction /= np.linalg.norm(direction)
+            direction[6] *= 1e-2  # scale units
+            size = 10.0 ** rng.uniform(-9.0, 1.0)
+            for _ in range(1 if move < 2 else int(rng.integers(2, 12))):
+                base = base + size * direction
+                vectors.append(base)
+        return vectors[:count]
+
+    @staticmethod
+    def objective_case(case):
+        disc = disc_plate(radius=40.0, height=8.0, rings=15, sectors=60,
+                          bumps=BUMPS).mesh.vertices  # 901 points
+        true = SimilarityTransform((1.5, -1.0, 0.5), (1.0, -0.5, 2.0), 1.01)
+        v0 = np.concatenate([true.translation, true.angles_deg, [true.scale]])
+        rng = np.random.default_rng(3)
+        if case == "901":
+            s = disc
+        elif case == "6401":
+            s = disc_plate(radius=40.0, height=8.0, rings=40, sectors=160,
+                           bumps=BUMPS).mesh.vertices
+        if case in ("901", "6401"):
+            p = true.inverse().apply_points(s) + rng.normal(0.0, 0.05, (len(s), 3))
+        elif case == "one point":
+            s, p = disc, disc[[17]]
+        else:
+            # the identity maps the reference exactly, half-way between
+            # lattice points and between duplicated ones: exact ties
+            lattice = np.stack(np.meshgrid(np.arange(8.0), np.arange(6.0), np.arange(3.0)),
+                               axis=-1).reshape(-1, 3)
+            p = np.concatenate([lattice, lattice[::3]])
+            s = np.concatenate([lattice + (0.5, 0.0, 0.0), lattice + (0.0, 0.5, 0.5),
+                                lattice[::2] + 0.25])
+            v0 = np.array([0.0, 0, 0, 0, 0, 0, 1.0])
+        s, p = PointCloud(s), PointCloud(p)
+        n = rng.normal(size=(len(s), 3))
+        return s, p, NormalField(n / np.linalg.norm(n, axis=1, keepdims=True)), v0
+
+    @pytest.mark.parametrize("case", ["901", "6401", "ties", "one point"])
+    @pytest.mark.parametrize("metric", registration.METRICS)
+    def test_values_match_unmemoized_bit_for_bit(self, monkeypatch, case, metric):
+        s, p, normals, v0 = self.objective_case(case)
+        queries, nearest = [], []
+        check = registration.cKDTree(p.points)
+
+        class CountingKDTree(registration.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queries.append((k, kwargs.get("workers"), len(x)))
+                return super().query(x, k=k, **kwargs)
+
+        class Checked(registration._Objective):
+            def _nearest(self, q):
+                dist, idx = super()._nearest(q)
+                want_dist, want_idx = check.query(q, k=1)
+                nearest.append(dist.tobytes() == want_dist.tobytes()
+                               and np.array_equal(idx, want_idx))
+                return dist, idx
+
+        with monkeypatch.context() as mp:
+            mp.setattr(registration, "cKDTree", CountingKDTree)
+            new = Checked(s, p, metric, normals)
+        old = ObjectiveUnmemoized(s, p, metric, normals)
+        vectors = self.sequence(v0, seed=len(s))
+        got = [new(v).hex() for v in vectors]
+        assert got == [old(v).hex() for v in vectors]
+        assert nearest and all(nearest)
+        # the cache answered some rows; each query took the rule for its own rows
+        assert new.evaluations == len({v.tobytes() for v in vectors})
+        assert new.tree_points == sum(rows for _, _, rows in queries)
+        assert new.tree_points < new.evaluations * len(s)
+        assert all(workers == kd_workers(rows) for _, workers, rows in queries)
+        assert queries[0] == (2, kd_workers(len(s)), len(s))
+        ties = [rows for k, _, rows in queries if k == 1]
+        assert bool(ties) == (case == "ties")
+        if case == "one point":  # k=2 pads the missing neighbour with inf
+            assert np.isinf(new.d2).all() and len(queries) == 1
 
     def test_crossover_separates_the_cases(self):
         assert 901 < _KD_PARALLEL_MIN_POINTS <= 6401
