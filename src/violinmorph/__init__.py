@@ -55,7 +55,15 @@ from .registration import (
     register,
     register_icp,
 )
-from .slicing import SectionPlane, SectionPolyline, cross_section, cross_sections, extreme_points
+from .slicing import (
+    SectionPlane,
+    SectionPolyline,
+    cross_section,
+    cross_sections,
+    extreme_points,
+    parallel_sections,
+    sections_near,
+)
 from .symmetry import (
     FittedPlane,
     SymmetryFrame,

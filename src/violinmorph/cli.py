@@ -165,13 +165,14 @@ def isolate_stage(run, cfg, body_path, scale):
     knobs = dict(cfg["isolate"])
     margin = knobs.pop("rough_margin")
     sound_hole = _load_masked(cfg["inputs"]["sound_hole_mask"], body)
-    plates, results = [], {}
+    plates, results, counters = [], {}, {}
     for side in ("sound_board", "back"):
         rough, rough_ids = rough_split(body, side, margin=margin)
         exclude = None
         if sound_hole is not None:  # rough vertex i is body vertex rough_ids[i]
             exclude = VertexMask(np.flatnonzero(np.isin(rough_ids, sound_hole.as_array())))
-        plate = isolate_plate(rough, side, exclude=exclude, **knobs)
+        counters[side] = {}
+        plate = isolate_plate(rough, side, exclude=exclude, counters=counters[side], **knobs)
         save_plate(
             plate,
             run.path(_mesh_name(side, cfg)),
@@ -186,7 +187,7 @@ def isolate_stage(run, cfg, body_path, scale):
             "contour_length": len(plate.contour),
         }
         run.lap(side)
-    run.finish({"plates": results})
+    run.finish({"plates": results, "counters": counters})
     return tuple(plates)
 
 
@@ -298,11 +299,13 @@ def symmetry_stage(run, cfg, sb, back):
 def contours_stage(run, cfg, plates):
     """Contour lines of the plates, already in the symmetry frame."""
     run.lap("frame")
+    counters = {}
     for plate in plates:
-        lines = contour_lines(plate, **cfg["contours"])
+        counters[plate.side] = {}
+        lines = contour_lines(plate, counters=counters[plate.side], **cfg["contours"])
         run.outputs += save_contour_lines(lines, run.out, f"contour_lines_{plate.side}")
     run.lap("slice")
-    run.finish()
+    run.finish({"counters": counters})
 
 
 def asymmetry_stage(run, frame):
@@ -316,9 +319,10 @@ def asymmetry_stage(run, frame):
 def channel_stage(run, cfg, plates):
     """Channel of minima of the plates, already in the symmetry frame."""
     run.lap("frame")
-    summary = {}
+    summary, counters = {}, {}
     for plate in plates:
-        trace = channel_of_minima(plate, **cfg["channel"])
+        counters[plate.side] = {}
+        trace = channel_of_minima(plate, counters=counters[plate.side], **cfg["channel"])
         save_channel(trace, run.path(f"channel_{plate.side}.csv"))
         summary[plate.side] = {
             "stations_detected": int(len(trace.points)),
@@ -326,7 +330,7 @@ def channel_stage(run, cfg, plates):
             "no_channel": trace.no_channel,
         }
     run.lap("trace")
-    run.finish({"channel": summary})
+    run.finish({"channel": summary, "counters": counters})
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +569,10 @@ _FLAG_MAP = [
 ]
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process (argparse parses
+    without changing it)."""
     parser = argparse.ArgumentParser(
         prog="violinmorph",
         description="Plate morphometry: isolate, register, assess, and extract "

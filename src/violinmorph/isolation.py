@@ -257,7 +257,7 @@ def close_contour(mesh, ordered_anchors):
 
 
 def isolate_plate(mesh, side, section_axis="x", spacing=1.0, keep_interval=None,
-                  keep_count=4, tie_tol=0.0, exclude=None):
+                  keep_count=4, tie_tol=0.0, exclude=None, counters=None):
     """Isolate the sound board or back from a roughly delineated mesh.
 
     The mesh must be PCA-oriented (long axis x, thin axis z). ``side``
@@ -271,7 +271,8 @@ def isolate_plate(mesh, side, section_axis="x", spacing=1.0, keep_interval=None,
     kept per cut instead of two. ``tie_tol`` > 0 makes the selection
     prefer the chosen side's surface when both rims of a body reach
     equally far out. ``exclude`` (a VertexMask, e.g. a sound hole) is
-    removed from the mesh first.
+    removed from the mesh first. ``counters``, a dict, receives the
+    section counters of :func:`~violinmorph.slicing.extreme_points`.
 
     Raises
     ------
@@ -291,7 +292,8 @@ def isolate_plate(mesh, side, section_axis="x", spacing=1.0, keep_interval=None,
         work, work_to_orig = mesh.submesh(keep)
 
     seeds = extreme_points(work, section_axis, spacing, keep_interval, keep_count,
-                           prefer_z="max" if side == "sound_board" else "min", tie_tol=tie_tol)
+                           prefer_z="max" if side == "sound_board" else "min", tie_tol=tie_tol,
+                           counters=counters)
     anchors = map_to_vertices(work, seeds)
     if len(anchors) < 3:
         raise ContractError("fewer than 3 distinct anchor vertices")

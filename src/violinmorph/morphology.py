@@ -18,7 +18,7 @@ from .errors import ContractError, GridMismatchError
 from .fileio import FLOAT_FORMAT, save_csv, save_json, save_polylines_csv
 from .grid import HeightGrid, save_height_grid
 from .mesh import row_dot
-from .slicing import cross_sections
+from .slicing import cross_sections, parallel_sections, sections_near
 
 __all__ = [
     "ContourLineSet",
@@ -55,14 +55,15 @@ class ContourLineSet:
         return len(self.levels)
 
 
-def contour_lines(plate, spacing=2.0, max_range=24.0, base=None):
+def contour_lines(plate, spacing=2.0, max_range=24.0, base=None, counters=None):
     """Horizontal sections of a plate every ``spacing`` mm.
 
     The plate must sit in the symmetry frame (``frame.apply_plate``).
     Levels run away from the symmetry plane: upward for the sound
     board, downward for the back, starting at the lattice level closest
     to the plane (or the explicit ``base``) and covering at most
-    ``max_range`` mm.
+    ``max_range`` mm. ``counters``, a dict, receives ``planes`` and
+    ``pairs_visited``, the (plane, face) pairs the cut tested.
     """
     if spacing <= 0:
         raise ContractError("level spacing must be positive")
@@ -85,7 +86,9 @@ def contour_lines(plate, spacing=2.0, max_range=24.0, base=None):
 
     kept_levels = []
     kept_polys = []
-    sections = cross_sections(mesh, np.eye(3)[[2] * len(levels)], levels)
+    sections = parallel_sections(mesh, np.eye(3)[2], levels)
+    if counters is not None:
+        counters.update(planes=len(levels), pairs_visited=sections.pairs_visited)
     for i, level in enumerate(levels):
         polys = sections.polylines(i)
         if polys:
@@ -228,7 +231,15 @@ def _stations(spline, station_t, centroid_xy):
     return kept, centres, normals, row_dot(tau, centres[:, :2]), inward
 
 
-def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5):
+def _window(pts, centre, inward, window_mm):
+    """A station's section points inside its search window, and their inward offsets."""
+    s = (pts[:, :2] - centre[:2]) @ inward
+    window = (s >= 0.0) & (s <= window_mm)
+    return pts[window], s[window]
+
+
+def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
+                      counters=None):
     """Trace the groove of extremal height running near the plate contour.
 
     The plate must sit in the symmetry frame (``frame.apply_plate``). At
@@ -240,6 +251,17 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5)
     minima sit at the search window's boundary (nothing concave to find).
     ``smoothing_rms_mm`` caps the rms deviation of the smoothed trace from
     the raw minima.
+
+    Each station is cut from the faces near its window only
+    (:func:`~violinmorph.slicing.sections_near`), which holds every window
+    point with its full-cut bytes. It is cut again across the whole plate
+    when that cut could pick differently: when it is crowded (a merge of
+    near points may have dropped a point), when the extreme z is reached
+    by more than one window point (the full cut's chain order breaks the
+    tie), or when no point lies in the window (the warning says whether
+    the section is empty). ``counters``, a dict, receives
+    ``stations_cut``, ``pairs_visited`` (the (plane, face) pairs tested)
+    and ``full_cut_stations``.
     """
     if window_mm <= 0 or stations < 8:
         raise ContractError("window must be positive and stations >= 8")
@@ -248,7 +270,7 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5)
     centroid_xy = mesh.vertices[:, :2].mean(axis=0)
     mean_edge = float(mesh.edge_lengths.mean())
     edge_tol = max(mean_edge, 0.05 * window_mm)
-    pick = np.argmin if plate.side == "sound_board" else np.argmax
+    pick, extreme = (np.argmin, np.min) if plate.side == "sound_board" else (np.argmax, np.max)
 
     # equal arc-length stations via dense resampling of the spline
     dense_t = np.linspace(0.0, total_len, 10 * stations + 1)
@@ -261,29 +283,40 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5)
         spline, np.interp(targets, arc, dense_t), centroid_xy)
     targets = targets[kept]
     skipped = len(kept) - len(targets)
-    sections = cross_sections(mesh, normals, offsets)
+
+    sections = sections_near(mesh, normals, offsets, centres[:, :2], window_mm)
+    cuts = [sections.plane_points(i) for i in range(len(targets))]
+    found = [_window(*station, window_mm) for station in zip(cuts, centres, inward)]
+    redo = [i for i, (cand, _) in enumerate(found)
+            if sections.crowded(i) or not len(cand)
+            or np.count_nonzero(cand[:, 2] == extreme(cand[:, 2])) > 1]
+    pairs = sections.pairs_visited
+    if redo:
+        full = cross_sections(mesh, normals[redo], offsets[redo])
+        pairs += full.pairs_visited
+        for k, i in enumerate(redo):
+            cuts[i] = full.plane_points(k)
+            found[i] = _window(cuts[i], centres[i], inward[i], window_mm)
+    if counters is not None:
+        counters.update(stations_cut=len(targets), pairs_visited=pairs,
+                        full_cut_stations=len(redo))
 
     minima = []
     arcs = []
     depths = []
     tangents_pts = []
     at_edge = 0
-    for i, (s_arc, c, inward_i) in enumerate(zip(targets, centres, inward)):
-        pts = sections.plane_points(i)
+    for s_arc, c, pts, (cand, cand_s) in zip(targets, centres, cuts, found):
         if not len(pts):
             skipped += 1
             warnings.warn(f"empty channel section at arc length {s_arc:.1f}", stacklevel=2)
             continue
-        s = (pts[:, :2] - c[:2]) @ inward_i
-        window = (s >= 0.0) & (s <= window_mm)
-        if not window.any():
+        if not len(cand):
             skipped += 1
             warnings.warn(
                 f"no interior points in window at arc length {s_arc:.1f}", stacklevel=2
             )
             continue
-        cand = pts[window]
-        cand_s = s[window]
         best = int(pick(cand[:, 2]))
         minima.append(cand[best])
         arcs.append(s_arc)

@@ -4,6 +4,14 @@ A cut is a set of polylines whose vertices are edge/plane intersections,
 chained by walking face adjacency (coincident but topologically separate
 lobes are never merged). Sections feed contour isolation, contour lines
 and the channel search.
+
+Every cut runs one kernel over (plane, face) pairs. ``cross_sections``
+pairs every plane with every face; ``parallel_sections`` pairs planes
+sharing a normal only with the faces whose projected interval reaches
+them; ``sections_near`` pairs each plane only with the faces near a
+given point. A pair's corner distances are always gathered from the one
+``verts @ normal - offset`` of its plane (or its shared normal), so a
+point comes out with the same bits whichever route cut it.
 """
 
 from __future__ import annotations
@@ -14,17 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
 
 from .errors import ContractError
 from .mesh import row_dot
 
 __all__ = ["SectionPlane", "SectionPolyline", "Sections", "cross_section", "cross_sections",
-           "extreme_points"]
+           "parallel_sections", "sections_near", "extreme_points"]
 
 _ON_PLANE = 1e-12   # vertices closer than this are nudged off the plane
 _NUDGE = 1e-9
 _MIN_POINT_SEP = 1e-9
 _CHUNK_ELEMENTS = 2 ** 16   # planes x max(vertices, faces) cut in one batch
+_REACH_SLACK = 1e-6   # mm added to a face's reach: covers the nudge and rounding
 
 
 @dataclass(frozen=True)
@@ -93,38 +103,56 @@ class SectionPolyline:
 
 @dataclass(frozen=True)
 class Sections:
-    """The cuts of one mesh by a list of planes, one flat block per chunk.
+    """The cuts of one mesh by a list of planes, as flat arrays.
 
-    A block holds its chunk's points, each point's (lo, hi) source edge,
-    polyline starts into both, closed flags, and per-plane starts into the
-    polylines. Blocks are not joined, so the points are held only once.
+    ``points`` holds every plane's points, polyline after polyline, and
+    ``edges`` each point's (lo, hi) source edge. ``starts`` holds the
+    polyline starts into both, with the end appended; ``closed`` flags
+    the closed polylines; ``plane_starts`` holds each plane's first
+    polyline, with the end appended. ``crowded_planes`` flags the planes
+    whose cut was crowded (see :meth:`crowded`), and ``pairs_visited``
+    counts the (plane, face) pairs the cut tested.
     """
 
-    blocks: tuple
-    step: int
-    n_planes: int
+    points: np.ndarray
+    edges: np.ndarray
+    starts: np.ndarray
+    closed: np.ndarray
+    plane_starts: np.ndarray
+    crowded_planes: np.ndarray
+    pairs_visited: int
 
     def __len__(self):
-        return self.n_planes
+        return len(self.plane_starts) - 1
 
-    def _plane(self, i):
-        if not 0 <= i < self.n_planes:
-            raise IndexError(f"plane {i} out of range for {self.n_planes} planes")
-        block = self.blocks[i // self.step]
-        k = i % self.step
-        return block, block[4][k], block[4][k + 1]
+    def _polylines(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(f"plane {i} out of range for {len(self)} planes")
+        return self.plane_starts[i], self.plane_starts[i + 1]
 
     def plane_points(self, i):
         """All points of plane ``i``, polyline after polyline."""
-        (points, _, starts, _, _), j0, j1 = self._plane(i)
-        return points[starts[j0]:starts[j1]]
+        j0, j1 = self._polylines(i)
+        return self.points[self.starts[j0]:self.starts[j1]]
 
     def polylines(self, i):
         """Plane ``i`` as a list of :class:`SectionPolyline`, in
         :func:`cross_section` order."""
-        (points, edges, starts, closed, _), j0, j1 = self._plane(i)
+        j0, j1 = self._polylines(i)
+        starts, points, edges = self.starts, self.points, self.edges
         return [SectionPolyline(points[a:b], bool(c), tuple(map(tuple, edges[a:b].tolist())))
-                for a, b, c in zip(starts[j0:j1], starts[j0 + 1:j1 + 1], closed[j0:j1])]
+                for a, b, c in zip(starts[j0:j1], starts[j0 + 1:j1 + 1], self.closed[j0:j1])]
+
+    def crowded(self, i):
+        """Whether a chain-neighbour pair of plane ``i``, or a ring's closing
+        pair, lay within 3 x ``_MIN_POINT_SEP`` before near points merged:
+        only then can the merge have dropped a point of this cut."""
+        self._polylines(i)
+        return bool(self.crowded_planes[i])
+
+    def point_starts(self):
+        """Each plane's first index into ``points``, with the end appended."""
+        return self.starts[self.plane_starts]
 
 
 def cross_section(mesh, plane):
@@ -143,18 +171,8 @@ def cross_section(mesh, plane):
     return cross_sections(mesh, plane.normal[None], [plane.offset]).polylines(0)
 
 
-def cross_sections(mesh, normals, offsets):
-    """:func:`cross_section` of ``mesh`` with every plane ``normals[i] . q = offsets[i]``.
-
-    ``normals`` is a (k, 3) array of unit rows, ``offsets`` holds one
-    offset per row. Planes are cut in chunks of at most
-    ``_CHUNK_ELEMENTS`` plane x max(vertices, faces) entries, each with
-    one set of array operations.
-
-    Returns
-    -------
-    Sections
-    """
+def _plane_batch(normals, offsets):
+    """``normals`` and ``offsets`` as float arrays: unit rows, one offset each."""
     normals = np.asarray(normals, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
     if normals.shape != (len(offsets), 3) or offsets.ndim != 1:
@@ -162,63 +180,184 @@ def cross_sections(mesh, normals, offsets):
                             f"and one offset each, got {offsets.shape}")
     if not (np.abs(np.sqrt(row_dot(normals, normals)) - 1.0) <= 1e-12).all():
         raise ContractError("plane normals must be unit length within 1e-12")
-    step = max(1, _CHUNK_ELEMENTS // max(mesh.n_vertices, mesh.n_faces, 1))
-    blocks = tuple(_cut_chunk(mesh.vertices, mesh.faces, normals[i:i + step],
-                              offsets[i:i + step])
-                   for i in range(0, len(normals), step))
-    return Sections(blocks, step, len(normals))
+    return normals, offsets
 
 
-def _cut_chunk(verts, f, normals, offsets):
-    """One :class:`Sections` block: the cuts of one chunk of planes."""
-    nv = len(verts)
-    d = np.empty((len(normals), nv))
+def _chunks(mesh, n_planes, elements=_CHUNK_ELEMENTS):
+    """Plane ranges of at most ``elements`` plane x max(vertices, faces) entries."""
+    step = max(1, elements // max(mesh.n_vertices, mesh.n_faces, 1))
+    return [(i, min(i + step, n_planes)) for i in range(0, n_planes, step)]
+
+
+def _distances(verts, normals, offsets):
+    """Signed distance of every vertex from each plane, one ``verts @ normal`` each."""
+    d = np.empty((len(normals), len(verts)))
     for i, (normal, offset) in enumerate(zip(normals, offsets)):
         d[i] = verts @ normal - offset
-    near = np.abs(d) < _ON_PLANE
-    side = (d > 0.0) | near
-    fs = side[:, f]
-    pf, cf = np.nonzero((fs[:, :, 0] != fs[:, :, 1]) | (fs[:, :, 1] != fs[:, :, 2]))
+    return d
+
+
+def cross_sections(mesh, normals, offsets):
+    """:func:`cross_section` of ``mesh`` with every plane ``normals[i] . q = offsets[i]``.
+
+    ``normals`` is a (k, 3) array of unit rows, ``offsets`` holds one
+    offset per row. Every (plane, face) pair is tested, in chunks of at
+    most ``_CHUNK_ELEMENTS`` plane x max(vertices, faces) entries, each
+    with one set of array operations.
+
+    Returns
+    -------
+    Sections
+    """
+    normals, offsets = _plane_batch(normals, offsets)
+    verts, f = mesh.vertices, mesh.faces
+    pf, cf, dc = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
+    for a, b in _chunks(mesh, len(normals)):
+        d = _distances(verts, normals[a:b], offsets[a:b])
+        fs = ((d > 0.0) | (np.abs(d) < _ON_PLANE))[:, f]
+        p, c = np.nonzero((fs[:, :, 0] != fs[:, :, 1]) | (fs[:, :, 1] != fs[:, :, 2]))
+        pf.append(p + a)
+        cf.append(c)
+        dc.append(d[p[:, None], f[c]])
+    return _cut_pairs(verts, f, normals, np.concatenate(pf), np.concatenate(cf),
+                      np.concatenate(dc), len(normals) * mesh.n_faces)
+
+
+def parallel_sections(mesh, normal, offsets):
+    """:func:`cross_sections` of ``mesh`` with the parallel planes ``normal . q = offsets[i]``.
+
+    Projects the vertices on ``normal`` once and pairs each face only
+    with the planes its projected interval [lo, hi] can cross: a face
+    crosses the plane at ``o`` only if ``lo < o <= hi + 1e-12`` (the
+    on-plane tolerance), found by ``searchsorted`` on the sorted offsets
+    (the interval sweep of Minetto et al., CAD 2017). The result holds
+    the same bytes as :func:`cross_sections`.
+    """
+    normal = np.asarray(normal, dtype=np.float64).ravel()
+    offsets = np.asarray(offsets, dtype=np.float64)
+    normals, offsets = _plane_batch(np.tile(normal, (offsets.size, 1)), offsets)
+    verts, f = mesh.vertices, mesh.faces
+    proj = verts @ normal
+    corners = proj[f]
+    order = np.argsort(offsets, kind="stable")
+    first = np.searchsorted(offsets[order], corners.min(axis=1), "right")
+    counts = np.searchsorted(offsets[order], corners.max(axis=1) + _ON_PLANE, "right") - first
+    cf = np.repeat(np.arange(len(f)), counts)
+    pf = order[np.arange(len(cf)) - np.repeat(np.cumsum(counts) - counts - first, counts)]
+    by_plane = np.argsort(pf, kind="stable")
+    pf, cf = pf[by_plane], cf[by_plane]
+    return _cut_pairs(verts, f, normals, pf, cf, corners[cf] - offsets[pf, None], len(cf))
+
+
+def sections_near(mesh, normals, offsets, centres, radius):
+    """The cuts of :func:`cross_sections` near ``centres[i]`` (xy), from nearby faces only.
+
+    Plane ``i`` is cut from the faces whose centroid lies within
+    ``radius`` + the face's reach of ``centres[i]`` in xy (a cKDTree
+    query) and within its reach of the plane. A face's xy reach is its
+    largest centroid-to-corner xy distance; towards the plane it is
+    weighted by the normal's xy and z parts, with ``_REACH_SLACK`` for the
+    1e-9 mm nudge and rounding. Every section point within ``radius`` of
+    the centre in xy is therefore in the cut, with the bytes
+    :func:`cross_sections` gives it, and so are the faces that join it to
+    its chain neighbours. The chains are cut short at the faces left
+    out: their direction, order and near-point merges may differ from the
+    full cut's.
+    """
+    normals, offsets = _plane_batch(normals, offsets)
+    centres = np.asarray(centres, dtype=np.float64).reshape(len(normals), 2)
+    verts, f = mesh.vertices, mesh.faces
+    centroids = (verts[f[:, 0]] + verts[f[:, 1]] + verts[f[:, 2]]) / 3.0
+    reach_xy, reach_z = np.zeros(len(f)), np.zeros(len(f))
+    for corner in f.T:
+        gap = verts[corner] - centroids
+        reach_xy = np.maximum(reach_xy, np.hypot(gap[:, 0], gap[:, 1]))
+        reach_z = np.maximum(reach_z, np.abs(gap[:, 2]))
+    faces_xy = cKDTree(centroids[:, :2])
+    query = radius + reach_xy.max(initial=0.0) + _REACH_SLACK
+    pf, cf, dc = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
+    # a chunk builds one tree of its centres; its distances are gathered only
+    # at the candidate faces, so chunks can be larger than the full scan's
+    for a, b in _chunks(mesh, len(normals), 16 * _CHUNK_ELEMENTS):
+        pairs = cKDTree(centres[a:b]).sparse_distance_matrix(faces_xy, query,
+                                                            output_type="ndarray")
+        p, c = pairs["i"].astype(np.intp) + a, pairs["j"].astype(np.intp)
+        n = normals[p]
+        keep = pairs["v"] <= radius + reach_xy[c] + _REACH_SLACK
+        keep &= (np.abs(row_dot(n, centroids[c]) - offsets[p])
+                 <= np.hypot(n[:, 0], n[:, 1]) * reach_xy[c] + np.abs(n[:, 2]) * reach_z[c]
+                 + _REACH_SLACK)
+        order = np.lexsort((c[keep], p[keep]))
+        p, c = p[keep][order], c[keep][order]
+        d = _distances(verts, normals[a:b], offsets[a:b])
+        pf.append(p)
+        cf.append(c)
+        dc.append(d[p[:, None] - a, f[c]])
+    pf, cf = np.concatenate(pf), np.concatenate(cf)
+    return _cut_pairs(verts, f, normals, pf, cf, np.concatenate(dc), len(pf))
+
+
+def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
+    """The :class:`Sections` of the planes ``normals`` from (plane, face) pairs.
+
+    ``pf`` is ascending and ``cf`` ascending within each plane; ``dc[k]``
+    holds the signed distances of face ``cf[k]``'s corners from plane
+    ``pf[k]``, gathered from :func:`_distances` or the shared projection.
+    Pairs whose face does not cross the plane are dropped.
+    """
+    side = (dc > 0.0) | (np.abs(dc) < _ON_PLANE)
+    crossing = (side[:, 0] != side[:, 1]) | (side[:, 1] != side[:, 2])
+    pf, cf, dc, su = pf[crossing], cf[crossing], dc[crossing], side[crossing]
     if cf.size == 0:
-        return (np.empty((0, 3)), np.empty((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
-                np.empty(0, dtype=bool), np.zeros(len(normals) + 1, dtype=np.int64))
+        return Sections(np.empty((0, 3)), np.empty((0, 2), dtype=np.int64),
+                        np.zeros(1, dtype=np.int64), np.empty(0, dtype=bool),
+                        np.zeros(len(normals) + 1, dtype=np.int64),
+                        np.zeros(len(normals), dtype=bool), pairs_visited)
 
     # Each crossing face has exactly two edges whose endpoints straddle the
     # plane. Nodes are these edges, keyed (plane * nv + lo) * nv + hi so one
     # sort orders them plane-major, then by vertex pair; links are crossing
     # faces, numbered plane-major in face order.
+    nv = len(verts)
     u = f[cf]
     v = u[:, [1, 2, 0]]                                  # edges (a,b), (b,c), (c,a)
-    su = fs[pf, cf]
     rows, cols = np.nonzero(su != su[:, [1, 2, 0]])      # two per face, in edge order
     a, b = u[rows, cols], v[rows, cols]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    swap = a > b
+    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
     keys, edge_of = np.unique((pf[rows] * nv + lo) * nv + hi, return_inverse=True)
     plane, rest = np.divmod(keys, nv * nv)
     lo, hi = np.divmod(rest, nv)
+    # per node: one pair crossing its edge, and the corners of its lo and hi ends
+    at = np.empty((len(keys), 3), dtype=np.intp)
+    ends = np.where(swap, (cols + 1) % 3, cols), np.where(swap, cols, (cols + 1) % 3)
+    at[edge_of] = np.column_stack([rows, *ends])
 
-    def endpoint(idx):
+    def endpoint(idx, dist):
         # the nudge of on-plane vertices, applied to the gathered endpoints
-        p, dist, moved = verts[idx], d[plane, idx], near[plane, idx]
+        p, moved = verts[idx], np.abs(dist) < _ON_PLANE
         if moved.any():
             p[moved] += (_NUDGE - dist[moved])[:, None] * normals[plane[moved]]
             dist[moved] = _NUDGE
         return p, dist
 
-    (p_lo, du), (p_hi, dv) = endpoint(lo), endpoint(hi)
+    p_lo, du = endpoint(lo, dc[at[:, 0], at[:, 1]])
+    p_hi, dv = endpoint(hi, dc[at[:, 0], at[:, 2]])
     t = du / (du - dv)
     points = p_lo + t[:, None] * (p_hi - p_lo)
 
     nodes, chain_key, closed = _chain(plane, edge_of.reshape(-1, 2))
     bounds = np.flatnonzero(np.diff(chain_key, prepend=-1, append=-1))
     closed = closed[bounds[:-1]]
-    keep, sizes = _merge_near_points(points[nodes], bounds, closed)
+    keep, sizes, crowded = _merge_near_points(points[nodes], bounds, closed)
     nodes = nodes[keep]
     whole = sizes >= 2
-    counts = np.bincount(chain_key[bounds[:-1]][whole] // (2 * len(keys)), minlength=len(normals))
-    return (points[nodes], np.stack([lo, hi], axis=1)[nodes],
-            np.concatenate([[0], np.cumsum(sizes[whole])]), closed[whole],
-            np.concatenate([[0], np.cumsum(counts)]))
+    chain_plane = chain_key[bounds[:-1]] // (2 * len(keys))
+    counts = np.bincount(chain_plane[whole], minlength=len(normals))
+    return Sections(points[nodes], np.stack([lo, hi], axis=1)[nodes],
+                    np.concatenate([[0], np.cumsum(sizes[whole])]), closed[whole],
+                    np.concatenate([[0], np.cumsum(counts)]),
+                    np.bincount(chain_plane[crowded], minlength=len(normals)) > 0, pairs_visited)
 
 
 def _chain(plane, ends):
@@ -311,11 +450,13 @@ def _merge_near_points(pts, bounds, closed):
     closed polyline's last kept point when it is that close to the first;
     then polylines left with fewer than two points.
 
-    Returns the keep mask and each polyline's kept size. A point more than
-    3 x ``_MIN_POINT_SEP`` from its predecessor is kept whatever happened
-    before it (the predecessor is kept or merged into a point at most
-    ``_MIN_POINT_SEP`` away), so only the points nearer than that take the
-    sequential decision, with 1-D norms.
+    Returns the keep mask, each polyline's kept size, and whether it was
+    crowded: a neighbour pair, or its closing pair, within 3 x
+    ``_MIN_POINT_SEP``, the only polylines a merge can change. A point
+    more than 3 x ``_MIN_POINT_SEP`` from its predecessor is kept whatever
+    happened before it (the predecessor is kept or merged into a point at
+    most ``_MIN_POINT_SEP`` away), so only the points nearer than that take
+    the sequential decision, with 1-D norms.
     """
     chain = np.repeat(np.arange(len(closed)), np.diff(bounds))
     near = np.zeros(len(pts), dtype=bool)
@@ -330,13 +471,15 @@ def _merge_near_points(pts, bounds, closed):
         if keep[j]:
             last = j
     ends = np.linalg.norm(pts[bounds[:-1]] - pts[bounds[1:] - 1], axis=1)
-    for c in np.flatnonzero(closed & (ends <= 3 * _MIN_POINT_SEP)).tolist():
+    crowded = closed & (ends <= 3 * _MIN_POINT_SEP)
+    for c in np.flatnonzero(crowded).tolist():
         kept = bounds[c] + np.flatnonzero(keep[bounds[c]:bounds[c + 1]])
         if len(kept) > 1 and np.linalg.norm(pts[kept[0]] - pts[kept[-1]]) <= _MIN_POINT_SEP:
             keep[kept[-1]] = False
     sizes = np.bincount(chain[keep], minlength=len(closed))
     keep &= (sizes >= 2)[chain]
-    return keep, sizes
+    crowded[chain[near]] = True
+    return keep, sizes, crowded
 
 
 def section_offsets(lo, hi, spacing):
@@ -352,12 +495,13 @@ def section_offsets(lo, hi, spacing):
 
 
 def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4,
-                   prefer_z=None, tie_tol=0.0):
+                   prefer_z=None, tie_tol=0.0, counters=None):
     """Outermost section points seeding a plate contour.
 
     Cuts the (already oriented) mesh with planes orthogonal to ``axis``
-    every ``spacing`` mm and keeps, per cut, the two points with minimal
-    and maximal coordinate along the in-plane horizontal axis.
+    every ``spacing`` mm (:func:`parallel_sections`) and keeps, per cut,
+    the two points with minimal and maximal coordinate along the in-plane
+    horizontal axis.
 
     Parameters
     ----------
@@ -372,6 +516,9 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
         extreme in-plane coordinate are re-ranked by z. Lets the caller
         target the upper or lower rim when both plates of a body reach
         equally far out.
+    counters : dict, optional
+        Receives ``planes`` and ``pairs_visited``, the (plane, face)
+        pairs the cut tested.
 
     Returns
     -------
@@ -384,35 +531,49 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
         raise ContractError(f"prefer_z must be 'max', 'min' or None, got {prefer_z!r}")
     ax = "xyz".index(axis)
     other = 1 - ax  # the in-plane horizontal axis (x<->y)
-    lo = mesh.vertices[:, ax].min()
-    hi = mesh.vertices[:, ax].max()
-
-    def pick_extreme(pts, coords, end):
-        best = coords.min() if end == "lo" else coords.max()
-        cand = np.flatnonzero(np.abs(coords - best) <= tie_tol)
-        if prefer_z is None or len(cand) == 1:
-            return int(cand[0])
-        z = pts[cand, 2]
-        return int(cand[np.argmax(z) if prefer_z == "max" else np.argmin(z)])
-
-    result = []
-    offsets = section_offsets(lo, hi, spacing)
-    sections = cross_sections(mesh, np.eye(3)[[ax] * len(offsets)], offsets)
-    for i, off in enumerate(offsets):
-        pts = sections.plane_points(i)
-        if not len(pts):
-            warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
-            continue
-        coords = pts[:, other]
-        if keep_interval is not None and keep_interval[0] <= off <= keep_interval[1]:
-            k = max(2, int(keep_count))
-            order = np.argsort(coords, kind="stable")
-            take = min(k // 2, len(order))
-            chosen = list(order[:take]) + list(order[len(order) - (k - take):])
-        else:
-            chosen = [pick_extreme(pts, coords, "lo"), pick_extreme(pts, coords, "hi")]
-        section_pts = pts[sorted(set(chosen), key=lambda i: coords[i])]
-        result.append(section_pts)
-    if not result:
+    offsets = section_offsets(mesh.vertices[:, ax].min(), mesh.vertices[:, ax].max(), spacing)
+    sections = parallel_sections(mesh, np.eye(3)[ax], offsets)
+    if counters is not None:
+        counters.update(planes=len(offsets), pairs_visited=sections.pairs_visited)
+    points, bounds = sections.points, sections.point_starts()
+    sizes = np.diff(bounds)
+    for off in offsets[sizes == 0]:
+        warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
+    cut = np.flatnonzero(sizes)
+    if not cut.size:
         raise ContractError("no section produced any points")
-    return np.concatenate(result, axis=0)
+    starts, sizes = bounds[cut], sizes[cut]
+    coords = points[:, other]
+
+    def pick(reduce):
+        # per cut: the first point within tie_tol of the extreme coordinate,
+        # or, with prefer_z, the first of those with the extreme z
+        cand = np.abs(coords - np.repeat(reduce.reduceat(coords, starts), sizes)) <= tie_tol
+        if prefer_z is not None:
+            top = np.maximum if prefer_z == "max" else np.minimum
+            z = np.where(cand, points[:, 2], -np.inf if prefer_z == "max" else np.inf)
+            cand &= z == np.repeat(top.reduceat(z, starts), sizes)
+        return np.minimum.reduceat(np.where(cand, np.arange(len(coords)), len(coords)), starts)
+
+    # Two distinct picks never share a coordinate: the points at one
+    # coordinate are candidates at both ends or at neither, so both ends
+    # would pick the same first one. Each cut lists its picks by coordinate.
+    lo, hi = pick(np.minimum), pick(np.maximum)
+    ends = np.column_stack([lo, hi])
+    swap = coords[hi] < coords[lo]
+    ends[swap] = ends[swap, ::-1]
+    kept = np.zeros(len(cut), dtype=bool)
+    if keep_interval is not None:
+        kept = (keep_interval[0] <= offsets[cut]) & (offsets[cut] <= keep_interval[1])
+    take = np.column_stack([~kept, ~kept & (lo != hi)])
+    chosen, keys = [ends[take]], [np.nonzero(take)[0]]
+    for i in np.flatnonzero(kept).tolist():
+        c = coords[starts[i]:starts[i] + sizes[i]]
+        k = max(2, int(keep_count))
+        order = np.argsort(c, kind="stable")
+        n = min(k // 2, len(order))
+        picked = sorted(set(list(order[:n]) + list(order[len(order) - (k - n):])),
+                        key=lambda j: c[j])  # ties keep the set's order, as they always did
+        chosen.append(starts[i] + np.asarray(picked, dtype=np.intp))
+        keys.append(np.full(len(picked), i))
+    return points[np.concatenate(chosen)[np.argsort(np.concatenate(keys), kind="stable")]]

@@ -3,7 +3,9 @@
 These are the original per-face / per-edge loop versions of
 ``grid.interpolate_grid``, ``slicing.cross_section``,
 ``decimate.decimate``, the per-station loop that placed the channel's
-section planes, and the ascii and binary PLY body readers, the per-row
+section planes, the channel search cutting every station across the
+whole plate, ``slicing.extreme_points`` picking per cut in a loop over
+a full-scan cut, and the ascii and binary PLY body readers, the per-row
 f-string writers of every text artifact (CSV, JSON, PLY, OBJ), plus the earlier
 formulations of the mesh's edge list, the shortest path (undirected,
 then unbounded), the nearest-vertex snap, the contour checks and the
@@ -18,11 +20,13 @@ import json
 import math
 import os
 import struct
+import warnings
 from collections import defaultdict
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.interpolate import splev, splprep
 from scipy.spatial import cKDTree
 
 from violinmorph.decimate import _BOUNDARY_WEIGHT, _COND_LIMIT
@@ -32,9 +36,12 @@ from violinmorph.errors import (
 from violinmorph.fileio import _triangulate, _vertex_layout
 from violinmorph.grid import HeightGrid, joint_grid_domain
 from violinmorph.mesh import TriangleMesh
-from violinmorph import registration, synthetic
+from violinmorph import morphology, registration, slicing, synthetic
+from violinmorph.morphology import ChannelTrace
 from violinmorph.registration import SimilarityTransform
-from violinmorph.slicing import _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPlane, SectionPolyline
+from violinmorph.slicing import (
+    _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPlane, SectionPolyline, cross_sections,
+)
 
 
 def interpolate_grid_loop(mesh, spacing=1.0, side="upper", origin=None, shape=None):
@@ -879,3 +886,160 @@ def connected_components_loop(mesh, removed=None):
             comps.append(members)
     comps.sort(key=lambda m: (-m.size, int(m[0])))
     return comps
+
+
+def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5):
+    """``morphology.channel_of_minima`` cutting every station across the whole plate.
+
+    The plate must sit in the symmetry frame (``frame.apply_plate``). At
+    ``stations`` equally spaced arc-length stations of the contour spline,
+    a vertical section perpendicular to the contour tangent is cut and
+    searched inward over ``window_mm`` for the lowest point (highest for
+    the back). A station is skipped, with a warning, when its section is
+    empty. The trace is declared ``no_channel`` when more than half of the
+    minima sit at the search window's boundary (nothing concave to find).
+    ``smoothing_rms_mm`` caps the rms deviation of the smoothed trace from
+    the raw minima.
+    """
+    if window_mm <= 0 or stations < 8:
+        raise ContractError("window must be positive and stations >= 8")
+    mesh = plate.mesh
+    spline, total_len = morphology._periodic_spline(plate.contour_points())
+    centroid_xy = mesh.vertices[:, :2].mean(axis=0)
+    mean_edge = float(mesh.edge_lengths.mean())
+    edge_tol = max(mean_edge, 0.05 * window_mm)
+    pick = np.argmin if plate.side == "sound_board" else np.argmax
+
+    # equal arc-length stations via dense resampling of the spline
+    dense_t = np.linspace(0.0, total_len, 10 * stations + 1)
+    dense = spline(dense_t)
+    seg = np.linalg.norm(np.diff(dense, axis=0), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(seg)])
+    arc_total = float(arc[-1])
+    targets = np.linspace(0.0, arc_total, stations, endpoint=False)
+    kept, centres, normals, offsets, inward = morphology._stations(
+        spline, np.interp(targets, arc, dense_t), centroid_xy)
+    targets = targets[kept]
+    skipped = len(kept) - len(targets)
+    sections = cross_sections(mesh, normals, offsets)
+
+    minima = []
+    arcs = []
+    depths = []
+    tangents_pts = []
+    at_edge = 0
+    for i, (s_arc, c, inward_i) in enumerate(zip(targets, centres, inward)):
+        pts = sections.plane_points(i)
+        if not len(pts):
+            skipped += 1
+            warnings.warn(f"empty channel section at arc length {s_arc:.1f}", stacklevel=2)
+            continue
+        s = (pts[:, :2] - c[:2]) @ inward_i
+        window = (s >= 0.0) & (s <= window_mm)
+        if not window.any():
+            skipped += 1
+            warnings.warn(
+                f"no interior points in window at arc length {s_arc:.1f}", stacklevel=2
+            )
+            continue
+        cand = pts[window]
+        cand_s = s[window]
+        best = int(pick(cand[:, 2]))
+        minima.append(cand[best])
+        arcs.append(s_arc)
+        depths.append(float(cand_s[best]))
+        tangents_pts.append(c)
+        if cand_s[best] < edge_tol or cand_s[best] > window_mm - edge_tol:
+            at_edge += 1
+
+    if len(minima) < 4:
+        raise ContractError(
+            f"only {len(minima)} channel stations detected out of {stations}"
+        )
+    minima = np.asarray(minima)
+    no_channel = at_edge * 2 > len(minima)
+
+    smooth_cap = len(minima) * smoothing_rms_mm ** 2
+    closed = np.vstack([minima, minima[:1]])
+    u = np.asarray(arcs + [arc_total])
+    u = (u - u[0]) / (u[-1] - u[0])
+    tck, _ = splprep(closed.T, u=u, s=smooth_cap, per=1)
+    smoothed = np.asarray(splev(u[:-1], tck)).T
+
+    return ChannelTrace(
+        points=minima,
+        arc_lengths=np.asarray(arcs),
+        inward_offsets=np.asarray(depths),
+        smoothed_points=smoothed,
+        contour_points=np.asarray(tangents_pts),
+        no_channel=bool(no_channel),
+        stations_total=stations,
+        stations_skipped=skipped,
+    )
+
+
+def extreme_points_loop(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4,
+                        prefer_z=None, tie_tol=0.0):
+    """``slicing.extreme_points`` with a full-scan cut and a per-cut pick loop.
+
+    Cuts the (already oriented) mesh with planes orthogonal to ``axis``
+    every ``spacing`` mm and keeps, per cut, the two points with minimal
+    and maximal coordinate along the in-plane horizontal axis.
+
+    Parameters
+    ----------
+    keep_interval : (lo, hi), optional
+        Range along ``axis`` in which more than two points are retained
+        per cut (``keep_count`` of them, split between both ends), for
+        regions where the outline is interrupted, e.g. a removed neck.
+    keep_count : int
+        Points kept per cut inside ``keep_interval``.
+    prefer_z : {"max", "min"}, optional
+        With ``tie_tol`` > 0, candidates within ``tie_tol`` mm of the
+        extreme in-plane coordinate are re-ranked by z. Lets the caller
+        target the upper or lower rim when both plates of a body reach
+        equally far out.
+
+    Returns
+    -------
+    (k, 3) ndarray
+        Ordered by section offset, then by in-plane coordinate.
+    """
+    if axis not in ("x", "y"):
+        raise ContractError(f"axis must be 'x' or 'y', got {axis!r}")
+    if prefer_z not in (None, "max", "min"):
+        raise ContractError(f"prefer_z must be 'max', 'min' or None, got {prefer_z!r}")
+    ax = "xyz".index(axis)
+    other = 1 - ax  # the in-plane horizontal axis (x<->y)
+    lo = mesh.vertices[:, ax].min()
+    hi = mesh.vertices[:, ax].max()
+
+    def pick_extreme(pts, coords, end):
+        best = coords.min() if end == "lo" else coords.max()
+        cand = np.flatnonzero(np.abs(coords - best) <= tie_tol)
+        if prefer_z is None or len(cand) == 1:
+            return int(cand[0])
+        z = pts[cand, 2]
+        return int(cand[np.argmax(z) if prefer_z == "max" else np.argmin(z)])
+
+    result = []
+    offsets = slicing.section_offsets(lo, hi, spacing)
+    sections = cross_sections(mesh, np.eye(3)[[ax] * len(offsets)], offsets)
+    for i, off in enumerate(offsets):
+        pts = sections.plane_points(i)
+        if not len(pts):
+            warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
+            continue
+        coords = pts[:, other]
+        if keep_interval is not None and keep_interval[0] <= off <= keep_interval[1]:
+            k = max(2, int(keep_count))
+            order = np.argsort(coords, kind="stable")
+            take = min(k // 2, len(order))
+            chosen = list(order[:take]) + list(order[len(order) - (k - take):])
+        else:
+            chosen = [pick_extreme(pts, coords, "lo"), pick_extreme(pts, coords, "hi")]
+        section_pts = pts[sorted(set(chosen), key=lambda i: coords[i])]
+        result.append(section_pts)
+    if not result:
+        raise ContractError("no section produced any points")
+    return np.concatenate(result, axis=0)

@@ -219,6 +219,51 @@ class TestExitCodes:
         assert f"bad mask index ({mask}, line 2)" in capsys.readouterr().err
 
 
+class TestParser:
+    """``main`` parses with one parser per process, which must act as a fresh one."""
+
+    @staticmethod
+    def outcomes(capsys, argvs):
+        got = []
+        for argv in argvs:
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:
+                rc = ("exit", exc.code)
+            out = capsys.readouterr()
+            got.append((rc, out.out, out.err))
+        return got
+
+    def test_cached_parser_acts_as_fresh_ones(self, tmp_path, capsys, monkeypatch):
+        argvs = [
+            ("register", "--out", str(tmp_path / "a")),
+            ("isolate", "--body", str(tmp_path / "ghost.ply"), "--out", str(tmp_path / "b")),
+            ("channel", "--bogus", "1"),
+            ("--version",),
+            ("simplify", "--target-faces", "many"),
+            ("register", "--all-metrics", "--out", str(tmp_path / "a")),
+            ("register", "--out", str(tmp_path / "a")),
+            (),
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        cached = self.outcomes(capsys, argvs)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = self.outcomes(capsys, argvs)
+        assert cached == fresh
+        assert [rc for rc, _, _ in cached] == [2, 2, ("exit", 2), ("exit", 0), ("exit", 2),
+                                               2, 2, ("exit", 2)]
+        assert cached[3][1].strip() == cli.__version__
+        assert "unrecognized arguments: --bogus" in cached[2][2]
+
+    def test_parses_leave_no_state(self):
+        parser = cli.build_parser()
+        argvs = [["register", "--all-metrics", "--seed", "3", "--no-scale"],
+                 ["isolate", "--spacing", "0.5"], ["register"], ["channel", "--window", "9"]]
+        for argv in argvs + argvs[::-1]:
+            assert vars(parser.parse_args(argv)) == \
+                vars(cli.build_parser.__wrapped__().parse_args(argv))
+
+
 class TestIsolateCommand:
     def test_writes_connected_plates(self, body_file, tmp_path):
         out = tmp_path / "iso"
@@ -602,6 +647,16 @@ class TestInMemoryPipeline:
             theirs = json.loads(manifest.read_text())
             for key in ("artifacts", "plates", "converged", "counters", "channel"):
                 assert mine.get(key) == theirs.get(key), (manifest.name, key)
+        # the section counters, per side, in pipeline's manifests as in the commands'
+        keys = {"isolate": {"planes", "pairs_visited"}, "contours": {"planes", "pairs_visited"},
+                "channel": {"stations_cut", "pairs_visited", "full_cut_stations"}}
+        for root in (out, out / "acquisition_b"):
+            for command in keys if root == out else ["isolate"]:
+                counters = json.loads((root / f"manifest_{command}.json").read_text())["counters"]
+                assert sorted(counters) == ["back", "sound_board"]
+                for side in counters.values():
+                    assert set(side) == keys[command]
+                    assert side["pairs_visited"] > 0
         assert (out / "manifest_pipeline.json").exists()
 
     def test_obj_format_writes_obj_plates(self, body_file, body_b_file, tmp_path):

@@ -5,33 +5,39 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from violinmorph import grid, morphology, slicing, synthetic
 from violinmorph.decimate import _normals, _targets, decimate
-from violinmorph.errors import DisconnectedError, TopologicalLockError
+from violinmorph.errors import ContractError, DisconnectedError, TopologicalLockError
 from violinmorph.grid import interpolate_grid, joint_grid_domain
 from violinmorph.isolation import isolate_plate, rough_split
 from violinmorph.mesh import TriangleMesh, VertexMask, connected_components, shortest_path
 from violinmorph.morphology import channel_of_minima
 from violinmorph.orientation import orient_to_frame, principal_frame
 from violinmorph.registration import SimilarityTransform
-from violinmorph.slicing import SectionPlane, cross_section, cross_sections
+from violinmorph.slicing import (
+    SectionPlane, cross_section, cross_sections, extreme_points, parallel_sections,
+)
 from violinmorph.symmetry import _rotation_to_vertical, build_symmetry_frame
 from violinmorph.synthetic import (
-    disc_plate, hemisphere_plate, icosphere, instrument_body, mirror_pair, reduced_pair,
-    skirted_plate,
+    disc_plate, hemisphere_plate, icosphere, instrument_body, mirror_pair, plate_from_disc,
+    reduced_pair, skirted_plate,
 )
 
 from conftest import grid_mesh
 from oracles import (
     _optimal_position,
+    channel_of_minima_full_scan,
     channel_stations_loop,
     connected_components_loop,
     cross_section_loop,
     decimate_loop,
     dijkstra_undirected,
     disc_mesh_loop,
+    extreme_points_loop,
     instrument_body_loop,
     interpolate_grid_loop,
     mesh_edges_axis0,
@@ -334,18 +340,28 @@ class TestBatchedSectionsOracle:
             self.check(mesh, _random_vertical_planes(mesh, rng, 60))
 
 
+def _framed_plates(**body):
+    """Both plates of an instrument body, isolated and framed as ``pipeline`` does."""
+    body, _ = instrument_body(**body)
+    body = orient_to_frame(body, principal_frame(body.point_cloud()))
+    a = [isolate_plate(rough_split(body, side)[0], side, tie_tol=1.0)
+         for side in ("sound_board", "back")]
+    frame = build_symmetry_frame(*a)
+    return [frame.apply_plate(p) for p in a]
+
+
+@pytest.fixture(scope="module")
+def bench_plates():
+    # body A of the pipeline benchmark
+    return _framed_plates(rings=15, sectors=60, rib_rings=4)
+
+
 class TestChannelStationsOracle:
     """The channel's stations as arrays against the per-station loop, byte for byte."""
 
     @pytest.fixture(scope="class")
-    def plates(self):
-        # body A of the pipeline benchmark, isolated and framed as ``pipeline`` does
-        body, _ = instrument_body(rings=15, sectors=60, rib_rings=4)
-        body = orient_to_frame(body, principal_frame(body.point_cloud()))
-        a = [isolate_plate(rough_split(body, side)[0], side, tie_tol=1.0)
-             for side in ("sound_board", "back")]
-        frame = build_symmetry_frame(*a)
-        return ([frame.apply_plate(p) for p in a] + list(mirror_pair(rings=20, sectors=90)[:2])
+    def plates(self, bench_plates):
+        return (bench_plates + list(mirror_pair(rings=20, sectors=90)[:2])
                 + [disc_plate(radius=60.0, minor=42.0, height=12.0, rings=20, sectors=90)])
 
     @pytest.mark.parametrize("stations", [8, 37, 400, 1000])
@@ -368,6 +384,258 @@ class TestChannelStationsOracle:
             for a, b in zip(new, old, strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+
+def assert_same_trace(new, old):
+    for name in ("points", "arc_lengths", "inward_offsets", "smoothed_points", "contour_points"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert ((new.no_channel, new.stations_total, new.stations_skipped)
+            == (old.no_channel, old.stations_total, old.stations_skipped))
+
+
+def _outcome(fn, *args, **kwargs):
+    """(result or error text, warning texts) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args, **kwargs)
+        except ContractError as exc:
+            result = f"ContractError: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+def check_channel(plate, **kwargs):
+    """The channel with window cuts against the full-scan oracle; returns the counters."""
+    counters = {}
+    new, new_warnings = _outcome(channel_of_minima, plate, counters=counters, **kwargs)
+    old, old_warnings = _outcome(channel_of_minima_full_scan, plate, **kwargs)
+    assert new_warnings == old_warnings
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert_same_trace(new, old)
+    return counters
+
+
+def _plate_with_vertices(plate, vertices, faces=None):
+    return plate_from_disc(TriangleMesh(vertices, plate.mesh.faces if faces is None else faces),
+                           plate.contour.vertex_indices, plate.side)
+
+
+@pytest.fixture(scope="module")
+def channel_plates(bench_plates):
+    """Framed body plates, grooved and jittered discs, and a skirted plate whose
+    skirt hangs inside every window."""
+    skirted, labels = skirted_plate(a=40.0, b=30.0, rings=14, sectors=60)
+    return bench_plates + [
+        disc_plate(radius=30.0, rings=15, sectors=60, groove_radius=24.0),
+        disc_plate(radius=40.0, minor=28.0, rings=14, sectors=70, groove_radius=33.0,
+                   jitter=0.3, rng=np.random.default_rng(8), side="back"),
+        plate_from_disc(skirted, labels["rim"]),
+    ]
+
+
+class TestChannelWindowOracle:
+    """``channel_of_minima`` cutting each station near its window only, against the
+    full-width cut it replaced: the same trace bytes, warnings and errors."""
+
+    def test_bench_plates(self, bench_plates):
+        faces = bench_plates[0].mesh.n_faces
+        for plate in bench_plates:
+            counters = check_channel(plate)
+            assert counters["stations_cut"] == 400
+            # the window cut tests a small fraction of the full scan's pairs
+            assert counters["pairs_visited"] < 400 * faces // 20
+            assert 1 <= counters["full_cut_stations"] <= 10
+
+    def test_station_through_a_contour_vertex(self, monkeypatch):
+        # station 0 sits on contour vertex 0, so the vertex is nudged and
+        # its crossings merge: the window cut is crowded and cut again
+        plate = disc_plate(radius=30.0, rings=15, sectors=60)
+        cuts, real = [], morphology.sections_near
+        monkeypatch.setattr(morphology, "sections_near",
+                            lambda *args: cuts.append(real(*args)) or cuts[-1])
+        counters = check_channel(plate)
+        assert cuts[0].crowded(0)
+        assert counters["full_cut_stations"] == sum(map(cuts[0].crowded, range(400)))
+
+    def test_exact_z_ties_in_window(self):
+        # a flat ring around the rim: every window point of every station
+        # shares the lowest z, and the full cut's chain order breaks the tie
+        plate = disc_plate(radius=30.0, rings=15, sectors=60)
+        verts = plate.mesh.vertices.copy()
+        r = np.hypot(verts[:, 0], verts[:, 1])
+        verts[:, 2] = np.maximum(verts[:, 2], verts[np.argmin(np.abs(r - 20.0)), 2])
+        counters = check_channel(_plate_with_vertices(plate, verts), stations=97)
+        assert counters["full_cut_stations"] == counters["stations_cut"] == 97
+
+    def test_empty_window_and_missed_plane(self, monkeypatch):
+        # station 3's centre moves outward along its own plane, so the plane
+        # still cuts the plate but the window holds no point; station 7's
+        # plane misses the plate
+        real = morphology._stations
+
+        def moved(*args):
+            kept, centres, normals, offsets, inward = real(*args)
+            centres, offsets = centres.copy(), offsets.copy()
+            centres[3, :2] -= 40.0 * inward[3]
+            offsets[7] += 1e3
+            return kept, centres, normals, offsets, inward
+
+        monkeypatch.setattr(morphology, "_stations", moved)
+        plate = disc_plate(radius=30.0, rings=15, sectors=60, groove_radius=24.0)
+        new, caught = _outcome(channel_of_minima, plate, window_mm=15.0, stations=40)
+        assert [w.split(" at ")[0] for w in caught] == ["no interior points in window",
+                                                        "empty channel section"]
+        assert new.stations_skipped == 2
+        assert check_channel(plate, window_mm=15.0, stations=40)["full_cut_stations"] >= 2
+
+    def test_non_manifold_crossing(self):
+        # a fin hanging below an edge near the rim: the lowest window points
+        # lie on it, and planes through it take the branched walk
+        plate = disc_plate(radius=30.0, rings=15, sectors=60, groove_radius=24.0)
+        mesh = plate.mesh
+        ends = mesh.vertices[mesh.edges]
+        # the edge along the contour nearest (26, 0), so station planes cross it
+        along = np.abs(ends[:, 1, 1] - ends[:, 0, 1]) > np.abs(ends[:, 1, 0] - ends[:, 0, 0])
+        gap = np.linalg.norm(ends.mean(axis=1)[:, :2] - [26.0, 0.0], axis=1)
+        a, b = mesh.edges[np.argmin(np.where(along, gap, np.inf))]
+        tip = 0.5 * (mesh.vertices[a] + mesh.vertices[b]) - [0.0, 0.0, 4.0]
+        with pytest.warns(UserWarning, match="1 non-manifold edges"):
+            fin = _plate_with_vertices(plate, np.vstack([mesh.vertices, tip]),
+                                       np.vstack([mesh.faces, [[a, b, mesh.n_vertices]]]))
+            fin.mesh.edges
+        check_channel(fin)
+        trace, _ = _outcome(channel_of_minima, fin)
+        assert (trace.points[:, 2] < mesh.vertices[:, 2].min()).sum() >= 2
+
+    def test_paper_like_body(self):
+        # a 31k-vertex body: 15k-vertex plates, where the full scan is slowest
+        for plate in _framed_plates(rings=70, sectors=220):
+            assert plate.mesh.n_vertices > 15_000
+            assert check_channel(plate)["full_cut_stations"] <= 10
+        body, _ = instrument_body(rings=70, sectors=220)
+        rough = rough_split(orient_to_frame(body, principal_frame(body.point_cloud())),
+                            "back")[0]
+        check_extreme(rough, "x", 1.0, prefer_z="min", tie_tol=1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(plate=st.integers(0, 4), stations=st.integers(8, 1000),
+       window=st.floats(1.0, 40.0))
+def test_channel_window_cut_matches_full_scan(channel_plates, plate, stations, window):
+    check_channel(channel_plates[plate], stations=stations, window_mm=window)
+
+
+class TestParallelSectionsOracle:
+    """Planes sharing a normal, swept from sorted face intervals, against the full scan."""
+
+    def check(self, mesh, normal, offsets):
+        offsets = np.asarray(offsets, dtype=np.float64)
+        swept = parallel_sections(mesh, normal, offsets)
+        full = cross_sections(mesh, np.tile(normal, (len(offsets), 1)), offsets)
+        assert len(swept) == len(full) == len(offsets)
+        for i in range(len(offsets)):
+            assert_same_sections(swept.polylines(i), full.polylines(i))
+            assert swept.plane_points(i).tobytes() == full.plane_points(i).tobytes()
+            assert swept.crowded(i) == full.crowded(i)
+        assert swept.pairs_visited <= full.pairs_visited
+        return swept
+
+    def test_lattice_offsets_on_body_and_plates(self, body_plates):
+        body, plates = body_plates
+        for mesh in [body] + plates:
+            for axis in range(3):
+                lo, hi = mesh.vertices[:, axis].min(), mesh.vertices[:, axis].max()
+                self.check(mesh, np.eye(3)[axis], slicing.section_offsets(lo, hi, 0.7))
+
+    def test_offsets_at_and_near_vertex_coordinates(self, body_plates):
+        body, _ = body_plates
+        rng = np.random.default_rng(41)
+        for axis, normal in enumerate(np.eye(3)):
+            coords = body.vertices[rng.choice(body.n_vertices, 12, replace=False), axis]
+            offsets = np.concatenate([coords + shift for shift in
+                                      (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12)])
+            swept = self.check(body, normal, offsets)
+            assert any(swept.crowded(i) for i in range(len(offsets)))
+        tilted = np.array([0.6, 0.0, 0.8])
+        self.check(body, tilted, body.vertices[rng.choice(body.n_vertices, 20)] @ tilted)
+
+    def test_exact_vertex_hits_unsorted_repeated_and_missing(self):
+        mesh = grid_mesh(9, 7, height=lambda x, y: np.round(0.25 * x * y))
+        self.check(mesh, np.eye(3)[2], [3.0, -1.0, 0.0, 3.0, 7.5, 12.0, 1.0, 20.0, 0.0])
+        self.check(mesh, np.eye(3)[0], np.arange(-1.0, 10.0))
+        assert len(self.check(mesh, np.eye(3)[1], [])) == 0
+
+    def test_non_manifold_fin(self):
+        mesh, _ = _fin_mesh(ball=True)
+        self.check(mesh, np.eye(3)[2], [0.05, 0.5, 1.0, 2.0, 2.9, 10.0, 11.0])
+        self.check(mesh, np.eye(3)[0], np.linspace(0.3, 5.7, 13))
+
+    def test_sweep_visits_few_pairs(self, body_plates):
+        body, _ = body_plates
+        sections = parallel_sections(body, np.eye(3)[0], np.linspace(-50.0, 50.0, 41))
+        assert sections.pairs_visited < 41 * body.n_faces // 10
+
+
+def check_extreme(mesh, *args, **kwargs):
+    """``extreme_points`` against the per-cut loop: same bytes, warnings and errors."""
+    new, new_warnings = _outcome(extreme_points, mesh, *args, **kwargs)
+    old, old_warnings = _outcome(extreme_points_loop, mesh, *args, **kwargs)
+    assert new_warnings == old_warnings
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+class TestExtremePointsOracle:
+    """``extreme_points``' picks, vectorized over the cuts, against the per-cut loop."""
+
+    def test_rough_plates(self, body_plates):
+        body, _ = body_plates
+        for side, prefer in (("sound_board", "max"), ("back", "min")):
+            rough = rough_split(body, side)[0]
+            for tie_tol in (0.0, 0.5, 1.0, 5.0):
+                check_extreme(rough, "x", 1.0, prefer_z=prefer, tie_tol=tie_tol)
+            check_extreme(rough, "y", 0.7, keep_interval=(-5.0, 12.0), keep_count=6,
+                       prefer_z=prefer, tie_tol=1.0)
+            check_extreme(rough, "x", 1.0, keep_interval=(-30.0, 30.0), keep_count=3)
+
+    def test_ties_and_stacked_surfaces(self):
+        verts = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 5, 0], [1, 5, 0], [2, 5, 0],
+                 [0, 0, 3], [1, 0, 3], [2, 0, 3], [0, 5, 3], [1, 5, 3], [2, 5, 3]]
+        faces = [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4], [6, 7, 10], [6, 10, 9],
+                 [7, 8, 11], [7, 11, 10], [0, 1, 7], [0, 7, 6], [3, 4, 10], [3, 10, 9]]
+        mesh = TriangleMesh(verts, faces)
+        grid = grid_mesh(12, 8, height=lambda x, y: np.round(0.1 * x * y))
+        for m in (mesh, grid):
+            for prefer in (None, "max", "min"):
+                for tie_tol in (0.0, 0.5, 6.0):
+                    check_extreme(m, "x", 1.0, prefer_z=prefer, tie_tol=tie_tol)
+                    check_extreme(m, "y", 0.5, keep_interval=(1.0, 2.0), prefer_z=prefer,
+                               tie_tol=tie_tol)
+
+    def test_empty_cuts_warn_in_order(self):
+        # two plates with a gap between them along x: the cuts in the gap are
+        # empty; a lone sliver gives no point at all
+        left = grid_mesh(5, 4)
+        right = grid_mesh(5, 4)
+        mesh = TriangleMesh(np.vstack([left.vertices, right.vertices + [10.0, 0.0, 0.0]]),
+                            np.vstack([left.faces, right.faces + left.n_vertices]))
+        check_extreme(mesh, "x", 1.0)
+        check_extreme(mesh, "x", 0.3, keep_interval=(2.0, 12.0), prefer_z="max", tie_tol=1.0)
+        sliver = TriangleMesh([[0, 0, 0], [1e-3, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+        check_extreme(sliver, "x", 1.0)
+
+    def test_counters(self, body_plates):
+        body, _ = body_plates
+        counters = {}
+        extreme_points(body, "x", 1.0, counters=counters)
+        assert counters["planes"] == len(slicing.section_offsets(
+            body.vertices[:, 0].min(), body.vertices[:, 0].max(), 1.0))
+        assert 0 < counters["pairs_visited"] < counters["planes"] * body.n_faces // 10
 
 
 class TestEdgesAndPathsOracle:

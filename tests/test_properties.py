@@ -144,6 +144,42 @@ def test_batched_sections_match_loop_oracle(rings, sectors, seed, specs, budget)
              for p in cross_section_loop(mesh, plane)]
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 8), st.integers(8, 30), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(arrays(np.float64, 3, elements=st.floats(-1, 1)),
+                          arrays(np.float64, 2, elements=st.floats(-22.0, 22.0)),
+                          st.booleans()), min_size=1, max_size=12),
+       st.floats(0.5, 30.0))
+def test_sections_near_hold_every_point_near_the_centre(rings, sectors, seed, specs, radius):
+    # every full-cut point within ``radius`` of its plane's centre (xy) is in
+    # the restricted cut with the same bytes; planes are vertical or tilted,
+    # through the centre or through a vertex
+    mesh = disc_plate(radius=20.0, height=6.0, rings=rings, sectors=sectors,
+                      groove_radius=14.0, jitter=0.4, rng=np.random.default_rng(seed)).mesh
+    normals, offsets, centres = [], [], []
+    for k, (direction, centre, through_vertex) in enumerate(specs):
+        normal = direction if np.linalg.norm(direction) > 1e-3 else np.array([1.0, 0.0, 0.0])
+        normal = normal / np.linalg.norm(normal)
+        if through_vertex:
+            vertex = mesh.vertices[(seed + k) % mesh.n_vertices]
+            centre, offset = vertex[:2], normal @ vertex
+        else:
+            offset = normal[:2] @ centre
+        normals.append(normal)
+        offsets.append(offset)
+        centres.append(centre)
+    near = slicing.sections_near(mesh, normals, offsets, centres, radius)
+    full = cross_sections(mesh, normals, offsets)
+    assert near.pairs_visited <= full.pairs_visited
+    for i, centre in enumerate(centres):
+        pts = full.plane_points(i)
+        inside = np.hypot(*(pts[:, :2] - centre).T) <= radius
+        if full.crowded(i):
+            continue  # a merge may have dropped a point one cut keeps
+        assert {p.tobytes() for p in pts[inside]} <= \
+            {p.tobytes() for p in near.plane_points(i)}
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(3, 7), st.integers(8, 24), st.integers(0, 2**32 - 1),
        st.floats(0.05, 0.95))

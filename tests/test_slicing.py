@@ -8,6 +8,7 @@ from violinmorph.slicing import (
     cross_section,
     cross_sections,
     extreme_points,
+    parallel_sections,
     section_offsets,
 )
 from violinmorph.synthetic import disc_plate, icosphere
@@ -51,6 +52,32 @@ class TestCrossSectionsArguments:
         tilted = np.array([0.6, 0.0, 0.8]) * (1.0 + 5e-13)
         sections = cross_sections(cube, [[0, 0, 1.0], tilted], [0.5, 0.7])
         assert len(sections) == 2 and len(sections.polylines(0)) == 1
+
+
+class TestSectionsArrays:
+    def test_flat_arrays_and_counters(self, cube):
+        sections = cross_sections(cube, [[0, 0, 1.0]] * 3, [0.5, 5.0, 0.25])
+        assert len(sections) == 3 and sections.pairs_visited == 3 * cube.n_faces
+        starts = sections.point_starts()
+        assert starts.tolist() == [0, 8, 8, 16]
+        assert sections.points[8:].tobytes() == sections.plane_points(2).tobytes()
+        assert not any(map(sections.crowded, range(3)))
+        with pytest.raises(IndexError):
+            sections.crowded(3)
+        with pytest.raises(IndexError):
+            sections.plane_points(-1)
+
+    def test_crowded_when_a_vertex_lies_on_the_plane(self, cube):
+        # the diagonal plane through four cube vertices nudges them: the
+        # crossings on the edges around each lie 1e-9 mm apart and merge
+        diagonal = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        sections = cross_sections(cube, [diagonal, diagonal], [0.0, 0.3])
+        assert [sections.crowded(0), sections.crowded(1)] == [True, False]
+
+    def test_parallel_planes_check_their_normal(self, cube):
+        with pytest.raises(ContractError, match="unit length"):
+            parallel_sections(cube, [0, 0, 2.0], [0.5])
+        assert parallel_sections(cube, [0, 0, 1.0], [0.5, 5.0]).pairs_visited < cube.n_faces
 
 
 class TestCrossSection:
