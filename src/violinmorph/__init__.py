@@ -61,7 +61,6 @@ from .slicing import (
     cross_section,
     cross_sections,
     extreme_points,
-    parallel_sections,
     sections_near,
 )
 from .symmetry import (

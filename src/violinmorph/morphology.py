@@ -18,7 +18,7 @@ from .errors import ContractError, GridMismatchError
 from .fileio import FLOAT_FORMAT, save_csv, save_json, save_polylines_csv
 from .grid import HeightGrid, save_height_grid
 from .mesh import row_dot
-from .slicing import cross_sections, parallel_sections, sections_near
+from .slicing import cross_sections, sections_near
 
 __all__ = [
     "ContourLineSet",
@@ -86,7 +86,7 @@ def contour_lines(plate, spacing=2.0, max_range=24.0, base=None, counters=None):
 
     kept_levels = []
     kept_polys = []
-    sections = parallel_sections(mesh, np.eye(3)[2], levels)
+    sections = cross_sections(mesh, np.tile(np.eye(3)[2], (len(levels), 1)), levels)
     if counters is not None:
         counters.update(planes=len(levels), pairs_visited=sections.pairs_visited)
     for i, level in enumerate(levels):

@@ -5,13 +5,13 @@ chained by walking face adjacency (coincident but topologically separate
 lobes are never merged). Sections feed contour isolation, contour lines
 and the channel search.
 
-Every cut runs one kernel over (plane, face) pairs. ``cross_sections``
-pairs every plane with every face; ``parallel_sections`` pairs planes
-sharing a normal only with the faces whose projected interval reaches
-them; ``sections_near`` pairs each plane only with the faces near a
-given point. A pair's corner distances are always gathered from the one
-``verts @ normal - offset`` of its plane (or its shared normal), so a
-point comes out with the same bits whichever route cut it.
+Every cut runs one kernel over (plane, face) pairs, from one of two
+routes. ``cross_sections`` cuts planes across the whole mesh: each face
+is paired only with the planes its projected interval reaches.
+``sections_near`` pairs each plane only with the faces near a given
+point. A pair's corner distances are always gathered from the one
+``verts @ normal`` of its plane's normal, minus the offset, so a point
+comes out with the same bits whichever route cut it.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from .errors import ContractError
 from .mesh import row_dot
 
 __all__ = ["SectionPlane", "SectionPolyline", "Sections", "cross_section", "cross_sections",
-           "parallel_sections", "sections_near", "extreme_points"]
+           "sections_near", "extreme_points"]
 
 _ON_PLANE = 1e-12   # vertices closer than this are nudged off the plane
 _NUDGE = 1e-9
 _MIN_POINT_SEP = 1e-9
-_CHUNK_ELEMENTS = 2 ** 16   # planes x max(vertices, faces) cut in one batch
+_CHUNK_ELEMENTS = 2 ** 20   # planes x max(vertices, faces) of one sections_near batch
 _REACH_SLACK = 1e-6   # mm added to a face's reach: covers the nudge and rounding
 
 
@@ -51,6 +51,8 @@ class SectionPlane:
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=np.float64).reshape(3)
         offset = float(self.offset)
+        if not (np.isfinite(n).all() and np.isfinite(offset)):
+            raise ContractError(f"plane normal {n.tolist()} and offset {offset} must be finite")
         norm = np.linalg.norm(n)
         if abs(norm - 1.0) > 1e-12:
             if norm == 0:
@@ -111,7 +113,7 @@ class Sections:
     the closed polylines; ``plane_starts`` holds each plane's first
     polyline, with the end appended. ``crowded_planes`` flags the planes
     whose cut was crowded (see :meth:`crowded`), and ``pairs_visited``
-    counts the (plane, face) pairs the cut tested.
+    counts the candidate (plane, face) pairs the cut tested.
     """
 
     points: np.ndarray
@@ -172,20 +174,22 @@ def cross_section(mesh, plane):
 
 
 def _plane_batch(normals, offsets):
-    """``normals`` and ``offsets`` as float arrays: unit rows, one offset each."""
-    normals = np.asarray(normals, dtype=np.float64)
+    """``normals`` and ``offsets`` as float arrays: unit rows, one finite offset each."""
+    normals = np.ascontiguousarray(normals, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
-    if normals.shape != (len(offsets), 3) or offsets.ndim != 1:
+    if offsets.ndim != 1 or normals.shape != (len(offsets), 3):
         raise ContractError(f"plane normals of shape {normals.shape} need a (k, 3) array "
                             f"and one offset each, got {offsets.shape}")
     if not (np.abs(np.sqrt(row_dot(normals, normals)) - 1.0) <= 1e-12).all():
         raise ContractError("plane normals must be unit length within 1e-12")
+    if not np.isfinite(offsets).all():
+        raise ContractError("plane offsets must be finite")
     return normals, offsets
 
 
-def _chunks(mesh, n_planes, elements=_CHUNK_ELEMENTS):
-    """Plane ranges of at most ``elements`` plane x max(vertices, faces) entries."""
-    step = max(1, elements // max(mesh.n_vertices, mesh.n_faces, 1))
+def _chunks(mesh, n_planes):
+    """Plane ranges of at most ``_CHUNK_ELEMENTS`` plane x max(vertices, faces) entries."""
+    step = max(1, _CHUNK_ELEMENTS // max(mesh.n_vertices, mesh.n_faces, 1))
     return [(i, min(i + step, n_planes)) for i in range(0, n_planes, step)]
 
 
@@ -201,9 +205,12 @@ def cross_sections(mesh, normals, offsets):
     """:func:`cross_section` of ``mesh`` with every plane ``normals[i] . q = offsets[i]``.
 
     ``normals`` is a (k, 3) array of unit rows, ``offsets`` holds one
-    offset per row. Every (plane, face) pair is tested, in chunks of at
-    most ``_CHUNK_ELEMENTS`` plane x max(vertices, faces) entries, each
-    with one set of array operations.
+    offset per row. Planes whose normals have the same bits (so -0.0 and
+    0.0 differ) project the vertices on it once. Each face is paired only
+    with the planes its projected interval [lo, hi] can cross: a face
+    crosses the plane at ``o`` only if ``lo < o <= hi + 1e-12`` (the
+    on-plane tolerance), found by ``searchsorted`` on the sorted offsets
+    (the interval sweep of Minetto et al., CAD 2017).
 
     Returns
     -------
@@ -211,42 +218,26 @@ def cross_sections(mesh, normals, offsets):
     """
     normals, offsets = _plane_batch(normals, offsets)
     verts, f = mesh.vertices, mesh.faces
+    rows, group = np.unique(normals.view(np.dtype((np.void, 24))).ravel(),
+                            return_index=True, return_inverse=True)[1:]
     pf, cf, dc = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
-    for a, b in _chunks(mesh, len(normals)):
-        d = _distances(verts, normals[a:b], offsets[a:b])
-        fs = ((d > 0.0) | (np.abs(d) < _ON_PLANE))[:, f]
-        p, c = np.nonzero((fs[:, :, 0] != fs[:, :, 1]) | (fs[:, :, 1] != fs[:, :, 2]))
-        pf.append(p + a)
+    for g, row in enumerate(rows):
+        planes = np.flatnonzero(group == g)
+        order = planes[np.argsort(offsets[planes], kind="stable")]
+        corners = (verts @ normals[row])[f]
+        lo = np.minimum(np.minimum(corners[:, 0], corners[:, 1]), corners[:, 2])
+        hi = np.maximum(np.maximum(corners[:, 0], corners[:, 1]), corners[:, 2])
+        first = np.searchsorted(offsets[order], lo, "right")
+        counts = np.searchsorted(offsets[order], hi + _ON_PLANE, "right") - first
+        c = np.repeat(np.arange(len(f)), counts)
+        p = order[np.arange(len(c)) - np.repeat(np.cumsum(counts) - counts - first, counts)]
+        pf.append(p)
         cf.append(c)
-        dc.append(d[p[:, None], f[c]])
-    return _cut_pairs(verts, f, normals, np.concatenate(pf), np.concatenate(cf),
-                      np.concatenate(dc), len(normals) * mesh.n_faces)
-
-
-def parallel_sections(mesh, normal, offsets):
-    """:func:`cross_sections` of ``mesh`` with the parallel planes ``normal . q = offsets[i]``.
-
-    Projects the vertices on ``normal`` once and pairs each face only
-    with the planes its projected interval [lo, hi] can cross: a face
-    crosses the plane at ``o`` only if ``lo < o <= hi + 1e-12`` (the
-    on-plane tolerance), found by ``searchsorted`` on the sorted offsets
-    (the interval sweep of Minetto et al., CAD 2017). The result holds
-    the same bytes as :func:`cross_sections`.
-    """
-    normal = np.asarray(normal, dtype=np.float64).ravel()
-    offsets = np.asarray(offsets, dtype=np.float64)
-    normals, offsets = _plane_batch(np.tile(normal, (offsets.size, 1)), offsets)
-    verts, f = mesh.vertices, mesh.faces
-    proj = verts @ normal
-    corners = proj[f]
-    order = np.argsort(offsets, kind="stable")
-    first = np.searchsorted(offsets[order], corners.min(axis=1), "right")
-    counts = np.searchsorted(offsets[order], corners.max(axis=1) + _ON_PLANE, "right") - first
-    cf = np.repeat(np.arange(len(f)), counts)
-    pf = order[np.arange(len(cf)) - np.repeat(np.cumsum(counts) - counts - first, counts)]
+        dc.append(corners[c] - offsets[p, None])
+    pf, cf = np.concatenate(pf), np.concatenate(cf)
     by_plane = np.argsort(pf, kind="stable")
-    pf, cf = pf[by_plane], cf[by_plane]
-    return _cut_pairs(verts, f, normals, pf, cf, corners[cf] - offsets[pf, None], len(cf))
+    return _cut_pairs(verts, f, normals, pf[by_plane], cf[by_plane],
+                      np.concatenate(dc)[by_plane], len(pf))
 
 
 def sections_near(mesh, normals, offsets, centres, radius):
@@ -277,8 +268,8 @@ def sections_near(mesh, normals, offsets, centres, radius):
     query = radius + reach_xy.max(initial=0.0) + _REACH_SLACK
     pf, cf, dc = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
     # a chunk builds one tree of its centres; its distances are gathered only
-    # at the candidate faces, so chunks can be larger than the full scan's
-    for a, b in _chunks(mesh, len(normals), 16 * _CHUNK_ELEMENTS):
+    # at the candidate faces
+    for a, b in _chunks(mesh, len(normals)):
         pairs = cKDTree(centres[a:b]).sparse_distance_matrix(faces_xy, query,
                                                             output_type="ndarray")
         p, c = pairs["i"].astype(np.intp) + a, pairs["j"].astype(np.intp)
@@ -302,7 +293,7 @@ def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
 
     ``pf`` is ascending and ``cf`` ascending within each plane; ``dc[k]``
     holds the signed distances of face ``cf[k]``'s corners from plane
-    ``pf[k]``, gathered from :func:`_distances` or the shared projection.
+    ``pf[k]``, gathered from its normal's projection or :func:`_distances`.
     Pairs whose face does not cross the plane are dropped.
     """
     side = (dc > 0.0) | (np.abs(dc) < _ON_PLANE)
@@ -499,7 +490,7 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
     """Outermost section points seeding a plate contour.
 
     Cuts the (already oriented) mesh with planes orthogonal to ``axis``
-    every ``spacing`` mm (:func:`parallel_sections`) and keeps, per cut,
+    every ``spacing`` mm (:func:`cross_sections`) and keeps, per cut,
     the two points with minimal and maximal coordinate along the in-plane
     horizontal axis.
 
@@ -532,7 +523,7 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
     ax = "xyz".index(axis)
     other = 1 - ax  # the in-plane horizontal axis (x<->y)
     offsets = section_offsets(mesh.vertices[:, ax].min(), mesh.vertices[:, ax].max(), spacing)
-    sections = parallel_sections(mesh, np.eye(3)[ax], offsets)
+    sections = cross_sections(mesh, np.tile(np.eye(3)[ax], (len(offsets), 1)), offsets)
     if counters is not None:
         counters.update(planes=len(offsets), pairs_visited=sections.pairs_visited)
     points, bounds = sections.points, sections.point_starts()

@@ -3,10 +3,12 @@
 These are the original per-face / per-edge loop versions of
 ``grid.interpolate_grid``, ``slicing.cross_section``,
 ``decimate.decimate``, the per-station loop that placed the channel's
-section planes, the channel search cutting every station across the
-whole plate, ``slicing.extreme_points`` picking per cut in a loop over
-a full-scan cut, and the ascii and binary PLY body readers, the per-row
-f-string writers of every text artifact (CSV, JSON, PLY, OBJ), plus the earlier
+section planes, the all-pairs scan that ``slicing.cross_sections``
+ran before its interval sweep, the channel search cutting every station
+across the whole plate with that scan, ``slicing.extreme_points``
+picking per cut in a loop over it, and the ascii and binary PLY body
+readers, the per-row f-string writers of every text artifact (CSV,
+JSON, PLY, OBJ), plus the earlier
 formulations of the mesh's edge list, the shortest path (undirected,
 then unbounded), the nearest-vertex snap, the contour checks and the
 registration objective (unmemoized, all cores), the per-sector loops
@@ -40,7 +42,8 @@ from violinmorph import morphology, registration, slicing, synthetic
 from violinmorph.morphology import ChannelTrace
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import (
-    _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPlane, SectionPolyline, cross_sections,
+    _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPlane, SectionPolyline, _cut_pairs, _distances,
+    _plane_batch,
 )
 
 
@@ -888,6 +891,30 @@ def connected_components_loop(mesh, removed=None):
     return comps
 
 
+def cross_sections_full_scan(mesh, normals, offsets, chunk_elements=2 ** 16):
+    """``slicing.cross_sections`` testing every (plane, face) pair.
+
+    The planes are cut in chunks of at most ``chunk_elements`` plane x
+    max(vertices, faces) entries; each chunk takes every vertex's signed
+    distance from each of its planes and keeps the faces whose corners
+    lie on both sides. ``pairs_visited`` is planes x faces.
+    """
+    normals, offsets = _plane_batch(normals, offsets)
+    verts, f = mesh.vertices, mesh.faces
+    step = max(1, chunk_elements // max(mesh.n_vertices, mesh.n_faces, 1))
+    pf, cf, dc = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
+    for a in range(0, len(normals), step):
+        b = min(a + step, len(normals))
+        d = _distances(verts, normals[a:b], offsets[a:b])
+        fs = ((d > 0.0) | (np.abs(d) < _ON_PLANE))[:, f]
+        p, c = np.nonzero((fs[:, :, 0] != fs[:, :, 1]) | (fs[:, :, 1] != fs[:, :, 2]))
+        pf.append(p + a)
+        cf.append(c)
+        dc.append(d[p[:, None], f[c]])
+    return _cut_pairs(verts, f, normals, np.concatenate(pf), np.concatenate(cf),
+                      np.concatenate(dc), len(normals) * mesh.n_faces)
+
+
 def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5):
     """``morphology.channel_of_minima`` cutting every station across the whole plate.
 
@@ -921,7 +948,7 @@ def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_r
         spline, np.interp(targets, arc, dense_t), centroid_xy)
     targets = targets[kept]
     skipped = len(kept) - len(targets)
-    sections = cross_sections(mesh, normals, offsets)
+    sections = cross_sections_full_scan(mesh, normals, offsets)
 
     minima = []
     arcs = []
@@ -1024,7 +1051,7 @@ def extreme_points_loop(mesh, axis="x", spacing=1.0, keep_interval=None, keep_co
 
     result = []
     offsets = slicing.section_offsets(lo, hi, spacing)
-    sections = cross_sections(mesh, np.eye(3)[[ax] * len(offsets)], offsets)
+    sections = cross_sections_full_scan(mesh, np.eye(3)[[ax] * len(offsets)], offsets)
     for i, off in enumerate(offsets):
         pts = sections.plane_points(i)
         if not len(pts):

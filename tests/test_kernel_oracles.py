@@ -19,7 +19,7 @@ from violinmorph.morphology import channel_of_minima
 from violinmorph.orientation import orient_to_frame, principal_frame
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import (
-    SectionPlane, cross_section, cross_sections, extreme_points, parallel_sections,
+    SectionPlane, cross_section, cross_sections, extreme_points, sections_near,
 )
 from violinmorph.symmetry import _rotation_to_vertical, build_symmetry_frame
 from violinmorph.synthetic import (
@@ -34,6 +34,7 @@ from oracles import (
     channel_stations_loop,
     connected_components_loop,
     cross_section_loop,
+    cross_sections_full_scan,
     decimate_loop,
     dijkstra_undirected,
     disc_mesh_loop,
@@ -273,13 +274,17 @@ class TestBatchedSectionsOracle:
     def test_planes_through_body_vertices(self, body):
         self.check(body, _planes_through_vertices(body, np.random.default_rng(21), 20))
 
-    def test_several_chunks_and_plane_larger_than_chunk(self, body, monkeypatch):
+    def test_sections_near_chunks_and_plane_larger_than_chunk(self, body, monkeypatch):
+        # sections_near cuts its planes in chunks: every chunk budget gives
+        # the bytes of one batch
         rng = np.random.default_rng(22)
-        planes = _random_vertical_planes(body, rng, 10) + _axis_planes(body, 3)
+        normals, offsets = _batch(_random_vertical_planes(body, rng, 10) + _axis_planes(body, 3))
+        centres = rng.uniform(-20.0, 20.0, (len(offsets), 2))
+        whole = sections_near(body, normals, offsets, centres, 15.0)
         size = max(body.n_vertices, body.n_faces)
         for budget in (3 * size + 1, 4 * size - 1, size, size - 1, 3):
             monkeypatch.setattr(slicing, "_CHUNK_ELEMENTS", budget)
-            self.check(body, planes)
+            assert_same_arrays(sections_near(body, normals, offsets, centres, 15.0), whole)
 
     def test_rings_and_open_chains_in_one_plane(self, body):
         # the closed body beside an open plate: planes across both cut a ring
@@ -528,54 +533,105 @@ def test_channel_window_cut_matches_full_scan(channel_plates, plate, stations, w
     check_channel(channel_plates[plate], stations=stations, window_mm=window)
 
 
-class TestParallelSectionsOracle:
-    """Planes sharing a normal, swept from sorted face intervals, against the full scan."""
+def assert_same_arrays(new, old):
+    """Two :class:`~violinmorph.slicing.Sections` hold the same arrays, byte for byte."""
+    for name in ("points", "edges", "starts", "closed", "plane_starts", "crowded_planes"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
-    def check(self, mesh, normal, offsets):
-        offsets = np.asarray(offsets, dtype=np.float64)
-        swept = parallel_sections(mesh, normal, offsets)
-        full = cross_sections(mesh, np.tile(normal, (len(offsets), 1)), offsets)
-        assert len(swept) == len(full) == len(offsets)
-        for i in range(len(offsets)):
-            assert_same_sections(swept.polylines(i), full.polylines(i))
-            assert swept.plane_points(i).tobytes() == full.plane_points(i).tobytes()
-            assert swept.crowded(i) == full.crowded(i)
+
+class TestCrossSectionsSweepOracle:
+    """``cross_sections``' interval sweep against the all-pairs full scan, byte for byte,
+    on batches mixing normals, offsets and hits on vertices."""
+
+    def check(self, mesh, normals, offsets):
+        normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+        swept = cross_sections(mesh, normals, offsets)
+        full = cross_sections_full_scan(mesh, normals, offsets)
+        assert len(swept) == len(full) == len(normals)
+        assert_same_arrays(swept, full)
         assert swept.pairs_visited <= full.pairs_visited
         return swept
 
     def test_lattice_offsets_on_body_and_plates(self, body_plates):
         body, plates = body_plates
         for mesh in [body] + plates:
+            normals, offsets = [], []
             for axis in range(3):
                 lo, hi = mesh.vertices[:, axis].min(), mesh.vertices[:, axis].max()
-                self.check(mesh, np.eye(3)[axis], slicing.section_offsets(lo, hi, 0.7))
+                lattice = slicing.section_offsets(lo, hi, 0.7)
+                self.check(mesh, np.tile(np.eye(3)[axis], (len(lattice), 1)), lattice)
+                normals += [np.eye(3)[axis]] * len(lattice)
+                offsets += list(lattice)
+            self.check(mesh, normals, offsets)   # three normals in one call
+
+    def test_shared_and_distinct_normals_in_one_call(self, body_plates):
+        body, _ = body_plates
+        rng = np.random.default_rng(42)
+        tilted = rng.normal(size=(4, 3))
+        tilted /= np.linalg.norm(tilted, axis=1)[:, None]
+        # the shared normals interleaved with one-off ones, as the channel's
+        # fallback stations come
+        pick = rng.integers(0, 4, 30)
+        normals = np.vstack([tilted[pick], rng.normal(size=(10, 3))])
+        normals = rng.permutation(normals / np.linalg.norm(normals, axis=1)[:, None])
+        offsets = rng.uniform(-30.0, 30.0, len(normals))
+        self.check(body, normals, offsets)
+        self.check(body, normals[:2], offsets[:2])
+
+    def test_normals_differing_in_a_zero_sign_or_the_last_bit(self, body_plates):
+        body, _ = body_plates
+        tilted = np.array([0.6, 0.0, 0.8])
+        next_bit = np.array([np.nextafter(0.6, 1.0), 0.0, 0.8])
+        normals = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0],
+                            [-0.0, -0.0, 1.0], tilted, next_bit, [0.6, -0.0, 0.8]])
+        assert len(np.unique(normals.view(np.uint64), axis=0)) == len(normals)
+        vertices = body.vertices[np.random.default_rng(43).choice(body.n_vertices, 5)]
+        offsets = [[n @ v for v in vertices] + [0.0, -0.0, 7.5] for n in normals]
+        self.check(body, np.repeat(normals, len(offsets[0]), axis=0), np.ravel(offsets))
 
     def test_offsets_at_and_near_vertex_coordinates(self, body_plates):
         body, _ = body_plates
         rng = np.random.default_rng(41)
+        normals, offsets = [], []
         for axis, normal in enumerate(np.eye(3)):
             coords = body.vertices[rng.choice(body.n_vertices, 12, replace=False), axis]
-            offsets = np.concatenate([coords + shift for shift in
-                                      (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12)])
-            swept = self.check(body, normal, offsets)
-            assert any(swept.crowded(i) for i in range(len(offsets)))
+            near = np.concatenate([coords + shift for shift in
+                                   (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12)])
+            swept = self.check(body, np.tile(normal, (len(near), 1)), near)
+            assert any(swept.crowded(i) for i in range(len(near)))
+            normals += [normal] * len(near)
+            offsets += list(near)
         tilted = np.array([0.6, 0.0, 0.8])
-        self.check(body, tilted, body.vertices[rng.choice(body.n_vertices, 20)] @ tilted)
+        through = body.vertices[rng.choice(body.n_vertices, 20)] @ tilted
+        self.check(body, np.tile(tilted, (20, 1)), through)
+        self.check(body, normals + [tilted] * 20, offsets + list(through))
 
     def test_exact_vertex_hits_unsorted_repeated_and_missing(self):
         mesh = grid_mesh(9, 7, height=lambda x, y: np.round(0.25 * x * y))
-        self.check(mesh, np.eye(3)[2], [3.0, -1.0, 0.0, 3.0, 7.5, 12.0, 1.0, 20.0, 0.0])
-        self.check(mesh, np.eye(3)[0], np.arange(-1.0, 10.0))
-        assert len(self.check(mesh, np.eye(3)[1], [])) == 0
+        z = [3.0, -1.0, 0.0, 3.0, 7.5, 12.0, 1.0, 20.0, 0.0]
+        self.check(mesh, np.tile(np.eye(3)[2], (len(z), 1)), z)
+        self.check(mesh, np.tile(np.eye(3)[0], (11, 1)), np.arange(-1.0, 10.0))
+        mixed = [np.eye(3)[k % 3] for k in range(len(z))]
+        self.check(mesh, mixed, z)
+        assert len(self.check(mesh, np.empty((0, 3)), [])) == 0
 
     def test_non_manifold_fin(self):
-        mesh, _ = _fin_mesh(ball=True)
-        self.check(mesh, np.eye(3)[2], [0.05, 0.5, 1.0, 2.0, 2.9, 10.0, 11.0])
-        self.check(mesh, np.eye(3)[0], np.linspace(0.3, 5.7, 13))
+        mesh, hinge = _fin_mesh(ball=True)
+        z = [0.05, 0.5, 1.0, 2.0, 2.9, 10.0, 11.0]
+        x = np.linspace(0.3, 5.7, 13)
+        self.check(mesh, np.tile(np.eye(3)[2], (len(z), 1)), z)
+        self.check(mesh, np.tile(np.eye(3)[0], (len(x), 1)), x)
+        # through the hinge, beside the axis planes: planes that take the walk
+        theta = np.linspace(0.1, 3.0, 6)
+        through = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(6)])
+        self.check(mesh, [np.eye(3)[2]] * len(z) + list(through) + [np.eye(3)[0]] * len(x),
+                   np.concatenate([z, through @ hinge + 0.01, x]))
 
     def test_sweep_visits_few_pairs(self, body_plates):
         body, _ = body_plates
-        sections = parallel_sections(body, np.eye(3)[0], np.linspace(-50.0, 50.0, 41))
+        sections = cross_sections(body, np.tile(np.eye(3)[0], (41, 1)),
+                                  np.linspace(-50.0, 50.0, 41))
         assert sections.pairs_visited < 41 * body.n_faces // 10
 
 

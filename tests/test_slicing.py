@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from violinmorph.slicing import (
     cross_section,
     cross_sections,
     extreme_points,
-    parallel_sections,
     section_offsets,
+    sections_near,
 )
 from violinmorph.synthetic import disc_plate, icosphere
 
@@ -34,6 +36,17 @@ class TestSectionPlane:
         with pytest.raises(ContractError):
             SectionPlane((0, 0, 0), 0.0)
 
+    @pytest.mark.parametrize("normal, offset", [
+        ((np.inf, 0, 0), 1.0), ((0, np.nan, 1.0), 1.0), ((0, 0, 1.0), np.nan),
+        ((0, 0, 1.0), -np.inf),
+    ])
+    def test_non_finite_plane_rejected(self, normal, offset):
+        # an error, not a NaN normal stored with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="must be finite"):
+                SectionPlane(normal, offset)
+
 
 class TestCrossSectionsArguments:
     @pytest.mark.parametrize("normals, offsets, message", [
@@ -43,10 +56,18 @@ class TestCrossSectionsArguments:
         ([[0, 0, 1.0], [1.0, 0, 0]], [0.5], "one offset each"),
         ([[0, 0, 1.0]], [0.5, 0.7], "one offset each"),
         ([0, 0, 1.0], [0.5], "one offset each"),
+        ([[0, 0, 1.0]], 0.5, "one offset each"),
+        ([[0, 0, 1.0], [0, 0, 1.0]], [0.5, np.nan], "offsets must be finite"),
+        ([[0, 0, 1.0]], [np.inf], "offsets must be finite"),
     ])
     def test_bad_batch_rejected(self, cube, normals, offsets, message):
         with pytest.raises(ContractError, match=message):
             cross_sections(cube, normals, offsets)
+
+    def test_nan_offset_rejected_near_a_centre(self, cube):
+        # an error, not an empty cut
+        with pytest.raises(ContractError, match="offsets must be finite"):
+            sections_near(cube, [[1.0, 0, 0]], [np.nan], [[0.5, 0.5]], 2.0)
 
     def test_rows_unit_within_tolerance_accepted(self, cube):
         tilted = np.array([0.6, 0.0, 0.8]) * (1.0 + 5e-13)
@@ -56,8 +77,13 @@ class TestCrossSectionsArguments:
 
 class TestSectionsArrays:
     def test_flat_arrays_and_counters(self, cube):
-        sections = cross_sections(cube, [[0, 0, 1.0]] * 3, [0.5, 5.0, 0.25])
-        assert len(sections) == 3 and sections.pairs_visited == 3 * cube.n_faces
+        offsets = [0.5, 5.0, 0.25]
+        sections = cross_sections(cube, [[0, 0, 1.0]] * 3, offsets)
+        # the candidate pairs: each face with the planes its z interval reaches
+        z = cube.vertices[cube.faces, 2]
+        lo, hi = z.min(axis=1), z.max(axis=1)
+        swept = sum(int(np.count_nonzero((lo < o) & (o <= hi + 1e-12))) for o in offsets)
+        assert len(sections) == 3 and sections.pairs_visited == swept == 16
         starts = sections.point_starts()
         assert starts.tolist() == [0, 8, 8, 16]
         assert sections.points[8:].tobytes() == sections.plane_points(2).tobytes()
@@ -73,11 +99,6 @@ class TestSectionsArrays:
         diagonal = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         sections = cross_sections(cube, [diagonal, diagonal], [0.0, 0.3])
         assert [sections.crowded(0), sections.crowded(1)] == [True, False]
-
-    def test_parallel_planes_check_their_normal(self, cube):
-        with pytest.raises(ContractError, match="unit length"):
-            parallel_sections(cube, [0, 0, 2.0], [0.5])
-        assert parallel_sections(cube, [0, 0, 1.0], [0.5, 5.0]).pairs_visited < cube.n_faces
 
 
 class TestCrossSection:
