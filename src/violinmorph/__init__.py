@@ -56,7 +56,6 @@ from .registration import (
     register_icp,
 )
 from .slicing import (
-    SectionPlane,
     SectionPolyline,
     cross_section,
     cross_sections,

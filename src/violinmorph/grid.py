@@ -82,6 +82,8 @@ class HeightGrid:
 
 def joint_grid_domain(meshes, spacing=1.0):
     """Lattice origin and shape covering the xy-footprint of all meshes."""
+    if not spacing > 0:
+        raise ContractError("grid spacing must be positive")
     lo = np.min([m.vertices[:, :2].min(axis=0) for m in meshes], axis=0)
     hi = np.max([m.vertices[:, :2].max(axis=0) for m in meshes], axis=0)
     origin = np.ceil(lo / spacing) * spacing

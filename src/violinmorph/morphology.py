@@ -65,8 +65,10 @@ def contour_lines(plate, spacing=2.0, max_range=24.0, base=None, counters=None):
     ``max_range`` mm. ``counters``, a dict, receives ``planes`` and
     ``pairs_visited``, the (plane, face) pairs the cut tested.
     """
-    if spacing <= 0:
+    if not spacing > 0:
         raise ContractError("level spacing must be positive")
+    if not max_range >= 0:
+        raise ContractError("level range must not be negative")
     mesh = plate.mesh
     z_lo = float(mesh.vertices[:, 2].min())
     z_hi = float(mesh.vertices[:, 2].max())
@@ -263,7 +265,7 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     ``stations_cut``, ``pairs_visited`` (the (plane, face) pairs tested)
     and ``full_cut_stations``.
     """
-    if window_mm <= 0 or stations < 8:
+    if not (window_mm > 0 and stations >= 8):
         raise ContractError("window must be positive and stations >= 8")
     mesh = plate.mesh
     spline, total_len = _periodic_spline(plate.contour_points())

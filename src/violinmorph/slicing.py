@@ -5,19 +5,22 @@ chained by walking face adjacency (coincident but topologically separate
 lobes are never merged). Sections feed contour isolation, contour lines
 and the channel search.
 
-Every cut runs one kernel over (plane, face) pairs, from one of two
-routes. ``cross_sections`` cuts planes across the whole mesh: each face
-is paired only with the planes its projected interval reaches.
-``sections_near`` pairs each plane only with the faces near a given
-point. A pair's corner distances are always gathered from the one
-``verts @ normal`` of its plane's normal, minus the offset, so a point
-comes out with the same bits whichever route cut it.
+A plane is an array pair: a unit normal and an offset, the plane
+{q : normal . q = offset}; a batch of k planes is a (k, 3) array of
+normals and k offsets. Every cut runs one kernel over (plane, face)
+pairs, from one of two routes. ``cross_sections`` cuts planes across
+the whole mesh: each face is paired only with the planes its projected
+interval reaches. ``sections_near`` pairs each plane only with the
+faces near a given point. A pair's corner distances are always
+gathered from the one ``verts @ normal`` of its plane's normal, minus
+the offset, so a point comes out with the same bits whichever route
+cut it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -27,8 +30,8 @@ from scipy.spatial import cKDTree
 from .errors import ContractError
 from .mesh import row_dot
 
-__all__ = ["SectionPlane", "SectionPolyline", "Sections", "cross_section", "cross_sections",
-           "sections_near", "extreme_points"]
+__all__ = ["SectionPolyline", "Sections", "cross_section", "cross_sections", "sections_near",
+           "extreme_points"]
 
 _ON_PLANE = 1e-12   # vertices closer than this are nudged off the plane
 _NUDGE = 1e-9
@@ -38,51 +41,16 @@ _REACH_SLACK = 1e-6   # mm added to a face's reach: covers the nudge and roundin
 
 
 @dataclass(frozen=True)
-class SectionPlane:
-    """Plane {q : normal . q = offset}, stored with a unit normal.
-
-    A normal that is not unit length is divided by its norm, and so is the
-    offset: ``SectionPlane((0, 0, 2.0), 1.0)`` is the plane z = 0.5.
-    """
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64).reshape(3)
-        offset = float(self.offset)
-        if not (np.isfinite(n).all() and np.isfinite(offset)):
-            raise ContractError(f"plane normal {n.tolist()} and offset {offset} must be finite")
-        norm = np.linalg.norm(n)
-        if abs(norm - 1.0) > 1e-12:
-            if norm == 0:
-                raise ContractError("plane normal is zero")
-            n, offset = n / norm, offset / norm
-        n.flags.writeable = False
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", offset)
-
-    @classmethod
-    def orthogonal_to(cls, axis, value):
-        """Plane orthogonal to a coordinate axis at the given coordinate."""
-        i = "xyz".index(axis)
-        n = np.zeros(3)
-        n[i] = 1.0
-        return cls(n, value)
-
-
-@dataclass(frozen=True)
 class SectionPolyline:
     """Ordered intersection points of one connected section curve.
 
-    ``source_edges`` holds, per point, the (a, b) mesh-vertex pair of the
-    edge the point was interpolated on. ``closed`` means the curve returns
-    to its first point (the duplicate closing point is not stored).
+    Each point lies on a mesh edge that crosses the plane. ``closed``
+    means the curve returns to its first point (the duplicate closing
+    point is not stored).
     """
 
     points: np.ndarray
     closed: bool
-    source_edges: tuple = field(repr=False, default=())
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -107,17 +75,15 @@ class SectionPolyline:
 class Sections:
     """The cuts of one mesh by a list of planes, as flat arrays.
 
-    ``points`` holds every plane's points, polyline after polyline, and
-    ``edges`` each point's (lo, hi) source edge. ``starts`` holds the
-    polyline starts into both, with the end appended; ``closed`` flags
-    the closed polylines; ``plane_starts`` holds each plane's first
-    polyline, with the end appended. ``crowded_planes`` flags the planes
+    ``points`` holds every plane's points, polyline after polyline.
+    ``starts`` holds the polyline starts into it, with the end appended;
+    ``closed`` flags the closed polylines; ``plane_starts`` holds each
+    plane's first polyline, with the end appended. ``crowded_planes`` flags the planes
     whose cut was crowded (see :meth:`crowded`), and ``pairs_visited``
     counts the candidate (plane, face) pairs the cut tested.
     """
 
     points: np.ndarray
-    edges: np.ndarray
     starts: np.ndarray
     closed: np.ndarray
     plane_starts: np.ndarray
@@ -141,8 +107,8 @@ class Sections:
         """Plane ``i`` as a list of :class:`SectionPolyline`, in
         :func:`cross_section` order."""
         j0, j1 = self._polylines(i)
-        starts, points, edges = self.starts, self.points, self.edges
-        return [SectionPolyline(points[a:b], bool(c), tuple(map(tuple, edges[a:b].tolist())))
+        starts, points = self.starts, self.points
+        return [SectionPolyline(points[a:b], bool(c))
                 for a, b, c in zip(starts[j0:j1], starts[j0 + 1:j1 + 1], self.closed[j0:j1])]
 
     def crowded(self, i):
@@ -157,20 +123,24 @@ class Sections:
         return self.starts[self.plane_starts]
 
 
-def cross_section(mesh, plane):
-    """All intersection polylines of ``mesh`` with ``plane``.
+def cross_section(mesh, normal, offset):
+    """All intersection polylines of ``mesh`` with the plane ``normal . q = offset``.
 
-    Vertices within 1e-12 mm of the plane are nudged 1e-9 mm along the
-    normal first, so no vertex lies exactly on the plane and every
-    crossing face contributes exactly two edge intersections.
+    ``normal`` must be unit length within 1e-12 and ``offset`` finite, as
+    for every plane of :func:`cross_sections`, of which this is the
+    one-plane cut. Vertices within 1e-12 mm of the plane are nudged
+    1e-9 mm along the normal first, so no vertex lies exactly on the
+    plane and every crossing face contributes exactly two edge
+    intersections.
 
     Returns
     -------
     list of SectionPolyline
         Deterministic order: open curves first, then closed ones, each by
-        its first source edge. Empty when the plane misses the mesh.
+        the (lower, higher) vertex pair of the edge its first point lies
+        on. Empty when the plane misses the mesh.
     """
-    return cross_sections(mesh, plane.normal[None], [plane.offset]).polylines(0)
+    return cross_sections(mesh, [normal], [offset]).polylines(0)
 
 
 def _plane_batch(normals, offsets):
@@ -300,8 +270,7 @@ def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
     crossing = (side[:, 0] != side[:, 1]) | (side[:, 1] != side[:, 2])
     pf, cf, dc, su = pf[crossing], cf[crossing], dc[crossing], side[crossing]
     if cf.size == 0:
-        return Sections(np.empty((0, 3)), np.empty((0, 2), dtype=np.int64),
-                        np.zeros(1, dtype=np.int64), np.empty(0, dtype=bool),
+        return Sections(np.empty((0, 3)), np.zeros(1, dtype=np.int64), np.empty(0, dtype=bool),
                         np.zeros(len(normals) + 1, dtype=np.int64),
                         np.zeros(len(normals), dtype=bool), pairs_visited)
 
@@ -345,8 +314,7 @@ def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
     whole = sizes >= 2
     chain_plane = chain_key[bounds[:-1]] // (2 * len(keys))
     counts = np.bincount(chain_plane[whole], minlength=len(normals))
-    return Sections(points[nodes], np.stack([lo, hi], axis=1)[nodes],
-                    np.concatenate([[0], np.cumsum(sizes[whole])]), closed[whole],
+    return Sections(points[nodes], np.concatenate([[0], np.cumsum(sizes[whole])]), closed[whole],
                     np.concatenate([[0], np.cumsum(counts)]),
                     np.bincount(chain_plane[crowded], minlength=len(normals)) > 0, pairs_visited)
 
@@ -475,7 +443,7 @@ def _merge_near_points(pts, bounds, closed):
 
 def section_offsets(lo, hi, spacing):
     """Lattice of plane offsets inside (lo, hi); midpoint fallback when empty."""
-    if spacing <= 0:
+    if not spacing > 0:
         raise ContractError("section spacing must be positive")
     start = np.ceil(lo / spacing) * spacing
     offsets = np.arange(start, hi, spacing)

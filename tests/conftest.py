@@ -38,6 +38,22 @@ def grid_mesh(nx, ny, spacing=1.0, height=None):
     return TriangleMesh(verts, faces)
 
 
+def unit_plane(normal, offset):
+    """The plane ``normal . q = offset`` as a unit normal and its offset:
+    a normal that is not unit length within 1e-12 is divided by its norm,
+    and so is the offset."""
+    n, offset = np.asarray(normal, dtype=np.float64).reshape(3), float(offset)
+    norm = np.linalg.norm(n)
+    if abs(norm - 1.0) > 1e-12:
+        n, offset = n / norm, offset / norm
+    return n, offset
+
+
+def axis_plane(axis, value):
+    """The plane orthogonal to coordinate ``axis`` at ``value``."""
+    return np.eye(3)["xyz".index(axis)], float(value)
+
+
 def write_without_faces(mesh_path, cloud_path, n_vertices):
     """Copy a PLY written by ``save_mesh`` without its face element."""
     head, body = mesh_path.read_bytes().split(b"end_header\n", 1)

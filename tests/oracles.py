@@ -42,8 +42,7 @@ from violinmorph import morphology, registration, slicing, synthetic
 from violinmorph.morphology import ChannelTrace
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import (
-    _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPlane, SectionPolyline, _cut_pairs, _distances,
-    _plane_batch,
+    _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPolyline, _cut_pairs, _distances, _plane_batch,
 )
 
 
@@ -198,14 +197,15 @@ class ObjectiveUnmemoized:
         return float(np.mean(proj * proj))
 
 
-def cross_section_loop(mesh, plane):
+def cross_section_loop(mesh, normal, offset):
     """Dict-based edge collection and face-adjacency chain walk."""
+    normal, offset = np.asarray(normal, dtype=np.float64), float(offset)
     verts = mesh.vertices
-    d = verts @ plane.normal - plane.offset
+    d = verts @ normal - offset
     near = np.abs(d) < _ON_PLANE
     if near.any():
         verts = verts.copy()
-        verts[near] += (_NUDGE - d[near])[:, None] * plane.normal
+        verts[near] += (_NUDGE - d[near])[:, None] * normal
         d = d.copy()
         d[near] = _NUDGE
 
@@ -271,7 +271,7 @@ def cross_section_loop(mesh, plane):
 
 def channel_stations_loop(spline, station_t, centroid_xy):
     """``morphology._stations`` one station at a time, with two scalar spline
-    calls and one :class:`SectionPlane` per station."""
+    calls and one plane (normal, offset) per station."""
     kept, centres, normals, offsets, inward = [], [], [], [], []
     for t in station_t:
         c = spline(t)
@@ -285,10 +285,9 @@ def channel_stations_loop(spline, station_t, centroid_xy):
         direction = np.array([-tau[1], tau[0]])
         if direction @ (centroid_xy - c[:2]) < 0:
             direction = -direction
-        plane = SectionPlane((tau[0], tau[1], 0.0), float(tau @ c[:2]))
         centres.append(c)
-        normals.append(plane.normal)
-        offsets.append(plane.offset)
+        normals.append((tau[0], tau[1], 0.0))
+        offsets.append(float(tau @ c[:2]))
         inward.append(direction)
     return (np.array(kept), np.array(centres).reshape(-1, 3), np.array(normals).reshape(-1, 3),
             np.array(offsets), np.array(inward).reshape(-1, 2))
@@ -297,16 +296,13 @@ def channel_stations_loop(spline, station_t, centroid_xy):
 def _make_polyline_loop(chain, closed, edge_points):
     pts = [edge_points[k] for k in chain]
     keep_pts = [pts[0]]
-    keep_edges = [chain[0]]
-    for p, k in zip(pts[1:], chain[1:]):
+    for p in pts[1:]:
         if np.linalg.norm(p - keep_pts[-1]) > _MIN_POINT_SEP:
             keep_pts.append(p)
-            keep_edges.append(k)
     if closed and len(keep_pts) > 1:
         if np.linalg.norm(keep_pts[0] - keep_pts[-1]) <= _MIN_POINT_SEP:
             keep_pts.pop()
-            keep_edges.pop()
-    return SectionPolyline(np.array(keep_pts), closed, tuple(keep_edges))
+    return SectionPolyline(np.array(keep_pts), closed)
 
 
 def _plane_quadric(normal, d, weight=1.0):

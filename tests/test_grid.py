@@ -149,6 +149,16 @@ def test_joint_domain_covers_all_meshes():
     assert shape == (8, 7)
 
 
+@pytest.mark.parametrize("spacing", [0.0, -1.0, np.nan])
+def test_joint_domain_rejects_bad_spacing(spacing):
+    # a contract error, not "cannot convert float NaN to integer"
+    plate = disc_plate(radius=30.0, rings=10, sectors=40).mesh
+    with pytest.raises(ContractError, match="spacing must be positive"):
+        joint_grid_domain([plate], spacing)
+    with pytest.raises(ContractError, match="spacing must be positive"):
+        interpolate_grid(plate, spacing)
+
+
 def test_grid_save_load_roundtrip(tmp_path):
     values = np.array([[1.25, np.nan], [3.5, -0.75], [0.0, 9.0]])
     g = HeightGrid((2.0, -3.0), 0.5, values)

@@ -250,6 +250,11 @@ class TestIsolatePlate:
             if b in inner_orig:
                 assert a in kept
 
+    def test_nan_spacing_rejected(self, skirted):
+        mesh, _ = skirted
+        with pytest.raises(ContractError, match="spacing must be positive"):
+            isolate_plate(mesh, "sound_board", spacing=np.nan)
+
     def test_deterministic(self, skirted):
         mesh, _ = skirted
         p1 = isolate_plate(mesh, "sound_board")

@@ -58,6 +58,20 @@ class TestContourLines:
             lines = contour_lines(plate, spacing=2.0)
         assert len(lines) == 0
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(spacing=np.nan), "spacing must be positive"),
+        (dict(max_range=np.nan), "range must not be negative"),
+        (dict(max_range=-5.0), "range must not be negative"),
+    ])
+    def test_nan_or_negative_params_rejected(self, kw, message):
+        # before any cut: not numpy's arange error, a dropped cap or an
+        # empty-plate warning
+        plate = disc_plate(radius=30.0, rings=10, sectors=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=message):
+                contour_lines(plate, **kw)
+
     def test_refinement_keeps_coarse_levels(self):
         plate = disc_plate(radius=30.0, height=11.0, rings=40, sectors=120)
         coarse = contour_lines(plate, spacing=2.0)
@@ -194,3 +208,11 @@ class TestChannelOfMinima:
             quiet_channel(grooved, window_mm=-1.0)
         with pytest.raises(ContractError):
             quiet_channel(grooved, stations=4)
+
+    def test_nan_window_rejected(self):
+        # before any station is cut, not after 400 "no interior points" warnings
+        plate = disc_plate(radius=30.0, rings=10, sectors=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="window must be positive"):
+                channel_of_minima(plate, window_mm=np.nan)

@@ -17,10 +17,11 @@ from violinmorph.registration import (
     point_to_point,
     point_to_point_sq,
 )
-from violinmorph.slicing import SectionPlane, cross_section, cross_sections
+from violinmorph.slicing import cross_section, cross_sections
 from violinmorph.symmetry import _rotation_to_vertical
 from violinmorph.synthetic import disc_plate
 
+from conftest import unit_plane
 from oracles import cross_section_loop, decimate_loop, interpolate_grid_loop
 
 coords = st.floats(min_value=-100.0, max_value=100.0,
@@ -109,11 +110,11 @@ def test_batched_kernels_match_loop_oracles(rings, sectors, seed, spacing, side,
     normal = direction if np.linalg.norm(direction) > 1e-3 else np.array([0.0, 0.0, 1.0])
     vertex = mesh.vertices[seed % mesh.n_vertices]
     for off in (offset * 20.0, normal @ vertex):
-        plane = SectionPlane(normal, off)
-        new = cross_section(mesh, plane)
-        old = cross_section_loop(mesh, plane)
-        assert [(p.points.tobytes(), p.closed, p.source_edges) for p in new] == \
-            [(p.points.tobytes(), p.closed, p.source_edges) for p in old]
+        plane = unit_plane(normal, off)
+        new = cross_section(mesh, *plane)
+        old = cross_section_loop(mesh, *plane)
+        assert [(p.points.tobytes(), p.closed) for p in new] == \
+            [(p.points.tobytes(), p.closed) for p in old]
 
 
 @settings(max_examples=25, deadline=None)
@@ -128,14 +129,13 @@ def test_batched_sections_match_loop_oracle(rings, sectors, seed, specs):
         normal = direction if np.linalg.norm(direction) > 1e-3 else np.array([0.0, 0.0, 1.0])
         if through_vertex:
             offset = normal @ mesh.vertices[(seed + k) % mesh.n_vertices]
-        planes.append(SectionPlane(normal, offset))
-    sections = cross_sections(mesh, np.array([p.normal for p in planes]).reshape(-1, 3),
-                              [p.offset for p in planes])
+        planes.append(unit_plane(normal, offset))
+    sections = cross_sections(mesh, np.array([n for n, _ in planes]).reshape(-1, 3),
+                              [o for _, o in planes])
     assert len(sections) == len(planes)
     for i, plane in enumerate(planes):
-        assert [(p.points.tobytes(), p.closed, p.source_edges) for p in sections.polylines(i)] == \
-            [(p.points.tobytes(), p.closed, p.source_edges)
-             for p in cross_section_loop(mesh, plane)]
+        assert [(p.points.tobytes(), p.closed) for p in sections.polylines(i)] == \
+            [(p.points.tobytes(), p.closed) for p in cross_section_loop(mesh, *plane)]
 
 
 @settings(max_examples=25, deadline=None)

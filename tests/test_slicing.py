@@ -6,7 +6,6 @@ import pytest
 from violinmorph.errors import ContractError
 from violinmorph.mesh import TriangleMesh
 from violinmorph.slicing import (
-    SectionPlane,
     cross_section,
     cross_sections,
     extreme_points,
@@ -15,37 +14,31 @@ from violinmorph.slicing import (
 )
 from violinmorph.synthetic import disc_plate, icosphere
 
-from conftest import grid_mesh
+from conftest import grid_mesh, unit_plane
 
 
-class TestSectionPlane:
-    def test_normal_is_normalized(self):
-        plane = SectionPlane((0, 0, 2.0), 1.0)
-        assert np.linalg.norm(plane.normal) == pytest.approx(1.0, abs=1e-15)
-        assert plane.offset == 0.5
-
-    def test_scaled_normal_cuts_the_plane_it_describes(self):
-        # 2z = 1 is the plane z = 0.5, not z = 1
-        plate = disc_plate(radius=20.0, height=6.0, rings=10, sectors=40)
-        polys = cross_section(plate.mesh, SectionPlane((0, 0, 2.0), 1.0))
-        assert polys
-        for poly in polys:
-            assert np.abs(poly.points[:, 2] - 0.5).max() < 1e-9
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ContractError):
-            SectionPlane((0, 0, 0), 0.0)
-
-    @pytest.mark.parametrize("normal, offset", [
-        ((np.inf, 0, 0), 1.0), ((0, np.nan, 1.0), 1.0), ((0, 0, 1.0), np.nan),
-        ((0, 0, 1.0), -np.inf),
+class TestCrossSectionContract:
+    @pytest.mark.parametrize("normal, offset, message", [
+        ((0, 0, 2.0), 1.0, "unit length"), ((0, 0, 0), 0.0, "unit length"),
+        ((np.inf, 0, 0), 1.0, "unit length"), ((0, np.nan, 1.0), 1.0, "unit length"),
+        ((0, 0, 1.0), np.nan, "offsets must be finite"),
+        ((0, 0, 1.0), -np.inf, "offsets must be finite"),
     ])
-    def test_non_finite_plane_rejected(self, normal, offset):
-        # an error, not a NaN normal stored with a RuntimeWarning
+    def test_bad_plane_rejected(self, cube, normal, offset, message):
+        # an error, not a rescaled plane or a NaN normal with a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ContractError, match="must be finite"):
-                SectionPlane(normal, offset)
+            with pytest.raises(ContractError, match=message):
+                cross_section(cube, normal, offset)
+
+    def test_one_plane_of_cross_sections(self):
+        plate = disc_plate(radius=20.0, height=6.0, rings=10, sectors=40)
+        for normal, offset in [((0, 0, 1.0), 0.5), (np.array([0.6, 0.0, 0.8]), 1.5)]:
+            polys = cross_section(plate.mesh, normal, offset)
+            whole = cross_sections(plate.mesh, [normal], [offset]).polylines(0)
+            assert polys
+            assert [(p.points.tobytes(), p.closed) for p in polys] == \
+                [(p.points.tobytes(), p.closed) for p in whole]
 
 
 class TestCrossSectionsArguments:
@@ -103,52 +96,52 @@ class TestSectionsArrays:
 
 class TestCrossSection:
     def test_cube_mid_plane_square(self, cube):
-        polys = cross_section(cube, SectionPlane((0, 0, 1.0), 0.5))
+        polys = cross_section(cube, (0, 0, 1.0), 0.5)
         assert len(polys) == 1
         assert polys[0].closed
         assert polys[0].length == pytest.approx(4.0, abs=1e-9)
 
     def test_sphere_circumference_analytic(self):
         sphere = icosphere(10.0, 4)  # 5120 faces
-        polys = cross_section(sphere, SectionPlane((0, 0, 1.0), 0.0))
+        polys = cross_section(sphere, (0, 0, 1.0), 0.0)
         assert len(polys) == 1
         assert polys[0].closed
         assert polys[0].length == pytest.approx(2 * np.pi * 10.0, rel=0.01)
 
     def test_plane_misses_mesh(self, cube):
-        assert cross_section(cube, SectionPlane((0, 0, 1.0), 5.0)) == []
+        assert cross_section(cube, (0, 0, 1.0), 5.0) == []
 
     def test_points_lie_on_plane(self, cube):
         sphere = icosphere(7.0, 3)
         for mesh, plane in [
-            (cube, SectionPlane((1, 1, 1), 0.8)),
-            (sphere, SectionPlane((0.3, -0.5, 0.81), 1.2)),
+            (cube, unit_plane((1, 1, 1), 0.8)),
+            (sphere, unit_plane((0.3, -0.5, 0.81), 1.2)),
         ]:
-            for poly in cross_section(mesh, plane):
-                resid = poly.points @ plane.normal - plane.offset
+            for poly in cross_section(mesh, *plane):
+                resid = poly.points @ plane[0] - plane[1]
                 assert np.abs(resid).max() < 1e-9
 
     def test_watertight_sections_closed(self):
         sphere = icosphere(5.0, 3)
         for z in (-3.0, 0.0, 2.5):
-            for poly in cross_section(sphere, SectionPlane((0, 0, 1.0), z)):
+            for poly in cross_section(sphere, (0, 0, 1.0), z):
                 assert poly.closed
 
     def test_open_surface_section_is_open(self):
         plate = disc_plate(rings=20, sectors=60)
-        polys = cross_section(plate.mesh, SectionPlane((1, 0, 0), 0.0))
+        polys = cross_section(plate.mesh, (1, 0, 0), 0.0)
         assert polys
         assert not any(p.closed for p in polys)
 
     def test_vertex_on_plane_is_handled(self, cube):
         # plane through 4 cube vertices exactly
-        polys = cross_section(cube, SectionPlane((0, 0, 1.0), 0.0))
+        polys = cross_section(cube, (0, 0, 1.0), 0.0)
         assert polys == [] or all(len(p) >= 2 for p in polys)
 
     def test_rigid_motion_invariance_of_length(self):
         sphere = icosphere(6.0, 3)
-        plane = SectionPlane((0.2, 0.3, 0.95), 1.1)
-        total = sum(p.length for p in cross_section(sphere, plane))
+        normal, offset = unit_plane((0.2, 0.3, 0.95), 1.1)
+        total = sum(p.length for p in cross_section(sphere, normal, offset))
 
         ang = np.deg2rad(33.0)
         rot = np.array([
@@ -158,14 +151,13 @@ class TestCrossSection:
         ])
         shift = np.array([3.0, -8.0, 2.0])
         moved = sphere.transformed(rotation=rot, translation=shift)
-        n2 = rot @ plane.normal
-        plane2 = SectionPlane(n2, plane.offset + n2 @ shift)
-        total2 = sum(p.length for p in cross_section(moved, plane2))
+        n2 = rot @ normal
+        total2 = sum(p.length for p in cross_section(moved, *unit_plane(n2, offset + n2 @ shift)))
         assert total2 == pytest.approx(total, rel=1e-9)
 
     def test_consecutive_points_distinct(self):
         plate = disc_plate(rings=25, sectors=70)
-        for poly in cross_section(plate.mesh, SectionPlane((0, 1, 0), 3.3)):
+        for poly in cross_section(plate.mesh, (0, 1, 0), 3.3):
             gaps = np.linalg.norm(np.diff(poly.points, axis=0), axis=1)
             assert gaps.min() > 1e-9
 
@@ -182,6 +174,9 @@ class TestSectionOffsets:
     def test_bad_spacing(self):
         with pytest.raises(ContractError):
             section_offsets(0, 1, 0)
+        # a contract error, not numpy's "arange: cannot compute length"
+        with pytest.raises(ContractError, match="spacing must be positive"):
+            section_offsets(0, 1, np.nan)
 
 
 class TestExtremePoints:
@@ -231,3 +226,8 @@ class TestExtremePoints:
     def test_bad_axis(self):
         with pytest.raises(ContractError):
             extreme_points(grid_mesh(4, 4), axis="z")
+
+    def test_nan_spacing_rejected(self):
+        plate = disc_plate(radius=30.0, rings=10, sectors=40)
+        with pytest.raises(ContractError, match="spacing must be positive"):
+            extreme_points(plate.mesh, axis="x", spacing=np.nan)

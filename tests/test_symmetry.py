@@ -175,6 +175,11 @@ class TestBuildSymmetryFrame:
         with pytest.raises((InsufficientOverlapError, ContractError)):
             build_symmetry_frame(sb, far_back, config="two_meshes")
 
+    def test_nan_grid_spacing_rejected(self, mirror_fixture):
+        sb, back, _ = mirror_fixture
+        with pytest.raises(ContractError, match="spacing must be positive"):
+            build_symmetry_frame(sb, back, config="two_meshes", spacing=np.nan)
+
     def test_unknown_config(self, mirror_fixture):
         sb, back, _ = mirror_fixture
         with pytest.raises(ContractError):
