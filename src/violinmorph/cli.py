@@ -14,6 +14,7 @@ violation, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -273,11 +274,18 @@ def symmetry_stage(run, cfg, sb, back):
 
     A configuration that fails is reported in ``symmetry.json``; when the
     configured one fails, its error is raised and nothing is written.
+    Without a contour mask the masked configuration fits the points of
+    ``two_contours``, so it takes that frame (relabelled) or error.
     """
     run.lap("load")
     masks = _contour_masks(cfg, sb, back)
     frames = {}
     for name in CONFIGURATIONS:
+        if name == "two_contours_masked" and not any(m is not None and len(m) for m in masks):
+            same = frames["two_contours"]
+            frames[name] = (same if isinstance(same, MorphometryError)
+                            else dataclasses.replace(same, config=name))
+            continue
         try:
             frames[name] = _symmetry_frame(cfg, sb, back, name, masks)
         except MorphometryError as exc:

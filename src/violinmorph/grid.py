@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ContractError, GridMismatchError
 from .fileio import save_csv, save_json
+from .mesh import row_dot
 
 __all__ = [
     "HeightGrid",
@@ -104,7 +105,8 @@ def interpolate_grid(mesh, spacing=1.0, side="upper", origin=None, shape=None):
 
     ``origin`` and ``shape``, given together, override the default
     lattice (snapped to spacing multiples over the mesh footprint), e.g.
-    to share one lattice between two plates.
+    to share one lattice between two plates; ``origin`` must then be two
+    finite coordinates and ``shape`` two integers >= 1.
     """
     if side not in ("upper", "lower"):
         raise ContractError(f"side must be 'upper' or 'lower', got {side!r}")
@@ -112,6 +114,13 @@ def interpolate_grid(mesh, spacing=1.0, side="upper", origin=None, shape=None):
         raise ContractError("grid origin and shape must be given together or not at all")
     if origin is None:
         origin, shape = joint_grid_domain([mesh], spacing)
+    elif not spacing > 0:
+        raise ContractError("grid spacing must be positive")
+    elif not (np.shape(shape) == (2,) and all(isinstance(k, (int, np.integer)) and k >= 1
+                                                  for k in shape)):
+        raise ContractError(f"grid shape must be two integers >= 1, got {tuple(shape)}")
+    elif not (np.shape(origin) == (2,) and np.isfinite(origin).all()):
+        raise ContractError("grid origin must be two finite coordinates")
     origin, shape = np.asarray(origin, dtype=np.float64), tuple(shape)
     nx, ny = shape
 
@@ -123,12 +132,8 @@ def interpolate_grid(mesh, spacing=1.0, side="upper", origin=None, shape=None):
     tri = mesh.vertices[mesh.faces]
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     n = np.cross(b - a, c - a)
-    thresh = 1e-12 * np.linalg.norm(n, axis=1)
-    tilted = ~(np.abs(n[:, 2]) < thresh)
-    # A 1-D norm may round differently from the batched one: settle
-    # near-ties with the scalar form.
-    for k in np.flatnonzero(np.abs(np.abs(n[:, 2]) - thresh) <= 1e-12 * thresh):
-        tilted[k] = not abs(n[k, 2]) < 1e-12 * np.linalg.norm(n[k])
+    # row_dot rounds like the scalar loop's 1-D norm; norm(axis=1) does not
+    tilted = ~(np.abs(n[:, 2]) < 1e-12 * np.sqrt(row_dot(n, n)))
     lo = (np.minimum(np.minimum(a[:, :2], b[:, :2]), c[:, :2]) - origin) / spacing
     hi = (np.maximum(np.maximum(a[:, :2], b[:, :2]), c[:, :2]) - origin) / spacing
     ij0 = np.clip(np.ceil(lo - 1e-12), 0, shape).astype(np.int64)

@@ -233,11 +233,34 @@ def _stations(spline, station_t, centroid_xy):
     return kept, centres, normals, row_dot(tau, centres[:, :2]), inward
 
 
-def _window(pts, centre, inward, window_mm):
-    """A station's section points inside its search window, and their inward offsets."""
-    s = (pts[:, :2] - centre[:2]) @ inward
-    window = (s >= 0.0) & (s <= window_mm)
-    return pts[window], s[window]
+def _pick(sections, centres, inward, window_mm, top):
+    """Station ``i``'s search window on plane ``i`` of ``sections``.
+
+    ``top`` is ``np.fmin`` (lowest point) or ``np.fmax`` (highest). Returns,
+    per station, the size of its cut, how many window points reach the
+    extreme z, and the first of them with its inward offset (zeros where
+    the window is empty).
+    """
+    points, starts = sections.points, sections.point_starts()
+    n = len(starts) - 1
+    # one matrix-vector product per station over its own cut: the offsets
+    # keep the bits of that product (a row-wise dot rounds differently)
+    offsets = np.concatenate([np.empty(0)] + [
+        (points[a:b, :2] - c[:2]) @ u
+        for a, b, c, u in zip(starts[:-1].tolist(), starts[1:].tolist(), centres, inward)])
+    station = np.repeat(np.arange(n), np.diff(starts))
+    inside = (offsets >= 0.0) & (offsets <= window_mm)
+    extreme = np.full(n, np.nan)
+    top.at(extreme, station[inside], points[inside, 2])
+    hits = np.flatnonzero(inside & (points[:, 2] == extreme[station]))
+    ties = np.bincount(station[hits], minlength=n)
+    # hits run station after station, so each station's first hit sits
+    # where the counts of the stations before it end
+    found = ties > 0
+    first = hits[(np.cumsum(ties) - ties)[found]]
+    best, depth = np.zeros((n, 3)), np.zeros(n)
+    best[found], depth[found] = points[first], offsets[first]
+    return np.diff(starts), ties, best, depth
 
 
 def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
@@ -272,7 +295,7 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     centroid_xy = mesh.vertices[:, :2].mean(axis=0)
     mean_edge = float(mesh.edge_lengths.mean())
     edge_tol = max(mean_edge, 0.05 * window_mm)
-    pick, extreme = (np.argmin, np.min) if plate.side == "sound_board" else (np.argmax, np.max)
+    top = np.fmin if plate.side == "sound_board" else np.fmax
 
     # equal arc-length stations via dense resampling of the spline
     dense_t = np.linspace(0.0, total_len, 10 * stations + 1)
@@ -284,72 +307,47 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     kept, centres, normals, offsets, inward = _stations(
         spline, np.interp(targets, arc, dense_t), centroid_xy)
     targets = targets[kept]
-    skipped = len(kept) - len(targets)
 
     sections = sections_near(mesh, normals, offsets, centres[:, :2], window_mm)
-    cuts = [sections.plane_points(i) for i in range(len(targets))]
-    found = [_window(*station, window_mm) for station in zip(cuts, centres, inward)]
-    redo = [i for i, (cand, _) in enumerate(found)
-            if sections.crowded(i) or not len(cand)
-            or np.count_nonzero(cand[:, 2] == extreme(cand[:, 2])) > 1]
+    sizes, ties, minima, depths = _pick(sections, centres, inward, window_mm, top)
+    redo = np.flatnonzero(sections.crowded_planes | (ties != 1))
     pairs = sections.pairs_visited
-    if redo:
+    if len(redo):
         full = cross_sections(mesh, normals[redo], offsets[redo])
         pairs += full.pairs_visited
-        for k, i in enumerate(redo):
-            cuts[i] = full.plane_points(k)
-            found[i] = _window(cuts[i], centres[i], inward[i], window_mm)
+        sizes[redo], ties[redo], minima[redo], depths[redo] = _pick(
+            full, centres[redo], inward[redo], window_mm, top)
     if counters is not None:
         counters.update(stations_cut=len(targets), pairs_visited=pairs,
                         full_cut_stations=len(redo))
 
-    minima = []
-    arcs = []
-    depths = []
-    tangents_pts = []
-    at_edge = 0
-    for s_arc, c, pts, (cand, cand_s) in zip(targets, centres, cuts, found):
-        if not len(pts):
-            skipped += 1
-            warnings.warn(f"empty channel section at arc length {s_arc:.1f}", stacklevel=2)
-            continue
-        if not len(cand):
-            skipped += 1
-            warnings.warn(
-                f"no interior points in window at arc length {s_arc:.1f}", stacklevel=2
-            )
-            continue
-        best = int(pick(cand[:, 2]))
-        minima.append(cand[best])
-        arcs.append(s_arc)
-        depths.append(float(cand_s[best]))
-        tangents_pts.append(c)
-        if cand_s[best] < edge_tol or cand_s[best] > window_mm - edge_tol:
-            at_edge += 1
-
-    if len(minima) < 4:
-        raise ContractError(
-            f"only {len(minima)} channel stations detected out of {stations}"
-        )
-    minima = np.asarray(minima)
+    found = ties > 0
+    for i in np.flatnonzero(~found).tolist():
+        what = "no interior points in window" if sizes[i] else "empty channel section"
+        warnings.warn(f"{what} at arc length {targets[i]:.1f}", stacklevel=2)
+    detected = int(found.sum())
+    if detected < 4:
+        raise ContractError(f"only {detected} channel stations detected out of {stations}")
+    minima, depths, arcs = minima[found], depths[found], targets[found]
+    at_edge = np.count_nonzero((depths < edge_tol) | (depths > window_mm - edge_tol))
     no_channel = at_edge * 2 > len(minima)
 
     smooth_cap = len(minima) * smoothing_rms_mm ** 2
     closed = np.vstack([minima, minima[:1]])
-    u = np.asarray(arcs + [arc_total])
+    u = np.append(arcs, arc_total)
     u = (u - u[0]) / (u[-1] - u[0])
     tck, _ = splprep(closed.T, u=u, s=smooth_cap, per=1)
     smoothed = np.asarray(splev(u[:-1], tck)).T
 
     return ChannelTrace(
         points=minima,
-        arc_lengths=np.asarray(arcs),
-        inward_offsets=np.asarray(depths),
+        arc_lengths=arcs,
+        inward_offsets=depths,
         smoothed_points=smoothed,
-        contour_points=np.asarray(tangents_pts),
+        contour_points=centres[found],
         no_channel=bool(no_channel),
         stations_total=stations,
-        stations_skipped=skipped,
+        stations_skipped=len(kept) - detected,
     )
 
 

@@ -78,9 +78,12 @@ class Sections:
     ``points`` holds every plane's points, polyline after polyline.
     ``starts`` holds the polyline starts into it, with the end appended;
     ``closed`` flags the closed polylines; ``plane_starts`` holds each
-    plane's first polyline, with the end appended. ``crowded_planes`` flags the planes
-    whose cut was crowded (see :meth:`crowded`), and ``pairs_visited``
-    counts the candidate (plane, face) pairs the cut tested.
+    plane's first polyline, with the end appended. ``crowded_planes``
+    flags the planes whose cut was crowded: a chain-neighbour pair, or a
+    ring's closing pair, lay within 3 x ``_MIN_POINT_SEP`` before near
+    points merged, so only there can the merge have dropped a point.
+    ``pairs_visited`` counts the candidate (plane, face) pairs the cut
+    tested.
     """
 
     points: np.ndarray
@@ -93,30 +96,15 @@ class Sections:
     def __len__(self):
         return len(self.plane_starts) - 1
 
-    def _polylines(self, i):
-        if not 0 <= i < len(self):
-            raise IndexError(f"plane {i} out of range for {len(self)} planes")
-        return self.plane_starts[i], self.plane_starts[i + 1]
-
-    def plane_points(self, i):
-        """All points of plane ``i``, polyline after polyline."""
-        j0, j1 = self._polylines(i)
-        return self.points[self.starts[j0]:self.starts[j1]]
-
     def polylines(self, i):
         """Plane ``i`` as a list of :class:`SectionPolyline`, in
         :func:`cross_section` order."""
-        j0, j1 = self._polylines(i)
+        if not 0 <= i < len(self):
+            raise IndexError(f"plane {i} out of range for {len(self)} planes")
+        j0, j1 = self.plane_starts[i], self.plane_starts[i + 1]
         starts, points = self.starts, self.points
         return [SectionPolyline(points[a:b], bool(c))
                 for a, b, c in zip(starts[j0:j1], starts[j0 + 1:j1 + 1], self.closed[j0:j1])]
-
-    def crowded(self, i):
-        """Whether a chain-neighbour pair of plane ``i``, or a ring's closing
-        pair, lay within 3 x ``_MIN_POINT_SEP`` before near points merged:
-        only then can the merge have dropped a point of this cut."""
-        self._polylines(i)
-        return bool(self.crowded_planes[i])
 
     def point_starts(self):
         """Each plane's first index into ``points``, with the end appended."""

@@ -951,8 +951,9 @@ def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_r
     depths = []
     tangents_pts = []
     at_edge = 0
+    bounds = sections.point_starts()
     for i, (s_arc, c, inward_i) in enumerate(zip(targets, centres, inward)):
-        pts = sections.plane_points(i)
+        pts = sections.points[bounds[i]:bounds[i + 1]]
         if not len(pts):
             skipped += 1
             warnings.warn(f"empty channel section at arc length {s_arc:.1f}", stacklevel=2)
@@ -1048,8 +1049,9 @@ def extreme_points_loop(mesh, axis="x", spacing=1.0, keep_interval=None, keep_co
     result = []
     offsets = slicing.section_offsets(lo, hi, spacing)
     sections = cross_sections_full_scan(mesh, np.eye(3)[[ax] * len(offsets)], offsets)
+    bounds = sections.point_starts()
     for i, off in enumerate(offsets):
-        pts = sections.plane_points(i)
+        pts = sections.points[bounds[i]:bounds[i + 1]]
         if not len(pts):
             warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
             continue

@@ -499,6 +499,36 @@ class TestMorphologyCommands:
             "two_meshes", "two_contours", "two_contours_masked"}
         assert payload["tilt_angle_deg"] == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("masked", [None, "contour_mask", "contour_mask_back"])
+    def test_masked_configuration_fitted_only_with_a_mask(self, plate_files, tmp_path, masked):
+        # without a mask the masked configuration fits the two contours'
+        # points, so it takes their frame; a mask of either plate is a third fit
+        inputs = {}
+        if masked:
+            side = "sb" if masked == "contour_mask" else "back"
+            lines = (plate_files / f"{side}_contour.txt").read_text().splitlines()
+            ids = [line.split("#")[0].strip() for line in lines if not line.startswith("#")]
+            mask = tmp_path / "rim.txt"
+            mask.write_text("\n".join(ids[:10]) + "\n")
+            inputs[masked] = str(mask)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": inputs}))
+        out = tmp_path / "sym"
+        with mock.patch.object(cli, "build_symmetry_frame", wraps=cli.build_symmetry_frame) as fit:
+            rc = run("symmetry", "--config", str(cfg), "--out", str(out),
+                     "--sound-board", str(plate_files / "sb.ply"),
+                     "--sound-board-contour", str(plate_files / "sb_contour.txt"),
+                     "--back", str(plate_files / "back.ply"),
+                     "--back-contour", str(plate_files / "back_contour.txt"))
+        assert rc == 0
+        fitted = [call.kwargs["config"] for call in fit.call_args_list]
+        assert fitted == ["two_meshes", "two_contours"] + ["two_contours_masked"] * bool(masked)
+        payload = json.loads((out / "symmetry.json").read_text())
+        angles = payload["angles_by_configuration_deg"]
+        assert payload["config"] == "two_contours_masked"
+        # the fixture's rims are planar, so a mask leaves the angle as it is
+        assert payload["tilt_angle_deg"] == angles["two_contours_masked"] == angles["two_contours"]
+
     def test_asymmetry_on_symmetric_fixture_is_zero(self, plate_files, tmp_path):
         out = tmp_path / "asym"
         rc = run("asymmetry", "--out", str(out),
@@ -609,10 +639,11 @@ def _artifacts(root):
 class TestInMemoryPipeline:
     def test_each_intermediate_computed_once(self, counted_pipeline):
         _, counts = counted_pipeline
-        # one frame per symmetry configuration, two grids per frame, two bodies;
-        # trees for the normals, the objective and the final metrics, which
-        # assess reuses
-        assert counts == {"build_symmetry_frame": 3, "interpolate_grid": 6, "load_mesh": 2,
+        # one frame per symmetry point set (without a mask the masked
+        # configuration reuses the two contours' frame), two grids per frame,
+        # two bodies; trees for the normals, the objective and the final
+        # metrics, which assess reuses
+        assert counts == {"build_symmetry_frame": 2, "interpolate_grid": 4, "load_mesh": 2,
                           "kdtree": 3}
 
     def test_artifacts_match_separate_commands(self, counted_pipeline, body_file,

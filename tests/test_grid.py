@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,25 @@ class TestInterpolateGrid:
         covering = interpolate_grid(mesh, 1.0, "upper", origin=(-60.0, -60.0), shape=(121, 121))
         default = interpolate_grid(mesh, 1.0, "upper")
         assert covering.valid.sum() == default.valid.sum() == 7856
+
+    @pytest.mark.parametrize("spacing, origin, shape", [
+        (np.nan, (0, 0), (5, 5)), (0.0, (0, 0), (5, 5)), (1.0, (0, 0), (5.5, 5)),
+        (1.0, (0, 0), (0, 5)), (1.0, (0, 0), (5,)), (1.0, (np.nan, 0), (5, 5))])
+    def test_explicit_lattice_checked_first(self, spacing, origin, shape):
+        # a contract error before any face is rasterized: not cast warnings
+        # and then the grid's own check, a bare TypeError, an empty grid or
+        # one with a NaN origin
+        mesh = disc_plate(radius=30.0, rings=10, sectors=40).mesh
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="spacing must be positive|must be two"):
+                interpolate_grid(mesh, spacing, origin=origin, shape=shape)
+
+    def test_explicit_lattice_takes_numpy_integers(self):
+        mesh = disc_plate(radius=30.0, rings=10, sectors=40).mesh
+        a = interpolate_grid(mesh, 1.0, origin=(-5, -5), shape=np.array([11, 11]))
+        b = interpolate_grid(mesh, 1.0, origin=(-5, -5), shape=(11, 11))
+        assert a.values.tobytes() == b.values.tobytes() and a.valid.all()
 
     def test_upper_lower_pick_extremal_sheet(self):
         # two stacked horizontal sheets

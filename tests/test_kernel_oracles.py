@@ -242,11 +242,12 @@ class TestBatchedSectionsOracle:
     def check(self, mesh, planes):
         sections = cross_sections(mesh, *_batch(planes))
         assert len(sections) == len(planes)
+        s = sections.point_starts()
         for i, plane in enumerate(planes):
             old = cross_section_loop(mesh, *plane)
             assert_same_sections(sections.polylines(i), old)
             flat = np.concatenate([p.points for p in old]) if old else np.empty((0, 3))
-            assert sections.plane_points(i).tobytes() == flat.tobytes()
+            assert sections.points[s[i]:s[i + 1]].tobytes() == flat.tobytes()
         return sections
 
     def test_mixed_empty_and_crossing_planes(self, body):
@@ -260,7 +261,7 @@ class TestBatchedSectionsOracle:
         assert len(self.check(body, planes[2::4])) == 3          # every plane misses
         assert len(cross_sections(body, *_batch([]))) == 0
         with pytest.raises(IndexError):
-            sections.plane_points(len(sections))
+            sections.polylines(len(sections))
 
     def test_lattice_planes_through_vertices(self):
         # every grid vertex sits on some plane, so the nudge path runs everywhere
@@ -461,8 +462,8 @@ class TestChannelWindowOracle:
         monkeypatch.setattr(morphology, "sections_near",
                             lambda *args: cuts.append(real(*args)) or cuts[-1])
         counters = check_channel(plate)
-        assert cuts[0].crowded(0)
-        assert counters["full_cut_stations"] == sum(map(cuts[0].crowded, range(400)))
+        assert cuts[0].crowded_planes[0]
+        assert counters["full_cut_stations"] == np.count_nonzero(cuts[0].crowded_planes)
 
     def test_exact_z_ties_in_window(self):
         # a flat ring around the rim: every window point of every station
@@ -475,25 +476,49 @@ class TestChannelWindowOracle:
         assert counters["full_cut_stations"] == counters["stations_cut"] == 97
 
     def test_empty_window_and_missed_plane(self, monkeypatch):
-        # station 3's centre moves outward along its own plane, so the plane
-        # still cuts the plate but the window holds no point; station 7's
-        # plane misses the plate
-        real = morphology._stations
+        # Re-cut stations overwrite their rows by index, at both ends and
+        # inside. Stations 0 and 3 move outward along their own planes, so
+        # the planes still cut the plate but the windows hold no point (and
+        # station 0's window cut is empty); station 7's plane misses the
+        # plate; the last station's window lies on a wedge flattened at the
+        # level of the r = 20 ring, so several window points share its lowest
+        # z, and the window cut's chain order would pick another of them.
+        plate = disc_plate(radius=30.0, rings=15, sectors=60, groove_radius=24.0)
+        verts = plate.mesh.vertices.copy()
+        r = np.hypot(verts[:, 0], verts[:, 1])
+        # the last of 97 stations sits at -360 / 97 degrees
+        wedge = np.abs(np.degrees(np.arctan2(verts[:, 1], verts[:, 0])) + 360 / 97) < 4.0
+        level = verts[np.argmin(np.where(wedge, np.abs(r - 20.0), np.inf)), 2]
+        verts[wedge, 2] = np.maximum(verts[wedge, 2], level)
+        plate = _plate_with_vertices(plate, verts)
+        real, real_near, stations, cuts = morphology._stations, morphology.sections_near, [], []
 
         def moved(*args):
             kept, centres, normals, offsets, inward = real(*args)
             centres, offsets = centres.copy(), offsets.copy()
-            centres[3, :2] -= 40.0 * inward[3]
+            centres[[0, 3], :2] -= 40.0 * inward[[0, 3]]
             offsets[7] += 1e3
+            stations.append((centres, inward))
             return kept, centres, normals, offsets, inward
 
         monkeypatch.setattr(morphology, "_stations", moved)
-        plate = disc_plate(radius=30.0, rings=15, sectors=60, groove_radius=24.0)
-        new, caught = _outcome(channel_of_minima, plate, window_mm=15.0, stations=40)
-        assert [w.split(" at ")[0] for w in caught] == ["no interior points in window",
-                                                        "empty channel section"]
-        assert new.stations_skipped == 2
-        assert check_channel(plate, window_mm=15.0, stations=40)["full_cut_stations"] >= 2
+        monkeypatch.setattr(morphology, "sections_near",
+                            lambda *args: cuts.append(real_near(*args)) or cuts[-1])
+        new, caught = _outcome(channel_of_minima, plate, window_mm=15.0, stations=97)
+        assert [w.split(" at ")[0] for w in caught] == ["no interior points in window"] * 2 + [
+            "empty channel section"]
+        assert new.stations_skipped == 3 and len(new.points) == 94
+        centres, inward = stations[0]
+        s = cuts[0].point_starts()
+        assert s[1] == s[0]
+        pts = cuts[0].points[s[-2]:s[-1]]
+        depth = (pts[:, :2] - centres[-1, :2]) @ inward[-1]
+        window = pts[(depth >= 0.0) & (depth <= 15.0)]
+        lowest = window[window[:, 2] == window[:, 2].min()]
+        assert not cuts[0].crowded_planes[-1] and len(lowest) > 1
+        assert new.contour_points[-1].tobytes() == centres[-1].tobytes()
+        assert new.points[-1].tobytes() != lowest[0].tobytes()
+        assert check_channel(plate, window_mm=15.0, stations=97)["full_cut_stations"] >= 4
 
     def test_non_manifold_crossing(self):
         # a fin hanging below an edge near the rim: the lowest window points
@@ -598,7 +623,7 @@ class TestCrossSectionsSweepOracle:
             near = np.concatenate([coords + shift for shift in
                                    (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12)])
             swept = self.check(body, np.tile(normal, (len(near), 1)), near)
-            assert any(swept.crowded(i) for i in range(len(near)))
+            assert swept.crowded_planes.any()
             normals += [normal] * len(near)
             offsets += list(near)
         tilted = np.array([0.6, 0.0, 0.8])

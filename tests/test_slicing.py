@@ -79,19 +79,20 @@ class TestSectionsArrays:
         assert len(sections) == 3 and sections.pairs_visited == swept == 16
         starts = sections.point_starts()
         assert starts.tolist() == [0, 8, 8, 16]
-        assert sections.points[8:].tobytes() == sections.plane_points(2).tobytes()
-        assert not any(map(sections.crowded, range(3)))
+        assert sections.points[starts[2]:starts[3]].tobytes() == \
+            np.concatenate([p.points for p in sections.polylines(2)]).tobytes()
+        assert sections.crowded_planes.tolist() == [False] * 3
         with pytest.raises(IndexError):
-            sections.crowded(3)
+            sections.polylines(3)
         with pytest.raises(IndexError):
-            sections.plane_points(-1)
+            sections.polylines(-1)
 
     def test_crowded_when_a_vertex_lies_on_the_plane(self, cube):
         # the diagonal plane through four cube vertices nudges them: the
         # crossings on the edges around each lie 1e-9 mm apart and merge
         diagonal = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         sections = cross_sections(cube, [diagonal, diagonal], [0.0, 0.3])
-        assert [sections.crowded(0), sections.crowded(1)] == [True, False]
+        assert sections.crowded_planes.tolist() == [True, False]
 
 
 class TestCrossSection:
