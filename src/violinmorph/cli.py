@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -463,53 +464,46 @@ def _status(exc):
     return 4, f"internal error: {exc}"
 
 
+def _reported(work):
+    """Run ``work()``; returns the (exit code, stderr line) ``main`` would give its
+    outcome: ``_status`` of a failure, (0, "") on success."""
+    try:
+        work()
+    except Exception as exc:
+        return _status(exc)
+    return 0, ""
+
+
 def _beside(work, other=None):
-    """Run ``other()`` (if given) and ``work()``; returns ``work``'s (exit code, message).
+    """Run ``other()`` (if given) and ``work()``; returns ``_reported(work)``.
 
     Where ``os.fork`` exists, ``work`` runs in a forked child while this
     process runs ``other``, and the outcome is the one of running ``other``
-    first: an exception of ``other`` propagates once the child is reaped;
-    otherwise a failure of ``work`` comes back as the ``_status`` that
-    ``main`` would give it, and success as (0, ""). The child sends only
-    that pair through a pipe, never an exception object, and always leaves
-    through ``os._exit``. Inline, an exception of ``work`` propagates.
+    first: an exception of ``other`` propagates once the child is reaped.
+    The child sends back only its report, never an exception object; one
+    that ends without sending it is reported as an internal error.
     """
     if other is None or not hasattr(os, "fork"):
         if other is not None:
             other()
-        work()
-        return 0, ""
-    sys.stdout.flush()  # else the child would print the buffered text again
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 4, "internal error: the feature worker stopped without a result"
+        return _reported(work)
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=lambda: send.send(_reported(work)))
+    with receive:
+        with send:  # closed here once the child has its copy: a silent child gives EOF
+            child.start()
         try:
-            os.close(read_fd)
-            work()
-            status = 0, ""
-        except Exception as exc:
-            status = _status(exc)
-        finally:  # never return into the caller, never run its atexit handlers
+            other()
+        finally:
             try:
-                with os.fdopen(write_fd, "wb") as fh:
-                    fh.write(json.dumps(status).encode())
-                sys.stdout.flush()
-                sys.stderr.flush()
+                report = receive.recv()
+            except EOFError:
+                report = None
             finally:
-                os._exit(status[0])
-    os.close(write_fd)
-    try:
-        other()
-    finally:
-        with os.fdopen(read_fd, "rb") as fh:
-            sent = fh.read()
-        _, wait_status = os.waitpid(pid, 0)
-    if not sent:
-        return 4, (f"internal error: the feature worker ended without a report "
-                   f"(exit code {os.waitstatus_to_exitcode(wait_status)})")
-    return tuple(json.loads(sent))
+                child.join()
+    return report or (4, f"internal error: the feature worker ended without a report "
+                         f"(exit code {child.exitcode})")
 
 
 def cmd_pipeline(cfg):

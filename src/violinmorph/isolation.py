@@ -11,7 +11,6 @@ component holding the plate's apex.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +135,10 @@ def map_to_vertices(mesh, points):
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     tree = cKDTree(mesh.vertices)
     workers = kd_workers(len(pts))
-    dist, idx = tree.query(pts, k=1, workers=workers)
-    # exact-tie cleanup: take the lowest index within the winning distance
+    dist, _ = tree.query(pts, k=1, workers=workers)
+    # exact ties: the lowest index within the winning distance
     balls = tree.query_ball_point(pts, dist * (1 + 1e-12) + 1e-300, workers=workers)
-    for i, ball in enumerate(balls):
-        if len(ball) > 1:
-            idx[i] = min(ball)
+    idx = np.fromiter(map(min, balls), dtype=np.int64, count=len(pts))
     _, first = np.unique(idx, return_index=True)
     return idx[np.sort(first)].tolist()
 
@@ -164,17 +161,15 @@ def order_loop(mesh, anchors):
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
-    # greedy construction, ties to the lowest vertex index
-    start = int(np.argmin(anchors))
-    unvisited = set(range(n))
-    unvisited.remove(start)
-    tour = [start]
-    while unvisited:
-        here = tour[-1]
-        cand = sorted(unvisited, key=lambda j: (dist[here, j], anchors[j]))
-        tour.append(cand[0])
-        unvisited.remove(cand[0])
-    tour = np.asarray(tour)
+    # greedy construction from the lowest anchor; column k of ``ahead`` is
+    # the k-th lowest anchor, so argmin breaks a tie to the lowest index
+    by_anchor = np.argsort(anchors)
+    ahead = dist[:, by_anchor]
+    tour = [0]
+    for _ in range(n - 1):
+        ahead[:, tour[-1]] = np.inf
+        tour.append(int(np.argmin(ahead[by_anchor[tour[-1]]])))
+    tour = by_anchor[tour]
 
     budget = 10 * n * n
     spent = 0
@@ -246,7 +241,7 @@ def close_contour(mesh, ordered_anchors):
             changed = True
             break
 
-    dupes = sum(1 for count in Counter(loop).values() if count > 1)
+    dupes = np.count_nonzero(np.unique(loop, return_counts=True)[1] > 1)
     if dupes:
         warnings.warn(
             f"contour visits {dupes} vertices more than once", stacklevel=2
@@ -306,16 +301,9 @@ def isolate_plate(mesh, side, section_axis="x", spacing=1.0, keep_interval=None,
         raise FragmentationError("contour removal left no vertices")
 
     z = work.vertices[:, 2].copy()
-    on_contour = np.zeros(work.n_vertices, dtype=bool)
-    on_contour[contour_ids] = True
-    z[on_contour] = -np.inf if side == "sound_board" else np.inf
+    z[contour_ids] = -np.inf if side == "sound_board" else np.inf
     apex = int(np.argmax(z)) if side == "sound_board" else int(np.argmin(z))
-
-    inner = None
-    for comp in comps:
-        if apex in comp:
-            inner = comp
-            break
+    inner = next((comp for comp in comps if apex in comp), None)
     remaining = work.n_vertices - len(contour_ids)
     if inner is None or len(inner) < len(comps[0]):
         raise FragmentationError("apex component is not the largest after the cut")

@@ -205,6 +205,8 @@ def _periodic_spline(points):
     for i in range(1, len(pts)):
         if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-12:
             keep.append(i)
+    while len(keep) > 1 and np.linalg.norm(pts[keep[-1]] - pts[0]) <= 1e-12:
+        keep.pop()  # a last point on the first would close with a zero-length segment
     pts = pts[keep]
     if len(pts) < 4:
         raise ContractError("contour too short for a cubic spline")

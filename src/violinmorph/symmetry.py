@@ -180,10 +180,7 @@ def _config_points(plate, config, mask):
     contour_ids = np.asarray(plate.contour.vertex_indices, dtype=np.int64)
     if config == "two_contours_masked" and mask is not None and len(mask):
         mask.validate(plate.mesh)
-        drop = mask.indices
-        contour_ids = np.asarray(
-            [i for i in contour_ids if int(i) not in drop], dtype=np.int64
-        )
+        contour_ids = contour_ids[np.isin(contour_ids, mask.as_array(), invert=True)]
         if len(contour_ids) < 3:
             raise ContractError("mask removed almost the whole contour")
     return plate.mesh.vertices[contour_ids]

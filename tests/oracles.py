@@ -10,7 +10,8 @@ picking per cut in a loop over it, and the ascii and binary PLY body
 readers, the per-row f-string writers of every text artifact (CSV,
 JSON, PLY, OBJ), plus the earlier
 formulations of the mesh's edge list, the shortest path (undirected,
-then unbounded), the nearest-vertex snap, the contour checks and the
+then unbounded), the nearest-vertex snap, the greedy anchor tour built
+by one sort per step, the contour checks and the
 registration objective (unmemoized, all cores), the per-sector loops
 that built the synthetic discs, skirts and bodies, and the per-label
 component scan. The library's versions must reproduce them bit for bit; the
@@ -143,6 +144,57 @@ def map_to_vertices_loop(mesh, points):
         if v not in out:
             out.append(v)
     return out
+
+
+def order_loop_sorted(mesh, anchors):
+    """Greedy tour by one ``sorted`` of the unvisited anchors per step, keyed
+    on (distance, anchor), then the same 2-opt pass and canonical rotation."""
+    anchors = [int(a) for a in anchors]
+    if len(set(anchors)) != len(anchors):
+        raise ContractError("anchors contain duplicates")
+    n = len(anchors)
+    if n < 3:
+        raise ContractError("need at least 3 anchors")
+    pts = mesh.vertices[anchors]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+    start = int(np.argmin(anchors))
+    unvisited = set(range(n))
+    unvisited.remove(start)
+    tour = [start]
+    while unvisited:
+        here = tour[-1]
+        cand = sorted(unvisited, key=lambda j: (dist[here, j], anchors[j]))
+        tour.append(cand[0])
+        unvisited.remove(cand[0])
+    tour = np.asarray(tour)
+
+    budget = 10 * n * n
+    spent = 0
+    while spent < budget:
+        nxt = np.roll(tour, -1)
+        a = pts[tour]
+        b = pts[nxt]
+        d_edge = dist[tour, nxt]
+        i_idx, j_idx = np.triu_indices(n, k=1)
+        keep = j_idx - i_idx < n - 1
+        i_idx, j_idx = i_idx[keep], j_idx[keep]
+        spent += len(i_idx)
+        new1 = np.linalg.norm(a[i_idx] - a[j_idx], axis=1)
+        new2 = np.linalg.norm(b[i_idx] - b[j_idx], axis=1)
+        delta = new1 + new2 - d_edge[i_idx] - d_edge[j_idx]
+        best = int(np.argmin(delta))
+        if delta[best] >= -1e-12:
+            break
+        i, j = int(i_idx[best]), int(j_idx[best])
+        tour[i + 1:j + 1] = tour[i + 1:j + 1][::-1]
+
+    pos = int(np.argmin([anchors[t] for t in tour]))
+    tour = np.roll(tour, -pos)
+    if anchors[tour[1]] > anchors[tour[-1]]:
+        tour = np.concatenate([tour[:1], tour[1:][::-1]])
+    return [anchors[t] for t in tour]
 
 
 def repeated_vertex_count(loop):

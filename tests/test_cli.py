@@ -771,6 +771,20 @@ class TestFeatureWorker:
             assert not (out / "manifest_pipeline.json").exists()
         assert _artifacts(tmp_path / "forkedTrue") == _artifacts(tmp_path / "forkedFalse")
 
+    def test_worker_ending_without_a_report_exits_4(self, monkeypatch, capfd, body_file,
+                                                     body_b_file, tmp_path):
+        def die(*args, **kwargs):
+            os._exit(9)
+
+        monkeypatch.setattr(cli, "channel_of_minima", die)
+        out = tmp_path / "out"
+        rc, err = self.pipeline(monkeypatch, capfd, body_file, body_b_file, out, True)
+        assert rc == 4
+        assert err.splitlines()[-1] == ("internal error: the feature worker ended "
+                                        "without a report (exit code 9)")
+        assert (out / "assessment.json").exists()
+        assert not (out / "manifest_pipeline.json").exists()
+
     def test_second_acquisition_error_wins_when_both_fail(self, monkeypatch, capfd,
                                                           body_file, tmp_path):
         def fail(*args, **kwargs):

@@ -21,6 +21,7 @@ from conftest import grid_mesh
 from oracles import (
     first_non_adjacent_pair,
     map_to_vertices_loop,
+    order_loop_sorted,
     repeated_vertex_count,
 )
 
@@ -144,6 +145,52 @@ class TestOrderLoop:
     def test_duplicate_anchors_rejected(self, cube):
         with pytest.raises(ContractError):
             order_loop(cube, [0, 1, 1])
+
+
+def regular_polygon(n, radius=10.0):
+    """A regular n-gon with vertex k the exact mirror of vertex n - k across
+    the x axis, so vertex 0's two neighbours lie at exactly equal distances."""
+    k = np.arange(n)
+    angle = 2 * np.pi * np.minimum(k, n - k) / n
+    sign = np.where(k <= n // 2, 1.0, -1.0)
+    return np.column_stack([radius * np.cos(angle), sign * radius * np.sin(angle), 0 * angle])
+
+
+def lattice(nx, ny):
+    xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float), indexing="ij")
+    return np.column_stack([xs.ravel(), ys.ravel(), np.zeros(nx * ny)])
+
+
+def has_exact_tie(pts):
+    """Whether some point's nearest other points include two at one distance."""
+    dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    return bool(((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1).any())
+
+
+class TestOrderLoopMatchesSortedConstruction:
+    """The argmin construction gives the tour of one ``sorted`` per step."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_anchor_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        mesh = anchors_mesh(rng.uniform(-20, 20, size=(80, 3)))
+        anchors = rng.choice(80, size=int(rng.integers(3, 80)), replace=False).tolist()
+        assert order_loop(mesh, anchors) == order_loop_sorted(mesh, anchors)
+
+    @pytest.mark.parametrize("pts", [
+        regular_polygon(6), regular_polygon(7), regular_polygon(12), regular_polygon(25),
+        lattice(2, 3), lattice(5, 5), lattice(7, 4), lattice(1, 9),
+    ], ids=["hexagon", "heptagon", "12-gon", "25-gon",
+            "lattice2x3", "lattice5x5", "lattice7x4", "line9"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_ties_go_to_the_lowest_anchor(self, pts, seed):
+        assert has_exact_tie(pts)
+        rng = np.random.default_rng(seed)
+        # the points under shuffled vertex indices, listed in shuffled order
+        mesh = anchors_mesh(pts[rng.permutation(len(pts))])
+        anchors = rng.permutation(len(pts)).tolist()
+        assert order_loop(mesh, anchors) == order_loop_sorted(mesh, anchors)
 
 
 class TestCloseContour:

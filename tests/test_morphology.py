@@ -6,6 +6,7 @@ import pytest
 from violinmorph.errors import ContractError, GridMismatchError
 from violinmorph.grid import HeightGrid
 from violinmorph.morphology import (
+    _periodic_spline,
     asymmetry_field,
     channel_of_minima,
     contour_lines,
@@ -150,6 +151,27 @@ class TestAsymmetryField:
         b = HeightGrid((0, 0), 2.0, np.ones((2, 2)))
         with pytest.raises(GridMismatchError):
             asymmetry_field(a, b, 0.0)
+
+
+class TestPeriodicSpline:
+    def circle(self, n):
+        angle = np.linspace(0, 2 * np.pi, n, endpoint=False)
+        return np.column_stack([10 * np.cos(angle), 10 * np.sin(angle), np.zeros(n)])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13])
+    def test_last_point_on_the_first_is_dropped(self, offset):
+        pts = self.circle(20)
+        closing = np.vstack([pts, pts[:1] + offset, pts[:1]])
+        spline, length = _periodic_spline(closing)
+        plain, plain_length = _periodic_spline(pts)
+        assert length == plain_length
+        t = np.linspace(0, length, 101)
+        np.testing.assert_array_equal(spline(t), plain(t))
+
+    def test_too_few_points_after_dropping(self):
+        pts = self.circle(3)
+        with pytest.raises(ContractError, match="too short"):
+            _periodic_spline(np.vstack([pts, pts[:1]]))
 
 
 class TestChannelOfMinima:
