@@ -382,7 +382,8 @@ def cmd_simplify(cfg):
         raise InputError(f"simplify.target_faces={target} exceeds the {mesh.n_faces} "
                          f"faces of {mesh_path}")
     run.lap("load")
-    simplified = decimate(mesh, int(target))
+    counters = {}
+    simplified = decimate(mesh, int(target), counters=counters)
     run.lap("decimate")
     save_mesh(simplified, run.path(_mesh_name("simplified", cfg)), cfg["mesh_format"])
     spacing = cfg["simplify"]["grid_spacing"]
@@ -400,7 +401,7 @@ def cmd_simplify(cfg):
         run.path("simplify_stats.json"),
     )
     run.lap("grid_stats")
-    run.finish()
+    run.finish({"counters": counters})
     return 0
 
 

@@ -6,15 +6,26 @@ well conditioned and at the best of {v1, v2, midpoint} otherwise. Plate
 meshes are open surfaces, so boundary edges contribute a perpendicular
 constraint plane that resists contour shrinkage.
 
-Set-up and each collapse's re-push work on edge arrays; the greedy loop
-stays sequential and keeps the faces as Python lists, since a collapse
-reads and edits only a handful of them. Row dots and norms use
-:func:`~violinmorph.mesh.row_dot`, which rounds like the 1-D ``@``.
+Set-up works on edge arrays; the greedy loop keeps the faces as Python
+lists, since a collapse reads and edits only a handful of them. A popped
+edge passes the link and flip tests and is contracted at once, but the
+re-evaluation of its ring edges waits: the rings of a run of up to
+``_BATCH`` collapses go through one :func:`_targets` call, whose rows
+are independent, so every entry has the bytes it would have had alone.
+The run is then checked against the heap order, pop by pop: the first
+pop that came after a smaller entry of an earlier collapse of the run is
+where the sequential loop would have popped that entry instead, so the
+collapses from there on are undone and the pops from there on go back on
+the heap (optimistic execution with rollback, as in Jefferson's Virtual
+Time). The output is the sequential loop's, byte for byte. Row dots and
+norms use :func:`~violinmorph.mesh.row_dot`, which rounds like the 1-D
+``@``.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -25,6 +36,7 @@ __all__ = ["decimate"]
 
 _COND_LIMIT = 1e7
 _BOUNDARY_WEIGHT = 1.0
+_BATCH = 16  # most collapses whose ring edges wait for one _targets call
 
 
 def _normals(corners):
@@ -73,7 +85,7 @@ def _targets(q, p1, p2):
     return pos, _error(q, pos)
 
 
-def decimate(mesh, target_faces):
+def decimate(mesh, target_faces, counters=None):
     """Contract minimum-cost edges until at most ``target_faces`` remain.
 
     Interior collapses remove two faces at a time, so the result can land
@@ -82,11 +94,20 @@ def decimate(mesh, target_faces):
     neighbouring face or pinch the surface into a non-manifold
     configuration are skipped.
 
+    ``counters``, a dict, receives ``collapses``; ``pops``, every heap pop
+    (entries popped again after an undo included), and the ``stale`` ones;
+    the rejections ``not_an_edge``, ``link`` and ``flip``; ``flushes``, the
+    batched ring evaluations; and ``undone``, the collapses rolled back.
+
     Raises
     ------
+    ContractError
+        When ``target_faces`` is not an integer in [1, face count].
     TopologicalLockError
         When every remaining edge is blocked before the target is met.
     """
+    if isinstance(target_faces, bool) or not isinstance(target_faces, (int, np.integer)):
+        raise ContractError(f"target face count must be an integer, got {target_faces!r}")
     target_faces = int(target_faces)
     if target_faces < 1:
         raise ContractError("target face count must be >= 1")
@@ -130,34 +151,32 @@ def decimate(mesh, target_faces):
     # after a stamp bump, so entries never tie and pos is never compared
     stamp = [0] * len(verts)
 
-    def entries(u, ws):
+    def inputs(u, ws):
+        """The target inputs of edges (u, w), read now: ends, stamps, quadric, points."""
         a, b = np.minimum(u, ws), np.maximum(u, ws)
-        pos, err = _targets(quadrics[a] + quadrics[b], verts[a], verts[b])
-        return [(e, i, j, stamp[i], stamp[j], p)
-                for e, i, j, p in zip(err.tolist(), a.tolist(), b.tolist(), pos)]
+        al, bl = a.tolist(), b.tolist()
+        return (al, bl, [stamp[i] for i in al], [stamp[j] for j in bl],
+                quadrics[a] + quadrics[b], verts[a], verts[b])
+
+    def entries(a, b, sa, sb, q, p1, p2):
+        """Heap entries of edges (a, b) from their inputs, in one target evaluation."""
+        pos, err = _targets(q, p1, p2)
+        return list(zip(err.tolist(), a, b, sa, sb, pos))
 
     def corners(fis):
         return {w for fi in fis for w in faces[fi]}
 
-    heap = entries(mesh.edges[:, 0], mesh.edges[:, 1])
-    heapq.heapify(heap)
-    n_faces = len(faces)
-
-    while n_faces > target_faces:
-        if not heap:
-            raise TopologicalLockError(
-                f"no contractible edge left at {n_faces} faces (target {target_faces})"
-            )
-        _, u, v, su, sv, pos = heapq.heappop(heap)
-        if stamp[u] != su or stamp[v] != sv:
-            continue
+    def contract(u, v, pos):
+        """Contract v into u at pos: the reason it cannot, or the inputs of
+        its ring edges and its undo record."""
+        nonlocal n_faces
         shared = vert_faces[u] & vert_faces[v]
         if not shared or len(shared) >= n_faces:
-            continue  # not an edge any more, or the surface would vanish
+            return "not_an_edge"  # not an edge any more, or the surface would vanish
         # link condition: common neighbours must all come from shared faces
         hinge = corners(shared)
         if corners(vert_faces[u]) & corners(vert_faces[v]) - hinge:
-            continue
+            return "link"
         # reject collapses that flip or squash any surviving face
         around = (vert_faces[u] | vert_faces[v]) - shared
         # (0, 3) when the collapse takes a lone triangle: nothing around it to check
@@ -169,9 +188,9 @@ def decimate(mesh, target_faces):
         length = np.sqrt(row_dot(normals, normals))
         if ((length[k:] < 1e-30)
                 | ((length[:k] > 1e-30) & (row_dot(normals[:k], normals[k:]) <= 0))).any():
-            continue
+            return "flip"
 
-        # contract v into u at the optimal position
+        undo = (u, v, verts[u].copy(), quadrics[u].copy(), shared, vert_faces[u], vert_faces[v])
         verts[u] = pos
         quadrics[u] += quadrics[v]
         n_faces -= len(shared)
@@ -183,10 +202,97 @@ def decimate(mesh, target_faces):
         vert_faces[u], vert_faces[v] = around, set()
         stamp[u] += 1
         stamp[v] += 1
-        ring = np.array(sorted(corners(around) - {u}), dtype=np.int64)
-        for entry in entries(u, ring):
-            heapq.heappush(heap, entry)
+        return inputs(u, np.array(sorted(corners(around) - {u}), dtype=np.int64)), undo
 
+    def restore(u, v, u_pos, u_quadric, shared, u_faces, v_faces):
+        """Undo one collapse; later ones must be undone first."""
+        nonlocal n_faces
+        verts[u], quadrics[u] = u_pos, u_quadric
+        n_faces += len(shared)
+        for fi in v_faces - shared:
+            f = faces[fi]
+            f[f.index(u)] = v
+        vert_faces[u], vert_faces[v] = u_faces, v_faces
+        for fi in shared:  # every corner gets back just the shared faces it held
+            for w in faces[fi]:
+                vert_faces[w].add(fi)
+        stamp[u] -= 1
+        stamp[v] -= 1
+
+    def flush(window, pending, batch):
+        """Evaluate the run's rings and check its pops; the next batch size.
+
+        ``window`` holds the pops from the run's first collapse on, with
+        their outcomes, and ``pending`` each collapse's ring inputs and undo
+        record. Within a run the pops come in heap order, so the first pop
+        after a smaller entry of an earlier collapse is where the sequential
+        loop went another way; stale pops are no-ops in either order.
+        """
+        tally["flushes"] += 1
+        a, b, sa, sb, q, p1, p2 = zip(*(ring for ring, _ in pending))
+        pushed = entries(chain(*a), chain(*b), chain(*sa), chain(*sb),
+                         np.concatenate(q), np.concatenate(p1), np.concatenate(p2))
+        ends = [0, *accumulate(len(ring[0]) for ring, _ in pending)]
+        lowest, cut, done = None, len(window), 0
+        for i, (entry, outcome) in enumerate(window):
+            if outcome == "stale":
+                continue
+            if lowest is not None and entry > lowest:
+                cut = i
+                break
+            if outcome == "collapses":
+                ring = pushed[ends[done]:ends[done + 1]]
+                if lowest is not None:
+                    ring.append(lowest)
+                lowest = min(ring, default=None)
+                done += 1
+        for _, undo in reversed(pending[done:]):
+            restore(*undo)
+        for entry, _ in window[cut:]:
+            if stamp[entry[1]] == entry[3] and stamp[entry[2]] == entry[4]:
+                heapq.heappush(heap, entry)
+            else:
+                tally["stale"] += 1
+        for _, outcome in window[:cut]:
+            tally[outcome] += 1
+        for entry in pushed[:ends[done]]:
+            heapq.heappush(heap, entry)
+        tally["undone"] += len(pending) - done
+        return done if done < len(pending) else min(2 * batch, _BATCH)
+
+    heap = entries(*inputs(mesh.edges[:, 0], mesh.edges[:, 1]))
+    heapq.heapify(heap)
+    n_faces = len(faces)
+    tally = dict.fromkeys(["collapses", "pops", "stale", "not_an_edge", "link", "flip",
+                           "flushes", "undone"], 0)
+    window, pending = [], []  # the run since the last flush, as flush takes them
+    batch = 1
+    while True:
+        if pending and (len(pending) == batch or n_faces <= target_faces or not heap):
+            batch = flush(window, pending, batch)
+            window, pending = [], []
+            continue
+        if n_faces <= target_faces:
+            break
+        if not heap:
+            raise TopologicalLockError(
+                f"no contractible edge left at {n_faces} faces (target {target_faces})"
+            )
+        entry = heapq.heappop(heap)
+        tally["pops"] += 1
+        _, u, v, su, sv, pos = entry
+        result = "stale" if stamp[u] != su or stamp[v] != sv else contract(u, v, pos)
+        if isinstance(result, str):
+            if pending:
+                window.append((entry, result))
+            else:
+                tally[result] += 1  # before the run's first collapse: final
+        else:
+            pending.append(result)
+            window.append((entry, "collapses"))
+
+    if counters is not None:
+        counters.update(tally)
     # compact: keep the faces some vertex still holds, preserve index order
     alive = [faces[fi] for fi in sorted(set().union(*vert_faces))]
     used, new_faces = np.unique(alive, return_inverse=True)

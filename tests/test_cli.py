@@ -714,6 +714,21 @@ class TestInMemoryPipeline:
         assert rc == 0
         assert load_mesh(out / "simplified.obj").n_faces <= 200
 
+    def test_simplify_manifest_records_decimation_counters(self, tmp_path):
+        plate = disc_plate(radius=20.0, height=5.0, rings=8, sectors=30)
+        mesh_path = tmp_path / "p.ply"
+        save_mesh(plate.mesh, mesh_path, "ply-binary-le")
+        out = tmp_path / "simp"
+        assert run("simplify", "--reference", str(mesh_path), "--target-faces", "200",
+                   "--out", str(out)) == 0
+        counters = json.loads((out / "manifest_simplify.json").read_text())["counters"]
+        assert sorted(counters) == ["collapses", "flip", "flushes", "link", "not_an_edge",
+                                    "pops", "stale", "undone"]
+        # each collapse removes one vertex
+        simplified = load_mesh(out / "simplified.ply")
+        assert counters["collapses"] == plate.mesh.n_vertices - simplified.n_vertices
+        assert 1 <= counters["flushes"] <= counters["collapses"]
+
 
 class TestFeatureWorker:
     """``pipeline --body-b`` computes A's features in a forked child while it

@@ -54,11 +54,34 @@ class TestDecimate:
         with pytest.raises(ContractError):
             decimate(sphere20k, 0)
 
+    @pytest.mark.parametrize("target", [float("nan"), 1960.7, np.float64(490.2), "1960", True],
+                             ids=["nan", "float", "np-float64", "str", "bool"])
+    def test_target_that_is_not_an_integer(self, target):
+        with pytest.raises(ContractError, match="must be an integer"):
+            decimate(grid_mesh(40, 40), target)
+
+    def test_numpy_integer_target(self):
+        mesh = grid_mesh(8, 8)
+        a, b = decimate(mesh, np.int64(40)), decimate(mesh, 40)
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+        assert a.faces.tobytes() == b.faces.tobytes()
+
     def test_closed_tetrahedron_cannot_reach_one_face(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
         faces = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
         with pytest.raises(TopologicalLockError):
             decimate(TriangleMesh(verts, faces), 1)
+
+    def test_counters_repeat(self):
+        mesh = grid_mesh(16, 16, height=lambda x, y: 0.3 * x - 0.2 * y)
+        first, second = {}, {}
+        decimate(mesh, 100, counters=first)
+        decimate(mesh, 100, counters=second)
+        assert first == second
+        assert first["undone"] > 0 and first["flip"] > 0
+        # an undone collapse's pop goes back on the heap and is popped again
+        decided = sum(first[k] for k in ("collapses", "stale", "not_an_edge", "link", "flip"))
+        assert first["pops"] >= decided + first["undone"]
 
     def test_deterministic(self):
         mesh = icosphere(5.0, 3)

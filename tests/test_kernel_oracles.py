@@ -799,8 +799,8 @@ class TestEdgesAndPathsOracle:
         assert limits == [6.0, np.inf]
 
 
-def assert_same_decimation(mesh, target):
-    new, old = decimate(mesh, target), decimate_loop(mesh, target)
+def assert_same_decimation(mesh, target, counters=None):
+    new, old = decimate(mesh, target, counters=counters), decimate_loop(mesh, target)
     assert new.vertices.tobytes() == old.vertices.tobytes()
     assert new.faces.tobytes() == old.faces.tobytes()
 
@@ -869,10 +869,32 @@ class TestDecimateOracle:
         # at 46 faces the cheapest edge (8, 9) moves vertex 9 to (3, 4, 1e-17):
         # face (9, 16, 10) then has its corners on the line y = 4, and its
         # normal turns from +z to one with z exactly 0, so before . after == 0
-        # and the collapse is refused (a 90-degree turn counts as a flip)
+        # and the collapse is refused (a 90-degree turn counts as a flip);
+        # the second collapse, 48 -> 46 faces, is still waiting in its run then
         bump = grid_mesh(6, 6, height=lambda x, y: ((x == 4) & (y == 5)).astype(float))
         for target in (45, 30, 10):
-            assert_same_decimation(bump, target)
+            counters = {}
+            assert_same_decimation(bump, target, counters)
+            assert counters["flip"] >= 1
+
+    @pytest.mark.parametrize("fraction", [0.4, 0.1])
+    @pytest.mark.parametrize("mesh", [
+        grid_mesh(20, 20), grid_mesh(12, 12, height=lambda x, y: 0.3 * x - 0.2 * y + 1.0),
+    ], ids=["flat", "sloped"])
+    def test_tie_heavy_grids_undo_collapses(self, mesh, fraction):
+        # planar quadrics: errors tie, and a collapse's ring entries come before
+        # the heap's next one, so runs of two collapses are undone back to one
+        counters = {}
+        assert_same_decimation(mesh, int(fraction * mesh.n_faces), counters)
+        assert counters["undone"] > 0
+
+    def test_refused_pop_after_a_smaller_waiting_entry(self):
+        # here a pop refused by the link or flip test comes after a smaller
+        # entry of an earlier collapse of its run: a check of the run's
+        # collapses alone would keep that refusal and lose the edge for good
+        for nx, ny, target in ((6, 9, 15), (8, 11, 24)):
+            assert_same_decimation(grid_mesh(nx, ny, height=lambda x, y: 0.3 * x - 0.2 * y),
+                                   target)
 
     def test_lone_triangle(self):
         # collapsing an edge of a triangle with no neighbours leaves no face to check

@@ -1,14 +1,18 @@
 """Generative checks of the algebraic invariants."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from violinmorph import slicing
 from violinmorph.decimate import decimate
+from violinmorph.errors import TopologicalLockError
 from violinmorph.grid import HeightGrid, grid_difference_stats, interpolate_grid
-from violinmorph.mesh import PointCloud
+from violinmorph.mesh import PointCloud, TriangleMesh
 from violinmorph.registration import (
     NormalField,
     SimilarityTransform,
@@ -21,7 +25,7 @@ from violinmorph.slicing import cross_section, cross_sections
 from violinmorph.symmetry import _rotation_to_vertical
 from violinmorph.synthetic import disc_plate
 
-from conftest import unit_plane
+from conftest import grid_mesh, unit_plane
 from oracles import cross_section_loop, decimate_loop, interpolate_grid_loop
 
 coords = st.floats(min_value=-100.0, max_value=100.0,
@@ -178,6 +182,30 @@ def test_sections_near_hold_every_point_near_the_centre(rings, sectors, seed, sp
             continue  # a merge may have dropped a point one cut keeps
         assert {p.tobytes() for p in pts[inside]} <= \
             {p.tobytes() for p in near.points[t[i]:t[i + 1]]}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["planar", "sloped", "saddle"]), st.integers(3, 10),
+       st.integers(3, 10), st.sampled_from([0.0, 1e-3, 0.2]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0))
+def test_decimate_grids_match_loop_oracle(shape, nx, ny, jitter, seed, fraction):
+    # planar and sloped grids tie their errors, so batched runs are undone
+    height = {"planar": lambda x, y: 0.0 * x, "sloped": lambda x, y: 0.3 * x - 0.2 * y,
+              "saddle": lambda x, y: 0.05 * (x - nx / 2) * (y - ny / 2)}[shape]
+    grid = grid_mesh(nx, ny, height=height)
+    rng = np.random.default_rng(seed)
+    mesh = TriangleMesh(grid.vertices + rng.uniform(-jitter, jitter, grid.vertices.shape),
+                        grid.faces)
+    target = 1 + int(fraction * (mesh.n_faces - 1))
+    try:
+        new = decimate(mesh, target)
+    except TopologicalLockError as lock:
+        with pytest.raises(TopologicalLockError, match=re.escape(str(lock))):
+            decimate_loop(mesh, target)
+        return
+    old = decimate_loop(mesh, target)
+    assert new.vertices.tobytes() == old.vertices.tobytes()
+    assert new.faces.tobytes() == old.faces.tobytes()
 
 
 @settings(max_examples=15, deadline=None)
