@@ -9,7 +9,6 @@ and the asymmetry field.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ __all__ = [
     "grid_difference_stats",
     "joint_grid_domain",
     "save_height_grid",
-    "load_height_grid",
 ]
 
 _CHUNK_NODES = 4096  # candidate nodes rasterized per batch in interpolate_grid
@@ -209,10 +207,3 @@ def save_height_grid(grid, csv_path, header_path=None):
     if header_path is not None:
         save_json({"origin_mm": grid.origin.tolist(), "spacing_mm": grid.spacing,
                    "shape": list(grid.shape)}, header_path)
-
-
-def load_height_grid(csv_path, header_path):
-    with open(header_path) as fh:
-        header = json.load(fh)
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    return HeightGrid(header["origin_mm"], header["spacing_mm"], values)

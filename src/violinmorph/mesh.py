@@ -313,24 +313,20 @@ def shortest_path(mesh, start, goal):
     return path
 
 
-def path_length(mesh, path):
-    """Summed Euclidean length of consecutive hops along a vertex path."""
-    idx = np.asarray(path, dtype=np.int64)
-    if len(idx) < 2:
-        return 0.0
-    return float(
-        np.linalg.norm(mesh.vertices[idx[1:]] - mesh.vertices[idx[:-1]], axis=1).sum()
-    )
-
-
 def weld_vertices(mesh, tolerance=1e-6):
     """Merge vertices closer than ``tolerance`` mm (photogrammetric seams).
 
     The representative of each group is its lowest-index member; vertex
     order of the survivors is preserved. Faces that collapse to fewer than
-    three distinct vertices are dropped.
+    three distinct vertices are dropped. ``tolerance`` must be finite and
+    positive, and large enough that every lattice key ``v / tolerance``
+    fits in int64.
     """
     v = mesh.vertices
+    if not 0 < tolerance < np.inf:
+        raise ContractError(f"weld tolerance must be finite and positive, got {tolerance!r}")
+    if not np.abs(v).max(initial=0.0) / tolerance < 2.0 ** 63:
+        raise ContractError(f"weld tolerance {tolerance!r} puts the lattice keys beyond int64")
     # Snap to a tolerance lattice; exact-duplicate welding is the common case.
     key = np.round(v / tolerance).astype(np.int64)
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)

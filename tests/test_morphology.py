@@ -238,3 +238,12 @@ class TestChannelOfMinima:
             warnings.simplefilter("error")
             with pytest.raises(ContractError, match="window must be positive"):
                 channel_of_minima(plate, window_mm=np.nan)
+
+    @pytest.mark.parametrize("rms", [-1.0, np.nan, -np.inf])
+    def test_bad_smoothing_rejected(self, rms):
+        # unchecked, -1.0 smooths as +1.0 (the cap squares it) and nan as 0.0
+        plate = disc_plate(radius=30.0, rings=10, sectors=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="smoothing_rms_mm must be >= 0"):
+                channel_of_minima(plate, smoothing_rms_mm=rms)

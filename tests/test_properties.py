@@ -147,9 +147,8 @@ def test_batched_sections_match_loop_oracle(rings, sectors, seed, specs):
        st.lists(st.tuples(arrays(np.float64, 3, elements=st.floats(-1, 1)),
                           arrays(np.float64, 2, elements=st.floats(-22.0, 22.0)),
                           st.booleans()), min_size=1, max_size=12),
-       st.floats(0.5, 30.0), st.sampled_from([3, 200, 2**10, 2**20]))
-def test_sections_near_hold_every_point_near_the_centre(rings, sectors, seed, specs, radius,
-                                                        budget):
+       st.floats(0.5, 30.0))
+def test_sections_near_hold_every_point_near_the_centre(rings, sectors, seed, specs, radius):
     # every full-cut point within ``radius`` of its plane's centre (xy) is in
     # the restricted cut with the same bytes; planes are vertical or tilted,
     # through the centre or through a vertex
@@ -167,12 +166,7 @@ def test_sections_near_hold_every_point_near_the_centre(rings, sectors, seed, sp
         normals.append(normal)
         offsets.append(offset)
         centres.append(centre)
-    saved = slicing._CHUNK_ELEMENTS
-    slicing._CHUNK_ELEMENTS = budget
-    try:
-        near = slicing.sections_near(mesh, normals, offsets, centres, radius)
-    finally:
-        slicing._CHUNK_ELEMENTS = saved
+    near = slicing.sections_near(mesh, normals, offsets, centres, radius)
     full = cross_sections(mesh, normals, offsets)
     s, t = full.point_starts(), near.point_starts()
     for i, centre in enumerate(centres):
