@@ -199,8 +199,11 @@ def sections_near(mesh, normals, offsets, centres, radius):
     full cut's. One tree query over all the centres finds the pairs, and
     each plane's corner distances are gathered from its own full
     projection ``verts @ normal - offset``, never a projection of the
-    gathered corners, which can round differently.
+    gathered corners, which can round differently. A ``radius`` that is
+    negative or NaN is a contract error; an infinite one takes every face.
     """
+    if not radius >= 0:
+        raise ContractError(f"window radius must be >= 0, got {radius!r}")
     normals, offsets = _plane_batch(normals, offsets)
     centres = np.asarray(centres, dtype=np.float64).reshape(len(normals), 2)
     verts, f = mesh.vertices, mesh.faces

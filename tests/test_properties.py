@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from violinmorph import slicing
-from violinmorph.decimate import decimate
+from violinmorph.decimate import _COND_LIMIT, _solvable, decimate
 from violinmorph.errors import TopologicalLockError
 from violinmorph.grid import HeightGrid, grid_difference_stats, interpolate_grid
 from violinmorph.mesh import PointCloud, TriangleMesh
@@ -200,6 +200,38 @@ def test_decimate_grids_match_loop_oracle(shape, nx, ny, jitter, seed, fraction)
     old = decimate_loop(mesh, target)
     assert new.vertices.tobytes() == old.vertices.tobytes()
     assert new.faces.tobytes() == old.faces.tobytes()
+
+
+def _psd_stack(rng, conditions):
+    """Random symmetric PSD 3x3 matrices with the given condition numbers, at random scales."""
+    rotations = np.linalg.qr(rng.normal(size=(len(conditions), 3, 3)))[0]
+    top = 10.0 ** rng.uniform(-4.0, 4.0, len(conditions))
+    middle = top * conditions ** -rng.uniform(0.0, 1.0, len(conditions))
+    values = np.column_stack([top, middle, top / conditions])
+    return rotations @ (values[:, :, None] * rotations.transpose(0, 2, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+def test_screened_condition_test_equals_the_svd_test(seed, rows):
+    rng = np.random.default_rng(seed)
+    ends = rng.normal(size=(4, 3))
+    spread = _psd_stack(rng, 10.0 ** rng.uniform(0.0, 10.0, rows))
+    band = _psd_stack(rng, rng.uniform(0.6, 1.8, 8) * _COND_LIMIT)  # near the limit
+    a = np.concatenate([
+        spread, band,
+        np.outer(ends[0], ends[0])[None],  # rank 1
+        (np.outer(ends[1], ends[1]) + np.outer(ends[2], ends[2]))[None],  # rank 2
+        np.diag([0.0, 0.0, 3.0])[None], np.diag([2.0, 1.0, 0.0])[None],  # exactly singular
+        np.zeros((1, 3, 3)),
+    ])
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(all="ignore"):
+        plain = s[:, 0] / s[:, -1] < _COND_LIMIT
+    solvable, unsure = _solvable(a)
+    assert solvable.tolist() == plain.tolist()
+    assert unsure[rows:rows + len(band)].all()  # inside the factor-2 band: the SVD decides
+    assert unsure[-3:].all() and not solvable[-5:].any()  # x / 0 and 0 / 0
 
 
 @settings(max_examples=15, deadline=None)

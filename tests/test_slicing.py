@@ -62,6 +62,20 @@ class TestCrossSectionsArguments:
         with pytest.raises(ContractError, match="offsets must be finite"):
             sections_near(cube, [[1.0, 0, 0]], [np.nan], [[0.5, 0.5]], 2.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, -1.0], ids=["nan", "negative"])
+    def test_bad_window_radius_rejected(self, radius):
+        # an error, not an empty cut with exit 0
+        plate = disc_plate(radius=30.0, rings=10, sectors=40).mesh
+        with pytest.raises(ContractError, match="window radius must be >= 0"):
+            sections_near(plate, [[1.0, 0, 0]], [0.0], [[0.0, 0.0]], radius)
+
+    def test_infinite_window_radius_takes_the_whole_cut(self):
+        plate = disc_plate(radius=30.0, rings=10, sectors=40).mesh
+        near = sections_near(plate, [[1.0, 0, 0]], [0.0], [[0.0, 0.0]], np.inf)
+        full = cross_sections(plate, [[1.0, 0, 0]], [0.0])
+        assert len(full.points) > 0
+        assert {p.tobytes() for p in near.points} == {p.tobytes() for p in full.points}
+
     def test_rows_unit_within_tolerance_accepted(self, cube):
         tilted = np.array([0.6, 0.0, 0.8]) * (1.0 + 5e-13)
         sections = cross_sections(cube, [[0, 0, 1.0], tilted], [0.5, 0.7])
