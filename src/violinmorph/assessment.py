@@ -75,6 +75,10 @@ def error_distribution(s, p, threshold=2.0, bin_width=0.1, distances=None):
     distances already computed for this pair (a registration report's);
     ``p`` is then not queried and may be None.
     """
+    if not 0 < bin_width < np.inf:
+        raise ContractError(f"bin_width must be finite and > 0, got {bin_width!r}")
+    if not threshold >= 0:
+        raise ContractError(f"threshold must be >= 0, got {threshold!r}")
     if distances is None:
         diff = _nn_displacement(s.points, p.points)
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))

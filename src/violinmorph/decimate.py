@@ -21,18 +21,18 @@ Time). The output is the sequential loop's, byte for byte. Row dots and
 norms use :func:`~violinmorph.mesh.row_dot`, which rounds like the 1-D
 ``@``.
 
-Two yes/no decisions take a certified fast test first and the exact one
-only when that test is unsure. The condition test screens each row's
-eigenvalues (:func:`_solvable`), and the flip test works in Python
-floats on a list mirror of the vertices (:func:`_screen_flips`). Each
-fast test decides only where a rounding bound proves that the exact
-path, on any backward-stable LAPACK or any BLAS summation order, would
-decide the same, so the bytes do not depend on the screens.
+The condition test takes each row's singular values from ``eigvalsh``
+(:func:`_solvable`), and the flip test works in Python floats on a list
+mirror of the vertices (:func:`_flips`). Their verdicts equal those of
+``np.linalg.cond`` and of numpy normals and dot products, except where a
+flip dot product lies within ~1e-15 (relative) of 0 or a condition ratio
+within rounding of ``_COND_LIMIT``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import accumulate, chain
 
 import numpy as np
@@ -67,66 +67,29 @@ def _normal(a, b, c):
     return by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
 
 
-# A sum of three squares, or a dot product, may round differently in BLAS
-# (another order, or FMA) than left to right in Python, but each is within
-# gamma_3 = 3 eps / (1 - 3 eps) of the exact value times the sum of the
-# terms' magnitudes (Higham 2002, sec. 3.1), give or take 1e-322 where
-# products underflow. A verdict is taken from the Python value only when
-# it clears its threshold by more than both errors together.
-_SQUARED_LENGTH_BAND = ((1e-30 * (1.0 - 1e-9)) ** 2, (1e-30 * (1.0 + 1e-9)) ** 2)
-_DOT_MARGIN = 1e-15  # > 2 gamma_3 = 6.7e-16, with room for the rounding of the bound
-_DOT_FLOOR = 1e-300  # > any underflow error
-
-
-def _screen_flips(faces, xyz, around, u, v, pos):
-    """The flip verdict of :func:`_flips` from Python floats, or None when unsure.
+def _flips(faces, xyz, around, u, v, pos):
+    """Whether contracting edge (u, v) to ``pos`` flips or squashes a face ``around`` it.
 
     ``xyz`` holds the vertices as lists. A face flips when its normal
     after the move is shorter than 1e-30, or when it was longer than that
     before and the dot product of the two normals is not positive.
     """
-    low, high = _SQUARED_LENGTH_BAND
-    unsure = False
     for fi in around:
         a, b, c = faces[fi]
         pa, pb, pc = xyz[a], xyz[b], xyz[c]
-        n = _normal(pa, pb, pc)
         if a == u or a == v:
             m = _normal(pos, pb, pc)
         elif b == u or b == v:
             m = _normal(pa, pos, pc)
         else:
             m = _normal(pa, pb, pos)
-        after = m[0] * m[0] + m[1] * m[1] + m[2] * m[2]
-        if not after > high:  # NaN included
-            if after < low:
-                return True
-            unsure = True
-            continue
-        before = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
-        if not before > high:
-            unsure = unsure or not before < low  # degenerate before: no dot test
-            continue
-        t0, t1, t2 = n[0] * m[0], n[1] * m[1], n[2] * m[2]
-        dot = t0 + t1 + t2
-        bound = _DOT_MARGIN * (abs(t0) + abs(t1) + abs(t2)) + _DOT_FLOOR
-        if dot < -bound:
+        if math.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2]) < 1e-30:
             return True
-        unsure = unsure or not dot > bound
-    return None if unsure else False
-
-
-def _flips(faces, verts, around, u, v, pos):
-    """Whether contracting edge (u, v) to ``pos`` flips or squashes a face ``around`` it."""
-    # (0, 3) when the collapse takes a lone triangle: nothing around it to check
-    tri = np.array([faces[fi] for fi in around], dtype=np.int64).reshape(-1, 3)
-    k = len(tri)
-    points = verts[np.concatenate([tri, tri])]
-    points[k:][(tri == u) | (tri == v)] = pos  # before, then after
-    normals = _normals(points)
-    length = np.sqrt(row_dot(normals, normals))
-    return bool(((length[k:] < 1e-30)
-                 | ((length[:k] > 1e-30) & (row_dot(normals[:k], normals[k:]) <= 0))).any())
+        n = _normal(pa, pb, pc)
+        if (math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) > 1e-30
+                and n[0] * m[0] + n[1] * m[1] + n[2] * m[2] <= 0):
+            return True
+    return False
 
 
 def _plane_quadrics(normals, points):
@@ -143,43 +106,25 @@ def _error(q, p):
 
 
 def _solvable(a):
-    """Which symmetric 3x3 systems ``a`` pass the condition test; the rows sent to the SVD.
+    """Which symmetric 3x3 systems ``a`` pass the condition test.
 
     The test is ``np.linalg.cond``'s singular-value ratio below
-    ``_COND_LIMIT``; a singular system gives inf or NaN there, and both
-    fail. A symmetric matrix's singular values are its eigenvalues'
-    absolute values, and ``eigvalsh`` finds those in about 40 % of the
-    SVD's time, so it screens every row first. Both LAPACK routines are
-    backward stable: each computes the values of a matrix within
-    c·eps·‖a‖ of ``a``, c a modest constant, so by Weyl's inequality every
-    computed value is off by at most c·eps·‖a‖ = c·eps·s_max. Where the
-    screened ratio is below half the limit or above twice it, the true
-    smallest value is then at least 2e-7 · s_max - c·eps·s_max or at most
-    5e-8 · s_max + c·eps·s_max, and the SVD's ratio lands on the same side
-    of the limit as long as c·eps stays below ~1e-8, where for a 3x3
-    matrix it is of order 1e-15. Only the rows inside that band, or whose
-    screened ratio is not finite (a zero or NaN value), take the SVD.
+    ``_COND_LIMIT``, from the eigenvalues' absolute values (a symmetric
+    matrix's singular values); a singular system gives inf or NaN, and
+    both fail.
     """
     e = np.abs(np.linalg.eigvalsh(a))
     with np.errstate(all="ignore"):
-        ratio = e.max(axis=1) / e.min(axis=1)
-    solvable = ratio < 0.5 * _COND_LIMIT
-    unsure = ~(solvable | ((ratio > 2.0 * _COND_LIMIT) & (ratio < np.inf)))
-    if unsure.any():
-        s = np.linalg.svd(a[unsure], compute_uv=False)
-        with np.errstate(all="ignore"):
-            solvable[unsure] = s[:, 0] / s[:, -1] < _COND_LIMIT
-    return solvable, unsure
+        return e.max(axis=1) / e.min(axis=1) < _COND_LIMIT
 
 
 def _targets(q, p1, p2):
-    """Contraction targets and their errors for edges (p1, p2) with quadrics q,
-    and how many rows took the SVD in :func:`_solvable`.
+    """Contraction targets and their errors for edges (p1, p2) with quadrics q.
 
     The quadric-optimal point where the 3x3 system is well conditioned,
     otherwise the first of {p1, p2, midpoint} with the least error.
     """
-    solvable, unsure = _solvable(q[:, :3, :3])
+    solvable = _solvable(q[:, :3, :3])
     pos = np.empty_like(p1)
     qs = q[solvable]
     pos[solvable] = np.linalg.solve(qs[:, :3, :3], -qs[:, :3, 3:])[:, :, 0]
@@ -188,7 +133,7 @@ def _targets(q, p1, p2):
         candidates = np.stack([p1[rest], p2[rest], 0.5 * (p1[rest] + p2[rest])], axis=1)
         best = _error(q[rest][:, None], candidates).argmin(axis=1)
         pos[rest] = candidates[np.arange(len(best)), best]
-    return pos, _error(q, pos), int(unsure.sum())
+    return pos, _error(q, pos)
 
 
 def decimate(mesh, target_faces, counters=None):
@@ -203,11 +148,7 @@ def decimate(mesh, target_faces, counters=None):
     ``counters``, a dict, receives ``collapses``; ``pops``, every heap pop
     (entries popped again after an undo included), and the ``stale`` ones;
     the rejections ``not_an_edge``, ``link`` and ``flip``; ``flushes``, the
-    batched ring evaluations; ``undone``, the collapses rolled back;
-    ``svd_rows``, the rows whose condition test the eigenvalue screen left
-    to the SVD; and ``flip_fallbacks``, the flip tests the float screen
-    left to the numpy block (pushes and tests of collapses later undone
-    included).
+    batched ring evaluations; and ``undone``, the collapses rolled back.
 
     Raises
     ------
@@ -229,7 +170,7 @@ def decimate(mesh, target_faces, counters=None):
         return mesh
 
     verts = mesh.vertices.copy()
-    xyz = verts.tolist()  # verts as lists, for the flip screen
+    xyz = verts.tolist()  # verts as lists, for the flip test
     faces = mesh.faces.tolist()
     vert_faces = [set() for _ in range(len(verts))]
     for fi, f in enumerate(faces):
@@ -271,8 +212,7 @@ def decimate(mesh, target_faces, counters=None):
 
     def entries(a, b, sa, sb, q, p1, p2):
         """Heap entries of edges (a, b) from their inputs, in one target evaluation."""
-        pos, err, svd_rows = _targets(q, p1, p2)
-        tally["svd_rows"] += svd_rows
+        pos, err = _targets(q, p1, p2)
         return list(zip(err.tolist(), a, b, sa, sb, pos.tolist()))
 
     def corners(fis):
@@ -291,11 +231,7 @@ def decimate(mesh, target_faces, counters=None):
             return "link"
         # reject collapses that flip or squash any surviving face
         around = (vert_faces[u] | vert_faces[v]) - shared
-        flips = _screen_flips(faces, xyz, around, u, v, pos)
-        if flips is None:
-            tally["flip_fallbacks"] += 1
-            flips = _flips(faces, verts, around, u, v, pos)
-        if flips:
+        if _flips(faces, xyz, around, u, v, pos):
             return "flip"
 
         undo = (u, v, xyz[u], quadrics[u].copy(), shared, vert_faces[u], vert_faces[v])
@@ -370,7 +306,7 @@ def decimate(mesh, target_faces, counters=None):
         return done if done < len(pending) else min(2 * batch, _BATCH)
 
     tally = dict.fromkeys(["collapses", "pops", "stale", "not_an_edge", "link", "flip",
-                           "flushes", "undone", "svd_rows", "flip_fallbacks"], 0)
+                           "flushes", "undone"], 0)
     heap = entries(*inputs(mesh.edges[:, 0], mesh.edges[:, 1]))
     heapq.heapify(heap)
     n_faces = len(faces)

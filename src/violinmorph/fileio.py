@@ -91,8 +91,8 @@ def load_mesh(path, format=None, scale=None):
         vertices, faces = _load_ply(path, format)
     vertices = np.asarray(vertices, dtype=np.float64)
     if scale is not None:
-        if not (scale > 0):
-            raise InputError(f"scale hint must be positive, got {scale}")
+        if not 0 < scale < np.inf:
+            raise InputError(f"scale hint must be positive and finite, got {scale}")
         vertices = vertices * float(scale)
     if not np.isfinite(vertices).all():
         raise MeshFormatError("vertices contain non-finite coordinates", path)

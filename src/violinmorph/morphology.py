@@ -69,6 +69,8 @@ def contour_lines(plate, spacing=2.0, max_range=24.0, base=None, counters=None):
         raise ContractError("level spacing must be positive")
     if not max_range >= 0:
         raise ContractError("level range must not be negative")
+    if base is not None and not np.isfinite(base):
+        raise ContractError(f"base level must be finite, got {base!r}")
     mesh = plate.mesh
     z_lo = float(mesh.vertices[:, 2].min())
     z_hi = float(mesh.vertices[:, 2].max())
@@ -134,6 +136,8 @@ def asymmetry_field(sound_board_grid, back_grid, z_bar, bin_width=0.25):
     ``(sb - z_bar) - |b - z_bar|``, identically ``2 (midpoint - z_bar)``.
     Nodes violating the assumption are excluded with a warning.
     """
+    if not 0 < bin_width < np.inf:
+        raise ContractError(f"bin_width must be finite and > 0, got {bin_width!r}")
     if not sound_board_grid.compatible_with(back_grid):
         raise GridMismatchError("sound-board and back grids do not share a lattice")
     sb = sound_board_grid.values
@@ -290,6 +294,8 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     ``stations_cut``, ``pairs_visited`` (the (plane, face) pairs tested)
     and ``full_cut_stations``.
     """
+    if isinstance(stations, bool) or not isinstance(stations, (int, np.integer)):
+        raise ContractError(f"stations must be an integer, got {stations!r}")
     if not (window_mm > 0 and stations >= 8):
         raise ContractError("window must be positive and stations >= 8")
     if not smoothing_rms_mm >= 0:

@@ -69,6 +69,21 @@ class TestErrorDistribution:
         with pytest.raises(ContractError):
             error_distribution(s, None, distances=report.distances[:-1])
 
+    @pytest.mark.parametrize("bin_width", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_bin_width_rejected(self, bin_width):
+        # unchecked, 0 divides by zero or asks for an endless bin list, NaN
+        # and inf stop numpy's arange, and -1 gives an empty histogram
+        s = PointCloud(np.random.default_rng(6).uniform(0, 10, size=(50, 3)))
+        with pytest.raises(ContractError, match="bin_width must be finite and > 0"):
+            error_distribution(s, s, bin_width=bin_width)
+
+    @pytest.mark.parametrize("threshold", [np.nan, -0.5])
+    def test_bad_threshold_rejected(self, threshold):
+        # unchecked, NaN reads as fraction_above 0.0
+        s = PointCloud(np.random.default_rng(7).uniform(0, 10, size=(50, 3)))
+        with pytest.raises(ContractError, match="threshold must be >= 0"):
+            error_distribution(s, s, threshold=threshold)
+
 
 class TestSamplingFloor:
     def test_unit_edge_mesh_is_one_third(self):

@@ -722,8 +722,8 @@ class TestInMemoryPipeline:
         assert run("simplify", "--reference", str(mesh_path), "--target-faces", "200",
                    "--out", str(out)) == 0
         counters = json.loads((out / "manifest_simplify.json").read_text())["counters"]
-        assert sorted(counters) == ["collapses", "flip", "flip_fallbacks", "flushes", "link",
-                                    "not_an_edge", "pops", "stale", "svd_rows", "undone"]
+        assert sorted(counters) == ["collapses", "flip", "flushes", "link", "not_an_edge",
+                                    "pops", "stale", "undone"]
         # each collapse removes one vertex
         simplified = load_mesh(out / "simplified.ply")
         assert counters["collapses"] == plate.mesh.n_vertices - simplified.n_vertices

@@ -118,8 +118,11 @@ def test_scale_hint(tmp_path, cube):
     save_mesh(cube, path, "ply-binary-le")
     scaled = load_mesh(path, scale=25.4)
     np.testing.assert_allclose(scaled.vertices, cube.vertices * 25.4)
-    with pytest.raises(InputError):
-        load_mesh(path, scale=-1.0)
+    for bad in (-1.0, np.inf, np.nan):
+        # unchecked, inf scales the coordinates to inf and the error blames the file
+        with pytest.raises(InputError, match="scale hint must be positive and finite") as err:
+            load_mesh(path, scale=bad)
+        assert not isinstance(err.value, MeshFormatError)
 
 
 def test_float_emission_roundtrips_float32(tmp_path):

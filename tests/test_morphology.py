@@ -63,6 +63,9 @@ class TestContourLines:
         (dict(spacing=np.nan), "spacing must be positive"),
         (dict(max_range=np.nan), "range must not be negative"),
         (dict(max_range=-5.0), "range must not be negative"),
+        (dict(base=np.nan), "base level must be finite"),
+        (dict(base=np.inf), "base level must be finite"),
+        (dict(base=-np.inf), "base level must be finite"),
     ])
     def test_nan_or_negative_params_rejected(self, kw, message):
         # before any cut: not numpy's arange error, a dropped cap or an
@@ -145,6 +148,15 @@ class TestAsymmetryField:
         field = asymmetry_field(sb, back, 0.0)
         assert field.histogram_edges[1] - field.histogram_edges[0] == pytest.approx(0.25)
         assert field.histogram_counts.sum() == 3
+
+    @pytest.mark.parametrize("bin_width", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_bin_width_rejected(self, bin_width):
+        # unchecked, 0 asks for an endless bin list, NaN and inf stop numpy's
+        # arange, and -1 gives an empty histogram
+        sb = HeightGrid((0, 0), 1.0, np.array([[3.0, 2.0]]))
+        back = HeightGrid((0, 0), 1.0, np.array([[-2.0, -2.0]]))
+        with pytest.raises(ContractError, match="bin_width must be finite and > 0"):
+            asymmetry_field(sb, back, 0.0, bin_width=bin_width)
 
     def test_grid_mismatch(self):
         a = HeightGrid((0, 0), 1.0, np.ones((2, 2)))
@@ -238,6 +250,13 @@ class TestChannelOfMinima:
             warnings.simplefilter("error")
             with pytest.raises(ContractError, match="window must be positive"):
                 channel_of_minima(plate, window_mm=np.nan)
+
+    @pytest.mark.parametrize("stations", [400.0, 400.5, True, "400"])
+    def test_non_integer_stations_rejected(self, stations):
+        # unchecked, 400.0 fails in numpy's linspace with a TypeError
+        plate = disc_plate(radius=30.0, rings=10, sectors=40)
+        with pytest.raises(ContractError, match="stations must be an integer"):
+            channel_of_minima(plate, stations=stations)
 
     @pytest.mark.parametrize("rms", [-1.0, np.nan, -np.inf])
     def test_bad_smoothing_rejected(self, rms):
