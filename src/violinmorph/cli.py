@@ -5,8 +5,9 @@ override defaults), writes its artifacts into the output directory, and
 records a manifest with the config hash and content hashes of every
 artifact, so a rerun can be checked for byte-identical replay. Each
 command loads its input files and calls its stage; ``pipeline`` calls the
-same stages on results held in memory, with body A's features computed in
-a forked child while a second body is registered. Exit codes: 0 success
+same stages on results held in memory; with a second body, a forked
+child isolates body A and computes its features while this process
+isolates, registers and assesses the second body. Exit codes: 0 success
 (including diagnostic non-convergence), 2 input error, 3 contract
 violation, 4 internal error.
 """
@@ -36,7 +37,7 @@ from .errors import ContractError, InputError, MorphometryError
 from .fileio import load_mesh, load_surface, load_vertex_mask, save_csv, save_json, save_mesh
 from .grid import grid_difference_stats, interpolate_grid, joint_grid_domain
 from .isolation import isolate_plate, load_plate, rough_split, save_plate
-from .mesh import PointCloud, VertexMask
+from .mesh import PointCloud, TriangleMesh, VertexMask
 from .morphology import (
     asymmetry_field,
     channel_of_minima,
@@ -438,13 +439,17 @@ def cmd_channel(cfg):
     return 0
 
 
-def _second_acquisition(run, cfg, sb):
-    """Isolate body B, register its sound board onto ``sb`` and assess the fit."""
-    sb_b, _ = isolate_stage(Run("isolate", cfg, run.out / "acquisition_b"), cfg,
-                            cfg["inputs"]["body_b"], cfg["inputs"]["scale_b"])
-    s, p = PointCloud(sb.mesh.vertices), PointCloud(sb_b.mesh.vertices)
+def _body_b(run, cfg):
+    """Isolate body B into ``acquisition_b``; returns its sound-board plate."""
+    return isolate_stage(Run("isolate", cfg, run.out / "acquisition_b"), cfg,
+                         cfg["inputs"]["body_b"], cfg["inputs"]["scale_b"])[0]
+
+
+def _validate(cfg, sb, sb_b):
+    """Register B's sound board ``sb_b`` onto A's mesh ``sb`` and assess the fit."""
+    s, p = PointCloud(sb.vertices), PointCloud(sb_b.mesh.vertices)
     report = register_stage(Run("register", cfg), cfg, s, p)
-    assess_stage(Run("assess", cfg), cfg, sb.mesh, None, report.distances)
+    assess_stage(Run("assess", cfg), cfg, sb, None, report.distances)
 
 
 def _features(cfg, plates):
@@ -475,55 +480,81 @@ def _reported(work):
     return 0, ""
 
 
-def _beside(work, other=None):
-    """Run ``other()`` (if given) and ``work()``; returns ``_reported(work)``.
+def _worker(cfg, body, send):
+    """Body A in the forked child: sends its sound-board mesh (or the
+    ``_status`` of its isolation's failure), then the features' report."""
+    try:
+        plates = isolate_stage(Run("isolate", cfg), cfg, body, cfg["inputs"]["scale"])
+    except Exception as exc:
+        send.send(_status(exc))
+        return
+    send.send(plates[0].mesh)
+    send.send(_reported(functools.partial(_features, cfg, plates)))
 
-    Where ``os.fork`` exists, ``work`` runs in a forked child while this
-    process runs ``other``, and the outcome is the one of running ``other``
-    first: an exception of ``other`` propagates once the child is reaped.
-    The child sends back only its report, never an exception object; one
-    that ends without sending it is reported as an internal error.
+
+def _received(receive):
+    """The child's next message; None once it has ended without one."""
+    try:
+        return receive.recv()
+    except EOFError:
+        return None
+
+
+def _side_by_side(run, cfg, body):
+    """A's isolation and features in a forked child, B's isolation here, then
+    its registration and assessment against the sound board the child hands
+    over. The report is the one of running them in sequence: a failure of
+    A's isolation wins, then an exception of B's half (raised once the child
+    is reaped), then the features' outcome. The child sends meshes and
+    reports, never an exception object; one that ends without a report is
+    an internal error.
     """
-    if other is None or not hasattr(os, "fork"):
-        if other is not None:
-            other()
-        return _reported(work)
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
-    child = fork.Process(target=lambda: send.send(_reported(work)))
+    child = fork.Process(target=_worker, args=(cfg, body, send))
     with receive:
         with send:  # closed here once the child has its copy: a silent child gives EOF
             child.start()
         try:
-            other()
-        finally:
+            failure = None
             try:
-                report = receive.recv()
-            except EOFError:
-                report = None
-            finally:
-                child.join()
-    return report or (4, f"internal error: the feature worker ended without a report "
-                         f"(exit code {child.exitcode})")
+                sb_b = _body_b(run, cfg)
+            except Exception as exc:  # raised below unless A's isolation failed too
+                failure = exc
+            message = _received(receive)  # A's sound board, or the outcome that wins
+            if isinstance(message, TriangleMesh):
+                if failure is not None:
+                    raise failure
+                _validate(cfg, message, sb_b)
+                message = _received(receive)
+        finally:
+            child.join()
+    return message or (4, f"internal error: the feature worker ended without a report "
+                          f"(exit code {child.exitcode})")
 
 
 def cmd_pipeline(cfg):
     """Every stage on the plates in memory, with one frame per configuration.
 
-    With a second body, its isolation, registration and assessment run in
-    this process while a forked child computes A's features.
+    With a second body, the bodies run side by side where ``os.fork``
+    exists (``_side_by_side``); otherwise inline: isolate A (and B,
+    register, assess), then A's features.
     """
     run = Run("pipeline", cfg)
-    plates = isolate_stage(Run("isolate", cfg), cfg, _require(cfg, "body", "--body"),
-                           cfg["inputs"]["scale"])
-    second = None
-    if cfg["inputs"]["body_b"] is not None:
-        second = functools.partial(_second_acquisition, run, cfg, plates[0])
-    code, message = _beside(functools.partial(_features, cfg, plates), second)
+    body = _require(cfg, "body", "--body")
+    paired = cfg["inputs"]["body_b"] is not None
+    forked = paired and hasattr(os, "fork")
+    if forked:
+        code, message = _side_by_side(run, cfg, body)
+    else:
+        plates = isolate_stage(Run("isolate", cfg), cfg, body, cfg["inputs"]["scale"])
+        if paired:
+            _validate(cfg, plates[0].mesh, _body_b(run, cfg))
+        code, message = _reported(functools.partial(_features, cfg, plates))
     if code:
         print(message, file=sys.stderr)
         return code
-    run.finish()
+    run.finish({"halves": "forked" if forked else "inline"})
     return 0
 
 

@@ -70,6 +70,9 @@ def load_mesh(path, format=None, scale=None):
     MeshFormatError
         When the file does not parse, holds non-finite coordinates or
         describes no valid triangle mesh (say, a face index out of range).
+    InputError
+        When the scale hint is not positive and finite, or scales a
+        coordinate past the float range.
     """
     path = Path(path)
     if not path.exists():
@@ -90,12 +93,16 @@ def load_mesh(path, format=None, scale=None):
     else:
         vertices, faces = _load_ply(path, format)
     vertices = np.asarray(vertices, dtype=np.float64)
-    if scale is not None:
-        if not 0 < scale < np.inf:
-            raise InputError(f"scale hint must be positive and finite, got {scale}")
-        vertices = vertices * float(scale)
+    if scale is not None and not 0 < scale < np.inf:
+        raise InputError(f"scale hint must be positive and finite, got {scale}")
     if not np.isfinite(vertices).all():
         raise MeshFormatError("vertices contain non-finite coordinates", path)
+    if scale is not None:
+        with np.errstate(over="ignore"):  # an overflow is the hint's fault, reported below
+            vertices = vertices * float(scale)
+        if not np.isfinite(vertices).all():
+            raise InputError(f"scale hint {scale} takes the coordinates of {path} "
+                             f"past the float range")
     try:
         return TriangleMesh(vertices, faces)
     except (ContractError, OverflowError) as exc:  # e.g. a face index out of range

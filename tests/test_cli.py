@@ -731,8 +731,10 @@ class TestInMemoryPipeline:
 
 
 class TestFeatureWorker:
-    """``pipeline --body-b`` computes A's features in a forked child while it
-    registers B; the outcome matches running the two halves in sequence."""
+    """``pipeline --body-b`` isolates A and computes its features in a forked
+    child while it isolates B, then registers and assesses B against the
+    sound board the child hands over; the outcome matches running the two
+    halves in sequence."""
 
     def pipeline(self, monkeypatch, capfd, body_file, body_b, out, forked):
         forks = []
@@ -755,6 +757,8 @@ class TestFeatureWorker:
         for out, forked in ((forked_out, True), (inline_out, False)):
             rc, _ = self.pipeline(monkeypatch, capfd, body_file, body_b_file, out, forked)
             assert rc == 0
+            halves = json.loads((out / "manifest_pipeline.json").read_text())["halves"]
+            assert halves == ("forked" if forked else "inline")
         forked, inline = _artifacts(forked_out), _artifacts(inline_out)
         assert sorted(forked) == sorted(inline) and "channel_back.csv" in forked
         for name in inline:
@@ -815,6 +819,42 @@ class TestFeatureWorker:
         # the features ran beside the failed validation; in sequence they never start
         assert (tmp_path / "forkedTrue" / "asymmetry_stats.json").exists()
         assert not (tmp_path / "forkedFalse" / "asymmetry_stats.json").exists()
+
+    @pytest.mark.parametrize("b_exists", [True, False])
+    def test_body_a_isolation_error_wins(self, monkeypatch, capfd, body_b_file, tmp_path,
+                                         b_exists):
+        ghost = tmp_path / "ghost_a.ply"
+        body_b = body_b_file if b_exists else tmp_path / "ghost_b.ply"
+        results = {forked: self.pipeline(monkeypatch, capfd, ghost, body_b,
+                                         tmp_path / f"forked{forked}", forked)
+                   for forked in (True, False)}
+        assert results[True] == results[False]
+        rc, err = results[True]
+        assert rc == 2
+        assert "ghost_a.ply" in err and "ghost_b.ply" not in err
+        for forked in (True, False):  # neither registers nor assesses
+            out = tmp_path / f"forked{forked}"
+            assert not (out / "registration.json").exists()
+            assert not (out / "assessment.json").exists()
+
+    def test_body_a_isolation_ending_without_a_hand_off_exits_4(self, monkeypatch, capfd,
+                                                                 body_file, body_b_file,
+                                                                 tmp_path):
+        real = cli.load_surface
+
+        def die_on_a(path, scale=None):
+            if str(path) == str(body_file):
+                os._exit(9)
+            return real(path, scale=scale)
+
+        monkeypatch.setattr(cli, "load_surface", die_on_a)
+        out = tmp_path / "out"
+        rc, err = self.pipeline(monkeypatch, capfd, body_file, body_b_file, out, True)
+        assert rc == 4
+        assert err.splitlines()[-1] == ("internal error: the feature worker ended "
+                                        "without a report (exit code 9)")
+        assert not (out / "registration.json").exists()
+        assert not (out / "manifest_pipeline.json").exists()
 
 
 class TestStageErrors:

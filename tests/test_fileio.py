@@ -123,6 +123,22 @@ def test_scale_hint(tmp_path, cube):
         with pytest.raises(InputError, match="scale hint must be positive and finite") as err:
             load_mesh(path, scale=bad)
         assert not isinstance(err.value, MeshFormatError)
+    big = tmp_path / "cube_100.ply"  # coordinates up to 100: 1e307 times that overflows
+    save_mesh(TriangleMesh(cube.vertices * 100, cube.faces), big, "ply-binary-le")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is caught, not warned about
+        with pytest.raises(InputError, match="scale hint 1e[+]?307 takes the coordinates") as err:
+            load_mesh(big, scale=1e307)
+    assert not isinstance(err.value, MeshFormatError)
+    holed = tmp_path / "inf.ply"
+    save_mesh(cube, holed, "ply-ascii")
+    text = holed.read_text().splitlines()
+    first = text.index("end_header") + 1
+    text[first] = "inf " + text[first].split(" ", 1)[1]
+    holed.write_text("\n".join(text) + "\n")
+    for scale in (None, 1e307):  # a real inf is the file's fault, with or without a hint
+        with pytest.raises(MeshFormatError, match="non-finite"):
+            load_mesh(holed, scale=scale)
 
 
 def test_float_emission_roundtrips_float32(tmp_path):
