@@ -7,9 +7,11 @@ artifact, so a rerun can be checked for byte-identical replay. Each
 command loads its input files and calls its stage; ``pipeline`` calls the
 same stages on results held in memory; with a second body, a forked
 child isolates body A and computes its features while this process
-isolates, registers and assesses the second body. Exit codes: 0 success
-(including diagnostic non-convergence), 2 input error, 3 contract
-violation, 4 internal error.
+isolates, registers and assesses the second body. The stages import
+scipy's submodules at first use; before it forks, ``pipeline`` imports
+the ones the child calls, so that the child inherits them rather than
+importing them again. Exit codes: 0 success (including diagnostic
+non-convergence), 2 input error, 3 contract violation, 4 internal error.
 """
 
 from __future__ import annotations
@@ -392,6 +394,8 @@ def cmd_simplify(cfg):
     g0 = interpolate_grid(mesh, spacing, "upper", origin, shape)
     g1 = interpolate_grid(simplified, spacing, "upper", origin, shape)
     stats = grid_difference_stats(g0, g1)
+    counters.update(grid_nodes=g0.values.size, reference_valid_nodes=int(g0.valid.sum()),
+                    simplified_valid_nodes=int(g1.valid.sum()), joint_valid_nodes=stats["count"])
     save_json(
         {
             "input_faces": mesh.n_faces,
@@ -509,6 +513,12 @@ def _side_by_side(run, cfg, body):
     reports, never an exception object; one that ends without a report is
     an internal error.
     """
+    # The stages import scipy at first use. The child's modules are loaded
+    # here, so that it inherits them rather than importing them again.
+    import scipy.interpolate
+    import scipy.sparse.csgraph
+    import scipy.spatial
+
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
     child = fork.Process(target=_worker, args=(cfg, body, send))

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ContractError, DisconnectedError, FragmentationError
 from .fileio import load_surface, read_index_lines, save_index_lines, save_mesh
@@ -132,6 +131,8 @@ def map_to_vertices(mesh, points):
     Equidistant candidates resolve to the lowest vertex index; the first
     occurrence wins when several query points snap to one vertex.
     """
+    from scipy.spatial import cKDTree
+
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     tree = cKDTree(mesh.vertices)
     workers = kd_workers(len(pts))

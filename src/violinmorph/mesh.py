@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import ContractError, DegenerateFaceError, DisconnectedError
 
@@ -127,10 +125,12 @@ class TriangleMesh:
     def adjacency(self):
         """Symmetric CSR matrix of edge lengths (the weighted edge graph)."""
         if self._adjacency is None:
+            from scipy.sparse import coo_matrix
+
             e = self.edges
             w = self.edge_lengths
             n = self.n_vertices
-            mat = sparse.coo_matrix(
+            mat = coo_matrix(
                 (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]),
                                           np.concatenate([e[:, 1], e[:, 0]]))),
                 shape=(n, n),
@@ -260,9 +260,11 @@ def connected_components(mesh, removed=None):
             alive[removed.as_array()] = False
     if not alive.any():
         return []
+    from scipy.sparse import coo_matrix, csgraph
+
     e = mesh.edges
     keep = alive[e[:, 0]] & alive[e[:, 1]]
-    sub = sparse.coo_matrix(
+    sub = coo_matrix(
         (np.ones(keep.sum()), (e[keep, 0], e[keep, 1])), shape=(n, n)
     )
     _, labels = csgraph.connected_components(sub, directed=False)
@@ -291,6 +293,8 @@ def shortest_path(mesh, start, goal):
         raise ContractError("path endpoint out of range")
     if start == goal:
         return [start]
+    from scipy.sparse import csgraph
+
     # The adjacency is symmetric, so the directed search finds the same paths.
     # Edge weights are Euclidean lengths, so no path is shorter than the
     # straight-line gap: the search first stops at twice the gap (anchor

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, splev, splprep
 
 from .errors import ContractError, GridMismatchError
 from .fileio import FLOAT_FORMAT, save_csv, save_json, save_polylines_csv
@@ -217,6 +216,8 @@ def _periodic_spline(points):
     closed = np.vstack([pts, pts[:1]])
     seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
     t = np.concatenate([[0.0], np.cumsum(seg)])
+    from scipy.interpolate import CubicSpline
+
     return CubicSpline(t, closed, axis=0, bc_type="periodic"), t[-1]
 
 
@@ -346,6 +347,8 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     closed = np.vstack([minima, minima[:1]])
     u = np.append(arcs, arc_total)
     u = (u - u[0]) / (u[-1] - u[0])
+    from scipy.interpolate import splev, splprep
+
     tck, _ = splprep(closed.T, u=u, s=smooth_cap, per=1)
     smoothed = np.asarray(splev(u[:-1], tck)).T
 

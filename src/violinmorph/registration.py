@@ -33,12 +33,11 @@ so every objective value is bit for bit what a full query gives
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
 
 from .errors import ContractError
 from .mesh import PointCloud, kd_workers
@@ -175,9 +174,25 @@ class NormalField:
         return len(self.normals)
 
 
+def __getattr__(name):
+    """``cKDTree``: scipy's class, imported on first access (PEP 562)."""
+    if name != "cKDTree":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.spatial import cKDTree
+
+    globals()["cKDTree"] = cKDTree
+    return cKDTree
+
+
+def _kdtree(points):
+    """A tree of ``points`` built by the module attribute ``cKDTree``, so a
+    class swapped in for it (to count builds and queries) is the one used."""
+    return sys.modules[__name__].cKDTree(points)
+
+
 def _nn_displacement(s_points, p_points):
     """Displacement from each reference point's nearest neighbour in ``p``."""
-    _, idx = cKDTree(p_points).query(s_points, k=1, workers=kd_workers(len(s_points)))
+    _, idx = _kdtree(p_points).query(s_points, k=1, workers=kd_workers(len(s_points)))
     return s_points - p_points[idx]
 
 
@@ -240,7 +255,7 @@ def estimate_normals(cloud, k=10):
         raise ContractError("need k >= 3 neighbours")
     if len(pts) <= k:
         raise ContractError("cloud must contain more than k points")
-    tree = cKDTree(pts)
+    tree = _kdtree(pts)
     # the neighbourhood includes the point itself
     _, nbrs = tree.query(pts, k=k + 1, workers=kd_workers(len(pts)))
     local = pts[nbrs]
@@ -325,7 +340,7 @@ class _Objective:
         self.normals = normals.normals if normals is not None else None
         if metric == "point_to_plane_sq" and self.normals is None:
             raise ContractError("point_to_plane_sq needs normals on the reference cloud")
-        self.tree = cKDTree(self.p)
+        self.tree = _kdtree(self.p)
         self.extent = float(np.abs(self.p).max())
         n = len(self.s)
         # last tree answer per reference point: query position (NaN: ask
@@ -449,6 +464,8 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
     def record(intermediate_result):
         history.append(float(intermediate_result.fun))
 
+    from scipy.optimize import minimize
+
     res = minimize(fun, z0, method="Powell", callback=record,
                    options={"ftol": ftol, "maxiter": max_sweeps})
     params[active] = res.x * steps[active]
@@ -516,7 +533,7 @@ def register_icp(s, p, scale=1.0, sample_size=10_000, seed=0, normals=None,
     s_pts = s.points[sample]
     s_nrm = normals.normals[sample]
     p_scaled = p.points * float(scale)
-    tree = cKDTree(p_scaled)
+    tree = _kdtree(p_scaled)
 
     if init is not None:
         rot = init.rotation_matrix()

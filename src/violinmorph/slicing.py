@@ -23,9 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from .errors import ContractError
 from .mesh import row_dot
@@ -204,6 +201,8 @@ def sections_near(mesh, normals, offsets, centres, radius):
     """
     if not radius >= 0:
         raise ContractError(f"window radius must be >= 0, got {radius!r}")
+    from scipy.spatial import cKDTree
+
     normals, offsets = _plane_batch(normals, offsets)
     centres = np.asarray(centres, dtype=np.float64).reshape(len(normals), 2)
     verts, f = mesh.vertices, mesh.faces
@@ -312,6 +311,8 @@ def _chain(plane, ends):
     graph is built as CSR directly: COO would sort each row. Planes
     crossing a non-manifold edge take :func:`_walk`.
     """
+    from scipy.sparse import csgraph, csr_matrix
+
     n = len(plane)
     deg = np.bincount(ends.ravel(), minlength=n)
     by_node = np.argsort(ends.ravel(), kind="stable")
@@ -322,7 +323,7 @@ def _chain(plane, ends):
     node = np.flatnonzero(~branched)
     roots = np.concatenate([node[deg[node] == 1], node])
     m, r = len(by_node), len(roots)
-    graph = sparse.csr_matrix(
+    graph = csr_matrix(
         (np.ones(m + 2 * r),
          np.concatenate([ends[:, ::-1].ravel()[by_node],
                          np.column_stack([roots, np.arange(n + 1, n + r + 1)]).ravel()]),

@@ -722,12 +722,38 @@ class TestInMemoryPipeline:
         assert run("simplify", "--reference", str(mesh_path), "--target-faces", "200",
                    "--out", str(out)) == 0
         counters = json.loads((out / "manifest_simplify.json").read_text())["counters"]
-        assert sorted(counters) == ["collapses", "flip", "flushes", "link", "not_an_edge",
-                                    "pops", "stale", "undone"]
+        assert sorted(counters) == ["collapses", "flip", "flushes", "grid_nodes",
+                                    "joint_valid_nodes", "link", "not_an_edge", "pops",
+                                    "reference_valid_nodes", "simplified_valid_nodes",
+                                    "stale", "undone"]
         # each collapse removes one vertex
         simplified = load_mesh(out / "simplified.ply")
         assert counters["collapses"] == plate.mesh.n_vertices - simplified.n_vertices
         assert 1 <= counters["flushes"] <= counters["collapses"]
+
+    def test_simplify_manifest_records_grid_counters(self, tmp_path):
+        from violinmorph.grid import interpolate_grid, joint_grid_domain
+
+        plate = disc_plate(radius=20.0, height=5.0, rings=8, sectors=30)
+        mesh_path = tmp_path / "p.ply"
+        save_mesh(plate.mesh, mesh_path, "ply-binary-le")
+        out = tmp_path / "simp"
+        assert run("simplify", "--reference", str(mesh_path), "--target-faces", "100",
+                   "--out", str(out)) == 0
+        counters = json.loads((out / "manifest_simplify.json").read_text())["counters"]
+        stats = json.loads((out / "simplify_stats.json").read_text())
+        meshes = [load_mesh(mesh_path), load_mesh(out / "simplified.ply")]
+        spacing = stats["grid_spacing_mm"]
+        origin, shape = joint_grid_domain(meshes, spacing)
+        valid = [interpolate_grid(m, spacing, "upper", origin, shape).valid for m in meshes]
+        assert counters["grid_nodes"] == shape[0] * shape[1]
+        assert counters["reference_valid_nodes"] == int(valid[0].sum())
+        assert counters["simplified_valid_nodes"] == int(valid[1].sum())
+        assert counters["joint_valid_nodes"] == int((valid[0] & valid[1]).sum())
+        assert counters["joint_valid_nodes"] == stats["vertical_difference_stats_mm"]["count"]
+        # the 100-face plate leaves some rim nodes uncovered that the input covers
+        assert 0 < counters["joint_valid_nodes"] < counters["reference_valid_nodes"]
+        assert counters["reference_valid_nodes"] < counters["grid_nodes"]
 
 
 class TestFeatureWorker:
