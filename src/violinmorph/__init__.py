@@ -60,7 +60,6 @@ from .slicing import (
     cross_section,
     cross_sections,
     extreme_points,
-    sections_near,
 )
 from .symmetry import (
     FittedPlane,

@@ -484,16 +484,18 @@ def _reported(work):
     return 0, ""
 
 
-def _worker(cfg, body, send):
+def _worker(cfg, body, send, start):
     """Body A in the forked child: sends its sound-board mesh (or the
-    ``_status`` of its isolation's failure), then the features' report."""
+    ``_status`` of its isolation's failure), then the features' report.
+    The last message also carries the seconds since ``start``."""
     try:
         plates = isolate_stage(Run("isolate", cfg), cfg, body, cfg["inputs"]["scale"])
     except Exception as exc:
-        send.send(_status(exc))
+        send.send((*_status(exc), time.perf_counter() - start))
         return
     send.send(plates[0].mesh)
-    send.send(_reported(functools.partial(_features, cfg, plates)))
+    send.send((*_reported(functools.partial(_features, cfg, plates)),
+               time.perf_counter() - start))
 
 
 def _received(receive):
@@ -511,7 +513,9 @@ def _side_by_side(run, cfg, body):
     A's isolation wins, then an exception of B's half (raised once the child
     is reaped), then the features' outcome. The child sends meshes and
     reports, never an exception object; one that ends without a report is
-    an internal error.
+    an internal error. On success, ``run``'s timings hold the seconds from
+    the fork to the end of each half: ``half_a`` (the child's last report)
+    and ``half_b`` (this process's assessment).
     """
     # The stages import scipy at first use. The child's modules are loaded
     # here, so that it inherits them rather than importing them again.
@@ -521,7 +525,8 @@ def _side_by_side(run, cfg, body):
 
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
-    child = fork.Process(target=_worker, args=(cfg, body, send))
+    start = time.perf_counter()
+    child = fork.Process(target=_worker, args=(cfg, body, send, start))
     with receive:
         with send:  # closed here once the child has its copy: a silent child gives EOF
             child.start()
@@ -536,11 +541,16 @@ def _side_by_side(run, cfg, body):
                 if failure is not None:
                     raise failure
                 _validate(cfg, message, sb_b)
+                half_b = time.perf_counter() - start
                 message = _received(receive)
+                if message is not None:
+                    run.timings.update(half_a=round(message[2], 3), half_b=round(half_b, 3))
         finally:
             child.join()
-    return message or (4, f"internal error: the feature worker ended without a report "
-                          f"(exit code {child.exitcode})")
+    if message is None:
+        return 4, (f"internal error: the feature worker ended without a report "
+                   f"(exit code {child.exitcode})")
+    return message[:2]
 
 
 def cmd_pipeline(cfg):

@@ -519,20 +519,27 @@ def save_index_lines(path, indices, comments=None, head=None):
 # ---------------------------------------------------------------------------
 # Text artifacts
 
+def _csv_rows(rows, fmt=FLOAT_FORMAT):
+    """``np.savetxt``'s comma-separated lines of ``rows`` (a 1-D array is one
+    column), formatted by one ``%`` over all values; ``fmt`` per column or for
+    all."""
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    line = ",".join(fmt if isinstance(fmt, (list, tuple)) else [fmt] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def save_csv(path, rows, header=None, fmt=FLOAT_FORMAT):
     """Comma-separated rows under an optional header line; ``fmt`` per column or for all."""
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt=fmt, delimiter=",", header=header or "", comments="")
+        fh.write((f"{header}\n" if header else "") + _csv_rows(rows, fmt))
 
 
 def save_polylines_csv(polylines, path):
     """The points of each polyline as x,y,z rows, blank-line separated."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,z\n")
-        for i, poly in enumerate(polylines):
-            if i:
-                fh.write("\n")
-            np.savetxt(fh, poly.points, fmt=FLOAT_FORMAT, delimiter=",")
+        fh.write("x,y,z\n" + "\n".join(_csv_rows(poly.points) for poly in polylines))
 
 
 def save_json(payload, path):

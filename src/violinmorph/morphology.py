@@ -4,6 +4,9 @@ Three diagnostics: horizontal contour lines of each plate, the signed
 vertical asymmetry between sound board and back on their joint grid, and
 the channel of minima, the concave groove running near a plate's outer
 contour whose trace relative to the contour flags historical re-cutting.
+The channel picks each station in one pass over the unchained crossing
+points near its window, and cuts the whole plate again only for the
+stations whose pick chain order or a merge of near points could change.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import ContractError, GridMismatchError
 from .fileio import FLOAT_FORMAT, save_csv, save_json, save_polylines_csv
 from .grid import HeightGrid, save_height_grid
 from .mesh import row_dot
-from .slicing import cross_sections, sections_near
+from .slicing import cross_sections, crossings_near
 
 __all__ = [
     "ContourLineSet",
@@ -240,34 +243,32 @@ def _stations(spline, station_t, centroid_xy):
     return kept, centres, normals, row_dot(tau, centres[:, :2]), inward
 
 
-def _pick(sections, centres, inward, window_mm, top):
-    """Station ``i``'s search window on plane ``i`` of ``sections``.
+def _pick(plane, points, centres, inward, window_mm, lowest):
+    """Each station's pick among its points: station ``i`` holds the points
+    with ``plane == i`` and searches its window on plane ``i``.
 
-    ``top`` is ``np.fmin`` (lowest point) or ``np.fmax`` (highest). Returns,
-    per station, the size of its cut, how many window points reach the
-    extreme z, and the first of them with its inward offset (zeros where
-    the window is empty).
+    A point's inward offset is ``dx*ux + dy*uy`` from the station's centre
+    along its inward direction; the window holds the offsets in [0,
+    ``window_mm``]. One stable sort by station, then by z (ascending for
+    the ``lowest`` point, descending for the highest), puts each station's
+    extreme first, and among equal z the first in ``points``' order.
+    Returns, per station, how many window points reach the extreme z, and
+    the first of them with its inward offset (zeros where the window is
+    empty).
     """
-    points, starts = sections.points, sections.point_starts()
-    n = len(starts) - 1
-    # one matrix-vector product per station over its own cut: the offsets
-    # keep the bits of that product (a row-wise dot rounds differently)
-    offsets = np.concatenate([np.empty(0)] + [
-        (points[a:b, :2] - c[:2]) @ u
-        for a, b, c, u in zip(starts[:-1].tolist(), starts[1:].tolist(), centres, inward)])
-    station = np.repeat(np.arange(n), np.diff(starts))
-    inside = (offsets >= 0.0) & (offsets <= window_mm)
-    extreme = np.full(n, np.nan)
-    top.at(extreme, station[inside], points[inside, 2])
-    hits = np.flatnonzero(inside & (points[:, 2] == extreme[station]))
-    ties = np.bincount(station[hits], minlength=n)
-    # hits run station after station, so each station's first hit sits
-    # where the counts of the stations before it end
-    found = ties > 0
-    first = hits[(np.cumsum(ties) - ties)[found]]
+    n = len(centres)
+    c, u = centres[plane], inward[plane]
+    offsets = (points[:, 0] - c[:, 0]) * u[:, 0] + (points[:, 1] - c[:, 1]) * u[:, 1]
+    inside = np.flatnonzero((offsets >= 0.0) & (offsets <= window_mm))
+    z = points[inside, 2]
+    order = np.lexsort((z if lowest else -z, plane[inside]))
+    inside, station, z = inside[order], plane[inside][order], z[order]
+    head = np.flatnonzero(np.diff(station, prepend=-1))
+    extreme = np.repeat(z[head], np.diff(head, append=len(z)))
+    ties = np.bincount(station[z == extreme], minlength=n)
     best, depth = np.zeros((n, 3)), np.zeros(n)
-    best[found], depth[found] = points[first], offsets[first]
-    return np.diff(starts), ties, best, depth
+    best[station[head]], depth[station[head]] = points[inside[head]], offsets[inside[head]]
+    return ties, best, depth
 
 
 def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
@@ -284,16 +285,20 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     ``smoothing_rms_mm`` caps the rms deviation of the smoothed trace from
     the raw minima.
 
-    Each station is cut from the faces near its window only
-    (:func:`~violinmorph.slicing.sections_near`), which holds every window
-    point with its full-cut bytes. It is cut again across the whole plate
-    when that cut could pick differently: when it is crowded (a merge of
-    near points may have dropped a point), when the extreme z is reached
-    by more than one window point (the full cut's chain order breaks the
-    tie), or when no point lies in the window (the warning says whether
-    the section is empty). ``counters``, a dict, receives
-    ``stations_cut``, ``pairs_visited`` (the (plane, face) pairs tested)
-    and ``full_cut_stations``.
+    Each station is picked in one pass over the crossing points of the
+    faces near its window (:func:`~violinmorph.slicing.crossings_near`),
+    which holds every window point with its full-cut bytes, unchained.
+    Where chain order or a merge of near points could change the pick, the
+    station is cut again across the whole plate and picked in chain order:
+    when more than one window point reaches the extreme z (``tied``), when
+    a crossing face's two points lie within 3 x 1e-9 mm (``crowded``),
+    when a point lies on an edge of more than two crossing faces
+    (``branched``), or when no point lies in the window (``empty``; the
+    warning says whether the section is empty). ``counters``, a dict,
+    receives ``stations_cut``, ``pairs_visited`` (the (plane, face) pairs
+    tested), ``full_cut_stations``, ``recut`` (the stations cut again, per
+    cause; a station may count under several) and ``skipped`` (the arc
+    length of each skipped station and why).
     """
     if isinstance(stations, bool) or not isinstance(stations, (int, np.integer)):
         raise ContractError(f"stations must be an integer, got {stations!r}")
@@ -306,7 +311,7 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     centroid_xy = mesh.vertices[:, :2].mean(axis=0)
     mean_edge = float(mesh.edge_lengths.mean())
     edge_tol = max(mean_edge, 0.05 * window_mm)
-    top = np.fmin if plate.side == "sound_board" else np.fmax
+    lowest = plate.side == "sound_board"
 
     # equal arc-length stations via dense resampling of the spline
     dense_t = np.linspace(0.0, total_len, 10 * stations + 1)
@@ -317,25 +322,33 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     targets = np.linspace(0.0, arc_total, stations, endpoint=False)
     kept, centres, normals, offsets, inward = _stations(
         spline, np.interp(targets, arc, dense_t), centroid_xy)
+    skipped = [(float(a), "no horizontal tangent") for a in targets[~kept].tolist()]
     targets = targets[kept]
 
-    sections = sections_near(mesh, normals, offsets, centres[:, :2], window_mm)
-    sizes, ties, minima, depths = _pick(sections, centres, inward, window_mm, top)
-    redo = np.flatnonzero(sections.crowded_planes | (ties != 1))
-    pairs = sections.pairs_visited
+    near = crossings_near(mesh, normals, offsets, centres[:, :2], window_mm)
+    ties, minima, depths = _pick(near.plane, near.points, centres, inward, window_mm, lowest)
+    recut = {"tied": ties > 1, "crowded": near.crowded_planes,
+             "branched": near.branched_planes, "empty": ties == 0}
+    redo = np.flatnonzero(np.logical_or.reduce(list(recut.values())))
+    pairs, sizes = near.pairs_visited, np.zeros(len(targets), dtype=np.intp)
     if len(redo):
         full = cross_sections(mesh, normals[redo], offsets[redo])
         pairs += full.pairs_visited
-        sizes[redo], ties[redo], minima[redo], depths[redo] = _pick(
-            full, centres[redo], inward[redo], window_mm, top)
-    if counters is not None:
-        counters.update(stations_cut=len(targets), pairs_visited=pairs,
-                        full_cut_stations=len(redo))
+        sizes[redo] = np.diff(full.point_starts())
+        ties[redo], minima[redo], depths[redo] = _pick(
+            np.repeat(np.arange(len(redo)), sizes[redo]), full.points, centres[redo],
+            inward[redo], window_mm, lowest)
 
     found = ties > 0
     for i in np.flatnonzero(~found).tolist():
         what = "no interior points in window" if sizes[i] else "empty channel section"
         warnings.warn(f"{what} at arc length {targets[i]:.1f}", stacklevel=2)
+        skipped.append((float(targets[i]), what))
+    if counters is not None:
+        counters.update(stations_cut=len(targets), pairs_visited=pairs,
+                        full_cut_stations=len(redo),
+                        recut={cause: int(flag.sum()) for cause, flag in recut.items()},
+                        skipped=[{"arc_length_mm": a, "reason": why} for a, why in sorted(skipped)])
     detected = int(found.sum())
     if detected < 4:
         raise ContractError(f"only {detected} channel stations detected out of {stations}")

@@ -9,7 +9,8 @@ more trusted acquisition is the reference).
 Three interchangeable metrics: mean nearest-neighbour distance (D), its
 mean-square variant (D2) and the squared point-to-plane projection
 (D2_plane). Minimization is derivative-free (scipy's Powell method over a
-scaled parameter vector); an ICP comparison mode with a closed-form
+scaled parameter vector, started from tenth-size steps: 0.1 mm, 0.05
+degrees and 0.001 scale); an ICP comparison mode with a closed-form
 point-to-plane solve per iteration is provided as well.
 
 Nearest neighbours are exact. One KD-tree is built on the moving cloud;
@@ -411,6 +412,10 @@ class _Objective:
 # Scaled steps used to make the direction space roughly isotropic:
 # millimetres for X, degrees for theta, scale units for K.
 _PARAM_STEPS = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.01])
+# Powell's first directions, in scaled units: first steps of 0.1 mm, 0.05 degrees
+# and 0.001 scale. Unit steps can carry the first line searches over a ridge into
+# a neighbouring lattice minimum when both clouds sample one lattice.
+_FIRST_STEP = 0.1
 
 
 def register(s, p, metric="point_to_point", allow_scale=True, init=None,
@@ -467,7 +472,8 @@ def register(s, p, metric="point_to_point", allow_scale=True, init=None,
     from scipy.optimize import minimize
 
     res = minimize(fun, z0, method="Powell", callback=record,
-                   options={"ftol": ftol, "maxiter": max_sweeps})
+                   options={"ftol": ftol, "maxiter": max_sweeps,
+                            "direc": _FIRST_STEP * np.eye(len(active))})
     params[active] = res.x * steps[active]
     final = SimilarityTransform(params[0:3], params[3:6], params[6])
     report_normals = normals if normals is not None else estimate_normals(s, k=normal_k)

@@ -10,25 +10,27 @@ A plane is an array pair: a unit normal and an offset, the plane
 normals and k offsets. Every cut runs one kernel over (plane, face)
 pairs, from one of two routes. ``cross_sections`` cuts planes across
 the whole mesh: each face is paired only with the planes its projected
-interval reaches. ``sections_near`` pairs each plane only with the
-faces near a given point. A pair's corner distances are always
-gathered from the one ``verts @ normal`` of its plane's normal, minus
-the offset, so a point comes out with the same bits whichever route
-cut it.
+interval reaches. ``crossings_near`` pairs each plane only with the
+faces near a given point and returns the crossing points unchained. A
+corner's distance from a plane has one rule, ``x*nx + y*ny + z*nz -
+offset`` in explicit products (:func:`_project`): it gives a gathered
+corner the bits of the full projection, so a point comes out with the
+same bits whichever route cut it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError
 from .mesh import row_dot
 
-__all__ = ["SectionPolyline", "Sections", "cross_section", "cross_sections", "sections_near",
-           "extreme_points"]
+__all__ = ["SectionPolyline", "Sections", "Crossings", "cross_section", "cross_sections",
+           "crossings_near", "extreme_points"]
 
 _ON_PLANE = 1e-12   # vertices closer than this are nudged off the plane
 _NUDGE = 1e-9
@@ -107,6 +109,30 @@ class Sections:
         return self.starts[self.plane_starts]
 
 
+class Crossings(NamedTuple):
+    """Unchained crossing points, one per crossed edge, with each one's plane.
+
+    ``crowded_planes``: a crossing face's two points lie within 3 x
+    ``_MIN_POINT_SEP`` (as chain neighbours, which a merge may change);
+    ``branched_planes``: a point lies on an edge of more than two crossing
+    faces. ``pairs_visited`` counts the (plane, face) pairs tested.
+    """
+
+    plane: np.ndarray
+    points: np.ndarray
+    crowded_planes: np.ndarray
+    branched_planes: np.ndarray
+    pairs_visited: int
+
+
+def _project(points, normal):
+    """``points . normal`` over the last axis as ``x*nx + y*ny + z*nz``: a gathered
+    corner gets the bits of the projection of all vertices, which a BLAS
+    ``verts @ normal`` does not promise (nor the same bits on another kernel)."""
+    return (points[..., 0] * normal[..., 0] + points[..., 1] * normal[..., 1]
+            + points[..., 2] * normal[..., 2])
+
+
 def cross_section(mesh, normal, offset):
     """All intersection polylines of ``mesh`` with the plane ``normal . q = offset``.
 
@@ -164,7 +190,7 @@ def cross_sections(mesh, normals, offsets):
     for g, row in enumerate(rows):
         planes = np.flatnonzero(group == g)
         order = planes[np.argsort(offsets[planes], kind="stable")]
-        corners = (verts @ normals[row])[f]
+        corners = _project(verts, normals[row])[f]
         lo = np.minimum(np.minimum(corners[:, 0], corners[:, 1]), corners[:, 2])
         hi = np.maximum(np.maximum(corners[:, 0], corners[:, 1]), corners[:, 2])
         first = np.searchsorted(offsets[order], lo, "right")
@@ -180,23 +206,18 @@ def cross_sections(mesh, normals, offsets):
                       np.concatenate(dc)[by_plane], len(pf))
 
 
-def sections_near(mesh, normals, offsets, centres, radius):
-    """The cuts of :func:`cross_sections` near ``centres[i]`` (xy), from nearby faces only.
+def crossings_near(mesh, normals, offsets, centres, radius):
+    """The :class:`Crossings` of each plane ``i`` near ``centres[i]`` (xy), from nearby faces.
 
     Plane ``i`` is cut from the faces whose centroid lies within
-    ``radius`` + the face's reach of ``centres[i]`` in xy (a cKDTree
-    query) and within its reach of the plane. A face's xy reach is its
-    largest centroid-to-corner xy distance; towards the plane it is
-    weighted by the normal's xy and z parts, with ``_REACH_SLACK`` for the
-    1e-9 mm nudge and rounding. Every section point within ``radius`` of
-    the centre in xy is therefore in the cut, with the bytes
+    ``radius`` + the face's reach of ``centres[i]`` in xy (one cKDTree
+    query over all the centres) and within its reach of the plane. A
+    face's xy reach is its largest centroid-to-corner xy distance; towards
+    the plane it is weighted by the normal's xy and z parts, with
+    ``_REACH_SLACK`` for the 1e-9 mm nudge and rounding. So every section
+    point within ``radius`` of the centre in xy is there, with the bytes
     :func:`cross_sections` gives it, and so are the faces that join it to
-    its chain neighbours. The chains are cut short at the faces left
-    out: their direction, order and near-point merges may differ from the
-    full cut's. One tree query over all the centres finds the pairs, and
-    each plane's corner distances are gathered from its own full
-    projection ``verts @ normal - offset``, never a projection of the
-    gathered corners, which can round differently. A ``radius`` that is
+    its chain neighbours, which the flags test. A ``radius`` that is
     negative or NaN is a contract error; an infinite one takes every face.
     """
     if not radius >= 0:
@@ -221,35 +242,32 @@ def sections_near(mesh, normals, offsets, centres, radius):
     keep &= (np.abs(row_dot(n, centroids[c]) - offsets[p])
              <= np.hypot(n[:, 0], n[:, 1]) * reach_xy[c] + np.abs(n[:, 2]) * reach_z[c]
              + _REACH_SLACK)
-    order = np.lexsort((c[keep], p[keep]))
-    p, c = p[keep][order], c[keep][order]
-    bounds = np.searchsorted(p, np.arange(len(normals) + 1))
-    dc = np.empty((len(p), 3))
-    for i, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        dc[a:b] = (verts @ normals[i] - offsets[i])[f[c[a:b]]]
-    return _cut_pairs(verts, f, normals, p, c, dc, len(p))
+    p, c = p[keep], c[keep]
+    dc = _project(verts[f[c]], n[keep, None]) - offsets[p, None]
+    plane, points, links = _crossings(verts, f, normals, p, c, dc)
+    gap = points[links[:, 0]] - points[links[:, 1]]
+    crowded = plane[links[np.linalg.norm(gap, axis=1) <= 3 * _MIN_POINT_SEP, 0]]
+    branched = plane[np.bincount(links.ravel(), minlength=len(plane)) > 2]
+    return Crossings(plane, points, np.bincount(crowded, minlength=len(normals)) > 0,
+                     np.bincount(branched, minlength=len(normals)) > 0, len(p))
 
 
-def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
-    """The :class:`Sections` of the planes ``normals`` from (plane, face) pairs.
+def _crossings(verts, f, normals, pf, cf, dc):
+    """The crossing points of (plane, face) pairs, one per crossed edge.
 
-    ``pf`` is ascending and ``cf`` ascending within each plane; ``dc[k]``
-    holds the signed distances of face ``cf[k]``'s corners from plane
-    ``pf[k]``, gathered from the projection of the vertices on its normal.
-    Pairs whose face does not cross the plane are dropped.
+    ``dc[k]`` holds the signed distances of face ``cf[k]``'s corners from
+    plane ``pf[k]``; pairs whose face does not cross the plane are dropped.
+    Returns each point's plane, the points ordered by plane and then by
+    their edge's (lower, higher) vertex pair, and per crossing face, in
+    pair order, the two points it links.
     """
     side = (dc > 0.0) | (np.abs(dc) < _ON_PLANE)
     crossing = (side[:, 0] != side[:, 1]) | (side[:, 1] != side[:, 2])
     pf, cf, dc, su = pf[crossing], cf[crossing], dc[crossing], side[crossing]
-    if cf.size == 0:
-        return Sections(np.empty((0, 3)), np.zeros(1, dtype=np.int64), np.empty(0, dtype=bool),
-                        np.zeros(len(normals) + 1, dtype=np.int64),
-                        np.zeros(len(normals), dtype=bool), pairs_visited)
 
     # Each crossing face has exactly two edges whose endpoints straddle the
     # plane. Nodes are these edges, keyed (plane * nv + lo) * nv + hi so one
-    # sort orders them plane-major, then by vertex pair; links are crossing
-    # faces, numbered plane-major in face order.
+    # sort orders them plane-major, then by vertex pair.
     nv = len(verts)
     u = f[cf]
     v = u[:, [1, 2, 0]]                                  # edges (a,b), (b,c), (c,a)
@@ -276,15 +294,27 @@ def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
     p_lo, du = endpoint(lo, dc[at[:, 0], at[:, 1]])
     p_hi, dv = endpoint(hi, dc[at[:, 0], at[:, 2]])
     t = du / (du - dv)
-    points = p_lo + t[:, None] * (p_hi - p_lo)
+    return plane, p_lo + t[:, None] * (p_hi - p_lo), edge_of.reshape(-1, 2)
 
-    nodes, chain_key, closed = _chain(plane, edge_of.reshape(-1, 2))
+
+def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
+    """The :class:`Sections` of the planes ``normals`` from (plane, face) pairs.
+
+    ``pf`` is ascending and ``cf`` ascending within each plane, so the
+    links of :func:`_crossings` are numbered plane-major in face order.
+    """
+    plane, points, links = _crossings(verts, f, normals, pf, cf, dc)
+    if not len(plane):
+        return Sections(np.empty((0, 3)), np.zeros(1, dtype=np.int64), np.empty(0, dtype=bool),
+                        np.zeros(len(normals) + 1, dtype=np.int64),
+                        np.zeros(len(normals), dtype=bool), pairs_visited)
+    nodes, chain_key, closed = _chain(plane, links)
     bounds = np.flatnonzero(np.diff(chain_key, prepend=-1, append=-1))
     closed = closed[bounds[:-1]]
     keep, sizes, crowded = _merge_near_points(points[nodes], bounds, closed)
     nodes = nodes[keep]
     whole = sizes >= 2
-    chain_plane = chain_key[bounds[:-1]] // (2 * len(keys))
+    chain_plane = chain_key[bounds[:-1]] // (2 * len(plane))
     counts = np.bincount(chain_plane[whole], minlength=len(normals))
     return Sections(points[nodes], np.concatenate([[0], np.cumsum(sizes[whole])]), closed[whole],
                     np.concatenate([[0], np.cumsum(counts)]),

@@ -254,7 +254,7 @@ def cross_section_loop(mesh, normal, offset):
     """Dict-based edge collection and face-adjacency chain walk."""
     normal, offset = np.asarray(normal, dtype=np.float64), float(offset)
     verts = mesh.vertices
-    d = verts @ normal - offset
+    d = verts[:, 0] * normal[0] + verts[:, 1] * normal[1] + verts[:, 2] * normal[2] - offset
     near = np.abs(d) < _ON_PLANE
     if near.any():
         verts = verts.copy()
@@ -984,10 +984,12 @@ def chain_by_components(plane, ends):
 
 
 def _distances(verts, normals, offsets):
-    """Signed distance of every vertex from each plane, one ``verts @ normal`` each."""
+    """Signed distance of every vertex from each plane, one ``x*nx + y*ny + z*nz``
+    each."""
     d = np.empty((len(normals), len(verts)))
+    x, y, z = verts.T
     for i, (normal, offset) in enumerate(zip(normals, offsets)):
-        d[i] = verts @ normal - offset
+        d[i] = x * normal[0] + y * normal[1] + z * normal[2] - offset
     return d
 
 
@@ -1062,7 +1064,7 @@ def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_r
             skipped += 1
             warnings.warn(f"empty channel section at arc length {s_arc:.1f}", stacklevel=2)
             continue
-        s = (pts[:, :2] - c[:2]) @ inward_i
+        s = (pts[:, 0] - c[0]) * inward_i[0] + (pts[:, 1] - c[1]) * inward_i[1]
         window = (s >= 0.0) & (s <= window_mm)
         if not window.any():
             skipped += 1

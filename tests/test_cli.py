@@ -680,7 +680,8 @@ class TestInMemoryPipeline:
                 assert mine.get(key) == theirs.get(key), (manifest.name, key)
         # the section counters, per side, in pipeline's manifests as in the commands'
         keys = {"isolate": {"planes", "pairs_visited"}, "contours": {"planes", "pairs_visited"},
-                "channel": {"stations_cut", "pairs_visited", "full_cut_stations"}}
+                "channel": {"stations_cut", "pairs_visited", "full_cut_stations", "recut",
+                            "skipped"}}
         for root in (out, out / "acquisition_b"):
             for command in keys if root == out else ["isolate"]:
                 counters = json.loads((root / f"manifest_{command}.json").read_text())["counters"]
@@ -783,8 +784,12 @@ class TestFeatureWorker:
         for out, forked in ((forked_out, True), (inline_out, False)):
             rc, _ = self.pipeline(monkeypatch, capfd, body_file, body_b_file, out, forked)
             assert rc == 0
-            halves = json.loads((out / "manifest_pipeline.json").read_text())["halves"]
-            assert halves == ("forked" if forked else "inline")
+            manifest = json.loads((out / "manifest_pipeline.json").read_text())
+            assert manifest["halves"] == ("forked" if forked else "inline")
+            # the forked run times each half from the fork; the inline run has none
+            laps = manifest["timings_s"]
+            assert sorted(laps) == (["half_a", "half_b"] if forked else [])
+            assert all(0.0 < seconds < 600.0 for seconds in laps.values())
         forked, inline = _artifacts(forked_out), _artifacts(inline_out)
         assert sorted(forked) == sorted(inline) and "channel_back.csv" in forked
         for name in inline:

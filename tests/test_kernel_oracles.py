@@ -20,7 +20,7 @@ from violinmorph.morphology import channel_of_minima
 from violinmorph.orientation import orient_to_frame, principal_frame
 from violinmorph.registration import SimilarityTransform
 from violinmorph.slicing import (
-    cross_section, cross_sections, extreme_points, sections_near,
+    cross_section, cross_sections, crossings_near, extreme_points,
 )
 from violinmorph.symmetry import _rotation_to_vertical, build_symmetry_frame
 from violinmorph.synthetic import (
@@ -276,19 +276,20 @@ class TestBatchedSectionsOracle:
     def test_planes_through_body_vertices(self, body):
         self.check(body, _planes_through_vertices(body, np.random.default_rng(21), 20))
 
-    def test_sections_near_batch_equals_planes_one_by_one(self, body):
-        # one tree query serves the whole batch: each plane's cut is the one
-        # it gets alone
+    def test_crossings_near_batch_equals_planes_one_by_one(self, body):
+        # one tree query serves the whole batch: each plane's crossings are
+        # the ones it gets alone
         rng = np.random.default_rng(22)
         normals, offsets = _batch(_random_vertical_planes(body, rng, 10) + _axis_planes(body, 3))
         centres = rng.uniform(-20.0, 20.0, (len(offsets), 2))
-        whole = sections_near(body, normals, offsets, centres, 15.0)
-        s = whole.point_starts()
+        whole = crossings_near(body, normals, offsets, centres, 15.0)
+        assert (np.diff(whole.plane) >= 0).all()
         for i in range(len(offsets)):
-            alone = sections_near(body, normals[i:i + 1], offsets[i:i + 1], centres[i:i + 1], 15.0)
-            assert_same_sections(whole.polylines(i), alone.polylines(0))
-            assert whole.points[s[i]:s[i + 1]].tobytes() == alone.points.tobytes()
+            alone = crossings_near(body, normals[i:i + 1], offsets[i:i + 1], centres[i:i + 1],
+                                   15.0)
+            assert whole.points[whole.plane == i].tobytes() == alone.points.tobytes()
             assert whole.crowded_planes[i] == alone.crowded_planes[0]
+            assert whole.branched_planes[i] == alone.branched_planes[0]
 
     def test_rings_and_open_chains_in_one_plane(self, body):
         # the closed body beside an open plate: planes across both cut a ring
@@ -532,14 +533,15 @@ class TestChannelWindowOracle:
 
     def test_station_through_a_contour_vertex(self, monkeypatch):
         # station 0 sits on contour vertex 0, so the vertex is nudged and
-        # its crossings merge: the window cut is crowded and cut again
+        # its crossings merge: the window's crossings are crowded and cut again
         plate = disc_plate(radius=30.0, rings=15, sectors=60)
-        cuts, real = [], morphology.sections_near
-        monkeypatch.setattr(morphology, "sections_near",
+        cuts, real = [], morphology.crossings_near
+        monkeypatch.setattr(morphology, "crossings_near",
                             lambda *args: cuts.append(real(*args)) or cuts[-1])
         counters = check_channel(plate)
         assert cuts[0].crowded_planes[0]
-        assert counters["full_cut_stations"] == np.count_nonzero(cuts[0].crowded_planes)
+        assert counters["recut"]["crowded"] == np.count_nonzero(cuts[0].crowded_planes)
+        assert counters["full_cut_stations"] == counters["recut"]["crowded"]
 
     def test_exact_z_ties_in_window(self):
         # a flat ring around the rim: every window point of every station
@@ -567,7 +569,7 @@ class TestChannelWindowOracle:
         level = verts[np.argmin(np.where(wedge, np.abs(r - 20.0), np.inf)), 2]
         verts[wedge, 2] = np.maximum(verts[wedge, 2], level)
         plate = _plate_with_vertices(plate, verts)
-        real, real_near, stations, cuts = morphology._stations, morphology.sections_near, [], []
+        real, real_near, stations, cuts = morphology._stations, morphology.crossings_near, [], []
 
         def moved(*args):
             kept, centres, normals, offsets, inward = real(*args)
@@ -578,23 +580,34 @@ class TestChannelWindowOracle:
             return kept, centres, normals, offsets, inward
 
         monkeypatch.setattr(morphology, "_stations", moved)
-        monkeypatch.setattr(morphology, "sections_near",
+        monkeypatch.setattr(morphology, "crossings_near",
                             lambda *args: cuts.append(real_near(*args)) or cuts[-1])
         new, caught = _outcome(channel_of_minima, plate, window_mm=15.0, stations=97)
         assert [w.split(" at ")[0] for w in caught] == ["no interior points in window"] * 2 + [
             "empty channel section"]
         assert new.stations_skipped == 3 and len(new.points) == 94
         centres, inward = stations[0]
-        s = cuts[0].point_starts()
-        assert s[1] == s[0]
-        pts = cuts[0].points[s[-2]:s[-1]]
-        depth = (pts[:, :2] - centres[-1, :2]) @ inward[-1]
+        assert not (cuts[0].plane == 0).any()
+        pts = cuts[0].points[cuts[0].plane == 96]
+        depth = (pts[:, 0] - centres[-1, 0]) * inward[-1, 0] + \
+            (pts[:, 1] - centres[-1, 1]) * inward[-1, 1]
         window = pts[(depth >= 0.0) & (depth <= 15.0)]
         lowest = window[window[:, 2] == window[:, 2].min()]
         assert not cuts[0].crowded_planes[-1] and len(lowest) > 1
         assert new.contour_points[-1].tobytes() == centres[-1].tobytes()
         assert new.points[-1].tobytes() != lowest[0].tobytes()
-        assert check_channel(plate, window_mm=15.0, stations=97)["full_cut_stations"] >= 4
+        counters = check_channel(plate, window_mm=15.0, stations=97)
+        assert counters["full_cut_stations"] >= 4
+        # the manifest's account: stations 0, 3 and 7 cut again as empty and
+        # skipped, each with its arc length and the warning's reason; the
+        # wedge's station cut again as tied
+        assert counters["recut"]["empty"] == 3 and counters["recut"]["tied"] >= 1
+        skipped = counters["skipped"]
+        assert [s["reason"] for s in skipped] == ["no interior points in window"] * 2 + [
+            "empty channel section"]
+        arcs = [s["arc_length_mm"] for s in skipped]
+        assert arcs[0] == 0.0 and arcs == sorted(arcs)
+        assert len(new.arc_lengths) + len(arcs) == 97 and not set(arcs) & set(new.arc_lengths)
 
     def test_non_manifold_crossing(self):
         # a fin hanging below an edge near the rim: the lowest window points
@@ -611,7 +624,9 @@ class TestChannelWindowOracle:
             fin = _plate_with_vertices(plate, np.vstack([mesh.vertices, tip]),
                                        np.vstack([mesh.faces, [[a, b, mesh.n_vertices]]]))
             fin.mesh.edges
-        check_channel(fin)
+        counters = check_channel(fin)
+        # the planes across the hinge edge itself are cut again in full
+        assert counters["recut"]["branched"] >= 1
         trace, _ = _outcome(channel_of_minima, fin)
         assert (trace.points[:, 2] < mesh.vertices[:, 2].min()).sum() >= 2
 

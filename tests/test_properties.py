@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -142,16 +142,88 @@ def test_batched_sections_match_loop_oracle(rings, sectors, seed, specs):
             [(p.points.tobytes(), p.closed) for p in cross_section_loop(mesh, *plane)]
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-6, 6),
+       arrays(np.float64, (4, 3), elements=st.floats(-1, 1)), st.floats(-40.0, 40.0))
+def test_gathered_corner_distances_equal_the_full_projection(seed, magnitude, directions,
+                                                             offset):
+    # the explicit products of corners gathered per (plane, face) pair, as
+    # the channel's crossings take them, against the gathered projection of
+    # every vertex, as a full cut takes them: bit for bit, oblique normals
+    rng = np.random.default_rng(seed)
+    verts = rng.uniform(-50.0, 50.0, (60, 3)) * 10.0 ** magnitude
+    faces = rng.integers(0, 60, (80, 3))
+    normals = [d / np.linalg.norm(d) if np.linalg.norm(d) > 1e-3 else np.array([0.0, 0.6, 0.8])
+               for d in directions]
+    normals = np.array(normals)
+    plane, face = rng.integers(0, 4, 300), rng.integers(0, 80, 300)
+    offsets = offset + np.arange(4.0)
+    gathered = slicing._project(verts[faces[face]], normals[plane, None]) - offsets[plane, None]
+    full = np.array([slicing._project(verts, n) - o for n, o in zip(normals, offsets)])
+    assert gathered.tobytes() == full[plane[:, None], faces[face]].tobytes()
+    # an axis-aligned normal keeps the coordinate's value (a zero's sign may differ)
+    for k, axis in enumerate(np.eye(3)):
+        assert np.array_equal(slicing._project(verts, axis), verts[:, k])
+
+
+def _pillow(corner, size):
+    """Two triangles on the same three vertices, wound both ways: a plane that
+    crosses them cuts a ring of two points."""
+    verts = corner + size * np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.5], [0.3, 1.0, -0.5]])
+    return verts, np.array([[0, 1, 2], [0, 2, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 7), st.integers(3, 7), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([0.0, 2e-9, 3e-9, 1.0]),
+       st.lists(st.tuples(st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0),
+                                           (1, 1, 1), (0.6, 0.0, 0.8)]),
+                          st.integers(-1, 8),
+                          st.sampled_from([0.0, 0.5, 5e-13, 1e-9, 1.5e-9, -2e-9])),
+                min_size=1, max_size=10))
+@example(3, 3, 0, True, 2e-9, [((1, 0, 0), 1, 1e-9), ((1, 0, 0), 1, 0.0), ((0, 1, 0), 1, 0.5)])
+@example(4, 4, 1, True, 1.0, [((1, -1, 0), 0, 0.0), ((0, 0, 1), 1, 5e-13), ((1, 0, 0), 1, 0.5)])
+@example(3, 3, 2, False, 3e-9, [((1, 0, 0), 1, 1.5e-9), ((1, 0, 0), 1, 1e-9)])  # 2.4e-9, 3.3e-9
+def test_face_link_crowded_test_equals_the_merge(nx, ny, seed, fin, pillow, specs):
+    # the crossings' crowded test (a crossing face's two points within
+    # 3e-9 mm) flags the planes that the chained cut's merge of near points
+    # flags: grids on integer heights (planes through vertices, so nudged
+    # points), a fin on an interior edge (branched planes) and a two-point
+    # ring, small enough to crowd or not
+    rng = np.random.default_rng(seed)
+    heights = rng.integers(0, 3, (nx, ny)).astype(float)
+    grid = grid_mesh(nx, ny, height=lambda x, y: heights[x.astype(int), y.astype(int)])
+    verts, faces = grid.vertices, grid.faces
+    if fin:
+        a, b = faces[len(faces) // 2, :2]
+        verts = np.vstack([verts, 0.5 * (verts[a] + verts[b]) + [0.0, 0.0, 2.0]])
+        faces = np.vstack([faces, [[a, b, len(verts) - 1]]])
+    if pillow:
+        extra, tris = _pillow(np.array([1.0, 1.0, 1.0]), pillow)
+        faces = np.vstack([faces, tris + len(verts)])
+        verts = np.vstack([verts, extra])
+    mesh = TriangleMesh(verts, faces)
+    planes = [unit_plane(normal, offset + shift) for normal, offset, shift in specs]
+    normals, offsets = np.array([n for n, _ in planes]), [o for _, o in planes]
+    near = slicing.crossings_near(mesh, normals, offsets, np.zeros((len(planes), 2)), np.inf)
+    full = cross_sections(mesh, normals, offsets)
+    assert near.crowded_planes.tolist() == full.crowded_planes.tolist()
+    s = full.point_starts()
+    for i in range(len(planes)):
+        assert {p.tobytes() for p in full.points[s[i]:s[i + 1]]} <= \
+            {p.tobytes() for p in near.points[near.plane == i]}
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 8), st.integers(8, 30), st.integers(0, 2**32 - 1),
        st.lists(st.tuples(arrays(np.float64, 3, elements=st.floats(-1, 1)),
                           arrays(np.float64, 2, elements=st.floats(-22.0, 22.0)),
                           st.booleans()), min_size=1, max_size=12),
        st.floats(0.5, 30.0))
-def test_sections_near_hold_every_point_near_the_centre(rings, sectors, seed, specs, radius):
-    # every full-cut point within ``radius`` of its plane's centre (xy) is in
-    # the restricted cut with the same bytes; planes are vertical or tilted,
-    # through the centre or through a vertex
+def test_crossings_near_hold_every_point_near_the_centre(rings, sectors, seed, specs, radius):
+    # every full-cut point within ``radius`` of its plane's centre (xy) is
+    # among the plane's crossings near the centre, with the same bytes;
+    # planes are vertical or tilted, through the centre or through a vertex
     mesh = disc_plate(radius=20.0, height=6.0, rings=rings, sectors=sectors,
                       groove_radius=14.0, jitter=0.4, rng=np.random.default_rng(seed)).mesh
     normals, offsets, centres = [], [], []
@@ -166,16 +238,14 @@ def test_sections_near_hold_every_point_near_the_centre(rings, sectors, seed, sp
         normals.append(normal)
         offsets.append(offset)
         centres.append(centre)
-    near = slicing.sections_near(mesh, normals, offsets, centres, radius)
+    near = slicing.crossings_near(mesh, normals, offsets, centres, radius)
     full = cross_sections(mesh, normals, offsets)
-    s, t = full.point_starts(), near.point_starts()
+    s = full.point_starts()
     for i, centre in enumerate(centres):
         pts = full.points[s[i]:s[i + 1]]
         inside = np.hypot(*(pts[:, :2] - centre).T) <= radius
-        if full.crowded_planes[i]:
-            continue  # a merge may have dropped a point one cut keeps
         assert {p.tobytes() for p in pts[inside]} <= \
-            {p.tobytes() for p in near.points[t[i]:t[i + 1]]}
+            {p.tobytes() for p in near.points[near.plane == i]}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -17,7 +17,7 @@ from violinmorph.registration import (
     register,
     register_icp,
 )
-from violinmorph.synthetic import disc_plate
+from violinmorph.synthetic import disc_plate, instrument_body
 
 from oracles import ObjectiveUnmemoized
 
@@ -293,6 +293,33 @@ class TestRegister:
                           init=SimilarityTransform.identity())
         assert report.converged is False
         assert report.iterations == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_lattice_pair_reaches_the_truth(self, monkeypatch, seed):
+        # B is A's own vertices moved (plus 0.02 mm noise), as in pipeline_pair:
+        # both clouds sample one lattice of 0.72-degree sectors, the sector
+        # step of the 203k-vertex pair whose unit first steps settled one
+        # sector off. Tenth-size first steps reach the truth, with fewer
+        # objective evaluations than unit steps.
+        body, labels = instrument_body(rings=10, sectors=500, rib_rings=8)
+        top = body.vertices[labels["sound_board"]]
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, 3)
+        x *= rng.uniform(0.0, 20.0) / np.linalg.norm(x)
+        true = SimilarityTransform(x, rng.uniform(-5.0, 5.0, 3), rng.uniform(0.95, 1.05))
+        s = PointCloud(top)
+        p = PointCloud(true.apply_points(top) + rng.normal(0.0, 0.02, top.shape))
+        init = pca_initial_transform(s, p)
+        normals = estimate_normals(s, k=10)
+        report = register(s, p, init=init, normals=normals)
+        truth = true.inverse()
+        turn = report.transform.rotation_matrix().T @ truth.rotation_matrix()
+        assert report.converged
+        assert np.degrees(np.arccos(min(1.0, (np.trace(turn) - 1.0) / 2.0))) < 0.01
+        assert abs(report.transform.scale - truth.scale) < 1e-4
+        assert report.metrics["D"] <= evaluate_metrics(s, p, truth, normals)[0]["D"]
+        monkeypatch.setattr(registration, "_FIRST_STEP", 1.0)
+        assert report.evaluations < register(s, p, init=init, normals=normals).evaluations
 
 
 class TestObjectiveOracle:

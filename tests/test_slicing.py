@@ -8,9 +8,9 @@ from violinmorph.mesh import TriangleMesh
 from violinmorph.slicing import (
     cross_section,
     cross_sections,
+    crossings_near,
     extreme_points,
     section_offsets,
-    sections_near,
 )
 from violinmorph.synthetic import disc_plate, icosphere
 
@@ -60,21 +60,26 @@ class TestCrossSectionsArguments:
     def test_nan_offset_rejected_near_a_centre(self, cube):
         # an error, not an empty cut
         with pytest.raises(ContractError, match="offsets must be finite"):
-            sections_near(cube, [[1.0, 0, 0]], [np.nan], [[0.5, 0.5]], 2.0)
+            crossings_near(cube, [[1.0, 0, 0]], [np.nan], [[0.5, 0.5]], 2.0)
 
     @pytest.mark.parametrize("radius", [np.nan, -1.0], ids=["nan", "negative"])
     def test_bad_window_radius_rejected(self, radius):
         # an error, not an empty cut with exit 0
         plate = disc_plate(radius=30.0, rings=10, sectors=40).mesh
         with pytest.raises(ContractError, match="window radius must be >= 0"):
-            sections_near(plate, [[1.0, 0, 0]], [0.0], [[0.0, 0.0]], radius)
+            crossings_near(plate, [[1.0, 0, 0]], [0.0], [[0.0, 0.0]], radius)
 
-    def test_infinite_window_radius_takes_the_whole_cut(self):
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_infinite_window_radius_takes_the_whole_cut(self, offset):
+        # x = 0 runs through vertices: the full cut merges nudged points
+        # that the unchained crossings keep, and both say so
         plate = disc_plate(radius=30.0, rings=10, sectors=40).mesh
-        near = sections_near(plate, [[1.0, 0, 0]], [0.0], [[0.0, 0.0]], np.inf)
-        full = cross_sections(plate, [[1.0, 0, 0]], [0.0])
+        near = crossings_near(plate, [[1.0, 0, 0]], [offset], [[0.0, 0.0]], np.inf)
+        full = cross_sections(plate, [[1.0, 0, 0]], [offset])
         assert len(full.points) > 0
-        assert {p.tobytes() for p in near.points} == {p.tobytes() for p in full.points}
+        assert near.crowded_planes.tolist() == full.crowded_planes.tolist() == [offset == 0.0]
+        kept, found = {p.tobytes() for p in full.points}, {p.tobytes() for p in near.points}
+        assert kept <= found and (kept == found) != near.crowded_planes[0]
 
     def test_rows_unit_within_tolerance_accepted(self, cube):
         tilted = np.array([0.6, 0.0, 0.8]) * (1.0 + 5e-13)

@@ -60,6 +60,20 @@ def test_save_csv_without_header_matches_savetxt(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (60, 3), (25,), (0,)])
+def test_save_csv_per_column_formats_match_savetxt(tmp_path, shape):
+    # one ``%`` over all values gives savetxt's bytes: a ``%d`` column of
+    # integral floats, NaN and inf, 1-D rows as one column, no rows
+    values = _values(int(np.prod(shape)), seed=3).reshape(shape)
+    fmt = ["%.9g", "%.9g", "%d"] if len(shape) == 2 else "%.9g"
+    if len(shape) == 2:
+        values[:, 2] = np.arange(shape[0]) * 3.0
+    save_csv(tmp_path / "new.csv", values, header="a,b,count", fmt=fmt)
+    np.savetxt(tmp_path / "old.csv", values, delimiter=",", fmt=fmt, header="a,b,count",
+               comments="")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_save_json(tmp_path):
     payload = {"b": [1.0, -0.0, 5e-324, 1e17, float("nan")], "a": {"z": 1, "y": "é"},
                "rows": [{"label": "x", "D": 0.1}], "empty": []}
