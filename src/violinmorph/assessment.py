@@ -23,6 +23,7 @@ __all__ = [
     "error_distribution",
     "sampling_floor",
     "cross_compare",
+    "histogram",
 ]
 
 
@@ -86,9 +87,7 @@ def error_distribution(s, p, threshold=2.0, bin_width=0.1, distances=None):
         dist = np.asarray(distances, dtype=np.float64)
         if dist.shape != (len(s),):
             raise ContractError("distances must hold one value per reference point")
-    top = max(float(dist.max()), bin_width)
-    edges = np.arange(0.0, top + bin_width, bin_width)
-    counts, edges = np.histogram(dist, bins=edges)
+    counts, edges = histogram(dist, bin_width)
     return ErrorDistribution(
         distances=dist,
         positions=s.points,
@@ -98,6 +97,16 @@ def error_distribution(s, p, threshold=2.0, bin_width=0.1, distances=None):
         histogram_edges=edges,
         histogram_counts=counts,
     )
+
+
+def histogram(values, bin_width):
+    """Counts of the non-negative ``values`` in ``bin_width`` bins from zero,
+    the last edge at or above the maximum, so that every value is counted."""
+    top = max(float(values.max(initial=0.0)), bin_width)
+    edges = np.arange(0.0, top + bin_width, bin_width)
+    while edges[-1] < top:  # arange's rounding can stop one bin short
+        edges = np.append(edges, edges[-1] + bin_width)
+    return np.histogram(values, bins=edges)
 
 
 def sampling_floor(mesh):

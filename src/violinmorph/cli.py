@@ -17,7 +17,6 @@ non-convergence), 2 input error, 3 contract violation, 4 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -58,7 +57,7 @@ from .registration import (
     register,
     register_icp,
 )
-from .symmetry import CONFIGURATIONS, build_symmetry_frame
+from .symmetry import CONFIGURATIONS, build_symmetry_frame, configuration_plane
 
 
 def _sha256(path):
@@ -261,50 +260,37 @@ def _contour_masks(cfg, sb, back):
             _load_masked(cfg["inputs"]["contour_mask_back"], back.mesh))
 
 
-def _symmetry_frame(cfg, sb, back, config, masks):
+def _symmetry_frame(cfg, sb, back, masks):
+    """The symmetry frame of the configured configuration."""
     sym = cfg["symmetry"]
-    return build_symmetry_frame(
-        sb, back,
-        config=config,
-        mask=masks[0],
-        back_mask=masks[1],
-        spacing=sym["grid_spacing"],
-        min_nodes=sym["min_nodes"],
-    )
+    return build_symmetry_frame(sb, back, config=sym["config"], mask=masks[0], back_mask=masks[1],
+                                spacing=sym["grid_spacing"], min_nodes=sym["min_nodes"])
 
 
 def symmetry_stage(run, cfg, sb, back):
-    """Fit all three configurations; returns the configured one's frame.
+    """Build the configured configuration's frame and return it.
 
-    A configuration that fails is reported in ``symmetry.json``; when the
-    configured one fails, its error is raised and nothing is written.
-    Without a contour mask the masked configuration fits the points of
-    ``two_contours``, so it takes that frame (relabelled) or error.
+    When that fails, its error is raised and nothing is written. Each
+    other configuration is reported by the tilt of its average plane,
+    or as failed; it gets no grid, so ``min_nodes`` does not apply to it.
     """
     run.lap("load")
     masks = _contour_masks(cfg, sb, back)
-    frames = {}
+    frame = _symmetry_frame(cfg, sb, back, masks)
+    angles = {}
     for name in CONFIGURATIONS:
-        if name == "two_contours_masked" and not any(m is not None and len(m) for m in masks):
-            same = frames["two_contours"]
-            frames[name] = (same if isinstance(same, MorphometryError)
-                            else dataclasses.replace(same, config=name))
-            continue
         try:
-            frames[name] = _symmetry_frame(cfg, sb, back, name, masks)
+            angles[name] = (frame.angle_deg if name == frame.config
+                            else configuration_plane(sb, back, name, *masks).tilt_deg())
         except MorphometryError as exc:
-            frames[name] = exc
-    frame = frames[cfg["symmetry"]["config"]]
-    if isinstance(frame, MorphometryError):
-        raise frame
+            angles[name] = f"failed: {exc}"
     payload = frame.as_dict()
-    payload["angles_by_configuration_deg"] = {
-        name: f"failed: {f}" if isinstance(f, MorphometryError) else f.angle_deg
-        for name, f in frames.items()
-    }
+    payload["angles_by_configuration_deg"] = angles
     save_json(payload, run.path("symmetry.json"))
     run.lap("fit")
-    run.finish()
+    run.finish({"counters": {"grid_nodes": frame.back_grid.values.size,
+                             "sound_board_valid_nodes": int(frame.sound_board_grid.valid.sum()),
+                             "back_valid_nodes": int(frame.back_grid.valid.sum())}})
     return frame
 
 
@@ -419,7 +405,7 @@ def _plates_and_frame(cfg):
     """The plate files and the symmetry frame of the configured configuration."""
     sb, back = _load_plate_pair(cfg)
     masks = _contour_masks(cfg, sb, back)
-    return (sb, back), _symmetry_frame(cfg, sb, back, cfg["symmetry"]["config"], masks)
+    return (sb, back), _symmetry_frame(cfg, sb, back, masks)
 
 
 def _framed_plates(cfg):
@@ -554,7 +540,7 @@ def _side_by_side(run, cfg, body):
 
 
 def cmd_pipeline(cfg):
-    """Every stage on the plates in memory, with one frame per configuration.
+    """Every stage on the plates in memory, with one symmetry frame.
 
     With a second body, the bodies run side by side where ``os.fork``
     exists (``_side_by_side``); otherwise inline: isolate A (and B,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assessment import histogram
 from .errors import ContractError, GridMismatchError
 from .fileio import FLOAT_FORMAT, save_csv, save_json, save_polylines_csv
 from .grid import HeightGrid, save_height_grid
@@ -157,23 +158,12 @@ def asymmetry_field(sound_board_grid, back_grid, z_bar, bin_width=0.25):
     values = np.full(sb.shape, np.nan)
     values[ok] = (sb[ok] - z_bar) - np.abs(bk[ok] - z_bar)
     a = values[ok]
+    stats = {"count": int(a.size)}
     if a.size:
-        stats = {
-            "count": int(a.size),
-            "mean": float(a.mean()),
-            "min": float(a.min()),
-            "max": float(a.max()),
-            "mean_abs": float(np.abs(a).mean()),
-            "max_abs": float(np.abs(a).max()),
-            "stddev": float(a.std()),
-        }
-        top = max(np.abs(a).max(), bin_width)
-        edges = np.arange(0.0, top + bin_width, bin_width)
-        counts, edges = np.histogram(np.abs(a), bins=edges)
-    else:
-        stats = {"count": 0}
-        edges = np.array([0.0, bin_width])
-        counts = np.array([0])
+        stats.update(mean=float(a.mean()), min=float(a.min()), max=float(a.max()),
+                     mean_abs=float(np.abs(a).mean()), max_abs=float(np.abs(a).max()),
+                     stddev=float(a.std()))
+    counts, edges = histogram(np.abs(a), bin_width)
     return AsymmetryField(
         grid=HeightGrid(sound_board_grid.origin, sound_board_grid.spacing, values),
         stats=stats,
@@ -381,12 +371,20 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
 # artifact export
 
 def save_contour_lines(lineset, out_dir, stem):
-    """Layered CSVs (one per level) plus a JSON index; returns their paths."""
+    """Layered CSVs (one per level, named by the level to the micrometre) plus
+    a JSON index; returns their paths. Two levels that would share a file
+    are a contract error, raised before any file is written."""
+    levels = lineset.levels
+    names = [f"{stem}_level_{level:+.3f}.csv".replace("+", "p").replace("-", "m")
+             for level in levels]
+    for i in range(1, len(names)):
+        if names[i] == names[i - 1]:  # levels increase, so a shared name is a neighbour's
+            raise ContractError(f"contour levels {levels[i - 1]!r} and {levels[i]!r} mm "
+                                f"would share the file {names[i]}")
     index = {"side": lineset.side, "spacing_mm": lineset.spacing,
              "base_level_mm": lineset.base_level, "levels": []}
     paths = []
-    for level, polys in zip(lineset.levels, lineset.polylines):
-        fname = f"{stem}_level_{level:+.3f}.csv".replace("+", "p").replace("-", "m")
+    for level, fname, polys in zip(levels, names, lineset.polylines):
         paths.append(out_dir / fname)
         save_polylines_csv(polys, paths[-1])
         index["levels"].append({"level_mm": level, "file": fname})

@@ -31,6 +31,7 @@ __all__ = [
     "SymmetryFrame",
     "fit_plane_orthogonal",
     "average_symmetry_plane",
+    "configuration_plane",
     "build_symmetry_frame",
     "CONFIGURATIONS",
 ]
@@ -45,7 +46,6 @@ class FittedPlane:
     normal: np.ndarray
     offset: float
     rms_residual: float = 0.0
-    source: str = "fit"
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=np.float64).reshape(3)
@@ -64,7 +64,7 @@ class FittedPlane:
         return float(np.degrees(np.arccos(np.clip(abs(self.normal[2]), -1.0, 1.0))))
 
 
-def fit_plane_orthogonal(points, source="fit"):
+def fit_plane_orthogonal(points):
     """Total-least-squares plane; residuals measured orthogonally.
 
     The normal is the smallest-eigenvalue eigenvector of the centered
@@ -96,7 +96,7 @@ def fit_plane_orthogonal(points, source="fit"):
         if nz < 0:
             normal = -normal
     rms = float(np.sqrt(max(evals[0], 0.0)))
-    return FittedPlane(normal, float(normal @ centroid), rms, source)
+    return FittedPlane(normal, float(normal @ centroid), rms)
 
 
 def average_symmetry_plane(upper, lower):
@@ -116,7 +116,7 @@ def average_symmetry_plane(upper, lower):
     b = b / np.linalg.norm(b)
     offset = 0.5 * (upper.offset * (n1 @ b) + lower.offset * (n2 @ b))
     rms = 0.5 * (upper.rms_residual + lower.rms_residual)
-    return FittedPlane(b, offset, rms, source="average")
+    return FittedPlane(b, offset, rms)
 
 
 def _rotation_to_vertical(normal):
@@ -186,9 +186,22 @@ def _config_points(plate, config, mask):
     return plate.mesh.vertices[contour_ids]
 
 
+def configuration_plane(sound_board, back, config, mask=None, back_mask=None):
+    """Average of the plates' orthogonal-regression planes through the point
+    sets of ``config``: the plane a frame of that configuration rotates level."""
+    if config not in CONFIGURATIONS:
+        raise ContractError(f"unknown config {config!r}, expected one of {CONFIGURATIONS}")
+    sb_plane = fit_plane_orthogonal(_config_points(sound_board, config, mask))
+    bk_plane = fit_plane_orthogonal(_config_points(back, config, back_mask))
+    return average_symmetry_plane(sb_plane, bk_plane)
+
+
 def build_symmetry_frame(sound_board, back, config="two_contours_masked",
                          mask=None, back_mask=None, spacing=1.0, min_nodes=100):
     """Estimate the symmetry frame from two isolated, co-registered plates.
+
+    The frame levels ``configuration_plane``; its offset is the mean
+    midpoint of the rotated plates on their joint grid.
 
     Parameters
     ----------
@@ -198,7 +211,7 @@ def build_symmetry_frame(sound_board, back, config="two_contours_masked",
     mask, back_mask : VertexMask, optional
         Plate-mesh vertex indices excluded from the contour regression
         (the raised stretch of an isolation contour); only used by the
-        masked configuration.
+        masked configuration, which without a mask fits the contours.
     spacing : float
         Grid pitch (mm) for the offset refinement.
 
@@ -207,11 +220,7 @@ def build_symmetry_frame(sound_board, back, config="two_contours_masked",
     InsufficientOverlapError
         When fewer than ``min_nodes`` grid nodes see both plates.
     """
-    if config not in CONFIGURATIONS:
-        raise ContractError(f"unknown config {config!r}, expected one of {CONFIGURATIONS}")
-    sb_plane = fit_plane_orthogonal(_config_points(sound_board, config, mask), config)
-    bk_plane = fit_plane_orthogonal(_config_points(back, config, back_mask), config)
-    avg = average_symmetry_plane(sb_plane, bk_plane)
+    avg = configuration_plane(sound_board, back, config, mask, back_mask)
     rot = _rotation_to_vertical(avg.normal)
 
     sb_rot = sound_board.mesh.transformed(rotation=rot)
@@ -226,13 +235,6 @@ def build_symmetry_frame(sound_board, back, config="two_contours_masked",
             f"only {n_nodes} grid nodes carry both plates (need {min_nodes})"
         )
     midpoints = 0.5 * (sb_grid.values[joint] + bk_grid.values[joint])
-    z_bar = float(midpoints.mean())
-    return SymmetryFrame(
-        rotation=rot,
-        offset=z_bar,
-        n_nodes=n_nodes,
-        config=config,
-        angle_deg=avg.tilt_deg(),
-        sound_board_grid=sb_grid,
-        back_grid=bk_grid,
-    )
+    return SymmetryFrame(rotation=rot, offset=float(midpoints.mean()), n_nodes=n_nodes,
+                         config=config, angle_deg=avg.tilt_deg(),
+                         sound_board_grid=sb_grid, back_grid=bk_grid)

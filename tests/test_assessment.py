@@ -57,6 +57,14 @@ class TestErrorDistribution:
         dist = error_distribution(s, p, bin_width=0.1)
         assert dist.histogram_counts.sum() == len(s)
 
+    def test_histogram_counts_a_maximum_just_above_a_bin_edge(self):
+        # arange's last edge, 4.3, falls one ulp short of this maximum
+        d = np.array([0.05, 1.0, np.nextafter(4.3, np.inf)])
+        dist = error_distribution(PointCloud(np.zeros((3, 3))), None, bin_width=0.1,
+                                  distances=d)
+        assert dist.histogram_edges[-1] >= d.max()
+        assert dist.histogram_counts.sum() == dist.as_dict()["count"] == 3
+
     def test_registration_distances_give_the_same_distribution(self):
         rng = np.random.default_rng(5)
         s = PointCloud(rng.uniform(0, 10, size=(300, 3)))

@@ -484,6 +484,23 @@ class TestPipelineCommand:
             assert (out / name).exists()
 
 
+def _plate_flags(plate_files):
+    return ("--sound-board", str(plate_files / "sb.ply"),
+            "--sound-board-contour", str(plate_files / "sb_contour.txt"),
+            "--back", str(plate_files / "back.ply"),
+            "--back-contour", str(plate_files / "back_contour.txt"))
+
+
+def _rim_mask(plate_files, side, tmp_path, keep):
+    """A mask file of the first ``keep`` contour vertices of ``side`` (all but
+    the last ``-keep`` when negative)."""
+    lines = (plate_files / f"{side}_contour.txt").read_text().splitlines()
+    ids = [line.split("#")[0].strip() for line in lines if not line.startswith("#")]
+    path = tmp_path / f"rim_{side}.txt"
+    path.write_text("\n".join(ids[:keep]) + "\n")
+    return path
+
+
 class TestMorphologyCommands:
     def test_symmetry_reports_three_configurations(self, plate_files, tmp_path):
         out = tmp_path / "sym"
@@ -501,33 +518,84 @@ class TestMorphologyCommands:
 
     @pytest.mark.parametrize("masked", [None, "contour_mask", "contour_mask_back"])
     def test_masked_configuration_fitted_only_with_a_mask(self, plate_files, tmp_path, masked):
-        # without a mask the masked configuration fits the two contours'
-        # points, so it takes their frame; a mask of either plate is a third fit
+        # one frame, the configured one's; the other configurations report
+        # the tilt of their average plane, which without a mask the masked
+        # configuration fits through the two contours' points
         inputs = {}
         if masked:
             side = "sb" if masked == "contour_mask" else "back"
-            lines = (plate_files / f"{side}_contour.txt").read_text().splitlines()
-            ids = [line.split("#")[0].strip() for line in lines if not line.startswith("#")]
-            mask = tmp_path / "rim.txt"
-            mask.write_text("\n".join(ids[:10]) + "\n")
-            inputs[masked] = str(mask)
+            inputs[masked] = str(_rim_mask(plate_files, side, tmp_path, keep=10))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"inputs": inputs}))
         out = tmp_path / "sym"
         with mock.patch.object(cli, "build_symmetry_frame", wraps=cli.build_symmetry_frame) as fit:
             rc = run("symmetry", "--config", str(cfg), "--out", str(out),
-                     "--sound-board", str(plate_files / "sb.ply"),
-                     "--sound-board-contour", str(plate_files / "sb_contour.txt"),
-                     "--back", str(plate_files / "back.ply"),
-                     "--back-contour", str(plate_files / "back_contour.txt"))
+                     *_plate_flags(plate_files))
         assert rc == 0
         fitted = [call.kwargs["config"] for call in fit.call_args_list]
-        assert fitted == ["two_meshes", "two_contours"] + ["two_contours_masked"] * bool(masked)
+        assert fitted == ["two_contours_masked"]
         payload = json.loads((out / "symmetry.json").read_text())
         angles = payload["angles_by_configuration_deg"]
         assert payload["config"] == "two_contours_masked"
         # the fixture's rims are planar, so a mask leaves the angle as it is
         assert payload["tilt_angle_deg"] == angles["two_contours_masked"] == angles["two_contours"]
+
+    def test_failed_configuration_is_reported_not_raised(self, plate_files, tmp_path):
+        # a mask that leaves 2 contour vertices fails the masked plane fit
+        # only; the configured two_meshes frame is written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "inputs": {"contour_mask": str(_rim_mask(plate_files, "sb", tmp_path, keep=-2))},
+            "symmetry": {"config": "two_meshes"}}))
+        out = tmp_path / "sym"
+        rc = run("symmetry", "--config", str(cfg), "--out", str(out), *_plate_flags(plate_files))
+        assert rc == 0
+        payload = json.loads((out / "symmetry.json").read_text())
+        assert payload["config"] == "two_meshes"
+        angles = payload["angles_by_configuration_deg"]
+        assert angles["two_contours_masked"] == "failed: mask removed almost the whole contour"
+        assert angles["two_meshes"] == payload["tilt_angle_deg"]
+        assert isinstance(angles["two_contours"], float)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_reported_tilt_is_the_configured_frames(self, plate_files, tmp_path, masked):
+        # the tilt reported for a configuration that is not configured is,
+        # bit for bit, the tilt_angle_deg of a run configured with it
+        inputs = {"contour_mask": str(_rim_mask(plate_files, "sb", tmp_path, keep=12))} \
+            if masked else {}
+        payloads = {}
+        for name in ("two_meshes", "two_contours", "two_contours_masked"):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"inputs": inputs, "symmetry": {"config": name}}))
+            out = tmp_path / name
+            assert run("symmetry", "--config", str(cfg), "--out", str(out),
+                       *_plate_flags(plate_files)) == 0
+            payloads[name] = json.loads((out / "symmetry.json").read_text())
+        for name, configured in payloads.items():
+            for other in payloads.values():
+                assert other["angles_by_configuration_deg"][name] == configured["tilt_angle_deg"]
+
+    def test_symmetry_manifest_counts_the_grid_nodes(self, plate_files, tmp_path):
+        out = tmp_path / "sym"
+        assert run("symmetry", "--out", str(out), *_plate_flags(plate_files)) == 0
+        counters = json.loads((out / "manifest_symmetry.json").read_text())["counters"]
+        assert sorted(counters) == ["back_valid_nodes", "grid_nodes", "sound_board_valid_nodes"]
+        joint = json.loads((out / "symmetry.json").read_text())["n_grid_nodes"]
+        assert 100 <= joint <= min(counters["sound_board_valid_nodes"],
+                                   counters["back_valid_nodes"])
+        assert max(counters["sound_board_valid_nodes"],
+                   counters["back_valid_nodes"]) <= counters["grid_nodes"]
+
+    def test_levels_sharing_a_file_name_exit_3(self, plate_files, tmp_path, capsys):
+        # file names keep the level to 0.001 mm, so 0.0001 mm levels collide
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"contours": {"max_range": 0.05}}))
+        out = tmp_path / "lines"
+        rc = run("contours", "--config", str(cfg), "--out", str(out),
+                 "--level-spacing", "0.0001", *_plate_flags(plate_files))
+        assert rc == 3
+        assert "would share the file contour_lines_sound_board_level_" in capsys.readouterr().err
+        assert not list(out.glob("contour_lines_*"))
 
     def test_asymmetry_on_symmetric_fixture_is_zero(self, plate_files, tmp_path):
         out = tmp_path / "asym"
@@ -639,11 +707,10 @@ def _artifacts(root):
 class TestInMemoryPipeline:
     def test_each_intermediate_computed_once(self, counted_pipeline):
         _, counts = counted_pipeline
-        # one frame per symmetry point set (without a mask the masked
-        # configuration reuses the two contours' frame), two grids per frame,
+        # one frame, the configured configuration's, with its two grids;
         # two bodies; trees for the normals, the objective and the final
         # metrics, which assess reuses
-        assert counts == {"build_symmetry_frame": 2, "interpolate_grid": 4, "load_mesh": 2,
+        assert counts == {"build_symmetry_frame": 1, "interpolate_grid": 2, "load_mesh": 2,
                           "kdtree": 3}
 
     def test_artifacts_match_separate_commands(self, counted_pipeline, body_file,

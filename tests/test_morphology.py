@@ -149,6 +149,16 @@ class TestAsymmetryField:
         assert field.histogram_edges[1] - field.histogram_edges[0] == pytest.approx(0.25)
         assert field.histogram_counts.sum() == 3
 
+    def test_histogram_counts_a_maximum_just_above_a_bin_edge(self):
+        # |a| = nextafter(0.75, 1): arange's last edge, 0.75, falls one ulp short
+        top = np.nextafter(0.75, 1.0)
+        sb = HeightGrid((0, 0), 1.0, np.array([[top, 0.1]]))
+        back = HeightGrid((0, 0), 1.0, np.full((1, 2), -2.0 ** -60))
+        field = asymmetry_field(sb, back, 0.0)
+        assert field.stats["max_abs"] == top
+        assert field.histogram_edges[-1] >= top
+        assert field.histogram_counts.sum() == field.stats["count"] == 2
+
     @pytest.mark.parametrize("bin_width", [0.0, -1.0, np.nan, np.inf])
     def test_bad_bin_width_rejected(self, bin_width):
         # unchecked, 0 asks for an endless bin list, NaN and inf stop numpy's
