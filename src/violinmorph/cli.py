@@ -32,7 +32,7 @@ import scipy
 
 from . import __version__
 from .assessment import error_distribution, sampling_floor, save_heatmap_csv
-from .config import config_hash, load_config, set_override, validate_config
+from .config import KEYS, config_hash, load_config, set_override, validate_config
 from .decimate import decimate
 from .errors import ContractError, InputError, MorphometryError
 from .fileio import load_mesh, load_surface, load_vertex_mask, save_csv, save_json, save_mesh
@@ -42,6 +42,8 @@ from .mesh import PointCloud, TriangleMesh, VertexMask
 from .morphology import (
     asymmetry_field,
     channel_of_minima,
+    contour_file_names,
+    contour_levels,
     contour_lines,
     save_asymmetry,
     save_channel,
@@ -114,9 +116,10 @@ class Run:
         return manifest
 
 
-def _require(cfg, key, flag):
+def _require(cfg, key):
     value = cfg["inputs"][key]
     if value is None:
+        flag = KEYS[f"inputs.{key}"][2]
         raise InputError(f"missing input {key!r} (config inputs.{key} or {flag})")
     return value
 
@@ -148,11 +151,8 @@ def _load_transform(path):
 
 
 def _load_plate_pair(cfg):
-    return tuple(
-        load_plate(_require(cfg, side, f"--{flag}"),
-                   _require(cfg, f"{side}_contour", f"--{flag}-contour"), side=side)
-        for side, flag in (("sound_board", "sound-board"), ("back", "back"))
-    )
+    return tuple(load_plate(_require(cfg, side), _require(cfg, f"{side}_contour"), side=side)
+                 for side in ("sound_board", "back"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +295,11 @@ def symmetry_stage(run, cfg, sb, back):
 
 
 def contours_stage(run, cfg, plates):
-    """Contour lines of the plates, already in the symmetry frame."""
+    """Contour lines of the plates, already in the symmetry frame; file names checked first."""
     run.lap("frame")
+    for plate in plates:
+        contour_file_names(f"contour_lines_{plate.side}",
+                           contour_levels(plate, **cfg["contours"])[0])
     counters = {}
     for plate in plates:
         counters[plate.side] = {}
@@ -335,24 +338,22 @@ def channel_stage(run, cfg, plates):
 # commands: load the inputs from files, open the run, call the stage
 
 def cmd_isolate(cfg):
-    isolate_stage(Run("isolate", cfg), cfg, _require(cfg, "body", "--body"),
-                  cfg["inputs"]["scale"])
+    isolate_stage(Run("isolate", cfg), cfg, _require(cfg, "body"), cfg["inputs"]["scale"])
     return 0
 
 
 def cmd_register(cfg):
     run = Run("register", cfg)
-    s = _load_cloud(_require(cfg, "reference", "--reference"), cfg["inputs"]["scale"])
-    p = _load_cloud(_require(cfg, "moving", "--moving"), cfg["inputs"]["scale_b"])
+    s = _load_cloud(_require(cfg, "reference"), cfg["inputs"]["scale"])
+    p = _load_cloud(_require(cfg, "moving"), cfg["inputs"]["scale_b"])
     register_stage(run, cfg, s, p)
     return 0
 
 
 def cmd_assess(cfg):
     run = Run("assess", cfg)
-    ref_mesh = load_surface(_require(cfg, "reference", "--reference"),
-                            scale=cfg["inputs"]["scale"])
-    p = _load_cloud(_require(cfg, "moving", "--moving"), cfg["inputs"]["scale_b"])
+    ref_mesh = load_surface(_require(cfg, "reference"), scale=cfg["inputs"]["scale"])
+    p = _load_cloud(_require(cfg, "moving"), cfg["inputs"]["scale_b"])
     transform_path = cfg["inputs"]["transform"]
     if transform_path is not None:
         p = apply_transform(_load_transform(transform_path), p)
@@ -362,11 +363,11 @@ def cmd_assess(cfg):
 
 def cmd_simplify(cfg):
     run = Run("simplify", cfg)
-    mesh_path = _require(cfg, "reference", "--reference")
+    mesh_path = _require(cfg, "reference")
     mesh = load_surface(mesh_path, scale=cfg["inputs"]["scale"])
     target = cfg["simplify"]["target_faces"]
     if target is None:
-        raise InputError("missing simplify.target_faces (--target-faces)")
+        raise InputError(f"missing simplify.target_faces ({KEYS['simplify.target_faces'][2]})")
     if target > mesh.n_faces:
         raise InputError(f"simplify.target_faces={target} exceeds the {mesh.n_faces} "
                          f"faces of {mesh_path}")
@@ -547,7 +548,7 @@ def cmd_pipeline(cfg):
     register, assess), then A's features.
     """
     run = Run("pipeline", cfg)
-    body = _require(cfg, "body", "--body")
+    body = _require(cfg, "body")
     paired = cfg["inputs"]["body_b"] is not None
     forked = paired and hasattr(os, "fork")
     if forked:
@@ -579,34 +580,10 @@ _COMMANDS = {
     "pipeline": cmd_pipeline,
 }
 
-# (flag, dotted config key, type) — flag > config > default
-_FLAG_MAP = [
-    ("--out", "output_dir", str),
-    ("--seed", "seed", int),
-    ("--format", "mesh_format", str),
-    ("--body", "inputs.body", str),
-    ("--body-b", "inputs.body_b", str),
-    ("--reference", "inputs.reference", str),
-    ("--moving", "inputs.moving", str),
-    ("--transform", "inputs.transform", str),
-    ("--sound-board", "inputs.sound_board", str),
-    ("--sound-board-contour", "inputs.sound_board_contour", str),
-    ("--back", "inputs.back", str),
-    ("--back-contour", "inputs.back_contour", str),
-    ("--scale", "inputs.scale", float),
-    ("--scale-b", "inputs.scale_b", float),
-    ("--sound-hole-mask", "inputs.sound_hole_mask", str),
-    ("--contour-mask", "inputs.contour_mask", str),
-    ("--metric", "register.metric", str),
-    ("--spacing", "isolate.spacing", float),
-    ("--level-spacing", "contours.spacing", float),
-    ("--grid-spacing", "symmetry.grid_spacing", float),
-    ("--threshold", "assess.threshold", float),
-    ("--target-faces", "simplify.target_faces", int),
-    ("--symmetry-config", "symmetry.config", str),
-    ("--window", "channel.window_mm", float),
-    ("--stations", "channel.stations", int),
-]
+_SWITCH_HELP = {
+    "register.all_metrics": "report the full optimized-by x evaluated-by metric table",
+    "register.allow_scale": "freeze the scale factor at its initial value",
+}
 
 
 @functools.cache
@@ -623,12 +600,15 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        for flag, _, typ in _FLAG_MAP:
-            p.add_argument(flag, type=typ, default=None)
-        p.add_argument("--all-metrics", action="store_true", default=None,
-                       help="report the full optimized-by x evaluated-by metric table")
-        p.add_argument("--no-scale", action="store_true", default=None,
-                       help="freeze the scale factor at its initial value")
+        for key, (default, check, flag) in KEYS.items():
+            if flag is None:
+                continue
+            if check is bool:  # a switch: sets the opposite of the default
+                p.add_argument(flag, action="store_const", const=not default, default=None,
+                               help=_SWITCH_HELP[key])
+            else:  # a path or a choice is a str, a range takes the type of its bounds
+                p.add_argument(flag, type=type(check[0]) if isinstance(check, tuple) else str,
+                               default=None)
     return parser
 
 
@@ -636,14 +616,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        for flag, dotted, _ in _FLAG_MAP:
-            value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        for key, (_, _, flag) in KEYS.items():
+            value = getattr(args, flag.lstrip("-").replace("-", "_")) if flag else None
             if value is not None:
-                set_override(cfg, dotted, value)
-        if args.all_metrics:
-            set_override(cfg, "register.all_metrics", True)
-        if args.no_scale:
-            set_override(cfg, "register.allow_scale", False)
+                set_override(cfg, key, value)
         validate_config(cfg)
         return _COMMANDS[args.command](cfg)
     except Exception as exc:

@@ -71,8 +71,8 @@ def load_mesh(path, format=None, scale=None):
         When the file does not parse, holds non-finite coordinates or
         describes no valid triangle mesh (say, a face index out of range).
     InputError
-        When the scale hint is not positive and finite, or scales a
-        coordinate past the float range.
+        When the file cannot be read, or the scale hint is not positive
+        and finite or scales a coordinate past the float range.
     """
     path = Path(path)
     if not path.exists():
@@ -88,10 +88,10 @@ def load_mesh(path, format=None, scale=None):
         else:
             raise InputError(f"cannot infer format from extension {ext!r}: {path}")
 
-    if format == "obj":
-        vertices, faces = _load_obj(path)
-    else:
-        vertices, faces = _load_ply(path, format)
+    try:
+        vertices, faces = _load_obj(path) if format == "obj" else _load_ply(path, format)
+    except OSError as exc:  # say, a directory
+        raise InputError(f"cannot read a mesh from {path}: {exc}") from exc
     vertices = np.asarray(vertices, dtype=np.float64)
     if scale is not None and not 0 < scale < np.inf:
         raise InputError(f"scale hint must be positive and finite, got {scale}")
@@ -477,23 +477,26 @@ def read_index_lines(path, what, n_vertices):
     One decimal index per line, each a vertex of a mesh with ``n_vertices``
     vertices; text after ``#`` is the line's comment (stripped), and a line
     with no index yields None. ``what`` names the file in the errors:
-    "<what> file not found", "bad <what> index", "<what> index i outside
-    the mesh's n vertices".
+    "<what> file not found", "cannot read a <what> from <path>", "bad <what>
+    index", "<what> index i outside the mesh's n vertices".
     """
     if not os.path.exists(path):
         raise InputError(f"{what} file not found: {path}")
-    with open(path, errors="replace") as fh:  # stray bytes fail as bad indices
-        for lineno, line in enumerate(fh, start=1):
-            body, _, comment = line.partition("#")
-            body = body.strip()
-            try:
-                index = int(body) if body else None
-            except ValueError:
-                raise MeshFormatError(f"bad {what} index", path, line=lineno) from None
-            if index is not None and not 0 <= index < n_vertices:
-                raise MeshFormatError(f"{what} index {index} outside the mesh's {n_vertices} "
-                                      "vertices", path, line=lineno)
-            yield lineno, index, comment.strip()
+    try:
+        with open(path, errors="replace") as fh:  # stray bytes fail as bad indices
+            for lineno, line in enumerate(fh, start=1):
+                body, _, comment = line.partition("#")
+                body = body.strip()
+                try:
+                    index = int(body) if body else None
+                except ValueError:
+                    raise MeshFormatError(f"bad {what} index", path, line=lineno) from None
+                if index is not None and not 0 <= index < n_vertices:
+                    raise MeshFormatError(f"{what} index {index} outside the mesh's "
+                                          f"{n_vertices} vertices", path, line=lineno)
+                yield lineno, index, comment.strip()
+    except OSError as exc:  # say, a directory
+        raise InputError(f"cannot read a {what} from {path}: {exc}") from exc
 
 
 def load_vertex_mask(path, n_vertices):

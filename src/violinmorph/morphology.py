@@ -58,25 +58,17 @@ class ContourLineSet:
         return len(self.levels)
 
 
-def contour_lines(plate, spacing=2.0, max_range=24.0, base=None, counters=None):
-    """Horizontal sections of a plate every ``spacing`` mm.
-
-    The plate must sit in the symmetry frame (``frame.apply_plate``).
-    Levels run away from the symmetry plane: upward for the sound
-    board, downward for the back, starting at the lattice level closest
-    to the plane (or the explicit ``base``) and covering at most
-    ``max_range`` mm. ``counters``, a dict, receives ``planes`` and
-    ``pairs_visited``, the (plane, face) pairs the cut tested.
-    """
+def contour_levels(plate, spacing=2.0, max_range=24.0, base=None):
+    """``(levels, base)`` of :func:`contour_lines`: the section heights, a list
+    of floats in increasing order, each strictly inside the plate's z-range."""
     if not spacing > 0:
         raise ContractError("level spacing must be positive")
     if not max_range >= 0:
         raise ContractError("level range must not be negative")
     if base is not None and not np.isfinite(base):
         raise ContractError(f"base level must be finite, got {base!r}")
-    mesh = plate.mesh
-    z_lo = float(mesh.vertices[:, 2].min())
-    z_hi = float(mesh.vertices[:, 2].max())
+    z_lo = float(plate.mesh.vertices[:, 2].min())
+    z_hi = float(plate.mesh.vertices[:, 2].max())
 
     if plate.side == "sound_board":
         if base is None:
@@ -90,10 +82,23 @@ def contour_lines(plate, spacing=2.0, max_range=24.0, base=None, counters=None):
         stop = max(z_lo, base - max_range)
         levels = np.arange(base, stop - spacing * 1e-9, -spacing)
         levels = levels[(levels > z_lo) & (levels < z_hi)][::-1]
+    return levels.tolist(), base
 
+
+def contour_lines(plate, spacing=2.0, max_range=24.0, base=None, counters=None):
+    """Horizontal sections of a plate every ``spacing`` mm.
+
+    The plate must sit in the symmetry frame (``frame.apply_plate``).
+    Levels run away from the symmetry plane: upward for the sound
+    board, downward for the back, starting at the lattice level closest
+    to the plane (or the explicit ``base``) and covering at most
+    ``max_range`` mm. ``counters``, a dict, receives ``planes`` and
+    ``pairs_visited``, the (plane, face) pairs the cut tested.
+    """
+    levels, base = contour_levels(plate, spacing, max_range, base)
     kept_levels = []
     kept_polys = []
-    sections = cross_sections(mesh, np.tile(np.eye(3)[2], (len(levels), 1)), levels)
+    sections = cross_sections(plate.mesh, np.tile(np.eye(3)[2], (len(levels), 1)), levels)
     if counters is not None:
         counters.update(planes=len(levels), pairs_visited=sections.pairs_visited)
     for i, level in enumerate(levels):
@@ -370,21 +375,27 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
 # ---------------------------------------------------------------------------
 # artifact export
 
-def save_contour_lines(lineset, out_dir, stem):
-    """Layered CSVs (one per level, named by the level to the micrometre) plus
-    a JSON index; returns their paths. Two levels that would share a file
-    are a contract error, raised before any file is written."""
-    levels = lineset.levels
+def contour_file_names(stem, levels):
+    """Each level's CSV name, the level to the micrometre. Two increasing
+    levels that would share a file are a contract error."""
     names = [f"{stem}_level_{level:+.3f}.csv".replace("+", "p").replace("-", "m")
              for level in levels]
     for i in range(1, len(names)):
         if names[i] == names[i - 1]:  # levels increase, so a shared name is a neighbour's
             raise ContractError(f"contour levels {levels[i - 1]!r} and {levels[i]!r} mm "
                                 f"would share the file {names[i]}")
+    return names
+
+
+def save_contour_lines(lineset, out_dir, stem):
+    """Layered CSVs (one per level, named by the level to the micrometre) plus
+    a JSON index; returns their paths. Two levels that would share a file
+    are a contract error, raised before any file is written."""
+    names = contour_file_names(stem, lineset.levels)
     index = {"side": lineset.side, "spacing_mm": lineset.spacing,
              "base_level_mm": lineset.base_level, "levels": []}
     paths = []
-    for level, fname, polys in zip(levels, names, lineset.polylines):
+    for level, fname, polys in zip(lineset.levels, names, lineset.polylines):
         paths.append(out_dir / fname)
         save_polylines_csv(polys, paths[-1])
         index["levels"].append({"level_mm": level, "file": fname})

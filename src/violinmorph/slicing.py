@@ -32,6 +32,7 @@ from .mesh import row_dot
 __all__ = ["SectionPolyline", "Sections", "Crossings", "cross_section", "cross_sections",
            "crossings_near", "extreme_points"]
 
+AXES = ("x", "y")  # the axes extreme_points sections along
 _ON_PLANE = 1e-12   # vertices closer than this are nudged off the plane
 _NUDGE = 1e-9
 _MIN_POINT_SEP = 1e-9
@@ -493,7 +494,7 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
     (k, 3) ndarray
         Ordered by section offset, then by in-plane coordinate.
     """
-    if axis not in ("x", "y"):
+    if axis not in AXES:
         raise ContractError(f"axis must be 'x' or 'y', got {axis!r}")
     if prefer_z not in (None, "max", "min"):
         raise ContractError(f"prefer_z must be 'max', 'min' or None, got {prefer_z!r}")

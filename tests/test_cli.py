@@ -5,13 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from violinmorph import cli, fileio
+from violinmorph import cli, fileio, morphology
 from violinmorph.cli import main
 from violinmorph.config import config_hash, load_config, set_override
 from violinmorph.errors import ContractError, InputError
 from violinmorph.fileio import load_mesh, save_mesh, save_vertex_mask
 from violinmorph.isolation import load_plate, save_plate
 from violinmorph.mesh import VertexMask, connected_components
+from violinmorph.morphology import contour_levels, contour_lines
 from violinmorph.synthetic import disc_plate, instrument_body, mirror_pair
 
 from conftest import write_without_faces
@@ -209,6 +210,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"mask index {value} outside the mesh's" in err and f"({mask}, line 3)" in err
         assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("what, name, command, flag", [
+        ("config", "d.json", "isolate", "--config"),
+        ("config", "latin1.json", "isolate", "--config"),
+        ("mesh", "d.ply", "isolate", "--body"),
+        ("mask", "d.txt", "isolate", "--sound-hole-mask"),
+        ("contour", "d.txt", "symmetry", "--back-contour"),
+    ])
+    def test_unreadable_input_exits_2_naming_it(self, body_file, plate_files, tmp_path, capsys,
+                                                what, name, command, flag):
+        bad = tmp_path / name
+        if name == "latin1.json":
+            bad.write_bytes('{"output_dir": "é"}'.encode("latin-1"))
+        else:
+            bad.mkdir()  # a directory
+        out = tmp_path / "out"
+        # the last of a repeated flag wins
+        rc = run(command, "--body", str(body_file), *_plate_flags(plate_files),
+                 flag, str(bad), "--out", str(out))
+        assert rc == 2
+        assert f"cannot read a {what} from {bad}" in capsys.readouterr().err
+        assert not list(out.rglob("*"))
+
+    def test_missing_input_names_its_flag(self, plate_files, tmp_path, capsys):
+        rc = run("symmetry", *_plate_flags(plate_files)[:-2], "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert "missing input 'back_contour' (config inputs.back_contour or --back-contour)" \
+            in capsys.readouterr().err
 
     def test_non_utf8_mask_exits_2(self, body_file, tmp_path, capsys):
         mask = tmp_path / "hole.txt"
@@ -591,11 +620,30 @@ class TestMorphologyCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"contours": {"max_range": 0.05}}))
         out = tmp_path / "lines"
-        rc = run("contours", "--config", str(cfg), "--out", str(out),
-                 "--level-spacing", "0.0001", *_plate_flags(plate_files))
+        with mock.patch.object(morphology, "cross_sections") as cut:
+            rc = run("contours", "--config", str(cfg), "--out", str(out),
+                     "--level-spacing", "0.0001", *_plate_flags(plate_files))
         assert rc == 3
         assert "would share the file contour_lines_sound_board_level_" in capsys.readouterr().err
         assert not list(out.glob("contour_lines_*"))
+        cut.assert_not_called()
+
+    @pytest.mark.parametrize("spacing, max_range", [(0.0001, 0.05), (0.01, 24.0), (2.0, 24.0)])
+    def test_every_level_of_a_plate_has_lines(self, plate_files, spacing, max_range):
+        # so checking the names of all levels checks those of the files written,
+        # except a level within the cut's on-plane tolerance (1e-12 mm) of the
+        # lowest vertex: the cut nudges that vertex above the plane
+        cfg = load_config(None)
+        cfg["inputs"].update(sound_board=str(plate_files / "sb.ply"),
+                             sound_board_contour=str(plate_files / "sb_contour.txt"),
+                             back=str(plate_files / "back.ply"),
+                             back_contour=str(plate_files / "back_contour.txt"))
+        for plate in cli._framed_plates(cfg):
+            levels, _ = contour_levels(plate, spacing, max_range)
+            kept = contour_lines(plate, spacing, max_range).levels
+            assert len(kept) > 0 and set(kept) <= set(levels)
+            z_lo = plate.mesh.vertices[:, 2].min()
+            assert all(level - z_lo <= 1e-12 for level in set(levels) - set(kept))
 
     def test_asymmetry_on_symmetric_fixture_is_zero(self, plate_files, tmp_path):
         out = tmp_path / "asym"
