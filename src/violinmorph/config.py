@@ -20,10 +20,10 @@ from .slicing import AXES
 from .symmetry import CONFIGURATIONS
 
 # dotted key -> (default, check, flag or None). A check is a (lo, hi) range
-# (int bounds: the key takes an int; null passes), a tuple of allowed
-# values, ``str`` for a path, ``bool``, or ``list`` for a null or [lo, hi]
-# pair. A key whose default is null may be null. A bool's flag sets the
-# opposite of its default.
+# (int bounds: the key takes an int), a tuple of allowed values, ``str``
+# for a path, ``bool``, or ``list`` for a null or [lo, hi] pair. A key may
+# be null only where its default is null. A bool's flag sets the opposite
+# of its default.
 KEYS = {
     "seed": (0, (0, 2**63 - 1), "--seed"),
     "output_dir": ("violinmorph_out", str, "--out"),
@@ -144,7 +144,7 @@ def validate_config(cfg):
         elif isinstance(check[0], str):
             if value not in check:
                 raise InputError(f"unknown {key} {value!r}, expected one of {check}")
-        elif value is not None:  # a (lo, hi) range
+        else:  # a (lo, hi) range
             lo, hi = check
             if not _is_number(value):
                 raise InputError(f"config {key}={value!r} is not a number")

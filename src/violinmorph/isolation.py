@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ContractError, DisconnectedError, FragmentationError
 from .fileio import load_surface, read_index_lines, save_index_lines, save_mesh
-from .mesh import (TriangleMesh, VertexMask, connected_components, kd_workers,
-                   shortest_path)
+from .mesh import TriangleMesh, VertexMask, connected_components, kd_workers, shortest_paths
 from .slicing import extreme_points
 
 __all__ = [
@@ -67,15 +66,24 @@ class ClosedContour:
         return len(self.vertex_indices)
 
     def validate_against(self, mesh):
-        """Check every consecutive pair (cyclically) shares a mesh edge."""
+        """Check every consecutive pair (cyclically) shares a mesh edge.
+
+        All pairs at once: each pair's (lower, higher) key ``lo * n + hi``
+        is looked up in the mesh's edge keys, which :attr:`TriangleMesh.edges`
+        lists in ascending order. The first pair that fails is named.
+        """
         n = mesh.n_vertices
-        indptr, neighbours = mesh.adjacency.indptr, mesh.adjacency.indices
-        idx = self.vertex_indices
-        for a, b in zip(idx, idx[1:] + idx[:1]):
-            # b among the stored entries of a's adjacency row
-            if not (0 <= a < n and 0 <= b < n
-                    and b in neighbours[indptr[a]:indptr[a + 1]]):
-                raise ContractError(f"contour vertices {a}, {b} are not adjacent")
+        a = np.asarray(self.vertex_indices, dtype=np.int64)
+        b = np.roll(a, -1)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ok = (lo >= 0) & (hi < n)
+        keys = mesh.edges[:, 0] * n + mesh.edges[:, 1]
+        want = np.where(ok, lo * n + hi, -1)
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        ok &= (keys[at] == want) if len(keys) else False
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ContractError(f"contour vertices {a[i]}, {b[i]} are not adjacent")
 
     def remapped(self, remap):
         return ClosedContour(tuple(int(remap[i]) for i in self.vertex_indices), self.source)
@@ -201,25 +209,26 @@ def order_loop(mesh, anchors):
     return [anchors[t] for t in tour]
 
 
-def close_contour(mesh, ordered_anchors):
+def close_contour(mesh, ordered_anchors, counters=None):
     """Join consecutive anchors (cyclically) with shortest paths.
 
+    All pairs are searched together (:func:`~violinmorph.mesh.shortest_paths`).
     Immediate back-and-forth artefacts ``v, w, v`` left by path
     concatenation are collapsed; any vertex still appearing twice is
-    reported as a warning, not an error.
+    reported as a warning, not an error. ``counters``, a dict, receives
+    ``unbounded_searches`` (the pairs searched again without a bound) and
+    ``inserted_vertices`` (the contour's entries that are not anchors).
     """
     anchors = [int(a) for a in ordered_anchors]
     if len(anchors) < 3:
         raise ContractError("need at least 3 anchors")
+    goals = anchors[1:] + anchors[:1]
+    paths, reruns = shortest_paths(mesh, anchors, goals)
     loop = []
     src = []
-    for a, b in zip(anchors, anchors[1:] + anchors[:1]):
-        try:
-            path = shortest_path(mesh, a, b)
-        except DisconnectedError as exc:
-            raise DisconnectedError(
-                f"anchors {a} and {b} lie in different components"
-            ) from exc
+    for a, b, path in zip(anchors, goals, paths):
+        if path is None:
+            raise DisconnectedError(f"anchors {a} and {b} lie in different components")
         loop.extend(path[:-1])
         src.extend([ANCHOR] + [INSERTED] * (len(path) - 2))
 
@@ -249,6 +258,8 @@ def close_contour(mesh, ordered_anchors):
         )
     contour = ClosedContour(tuple(loop), tuple(src))
     contour.validate_against(mesh)
+    if counters is not None:
+        counters.update(unbounded_searches=reruns, inserted_vertices=src.count(INSERTED))
     return contour
 
 
@@ -268,7 +279,8 @@ def isolate_plate(mesh, side, section_axis="x", spacing=1.0, keep_interval=None,
     prefer the chosen side's surface when both rims of a body reach
     equally far out. ``exclude`` (a VertexMask, e.g. a sound hole) is
     removed from the mesh first. ``counters``, a dict, receives the
-    section counters of :func:`~violinmorph.slicing.extreme_points`.
+    section counters of :func:`~violinmorph.slicing.extreme_points`, the
+    number of ``anchors`` and the path counters of :func:`close_contour`.
 
     Raises
     ------
@@ -293,8 +305,10 @@ def isolate_plate(mesh, side, section_axis="x", spacing=1.0, keep_interval=None,
     anchors = map_to_vertices(work, seeds)
     if len(anchors) < 3:
         raise ContractError("fewer than 3 distinct anchor vertices")
+    if counters is not None:
+        counters["anchors"] = len(anchors)
     ordered = order_loop(work, anchors)
-    contour = close_contour(work, ordered)
+    contour = close_contour(work, ordered, counters)
 
     contour_ids = np.asarray(sorted(set(contour.vertex_indices)), dtype=np.int64)
     comps = connected_components(work, VertexMask(contour_ids))

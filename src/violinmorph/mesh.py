@@ -22,6 +22,7 @@ __all__ = [
     "VertexMask",
     "connected_components",
     "shortest_path",
+    "shortest_paths",
     "weld_vertices",
 ]
 
@@ -280,41 +281,75 @@ def shortest_path(mesh, start, goal):
     """Vertex path with minimum summed Euclidean edge length.
 
     Endpoints are included; ``start == goal`` yields a single-element path.
+    This is one pair of :func:`shortest_paths`.
 
     Raises
     ------
     DisconnectedError
         If the two vertices lie in different components.
     """
-    n = mesh.n_vertices
-    start = int(start)
-    goal = int(goal)
-    if not (0 <= start < n and 0 <= goal < n):
-        raise ContractError("path endpoint out of range")
-    if start == goal:
-        return [start]
+    path = shortest_paths(mesh, [start], [goal])[0][0]
+    if path is None:
+        raise DisconnectedError(f"vertices {int(start)} and {int(goal)} are not connected")
+    return path
+
+
+# Entries of the dense (sources, vertices) distance and predecessor arrays
+# that one search of shortest_paths allocates: 2**21 is 24 MB (float64 and
+# int32), 39 sources at a time on a 53k-vertex rough plate.
+_SEARCH_ELEMENTS = 2 ** 21
+
+
+def shortest_paths(mesh, starts, goals):
+    """The shortest path from each ``starts[i]`` to ``goals[i]``, endpoints
+    included (None where the two lie in different components), and how many
+    pairs were searched again without a bound.
+
+    Edge weights are Euclidean lengths, so no path is shorter than its
+    pair's straight-line gap. The pairs, sorted by gap, are searched in
+    chunks: one directed ``csgraph.dijkstra`` (the adjacency is symmetric,
+    so it finds the undirected paths) from every start of a chunk, bounded
+    at twice the chunk's largest gap. A chunk holds the pairs whose gaps
+    lie within a factor of 2 of its first, so that no search reaches much
+    further than its own pair needs, and at most ``_SEARCH_ELEMENTS`` // n
+    of them, so that its dense (sources, n) arrays stay small. A goal
+    beyond its chunk's bound is searched again, from its own start,
+    without one. An endpoint outside the mesh is a contract error.
+    """
     from scipy.sparse import csgraph
 
-    # The adjacency is symmetric, so the directed search finds the same paths.
-    # Edge weights are Euclidean lengths, so no path is shorter than the
-    # straight-line gap: the search first stops at twice the gap (anchor
-    # pairs are close, so this visits a small patch of the mesh) and reruns
-    # unbounded only when the goal lies beyond that.
-    gap = float(np.linalg.norm(mesh.vertices[goal] - mesh.vertices[start]))
-    for limit in (2.0 * gap, np.inf):
-        dist, pred = csgraph.dijkstra(mesh.adjacency, directed=True, indices=start,
-                                      return_predecessors=True, limit=limit)
-        if np.isfinite(dist[goal]):
-            break
-    else:
-        raise DisconnectedError(f"vertices {start} and {goal} are not connected")
-    path = [goal]
-    v = goal
-    while v != start:
-        v = int(pred[v])
-        path.append(v)
-    path.reverse()
-    return path
+    n = mesh.n_vertices
+    starts, goals = np.asarray(starts, dtype=np.int64), np.asarray(goals, dtype=np.int64)
+    if not ((starts >= 0) & (starts < n) & (goals >= 0) & (goals < n)).all():
+        raise ContractError("path endpoint out of range")
+    step = mesh.vertices[goals] - mesh.vertices[starts]
+    gap = np.sqrt(row_dot(step, step))
+    order = np.argsort(gap, kind="stable")
+    rows = max(1, _SEARCH_ELEMENTS // max(n, 1))
+    paths = [None] * len(starts)
+    reruns = 0
+    first = 0
+    while first < len(order):
+        sized = order[first:first + rows]
+        chunk = sized[:np.searchsorted(gap[sized], 2.0 * gap[sized[0]], "right")]
+        first += len(chunk)
+        dist, pred = csgraph.dijkstra(mesh.adjacency, directed=True, indices=starts[chunk],
+                                      return_predecessors=True, limit=2.0 * gap[chunk[-1]])
+        for row, i in enumerate(chunk.tolist()):
+            a, b = int(starts[i]), int(goals[i])
+            tree = pred[row]
+            if not np.isfinite(dist[row, b]):
+                reruns += 1
+                again, tree = csgraph.dijkstra(mesh.adjacency, directed=True, indices=a,
+                                               return_predecessors=True, limit=np.inf)
+                if not np.isfinite(again[b]):
+                    continue
+            path = [b]
+            while path[-1] != a:
+                path.append(int(tree[path[-1]]))
+            paths[i] = path[::-1]
+        del dist, pred, tree  # before the next chunk's arrays are allocated
+    return paths, reruns
 
 
 def weld_vertices(mesh, tolerance=1e-6):

@@ -172,19 +172,30 @@ def cross_sections(mesh, normals, offsets):
     """:func:`cross_section` of ``mesh`` with every plane ``normals[i] . q = offsets[i]``.
 
     ``normals`` is a (k, 3) array of unit rows, ``offsets`` holds one
-    offset per row. Planes whose normals have the same bits (so -0.0 and
-    0.0 differ) project the vertices on it once. Each face is paired only
-    with the planes its projected interval [lo, hi] can cross: a face
-    crosses the plane at ``o`` only if ``lo < o <= hi + 1e-12`` (the
-    on-plane tolerance), found by ``searchsorted`` on the sorted offsets
-    (the interval sweep of Minetto et al., CAD 2017).
+    offset per row. Each face is paired only with the planes its
+    projected interval can cross (:func:`_sweep`).
 
     Returns
     -------
     Sections
     """
     normals, offsets = _plane_batch(normals, offsets)
-    verts, f = mesh.vertices, mesh.faces
+    pf, cf, dc = _sweep(mesh.vertices, mesh.faces, normals, offsets)
+    by_plane = np.argsort(pf, kind="stable")
+    return _cut_pairs(mesh.vertices, mesh.faces, normals, pf[by_plane], cf[by_plane],
+                      dc[by_plane], len(pf))
+
+
+def _sweep(verts, f, normals, offsets):
+    """The (plane, face) pairs of the interval sweep, with each face's corner
+    distances from its plane; faces ascending within each distinct normal.
+
+    Planes whose normals have the same bits (so -0.0 and 0.0 differ)
+    project the vertices on it once. A face whose projected interval is
+    [lo, hi] is paired with the plane at ``o`` only if ``lo < o <= hi +
+    1e-12`` (the on-plane tolerance), found by ``searchsorted`` on the
+    sorted offsets (the interval sweep of Minetto et al., CAD 2017).
+    """
     rows, group = np.unique(normals.view(np.dtype((np.void, 24))).ravel(),
                             return_index=True, return_inverse=True)[1:]
     pf, cf, dc = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
@@ -201,10 +212,7 @@ def cross_sections(mesh, normals, offsets):
         pf.append(p)
         cf.append(c)
         dc.append(corners[c] - offsets[p, None])
-    pf, cf = np.concatenate(pf), np.concatenate(cf)
-    by_plane = np.argsort(pf, kind="stable")
-    return _cut_pairs(verts, f, normals, pf[by_plane], cf[by_plane],
-                      np.concatenate(dc)[by_plane], len(pf))
+    return np.concatenate(pf), np.concatenate(cf), np.concatenate(dc)
 
 
 def crossings_near(mesh, normals, offsets, centres, radius):
@@ -246,11 +254,23 @@ def crossings_near(mesh, normals, offsets, centres, radius):
     p, c = p[keep], c[keep]
     dc = _project(verts[f[c]], n[keep, None]) - offsets[p, None]
     plane, points, links = _crossings(verts, f, normals, p, c, dc)
+    return Crossings(plane, points, *_flags(plane, points, links, len(normals)), len(p))
+
+
+def _flags(plane, points, links, k):
+    """Which of the ``k`` planes are crowded (a crossing face's two points
+    within 3 x ``_MIN_POINT_SEP``) and which branched (a point on an edge of
+    more than two crossing faces), from :func:`_crossings`' output."""
     gap = points[links[:, 0]] - points[links[:, 1]]
     crowded = plane[links[np.linalg.norm(gap, axis=1) <= 3 * _MIN_POINT_SEP, 0]]
     branched = plane[np.bincount(links.ravel(), minlength=len(plane)) > 2]
-    return Crossings(plane, points, np.bincount(crowded, minlength=len(normals)) > 0,
-                     np.bincount(branched, minlength=len(normals)) > 0, len(p))
+    return np.bincount(crowded, minlength=k) > 0, np.bincount(branched, minlength=k) > 0
+
+
+def _sides(dc):
+    """Per corner, whether it counts as above its plane; per face, whether it crosses."""
+    side = (dc > 0.0) | (np.abs(dc) < _ON_PLANE)
+    return side, (side[:, 0] != side[:, 1]) | (side[:, 1] != side[:, 2])
 
 
 def _crossings(verts, f, normals, pf, cf, dc):
@@ -262,8 +282,7 @@ def _crossings(verts, f, normals, pf, cf, dc):
     their edge's (lower, higher) vertex pair, and per crossing face, in
     pair order, the two points it links.
     """
-    side = (dc > 0.0) | (np.abs(dc) < _ON_PLANE)
-    crossing = (side[:, 0] != side[:, 1]) | (side[:, 1] != side[:, 2])
+    side, crossing = _sides(dc)
     pf, cf, dc, su = pf[crossing], cf[crossing], dc[crossing], side[crossing]
 
     # Each crossing face has exactly two edges whose endpoints straddle the
@@ -468,9 +487,23 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
     """Outermost section points seeding a plate contour.
 
     Cuts the (already oriented) mesh with planes orthogonal to ``axis``
-    every ``spacing`` mm (:func:`cross_sections`) and keeps, per cut,
-    the two points with minimal and maximal coordinate along the in-plane
-    horizontal axis.
+    every ``spacing`` mm and keeps, per cut, the two points with minimal
+    and maximal coordinate along the in-plane horizontal axis: per end,
+    the first point in chain order within ``tie_tol`` of the extreme.
+
+    Each plane is picked in one pass over the unchained crossing points
+    (:func:`_crossings`) of its rim faces only. From the sweep's pairs
+    that cross the plane, a face is kept when its largest in-plane
+    coordinate reaches L - ``tie_tol`` - 1e-6 mm, where L is the largest
+    face minimum over the plane's crossing faces (every face holds a
+    point at or past its minimum, so the cut's extreme is at least L);
+    the min end is the mirror case. So every point within ``tie_tol`` of
+    either extreme is there, with its full-cut bytes. A plane is cut
+    again in full (all its crossing pairs, chained) and picked in chain
+    order only where chain order or a merge of near points could change
+    the pick: more than one point qualifies at an end (``tied``),
+    ``crowded``, ``branched``, no crossing point (``empty``, which
+    warns), or a cut inside ``keep_interval``.
 
     Parameters
     ----------
@@ -486,8 +519,10 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
         target the upper or lower rim when both plates of a body reach
         equally far out.
     counters : dict, optional
-        Receives ``planes`` and ``pairs_visited``, the (plane, face)
-        pairs the cut tested.
+        Receives ``planes``, ``pairs_visited`` (the (plane, face) pairs
+        the sweep tested, which a plane cut again reuses),
+        ``full_cut_planes`` and ``recut`` (the planes cut again, per
+        cause; a plane may count under several).
 
     Returns
     -------
@@ -500,49 +535,106 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
         raise ContractError(f"prefer_z must be 'max', 'min' or None, got {prefer_z!r}")
     ax = "xyz".index(axis)
     other = 1 - ax  # the in-plane horizontal axis (x<->y)
-    offsets = section_offsets(mesh.vertices[:, ax].min(), mesh.vertices[:, ax].max(), spacing)
-    sections = cross_sections(mesh, np.tile(np.eye(3)[ax], (len(offsets), 1)), offsets)
+    verts, f = mesh.vertices, mesh.faces
+    offsets = section_offsets(verts[:, ax].min(), verts[:, ax].max(), spacing)
+    k = len(offsets)
+    normals = np.tile(np.eye(3)[ax], (k, 1))
+
+    pf, cf, dc = _sweep(verts, f, normals, offsets)
+    pairs = len(pf)
+    crossing = _sides(dc)[1]
+    pf, cf, dc = pf[crossing], cf[crossing], dc[crossing]
+    corners = verts[f[cf], other]
+    lo = np.minimum(np.minimum(corners[:, 0], corners[:, 1]), corners[:, 2])
+    hi = np.maximum(np.maximum(corners[:, 0], corners[:, 1]), corners[:, 2])
+    top, bottom = np.full(k, -np.inf), np.full(k, np.inf)
+    np.maximum.at(top, pf, lo)
+    np.minimum.at(bottom, pf, hi)
+    reach = tie_tol + _REACH_SLACK
+    rim = (hi >= top[pf] - reach) | (lo <= bottom[pf] + reach)
+    plane, points, links = _crossings(verts, f, normals, pf[rim], cf[rim], dc[rim])
+
+    sizes = np.bincount(plane, minlength=k)
+    got = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[got]
+    picks, counts = np.zeros((2, k), dtype=np.intp), np.zeros((2, k), dtype=np.intp)
+    for end, reduce in enumerate((np.minimum, np.maximum)):
+        picks[end, got], counts[end, got] = _pick(points, other, starts, sizes[got], reduce,
+                                                  prefer_z, tie_tol)
+    kept = np.zeros(k, dtype=bool)
+    if keep_interval is not None:
+        kept = (keep_interval[0] <= offsets) & (offsets <= keep_interval[1])
+    recut = dict(zip(("crowded", "branched"), _flags(plane, points, links, k)),
+                 tied=counts.max(axis=0) > 1, empty=~got, keep_interval=kept)
+    again = np.logical_or.reduce(list(recut.values()))
+    one = np.flatnonzero(~again)
+    picked = _ends(points, other, picks[0, one], picks[1, one], one)
+    chosen, keys = [picked[0]], [picked[1]]
+
+    # the planes cut again: every crossing pair of the sweep, chained
+    redo = np.flatnonzero(again)
+    if len(redo):
+        by_plane = np.flatnonzero(again[pf])[np.argsort(pf[again[pf]], kind="stable")]
+        cut = _cut_pairs(verts, f, normals, pf[by_plane], cf[by_plane], dc[by_plane], 0)
+        points, bounds = cut.points, cut.point_starts()
+        starts, sizes = bounds[redo], np.diff(bounds)[redo]
+        for off in offsets[redo[sizes == 0]]:
+            warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
+        got = np.flatnonzero(sizes)
+        two = ~kept[redo[got]]
+        ends = [_pick(points, other, starts[got], sizes[got], reduce, prefer_z, tie_tol)[0][two]
+                for reduce in (np.minimum, np.maximum)]
+        picked = _ends(points, other, ends[0], ends[1], redo[got[two]])
+        chosen.append(picked[0])
+        keys.append(picked[1])
+        coords = points[:, other]
+        for i in got[~two].tolist():
+            c = coords[starts[i]:starts[i] + sizes[i]]
+            n_keep = max(2, int(keep_count))
+            order = np.argsort(c, kind="stable")
+            n = min(n_keep // 2, len(order))
+            at = sorted(set(list(order[:n]) + list(order[len(order) - (n_keep - n):])),
+                        key=lambda j: c[j])  # ties keep the set's order, as they always did
+            chosen.append(points[starts[i] + np.asarray(at, dtype=np.intp)])
+            keys.append(np.full(len(at), redo[i]))
     if counters is not None:
-        counters.update(planes=len(offsets), pairs_visited=sections.pairs_visited)
-    points, bounds = sections.points, sections.point_starts()
-    sizes = np.diff(bounds)
-    for off in offsets[sizes == 0]:
-        warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
-    cut = np.flatnonzero(sizes)
-    if not cut.size:
+        counters.update(planes=k, pairs_visited=pairs, full_cut_planes=len(redo),
+                        recut={cause: int(flag.sum()) for cause, flag in recut.items()})
+    keys = np.concatenate(keys)
+    if not len(keys):
         raise ContractError("no section produced any points")
-    starts, sizes = bounds[cut], sizes[cut]
+    return np.concatenate(chosen)[np.argsort(keys, kind="stable")]
+
+
+def _pick(points, other, starts, sizes, reduce, prefer_z, tie_tol):
+    """Per group of points (``starts``, ``sizes``; none empty), the first
+    point picked at the end ``reduce`` finds, and how many qualify.
+
+    A point qualifies when its ``other`` coordinate lies within
+    ``tie_tol`` of the group's extreme and, with ``prefer_z``, its z is
+    the extreme z of those.
+    """
     coords = points[:, other]
+    cand = np.abs(coords - np.repeat(reduce.reduceat(coords, starts), sizes)) <= tie_tol
+    if prefer_z is not None:
+        top = np.maximum if prefer_z == "max" else np.minimum
+        z = np.where(cand, points[:, 2], -np.inf if prefer_z == "max" else np.inf)
+        cand &= z == np.repeat(top.reduceat(z, starts), sizes)
+    first = np.minimum.reduceat(np.where(cand, np.arange(len(coords)), len(coords)), starts)
+    return first, np.add.reduceat(cand, starts, dtype=np.intp)
 
-    def pick(reduce):
-        # per cut: the first point within tie_tol of the extreme coordinate,
-        # or, with prefer_z, the first of those with the extreme z
-        cand = np.abs(coords - np.repeat(reduce.reduceat(coords, starts), sizes)) <= tie_tol
-        if prefer_z is not None:
-            top = np.maximum if prefer_z == "max" else np.minimum
-            z = np.where(cand, points[:, 2], -np.inf if prefer_z == "max" else np.inf)
-            cand &= z == np.repeat(top.reduceat(z, starts), sizes)
-        return np.minimum.reduceat(np.where(cand, np.arange(len(coords)), len(coords)), starts)
 
-    # Two distinct picks never share a coordinate: the points at one
-    # coordinate are candidates at both ends or at neither, so both ends
-    # would pick the same first one. Each cut lists its picks by coordinate.
-    lo, hi = pick(np.minimum), pick(np.maximum)
+def _ends(points, other, lo, hi, groups):
+    """The points picked at both ends of each group, listed by coordinate
+    (once when both ends pick the same point), and the group of each.
+
+    Two distinct picks never share a coordinate: the points at one
+    coordinate qualify at both ends or at neither, so both ends would
+    pick the same first one.
+    """
+    coords = points[:, other]
     ends = np.column_stack([lo, hi])
     swap = coords[hi] < coords[lo]
     ends[swap] = ends[swap, ::-1]
-    kept = np.zeros(len(cut), dtype=bool)
-    if keep_interval is not None:
-        kept = (keep_interval[0] <= offsets[cut]) & (offsets[cut] <= keep_interval[1])
-    take = np.column_stack([~kept, ~kept & (lo != hi)])
-    chosen, keys = [ends[take]], [np.nonzero(take)[0]]
-    for i in np.flatnonzero(kept).tolist():
-        c = coords[starts[i]:starts[i] + sizes[i]]
-        k = max(2, int(keep_count))
-        order = np.argsort(c, kind="stable")
-        n = min(k // 2, len(order))
-        picked = sorted(set(list(order[:n]) + list(order[len(order) - (k - n):])),
-                        key=lambda j: c[j])  # ties keep the set's order, as they always did
-        chosen.append(starts[i] + np.asarray(picked, dtype=np.intp))
-        keys.append(np.full(len(picked), i))
-    return points[np.concatenate(chosen)[np.argsort(np.concatenate(keys), kind="stable")]]
+    take = np.column_stack([np.ones(len(lo), dtype=bool), lo != hi])
+    return points[ends[take]], groups[np.nonzero(take)[0]]

@@ -7,7 +7,9 @@ section planes, the all-pairs scan that ``slicing.cross_sections``
 ran before its interval sweep, the component-labelling chain order of
 ``slicing._chain``, the channel search cutting every station
 across the whole plate with that scan, ``slicing.extreme_points``
-picking per cut in a loop over it, and the ascii and binary PLY body
+picking per cut in a loop over it, then picking in chain order from a
+full cut of every plane, ``isolation.close_contour`` searching each
+anchor pair on its own, and the ascii and binary PLY body
 readers, the per-row f-string writers of every text artifact (CSV,
 JSON, PLY, OBJ), plus the earlier
 formulations of the mesh's edge list, the shortest path (undirected,
@@ -39,7 +41,8 @@ from violinmorph.errors import (
 )
 from violinmorph.fileio import _triangulate, _vertex_layout
 from violinmorph.grid import HeightGrid, joint_grid_domain
-from violinmorph.mesh import TriangleMesh
+from violinmorph.isolation import ANCHOR, INSERTED, ClosedContour
+from violinmorph.mesh import TriangleMesh, shortest_path
 from violinmorph import morphology, registration, slicing, synthetic
 from violinmorph.morphology import ChannelTrace
 from violinmorph.registration import SimilarityTransform
@@ -1174,3 +1177,116 @@ def extreme_points_loop(mesh, axis="x", spacing=1.0, keep_interval=None, keep_co
     if not result:
         raise ContractError("no section produced any points")
     return np.concatenate(result, axis=0)
+
+
+def extreme_points_chained(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4,
+                           prefer_z=None, tie_tol=0.0):
+    """``slicing.extreme_points`` from a full cut of every plane, picked in chain order.
+
+    Per cut and per end, the first point in chain order within ``tie_tol``
+    of the extreme coordinate, or, with ``prefer_z``, the first of those
+    with the extreme z; inside ``keep_interval``, ``keep_count`` points by
+    a stable sort of the coordinates.
+    """
+    if axis not in slicing.AXES:
+        raise ContractError(f"axis must be 'x' or 'y', got {axis!r}")
+    if prefer_z not in (None, "max", "min"):
+        raise ContractError(f"prefer_z must be 'max', 'min' or None, got {prefer_z!r}")
+    ax = "xyz".index(axis)
+    other = 1 - ax
+    offsets = slicing.section_offsets(mesh.vertices[:, ax].min(), mesh.vertices[:, ax].max(),
+                                      spacing)
+    sections = slicing.cross_sections(mesh, np.tile(np.eye(3)[ax], (len(offsets), 1)), offsets)
+    points, bounds = sections.points, sections.point_starts()
+    sizes = np.diff(bounds)
+    for off in offsets[sizes == 0]:
+        warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
+    cut = np.flatnonzero(sizes)
+    if not cut.size:
+        raise ContractError("no section produced any points")
+    starts, sizes = bounds[cut], sizes[cut]
+    coords = points[:, other]
+
+    def pick(reduce):
+        cand = np.abs(coords - np.repeat(reduce.reduceat(coords, starts), sizes)) <= tie_tol
+        if prefer_z is not None:
+            top = np.maximum if prefer_z == "max" else np.minimum
+            z = np.where(cand, points[:, 2], -np.inf if prefer_z == "max" else np.inf)
+            cand &= z == np.repeat(top.reduceat(z, starts), sizes)
+        return np.minimum.reduceat(np.where(cand, np.arange(len(coords)), len(coords)), starts)
+
+    lo, hi = pick(np.minimum), pick(np.maximum)
+    ends = np.column_stack([lo, hi])
+    swap = coords[hi] < coords[lo]
+    ends[swap] = ends[swap, ::-1]
+    kept = np.zeros(len(cut), dtype=bool)
+    if keep_interval is not None:
+        kept = (keep_interval[0] <= offsets[cut]) & (offsets[cut] <= keep_interval[1])
+    take = np.column_stack([~kept, ~kept & (lo != hi)])
+    chosen, keys = [ends[take]], [np.nonzero(take)[0]]
+    for i in np.flatnonzero(kept).tolist():
+        c = coords[starts[i]:starts[i] + sizes[i]]
+        k = max(2, int(keep_count))
+        order = np.argsort(c, kind="stable")
+        n = min(k // 2, len(order))
+        picked = sorted(set(list(order[:n]) + list(order[len(order) - (k - n):])),
+                        key=lambda j: c[j])
+        chosen.append(starts[i] + np.asarray(picked, dtype=np.intp))
+        keys.append(np.full(len(picked), i))
+    return points[np.concatenate(chosen)[np.argsort(np.concatenate(keys), kind="stable")]]
+
+
+def close_contour_per_pair(mesh, ordered_anchors):
+    """``isolation.close_contour`` with one ``mesh.shortest_path`` per anchor pair
+    (bounded at twice the pair's gap, then unbounded), the ``list.pop`` cleanup
+    and a per-pair adjacency check against the CSR rows."""
+    anchors = [int(a) for a in ordered_anchors]
+    if len(anchors) < 3:
+        raise ContractError("need at least 3 anchors")
+    loop = []
+    src = []
+    for a, b in zip(anchors, anchors[1:] + anchors[:1]):
+        try:
+            path = shortest_path(mesh, a, b)
+        except DisconnectedError as exc:
+            raise DisconnectedError(
+                f"anchors {a} and {b} lie in different components"
+            ) from exc
+        loop.extend(path[:-1])
+        src.extend([ANCHOR] + [INSERTED] * (len(path) - 2))
+
+    changed = True
+    while changed:
+        changed = False
+        n = len(loop)
+        if n < 3:
+            raise ContractError("contour collapsed during cleanup")
+        for i in range(n):
+            if loop[i] == loop[(i + 1) % n]:
+                drop = [(i + 1) % n]
+            elif loop[(i - 1) % n] == loop[(i + 1) % n]:
+                drop = sorted(((i, (i + 1) % n)), reverse=True)
+            else:
+                continue
+            for d in drop:
+                loop.pop(d)
+                src.pop(d)
+            changed = True
+            break
+
+    dupes = np.count_nonzero(np.unique(loop, return_counts=True)[1] > 1)
+    if dupes:
+        warnings.warn(f"contour visits {dupes} vertices more than once", stacklevel=2)
+    contour = ClosedContour(tuple(loop), tuple(src))
+    validate_against_rows(contour, mesh)
+    return contour
+
+
+def validate_against_rows(contour, mesh):
+    """``ClosedContour.validate_against`` looking each pair up in a's CSR row."""
+    n = mesh.n_vertices
+    indptr, neighbours = mesh.adjacency.indptr, mesh.adjacency.indices
+    idx = contour.vertex_indices
+    for a, b in zip(idx, idx[1:] + idx[:1]):
+        if not (0 <= a < n and 0 <= b < n and b in neighbours[indptr[a]:indptr[a + 1]]):
+            raise ContractError(f"contour vertices {a}, {b} are not adjacent")

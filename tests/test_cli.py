@@ -794,16 +794,22 @@ class TestInMemoryPipeline:
             for key in ("artifacts", "plates", "converged", "counters", "channel"):
                 assert mine.get(key) == theirs.get(key), (manifest.name, key)
         # the section counters, per side, in pipeline's manifests as in the commands'
-        keys = {"isolate": {"planes", "pairs_visited"}, "contours": {"planes", "pairs_visited"},
+        keys = {"isolate": {"planes", "pairs_visited", "full_cut_planes", "recut", "anchors",
+                            "inserted_vertices", "unbounded_searches"},
+                "contours": {"planes", "pairs_visited"},
                 "channel": {"stations_cut", "pairs_visited", "full_cut_stations", "recut",
                             "skipped"}}
         for root in (out, out / "acquisition_b"):
             for command in keys if root == out else ["isolate"]:
                 counters = json.loads((root / f"manifest_{command}.json").read_text())["counters"]
                 assert sorted(counters) == ["back", "sound_board"]
-                for side in counters.values():
+                for name, side in counters.items():
                     assert set(side) == keys[command]
                     assert side["pairs_visited"] > 0
+                    if command == "isolate":  # the contour file lists the inserted vertices
+                        text = (root / f"{name}_contour.txt").read_text()
+                        assert side["inserted_vertices"] == text.count("inserted-intermediate")
+                        assert side["anchors"] >= 3
         assert (out / "manifest_pipeline.json").exists()
 
     def test_obj_format_writes_obj_plates(self, body_file, body_b_file, tmp_path):

@@ -94,6 +94,8 @@ def _bad_values(default, check):
     values = ["x", hi * 2 + 1]
     if isinstance(lo, int):
         values.append(lo + 0.5)
+    if default is not None:
+        values.append(None)  # a range takes null only where its default is null
     return values
 
 
@@ -115,6 +117,17 @@ def test_bad_value_of_every_key_exits_2(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+NULLABLE = [key for key, (default, _, _) in KEYS.items() if default is None]
+
+
+@pytest.mark.parametrize("key", NULLABLE)
+def test_keys_whose_default_is_null_take_null(tmp_path, key):
+    section, _, name = key.rpartition(".")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {name: None}} if section else {name: None}))
+    assert load_config(cfg) == load_config(None)
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"seed": -1}, "config seed=-1 outside documented range [0, 9223372036854775807]"),
     ({"register": {"normal_k": 4.5}}, "config register.normal_k=4.5 is not an integer"),
@@ -125,6 +138,8 @@ def test_bad_value_of_every_key_exits_2(tmp_path, capsys, key, value):
      "config isolate.keep_interval=[2, 1] is not null or a [lo, hi] pair"),
     ({"isolate": {"section_axis": "z"}},
      "unknown isolate.section_axis 'z', expected one of ('x', 'y')"),
+    ({"isolate": {"spacing": None}}, "config isolate.spacing=None is not a number"),
+    ({"seed": None}, "config seed=None is not a number"),
 ])
 def test_messages_of_each_kind_of_check(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"

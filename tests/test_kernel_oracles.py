@@ -14,7 +14,10 @@ from violinmorph import grid, morphology, slicing, synthetic
 from violinmorph.decimate import _flips, _normal, _normals, _targets, decimate
 from violinmorph.errors import ContractError, DisconnectedError, TopologicalLockError
 from violinmorph.grid import interpolate_grid, joint_grid_domain
-from violinmorph.isolation import isolate_plate, rough_split
+from violinmorph import isolation
+from violinmorph.isolation import (
+    close_contour, isolate_plate, map_to_vertices, order_loop, rough_split,
+)
 from violinmorph.mesh import TriangleMesh, VertexMask, connected_components, shortest_path
 from violinmorph.morphology import channel_of_minima
 from violinmorph.orientation import orient_to_frame, principal_frame
@@ -34,12 +37,14 @@ from oracles import (
     channel_of_minima_full_scan,
     chain_by_components,
     channel_stations_loop,
+    close_contour_per_pair,
     connected_components_loop,
     cross_section_loop,
     cross_sections_full_scan,
     decimate_loop,
     dijkstra_undirected,
     disc_mesh_loop,
+    extreme_points_chained,
     extreme_points_loop,
     instrument_body_loop,
     interpolate_grid_loop,
@@ -807,6 +812,238 @@ class TestExtremePointsOracle:
         assert counters["planes"] == len(slicing.section_offsets(
             body.vertices[:, 0].min(), body.vertices[:, 0].max(), 1.0))
         assert 0 < counters["pairs_visited"] < counters["planes"] * body.n_faces // 10
+
+
+def _yawed(mesh, degrees):
+    c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+    return mesh.transformed(rotation=[[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.fixture(scope="module")
+def rough_plates():
+    """(side, rough plate) of oriented bodies at three sizes, each also yawed 23 degrees."""
+    plates = []
+    for size in (dict(rings=8, sectors=32, rib_rings=3), dict(rings=15, sectors=60, rib_rings=4),
+                 dict(rings=40, sectors=120, rib_rings=6)):
+        body = instrument_body(**size)[0]
+        body = orient_to_frame(body, principal_frame(body.point_cloud()))
+        for mesh in (body, _yawed(body, 23.0)):
+            plates += [(side, rough_split(mesh, side)[0]) for side in ("sound_board", "back")]
+    return plates
+
+
+def _tie_grid(seed):
+    """A grid whose heights take a few integer values: equal coordinates, z
+    ties and planes through vertices everywhere."""
+    rng = np.random.default_rng(seed)
+    nx, ny = rng.integers(5, 12, size=2)
+    levels = rng.integers(0, 3, size=(nx, ny)).astype(float)
+    return grid_mesh(nx, ny, spacing=float(rng.choice([0.5, 1.0])),
+                     height=lambda x, y: levels[:x.shape[0], :x.shape[1]])
+
+
+def check_one_pass(mesh, *args, **kwargs):
+    """``extreme_points`` against the chained pick of a full cut: same bytes,
+    warnings and errors. Returns the counters."""
+    counters = {}
+    new, new_warnings = _outcome(extreme_points, mesh, *args, counters=counters, **kwargs)
+    old, old_warnings = _outcome(extreme_points_chained, mesh, *args, **kwargs)
+    assert new_warnings == old_warnings
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+    return counters
+
+
+def _recut_totals(runs):
+    totals = dict.fromkeys(("tied", "crowded", "branched", "empty", "keep_interval"), 0)
+    for counters in runs:
+        for cause, n in counters.get("recut", {}).items():
+            totals[cause] += n
+    return totals
+
+
+class TestOnePassExtremePointsOracle:
+    """``extreme_points`` picking from rim crossings in one pass against the
+    chained pick of a full cut of every plane."""
+
+    def test_rough_plates_at_three_sizes_and_under_yaw(self, rough_plates):
+        runs = []
+        for side, rough in rough_plates:
+            prefer = "max" if side == "sound_board" else "min"
+            for tie_tol in (0.0, 1.0):
+                runs.append(check_one_pass(rough, "x", 1.0, prefer_z=prefer, tie_tol=tie_tol))
+            runs.append(check_one_pass(rough, "y", 1.0, prefer_z=prefer, tie_tol=1.0))
+            runs.append(check_one_pass(rough, "x", 1.0, tie_tol=0.0))
+        totals = _recut_totals(runs)
+        planes = sum(c["planes"] for c in runs)
+        assert totals["crowded"] > 0 and totals["empty"] > 0
+        assert sum(c["full_cut_planes"] for c in runs) < planes // 10
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tie_heavy_grids(self, seed):
+        grid = _tie_grid(seed)
+        runs = []
+        for axis in ("x", "y"):
+            for prefer in (None, "max", "min"):
+                for tie_tol in (0.0, 0.5, 3.0):
+                    runs.append(check_one_pass(grid, axis, 0.5, prefer_z=prefer, tie_tol=tie_tol))
+        totals = _recut_totals(runs)
+        assert totals["tied"] > 0 and totals["crowded"] > 0
+
+    def test_jittered_disc_plate(self):
+        plate = disc_plate(radius=20.0, rings=10, sectors=40, jitter=0.3,
+                           rng=np.random.default_rng(2)).mesh
+        for spacing in (1.0, 0.37):
+            for prefer in (None, "max", "min"):
+                for tie_tol in (0.0, 0.2, 2.0):
+                    check_one_pass(plate, "x", spacing, prefer_z=prefer, tie_tol=tie_tol)
+                    check_one_pass(plate, "y", spacing, prefer_z=prefer, tie_tol=tie_tol)
+
+    def test_keep_interval(self, rough_plates):
+        for side, rough in rough_plates[:4]:
+            counters = check_one_pass(rough, "x", 1.0, keep_interval=(-20.0, 20.0), keep_count=5,
+                                      prefer_z="max" if side == "sound_board" else "min",
+                                      tie_tol=1.0)
+            assert counters["recut"]["keep_interval"] == 41
+        check_one_pass(_tie_grid(3), "y", 0.5, keep_interval=(1.0, 2.0), keep_count=3)
+
+    def test_stacked_surfaces_fin_and_gaps(self):
+        verts = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 5, 0], [1, 5, 0], [2, 5, 0],
+                 [0, 0, 3], [1, 0, 3], [2, 0, 3], [0, 5, 3], [1, 5, 3], [2, 5, 3]]
+        faces = [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4], [6, 7, 10], [6, 10, 9],
+                 [7, 8, 11], [7, 11, 10], [0, 1, 7], [0, 7, 6], [3, 4, 10], [3, 10, 9]]
+        left, right = grid_mesh(5, 4), grid_mesh(5, 4)
+        gapped = TriangleMesh(np.vstack([left.vertices, right.vertices + [10.0, 0.0, 0.0]]),
+                              np.vstack([left.faces, right.faces + left.n_vertices]))
+        fin = _fin_mesh(ball=True)[0]
+        runs = []
+        for mesh in (TriangleMesh(verts, faces), gapped, fin):
+            for axis in ("x", "y"):
+                for prefer in (None, "max", "min"):
+                    for tie_tol in (0.0, 0.5, 6.0):
+                        runs.append(check_one_pass(mesh, axis, 0.25, prefer_z=prefer,
+                                                   tie_tol=tie_tol))
+        assert _recut_totals(runs)["branched"] > 0
+        sliver = TriangleMesh([[0, 0, 0], [1e-3, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+        check_one_pass(sliver, "x", 1.0)
+
+    def test_counters(self, body_plates):
+        body, _ = body_plates
+        # both rims of the whole body reach equally far out: every plane is
+        # tied, unless z decides
+        tied, preferred = {}, {}
+        extreme_points(body, "x", 1.0, counters=tied)
+        extreme_points(body, "x", 1.0, prefer_z="max", tie_tol=1.0, counters=preferred)
+        for counters in (tied, preferred):
+            assert set(counters) == {"planes", "pairs_visited", "full_cut_planes", "recut"}
+            assert counters["full_cut_planes"] <= sum(counters["recut"].values())
+        assert tied["recut"]["tied"] == tied["full_cut_planes"] == tied["planes"]
+        assert preferred["recut"]["tied"] == 0
+        assert preferred["full_cut_planes"] < preferred["planes"] // 10
+
+
+def check_contour(mesh, anchors):
+    """``close_contour`` against one search per anchor pair: same indices,
+    sources, warnings and errors. Returns the counters."""
+    counters = {}
+    new, new_warnings = _outcome(close_contour, mesh, anchors, counters=counters)
+    old, old_warnings = _outcome(close_contour_per_pair, mesh, anchors)
+    assert new_warnings == old_warnings
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert new.vertex_indices == old.vertex_indices and new.source == old.source
+        assert counters["inserted_vertices"] == new.source.count(isolation.INSERTED)
+    return counters
+
+
+@pytest.fixture
+def dijkstra_limits(monkeypatch):
+    """The ``limit`` of every csgraph.dijkstra call."""
+    seen = []
+    dijkstra = csgraph.dijkstra
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("limit", np.inf))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", recording)
+    return seen
+
+
+def _slit_grid():
+    # a 21 x 11 grid cut between columns 10 and 11 below row 9: the
+    # vertices facing each other across the slit are 1 mm apart, but the
+    # path between them runs around the end of the slit
+    n = 11
+    base = grid_mesh(21, n)
+    i, j = np.divmod(np.arange(base.n_faces) // 2, n - 1)
+    return TriangleMesh(base.vertices, base.faces[~((i == 10) & (j < 9))]), n
+
+
+class TestMultiSourcePathsOracle:
+    """``close_contour``'s chunked multi-source search against one bounded
+    search per anchor pair."""
+
+    def test_tie_heavy_grids(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            nx, ny = rng.integers(4, 16, size=2)
+            mesh = grid_mesh(nx, ny, spacing=float(rng.choice([0.5, 1.0])))
+            anchors = rng.choice(mesh.n_vertices, int(rng.integers(3, 12)), replace=False)
+            check_contour(mesh, anchors.tolist())
+            check_contour(mesh, order_loop(mesh, anchors))
+
+    def test_jittered_disc_plate(self):
+        plate = disc_plate(radius=20.0, rings=10, sectors=40, jitter=0.3,
+                           rng=np.random.default_rng(2)).mesh
+        rng = np.random.default_rng(5)
+        for k in (3, 8, 30):
+            anchors = rng.choice(plate.n_vertices, k, replace=False)
+            check_contour(plate, order_loop(plate, anchors))
+        check_contour(plate, order_loop(plate, map_to_vertices(plate, extreme_points(plate))))
+
+    def test_rough_plates_at_three_sizes_and_under_yaw(self, rough_plates, dijkstra_limits):
+        for side, rough in rough_plates:
+            seeds = extreme_points(rough, "x", 1.0, prefer_z="max" if side == "sound_board"
+                                   else "min", tie_tol=1.0)
+            anchors = order_loop(rough, map_to_vertices(rough, seeds))
+            before = len(dijkstra_limits)
+            counters = check_contour(rough, anchors)
+            assert counters["unbounded_searches"] == 0
+            # the oracle's searches, one per pair, come after the chunked ones
+            assert len(dijkstra_limits) - before - len(anchors) <= 4
+
+    def test_slit_grid_searches_again_without_a_bound(self, dijkstra_limits):
+        mesh, n = _slit_grid()
+        # the slit pair (1 mm) is the only pair in its chunk, bounded at 2 mm
+        anchors = [10 * n, 11 * n, 10 * n + 10]
+        counters = check_contour(mesh, anchors)
+        assert counters["unbounded_searches"] == 1
+        assert dijkstra_limits[:3] == [2.0, np.inf, pytest.approx(2.0 * np.hypot(1.0, 10.0))]
+
+    def test_disconnected_pair(self):
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [3, 0, 0], [4, 0, 0], [3, 1, 0]]
+        mesh = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
+        for anchors in ([0, 1, 4], [0, 4, 1], [1, 0, 3, 5]):
+            check_contour(mesh, anchors)
+            with pytest.raises(DisconnectedError, match="lie in different components"):
+                close_contour(mesh, anchors)
+        check_contour(mesh, [0, 1, 99])  # an endpoint outside the mesh
+
+    def test_chunked_search_matches_unchunked(self, rough_plates, monkeypatch, dijkstra_limits):
+        meshes = [rough for _, rough in rough_plates[::3]] + [grid_mesh(15, 15, 0.5)]
+        tours = [order_loop(m, map_to_vertices(m, extreme_points(m, "x", 1.0))) for m in meshes]
+        whole = [close_contour(m, t) for m, t in zip(meshes, tours)]
+        calls = len(dijkstra_limits)
+        for budget in (1, 3):
+            for mesh, tour, want in zip(meshes, tours, whole):
+                monkeypatch.setattr("violinmorph.mesh._SEARCH_ELEMENTS", budget * mesh.n_vertices)
+                got = close_contour(mesh, tour)
+                assert got.vertex_indices == want.vertex_indices and got.source == want.source
+        assert len(dijkstra_limits) - calls >= sum(len(t) for t in tours) * 4 // 3
 
 
 class TestEdgesAndPathsOracle:
