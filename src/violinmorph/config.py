@@ -139,7 +139,8 @@ def validate_config(cfg):
                 raise InputError(f"config {key}={value!r} is not true or false")
         elif check is list:
             if not (isinstance(value, (list, tuple)) and len(value) == 2
-                    and all(map(_is_number, value)) and value[0] <= value[1]):
+                    and all(map(_is_number, value))
+                    and -float("inf") < value[0] <= value[1] < float("inf")):
                 raise InputError(f"config {key}={value!r} is not null or a [lo, hi] pair")
         elif isinstance(check[0], str):
             if value not in check:

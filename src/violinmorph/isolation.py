@@ -273,11 +273,14 @@ def isolate_plate(mesh, side, section_axis="x", spacing=1.0, keep_interval=None,
     back into the input mesh via ``orig_vertex_ids``.
 
     The cutting planes march along ``section_axis`` (the long axis after
-    PCA orientation) every ``spacing`` mm. Inside ``keep_interval`` (lo,
-    hi), e.g. around a removed neck, ``keep_count`` extreme points are
-    kept per cut instead of two. ``tie_tol`` > 0 makes the selection
+    PCA orientation) every ``spacing`` mm; the seeds are picked by
+    geometry, by :func:`~violinmorph.slicing.extreme_points` with
+    ``prefer_z`` set by ``side``. So ``tie_tol`` > 0 makes the selection
     prefer the chosen side's surface when both rims of a body reach
-    equally far out. ``exclude`` (a VertexMask, e.g. a sound hole) is
+    equally far out; it acts only through that preference. Inside
+    ``keep_interval`` (a finite lo <= hi), e.g. around a removed neck,
+    ``keep_count`` (>= 2) extreme points are kept per cut instead of two.
+    ``exclude`` (a VertexMask, e.g. a sound hole) is
     removed from the mesh first. ``counters``, a dict, receives the
     section counters of :func:`~violinmorph.slicing.extreme_points`, the
     number of ``anchors`` and the path counters of :func:`close_contour`.

@@ -5,8 +5,7 @@ vertical asymmetry between sound board and back on their joint grid, and
 the channel of minima, the concave groove running near a plate's outer
 contour whose trace relative to the contour flags historical re-cutting.
 The channel picks each station in one pass over the unchained crossing
-points near its window, and cuts the whole plate again only for the
-stations whose pick chain order or a merge of near points could change.
+points near its window.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .errors import ContractError, GridMismatchError
 from .fileio import FLOAT_FORMAT, save_csv, save_json, save_polylines_csv
 from .grid import HeightGrid, save_height_grid
 from .mesh import row_dot
-from .slicing import cross_sections, crossings_near
+from .slicing import cross_sections, crossings_near, straddles
 
 __all__ = [
     "ContourLineSet",
@@ -244,26 +243,24 @@ def _pick(plane, points, centres, inward, window_mm, lowest):
 
     A point's inward offset is ``dx*ux + dy*uy`` from the station's centre
     along its inward direction; the window holds the offsets in [0,
-    ``window_mm``]. One stable sort by station, then by z (ascending for
-    the ``lowest`` point, descending for the highest), puts each station's
-    extreme first, and among equal z the first in ``points``' order.
-    Returns, per station, how many window points reach the extreme z, and
-    the first of them with its inward offset (zeros where the window is
-    empty).
+    ``window_mm``]. One lexsort by station, z (ascending for the
+    ``lowest`` point, descending for the highest), inward offset, x and y
+    puts each station's pick first, whatever ``points``' order. Returns,
+    per station, whether its window holds a point, and the pick with its
+    inward offset (zeros where the window is empty).
     """
     n = len(centres)
     c, u = centres[plane], inward[plane]
     offsets = (points[:, 0] - c[:, 0]) * u[:, 0] + (points[:, 1] - c[:, 1]) * u[:, 1]
     inside = np.flatnonzero((offsets >= 0.0) & (offsets <= window_mm))
-    z = points[inside, 2]
-    order = np.lexsort((z if lowest else -z, plane[inside]))
-    inside, station, z = inside[order], plane[inside][order], z[order]
-    head = np.flatnonzero(np.diff(station, prepend=-1))
-    extreme = np.repeat(z[head], np.diff(head, append=len(z)))
-    ties = np.bincount(station[z == extreme], minlength=n)
-    best, depth = np.zeros((n, 3)), np.zeros(n)
-    best[station[head]], depth[station[head]] = points[inside[head]], offsets[inside[head]]
-    return ties, best, depth
+    p = points[inside]
+    inside = inside[np.lexsort((p[:, 1], p[:, 0], offsets[inside],
+                                p[:, 2] if lowest else -p[:, 2], plane[inside]))]
+    head = inside[np.diff(plane[inside], prepend=-1) != 0]
+    found, best, depth = np.zeros(n, dtype=bool), np.zeros((n, 3)), np.zeros(n)
+    found[plane[head]] = True
+    best[plane[head]], depth[plane[head]] = points[head], offsets[head]
+    return found, best, depth
 
 
 def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
@@ -274,26 +271,24 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     ``stations`` equally spaced arc-length stations of the contour spline,
     a vertical section perpendicular to the contour tangent is cut and
     searched inward over ``window_mm`` for the lowest point (highest for
-    the back). A station is skipped, with a warning, when its section is
-    empty. The trace is declared ``no_channel`` when more than half of the
-    minima sit at the search window's boundary (nothing concave to find).
+    the back). A station is skipped, with a warning, when its window
+    holds no section point. The trace is declared ``no_channel`` when
+    more than half of the minima sit at the search window's boundary
+    (nothing concave to find).
     ``smoothing_rms_mm`` caps the rms deviation of the smoothed trace from
     the raw minima.
 
-    Each station is picked in one pass over the crossing points of the
-    faces near its window (:func:`~violinmorph.slicing.crossings_near`),
-    which holds every window point with its full-cut bytes, unchained.
-    Where chain order or a merge of near points could change the pick, the
-    station is cut again across the whole plate and picked in chain order:
-    when more than one window point reaches the extreme z (``tied``), when
-    a crossing face's two points lie within 3 x 1e-9 mm (``crowded``),
-    when a point lies on an edge of more than two crossing faces
-    (``branched``), or when no point lies in the window (``empty``; the
-    warning says whether the section is empty). ``counters``, a dict,
-    receives ``stations_cut``, ``pairs_visited`` (the (plane, face) pairs
-    tested), ``full_cut_stations``, ``recut`` (the stations cut again, per
-    cause; a station may count under several) and ``skipped`` (the arc
-    length of each skipped station and why).
+    Each station is picked in one pass over the crossing points, one per
+    crossed edge, of the faces near its window
+    (:func:`~violinmorph.slicing.crossings_near`), which hold every window
+    point. The pick is the window point of extreme z; equal z break on
+    the inward offset, then on x and y, so the trace follows the
+    geometry, not the vertex or face numbering. A skipped station's
+    warning says "empty channel section" when the plate's vertices all
+    lie on one side of its plane, else "no interior points in window".
+    ``counters``, a dict, receives ``stations_cut``, ``pairs_visited``
+    (the (plane, face) pairs tested) and ``skipped`` (the arc length of
+    each skipped station and why).
     """
     if isinstance(stations, bool) or not isinstance(stations, (int, np.integer)):
         raise ContractError(f"stations must be an integer, got {stations!r}")
@@ -321,28 +316,14 @@ def channel_of_minima(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5,
     targets = targets[kept]
 
     near = crossings_near(mesh, normals, offsets, centres[:, :2], window_mm)
-    ties, minima, depths = _pick(near.plane, near.points, centres, inward, window_mm, lowest)
-    recut = {"tied": ties > 1, "crowded": near.crowded_planes,
-             "branched": near.branched_planes, "empty": ties == 0}
-    redo = np.flatnonzero(np.logical_or.reduce(list(recut.values())))
-    pairs, sizes = near.pairs_visited, np.zeros(len(targets), dtype=np.intp)
-    if len(redo):
-        full = cross_sections(mesh, normals[redo], offsets[redo])
-        pairs += full.pairs_visited
-        sizes[redo] = np.diff(full.point_starts())
-        ties[redo], minima[redo], depths[redo] = _pick(
-            np.repeat(np.arange(len(redo)), sizes[redo]), full.points, centres[redo],
-            inward[redo], window_mm, lowest)
-
-    found = ties > 0
+    found, minima, depths = _pick(near.plane, near.points, centres, inward, window_mm, lowest)
     for i in np.flatnonzero(~found).tolist():
-        what = "no interior points in window" if sizes[i] else "empty channel section"
+        what = ("no interior points in window" if straddles(mesh.vertices, normals[i], offsets[i])
+                else "empty channel section")
         warnings.warn(f"{what} at arc length {targets[i]:.1f}", stacklevel=2)
         skipped.append((float(targets[i]), what))
     if counters is not None:
-        counters.update(stations_cut=len(targets), pairs_visited=pairs,
-                        full_cut_stations=len(redo),
-                        recut={cause: int(flag.sum()) for cause, flag in recut.items()},
+        counters.update(stations_cut=len(targets), pairs_visited=near.pairs_visited,
                         skipped=[{"arc_length_mm": a, "reason": why} for a, why in sorted(skipped)])
     detected = int(found.sum())
     if detected < 4:

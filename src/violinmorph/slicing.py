@@ -15,7 +15,9 @@ faces near a given point and returns the crossing points unchained. A
 corner's distance from a plane has one rule, ``x*nx + y*ny + z*nz -
 offset`` in explicit products (:func:`_project`): it gives a gathered
 corner the bits of the full projection, so a point comes out with the
-same bits whichever route cut it.
+same bits whichever route cut it. A point is interpolated from its
+edge's end below the plane, so its bits do not depend on the vertex
+numbering either, and neither do the picks of :func:`extreme_points`.
 """
 
 from __future__ import annotations
@@ -77,19 +79,14 @@ class Sections:
     ``points`` holds every plane's points, polyline after polyline.
     ``starts`` holds the polyline starts into it, with the end appended;
     ``closed`` flags the closed polylines; ``plane_starts`` holds each
-    plane's first polyline, with the end appended. ``crowded_planes``
-    flags the planes whose cut was crowded: a chain-neighbour pair, or a
-    ring's closing pair, lay within 3 x ``_MIN_POINT_SEP`` before near
-    points merged, so only there can the merge have dropped a point.
-    ``pairs_visited`` counts the candidate (plane, face) pairs the cut
-    tested.
+    plane's first polyline, with the end appended. ``pairs_visited``
+    counts the candidate (plane, face) pairs the cut tested.
     """
 
     points: np.ndarray
     starts: np.ndarray
     closed: np.ndarray
     plane_starts: np.ndarray
-    crowded_planes: np.ndarray
     pairs_visited: int
 
     def __len__(self):
@@ -113,16 +110,11 @@ class Sections:
 class Crossings(NamedTuple):
     """Unchained crossing points, one per crossed edge, with each one's plane.
 
-    ``crowded_planes``: a crossing face's two points lie within 3 x
-    ``_MIN_POINT_SEP`` (as chain neighbours, which a merge may change);
-    ``branched_planes``: a point lies on an edge of more than two crossing
-    faces. ``pairs_visited`` counts the (plane, face) pairs tested.
+    ``pairs_visited`` counts the (plane, face) pairs tested.
     """
 
     plane: np.ndarray
     points: np.ndarray
-    crowded_planes: np.ndarray
-    branched_planes: np.ndarray
     pairs_visited: int
 
 
@@ -225,9 +217,8 @@ def crossings_near(mesh, normals, offsets, centres, radius):
     the plane it is weighted by the normal's xy and z parts, with
     ``_REACH_SLACK`` for the 1e-9 mm nudge and rounding. So every section
     point within ``radius`` of the centre in xy is there, with the bytes
-    :func:`cross_sections` gives it, and so are the faces that join it to
-    its chain neighbours, which the flags test. A ``radius`` that is
-    negative or NaN is a contract error; an infinite one takes every face.
+    :func:`cross_sections` gives it. A ``radius`` that is negative or NaN
+    is a contract error; an infinite one takes every face.
     """
     if not radius >= 0:
         raise ContractError(f"window radius must be >= 0, got {radius!r}")
@@ -253,24 +244,26 @@ def crossings_near(mesh, normals, offsets, centres, radius):
              + _REACH_SLACK)
     p, c = p[keep], c[keep]
     dc = _project(verts[f[c]], n[keep, None]) - offsets[p, None]
-    plane, points, links = _crossings(verts, f, normals, p, c, dc)
-    return Crossings(plane, points, *_flags(plane, points, links, len(normals)), len(p))
+    plane, points, _ = _crossings(verts, f, normals, p, c, dc)
+    return Crossings(plane, points, len(p))
 
 
-def _flags(plane, points, links, k):
-    """Which of the ``k`` planes are crowded (a crossing face's two points
-    within 3 x ``_MIN_POINT_SEP``) and which branched (a point on an edge of
-    more than two crossing faces), from :func:`_crossings`' output."""
-    gap = points[links[:, 0]] - points[links[:, 1]]
-    crowded = plane[links[np.linalg.norm(gap, axis=1) <= 3 * _MIN_POINT_SEP, 0]]
-    branched = plane[np.bincount(links.ravel(), minlength=len(plane)) > 2]
-    return np.bincount(crowded, minlength=k) > 0, np.bincount(branched, minlength=k) > 0
+def _above(d):
+    """Whether a point at signed distance ``d`` counts as above its plane."""
+    return (d > 0.0) | (np.abs(d) < _ON_PLANE)
 
 
 def _sides(dc):
     """Per corner, whether it counts as above its plane; per face, whether it crosses."""
-    side = (dc > 0.0) | (np.abs(dc) < _ON_PLANE)
+    side = _above(dc)
     return side, (side[:, 0] != side[:, 1]) | (side[:, 1] != side[:, 2])
+
+
+def straddles(verts, normal, offset):
+    """Whether ``verts`` lie on both sides of the plane ``normal . q = offset``,
+    by the rule that decides which faces a cut crosses."""
+    above = _above(_project(verts, np.asarray(normal, dtype=np.float64)) - offset)
+    return bool(above.any() and not above.all())
 
 
 def _crossings(verts, f, normals, pf, cf, dc):
@@ -278,9 +271,11 @@ def _crossings(verts, f, normals, pf, cf, dc):
 
     ``dc[k]`` holds the signed distances of face ``cf[k]``'s corners from
     plane ``pf[k]``; pairs whose face does not cross the plane are dropped.
-    Returns each point's plane, the points ordered by plane and then by
-    their edge's (lower, higher) vertex pair, and per crossing face, in
-    pair order, the two points it links.
+    A point is interpolated from its edge's end below the plane, so its
+    bits do not depend on the vertex numbering. Returns each point's
+    plane, the points ordered by plane and then by their edge's (lower,
+    higher) vertex pair, and per crossing face, in pair order, the two
+    points it links.
     """
     side, crossing = _sides(dc)
     pf, cf, dc, su = pf[crossing], cf[crossing], dc[crossing], side[crossing]
@@ -311,9 +306,13 @@ def _crossings(verts, f, normals, pf, cf, dc):
             dist[moved] = _NUDGE
         return p, dist
 
-    p_lo, du = endpoint(lo, dc[at[:, 0], at[:, 1]])
-    p_hi, dv = endpoint(hi, dc[at[:, 0], at[:, 2]])
-    t = du / (du - dv)
+    p_lo, d_lo = endpoint(lo, dc[at[:, 0], at[:, 1]])
+    p_hi, d_hi = endpoint(hi, dc[at[:, 0], at[:, 2]])
+    # interpolate from the end below the plane: a point's bits follow its
+    # edge's geometry, not which end has the lower vertex number
+    up = d_lo > 0.0
+    p_lo[up], p_hi[up], d_lo[up], d_hi[up] = p_hi[up], p_lo[up], d_hi[up], d_lo[up]
+    t = d_lo / (d_lo - d_hi)
     return plane, p_lo + t[:, None] * (p_hi - p_lo), edge_of.reshape(-1, 2)
 
 
@@ -326,19 +325,17 @@ def _cut_pairs(verts, f, normals, pf, cf, dc, pairs_visited):
     plane, points, links = _crossings(verts, f, normals, pf, cf, dc)
     if not len(plane):
         return Sections(np.empty((0, 3)), np.zeros(1, dtype=np.int64), np.empty(0, dtype=bool),
-                        np.zeros(len(normals) + 1, dtype=np.int64),
-                        np.zeros(len(normals), dtype=bool), pairs_visited)
+                        np.zeros(len(normals) + 1, dtype=np.int64), pairs_visited)
     nodes, chain_key, closed = _chain(plane, links)
     bounds = np.flatnonzero(np.diff(chain_key, prepend=-1, append=-1))
     closed = closed[bounds[:-1]]
-    keep, sizes, crowded = _merge_near_points(points[nodes], bounds, closed)
+    keep, sizes = _merge_near_points(points[nodes], bounds, closed)
     nodes = nodes[keep]
     whole = sizes >= 2
     chain_plane = chain_key[bounds[:-1]] // (2 * len(plane))
     counts = np.bincount(chain_plane[whole], minlength=len(normals))
     return Sections(points[nodes], np.concatenate([[0], np.cumsum(sizes[whole])]), closed[whole],
-                    np.concatenate([[0], np.cumsum(counts)]),
-                    np.bincount(chain_plane[crowded], minlength=len(normals)) > 0, pairs_visited)
+                    np.concatenate([[0], np.cumsum(counts)]), pairs_visited)
 
 
 def _chain(plane, ends):
@@ -438,9 +435,7 @@ def _merge_near_points(pts, bounds, closed):
     closed polyline's last kept point when it is that close to the first;
     then polylines left with fewer than two points.
 
-    Returns the keep mask, each polyline's kept size, and whether it was
-    crowded: a neighbour pair, or its closing pair, within 3 x
-    ``_MIN_POINT_SEP``, the only polylines a merge can change. A point
+    Returns the keep mask and each polyline's kept size. A point
     more than 3 x ``_MIN_POINT_SEP`` from its predecessor is kept whatever
     happened before it (the predecessor is kept or merged into a point at
     most ``_MIN_POINT_SEP`` away), so only the points nearer than that take
@@ -459,15 +454,13 @@ def _merge_near_points(pts, bounds, closed):
         if keep[j]:
             last = j
     ends = np.linalg.norm(pts[bounds[:-1]] - pts[bounds[1:] - 1], axis=1)
-    crowded = closed & (ends <= 3 * _MIN_POINT_SEP)
-    for c in np.flatnonzero(crowded).tolist():
+    for c in np.flatnonzero(closed & (ends <= 3 * _MIN_POINT_SEP)).tolist():
         kept = bounds[c] + np.flatnonzero(keep[bounds[c]:bounds[c + 1]])
         if len(kept) > 1 and np.linalg.norm(pts[kept[0]] - pts[kept[-1]]) <= _MIN_POINT_SEP:
             keep[kept[-1]] = False
     sizes = np.bincount(chain[keep], minlength=len(closed))
     keep &= (sizes >= 2)[chain]
-    crowded[chain[near]] = True
-    return keep, sizes, crowded
+    return keep, sizes
 
 
 def section_offsets(lo, hi, spacing):
@@ -487,42 +480,42 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
     """Outermost section points seeding a plate contour.
 
     Cuts the (already oriented) mesh with planes orthogonal to ``axis``
-    every ``spacing`` mm and keeps, per cut, the two points with minimal
-    and maximal coordinate along the in-plane horizontal axis: per end,
-    the first point in chain order within ``tie_tol`` of the extreme.
+    every ``spacing`` mm and keeps, per cut, two of its crossing points
+    (one per crossed edge), one at each end of the in-plane horizontal
+    axis. Per end, a point qualifies when its coordinate lies within
+    ``tie_tol`` of the extreme and, with ``prefer_z``, its z is the
+    extreme z of those; the pick is the qualifying point furthest out,
+    equal coordinates breaking on z (in ``prefer_z``'s direction, else
+    ascending), then on the coordinate along ``axis``. So the pick
+    follows the geometry, not the numbering, and ``tie_tol`` only acts
+    together with ``prefer_z``. Two picks within 3 x 1e-9 mm count as one.
 
-    Each plane is picked in one pass over the unchained crossing points
-    (:func:`_crossings`) of its rim faces only. From the sweep's pairs
-    that cross the plane, a face is kept when its largest in-plane
-    coordinate reaches L - ``tie_tol`` - 1e-6 mm, where L is the largest
-    face minimum over the plane's crossing faces (every face holds a
-    point at or past its minimum, so the cut's extreme is at least L);
-    the min end is the mirror case. So every point within ``tie_tol`` of
-    either extreme is there, with its full-cut bytes. A plane is cut
-    again in full (all its crossing pairs, chained) and picked in chain
-    order only where chain order or a merge of near points could change
-    the pick: more than one point qualifies at an end (``tied``),
-    ``crowded``, ``branched``, no crossing point (``empty``, which
-    warns), or a cut inside ``keep_interval``.
+    Only the rim faces are cut: of the sweep's pairs that cross a plane, a
+    face is kept when its largest in-plane coordinate reaches L -
+    ``tie_tol`` - 1e-6 mm, L being the largest face minimum over the
+    plane's crossing faces (the cut's extreme is at least L); the min end
+    is the mirror case. So every point within ``tie_tol`` of either
+    extreme is there. A plane with no crossing point warns.
 
     Parameters
     ----------
     keep_interval : (lo, hi), optional
-        Range along ``axis`` in which more than two points are retained
-        per cut (``keep_count`` of them, split between both ends), for
-        regions where the outline is interrupted, e.g. a removed neck.
+        Finite range along ``axis``, lo <= hi, in which ``keep_count``
+        points are kept per cut instead of two, for regions where the
+        outline is interrupted, e.g. a removed neck: of all the cut's
+        points, sorted by (coordinate, z, coordinate along ``axis``), the
+        first ``keep_count // 2`` and the last ones, a point within 3 x
+        1e-9 mm of the one before it counting as one with it.
     keep_count : int
-        Points kept per cut inside ``keep_interval``.
+        Points kept per cut inside ``keep_interval``, at least 2.
     prefer_z : {"max", "min"}, optional
-        With ``tie_tol`` > 0, candidates within ``tie_tol`` mm of the
-        extreme in-plane coordinate are re-ranked by z. Lets the caller
-        target the upper or lower rim when both plates of a body reach
-        equally far out.
+        Of the points within ``tie_tol`` mm of the extreme in-plane
+        coordinate, only those at the highest (lowest) z qualify. Lets the
+        caller target the upper or lower rim when both plates of a body
+        reach equally far out.
     counters : dict, optional
-        Receives ``planes``, ``pairs_visited`` (the (plane, face) pairs
-        the sweep tested, which a plane cut again reuses),
-        ``full_cut_planes`` and ``recut`` (the planes cut again, per
-        cause; a plane may count under several).
+        Receives ``planes`` and ``pairs_visited``, the (plane, face) pairs
+        the sweep tested.
 
     Returns
     -------
@@ -533,15 +526,27 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
         raise ContractError(f"axis must be 'x' or 'y', got {axis!r}")
     if prefer_z not in (None, "max", "min"):
         raise ContractError(f"prefer_z must be 'max', 'min' or None, got {prefer_z!r}")
+    if keep_interval is not None and not (np.shape(keep_interval) == (2,)
+                                          and np.isfinite(keep_interval).all()
+                                          and keep_interval[0] <= keep_interval[1]):
+        raise ContractError(f"keep_interval must be a finite (lo, hi) pair with lo <= hi, "
+                            f"got {keep_interval!r}")
+    if isinstance(keep_count, bool) or not isinstance(keep_count, (int, np.integer)) \
+            or keep_count < 2:
+        raise ContractError(f"keep_count must be an integer >= 2, got {keep_count!r}")
     ax = "xyz".index(axis)
     other = 1 - ax  # the in-plane horizontal axis (x<->y)
     verts, f = mesh.vertices, mesh.faces
     offsets = section_offsets(verts[:, ax].min(), verts[:, ax].max(), spacing)
     k = len(offsets)
     normals = np.tile(np.eye(3)[ax], (k, 1))
+    kept = np.zeros(k, dtype=bool)
+    if keep_interval is not None:
+        kept = (keep_interval[0] <= offsets) & (offsets <= keep_interval[1])
 
     pf, cf, dc = _sweep(verts, f, normals, offsets)
-    pairs = len(pf)
+    if counters is not None:
+        counters.update(planes=k, pairs_visited=len(pf))
     crossing = _sides(dc)[1]
     pf, cf, dc = pf[crossing], cf[crossing], dc[crossing]
     corners = verts[f[cf], other]
@@ -551,90 +556,71 @@ def extreme_points(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4
     np.maximum.at(top, pf, lo)
     np.minimum.at(bottom, pf, hi)
     reach = tie_tol + _REACH_SLACK
-    rim = (hi >= top[pf] - reach) | (lo <= bottom[pf] + reach)
-    plane, points, links = _crossings(verts, f, normals, pf[rim], cf[rim], dc[rim])
+    rim = (hi >= top[pf] - reach) | (lo <= bottom[pf] + reach) | kept[pf]
+    plane, points, _ = _crossings(verts, f, normals, pf[rim], cf[rim], dc[rim])
 
     sizes = np.bincount(plane, minlength=k)
-    got = sizes > 0
-    starts = (np.cumsum(sizes) - sizes)[got]
-    picks, counts = np.zeros((2, k), dtype=np.intp), np.zeros((2, k), dtype=np.intp)
-    for end, reduce in enumerate((np.minimum, np.maximum)):
-        picks[end, got], counts[end, got] = _pick(points, other, starts, sizes[got], reduce,
-                                                  prefer_z, tie_tol)
-    kept = np.zeros(k, dtype=bool)
-    if keep_interval is not None:
-        kept = (keep_interval[0] <= offsets) & (offsets <= keep_interval[1])
-    recut = dict(zip(("crowded", "branched"), _flags(plane, points, links, k)),
-                 tied=counts.max(axis=0) > 1, empty=~got, keep_interval=kept)
-    again = np.logical_or.reduce(list(recut.values()))
-    one = np.flatnonzero(~again)
-    picked = _ends(points, other, picks[0, one], picks[1, one], one)
-    chosen, keys = [picked[0]], [picked[1]]
-
-    # the planes cut again: every crossing pair of the sweep, chained
-    redo = np.flatnonzero(again)
-    if len(redo):
-        by_plane = np.flatnonzero(again[pf])[np.argsort(pf[again[pf]], kind="stable")]
-        cut = _cut_pairs(verts, f, normals, pf[by_plane], cf[by_plane], dc[by_plane], 0)
-        points, bounds = cut.points, cut.point_starts()
-        starts, sizes = bounds[redo], np.diff(bounds)[redo]
-        for off in offsets[redo[sizes == 0]]:
-            warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
-        got = np.flatnonzero(sizes)
-        two = ~kept[redo[got]]
-        ends = [_pick(points, other, starts[got], sizes[got], reduce, prefer_z, tie_tol)[0][two]
-                for reduce in (np.minimum, np.maximum)]
-        picked = _ends(points, other, ends[0], ends[1], redo[got[two]])
-        chosen.append(picked[0])
-        keys.append(picked[1])
-        coords = points[:, other]
-        for i in got[~two].tolist():
-            c = coords[starts[i]:starts[i] + sizes[i]]
-            n_keep = max(2, int(keep_count))
-            order = np.argsort(c, kind="stable")
-            n = min(n_keep // 2, len(order))
-            at = sorted(set(list(order[:n]) + list(order[len(order) - (n_keep - n):])),
-                        key=lambda j: c[j])  # ties keep the set's order, as they always did
-            chosen.append(points[starts[i] + np.asarray(at, dtype=np.intp)])
-            keys.append(np.full(len(at), redo[i]))
-    if counters is not None:
-        counters.update(planes=k, pairs_visited=pairs, full_cut_planes=len(redo),
-                        recut={cause: int(flag.sum()) for cause, flag in recut.items()})
-    keys = np.concatenate(keys)
-    if not len(keys):
+    for off in offsets[sizes == 0]:
+        warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
+    if not len(plane):
         raise ContractError("no section produced any points")
-    return np.concatenate(chosen)[np.argsort(keys, kind="stable")]
+    got = sizes > 0
+    starts, two = (np.cumsum(sizes) - sizes)[got], ~kept[got]
+    ends = [_pick(points, plane, other, ax, starts, sizes[got], reduce, prefer_z, tie_tol)[two]
+            for reduce in (np.minimum, np.maximum)]
+    chosen, keys = _ends(points, other, *ends, np.flatnonzero(got)[two])
+
+    # the kept planes: all their points in order, near ones as one
+    order = np.flatnonzero(kept[plane])
+    p = points[order]
+    order = order[np.lexsort((p[:, ax], p[:, 2], p[:, other], plane[order]))]
+    step = np.diff(points[order], axis=0, prepend=np.full((1, 3), np.inf))
+    order = order[(np.diff(plane[order], prepend=-1) != 0)
+                  | (np.linalg.norm(step, axis=1) > 3 * _MIN_POINT_SEP)]
+    group = plane[order]
+    size = np.bincount(group, minlength=k)
+    rank = np.arange(len(group)) - (np.cumsum(size) - size)[group]
+    take = (rank < keep_count // 2) | (rank >= size[group] - (keep_count - keep_count // 2))
+    keys = np.concatenate([keys, group[take]])
+    return np.concatenate([chosen, points[order[take]]])[np.argsort(keys, kind="stable")]
 
 
-def _pick(points, other, starts, sizes, reduce, prefer_z, tie_tol):
-    """Per group of points (``starts``, ``sizes``; none empty), the first
-    point picked at the end ``reduce`` finds, and how many qualify.
+def _pick(points, plane, other, ax, starts, sizes, reduce, prefer_z, tie_tol):
+    """Per plane (``starts``, ``sizes`` into ``points``, grouped by
+    ``plane``; none empty), the index of the point picked at the end
+    ``reduce`` finds.
 
     A point qualifies when its ``other`` coordinate lies within
-    ``tie_tol`` of the group's extreme and, with ``prefer_z``, its z is
-    the extreme z of those.
+    ``tie_tol`` of the plane's extreme and, with ``prefer_z``, its z is
+    the extreme z of those. One lexsort by plane, qualification, the
+    coordinate outward, z (in ``prefer_z``'s direction, else ascending)
+    and the ``ax`` coordinate puts each plane's pick first.
     """
     coords = points[:, other]
     cand = np.abs(coords - np.repeat(reduce.reduceat(coords, starts), sizes)) <= tie_tol
+    z = points[:, 2]
     if prefer_z is not None:
         top = np.maximum if prefer_z == "max" else np.minimum
-        z = np.where(cand, points[:, 2], -np.inf if prefer_z == "max" else np.inf)
-        cand &= z == np.repeat(top.reduceat(z, starts), sizes)
-    first = np.minimum.reduceat(np.where(cand, np.arange(len(coords)), len(coords)), starts)
-    return first, np.add.reduceat(cand, starts, dtype=np.intp)
+        zc = np.where(cand, z, -np.inf if prefer_z == "max" else np.inf)
+        cand &= zc == np.repeat(top.reduceat(zc, starts), sizes)
+    order = np.lexsort((points[:, ax], -z if prefer_z == "max" else z,
+                        coords if reduce is np.minimum else -coords, ~cand, plane))
+    return order[starts]
 
 
 def _ends(points, other, lo, hi, groups):
     """The points picked at both ends of each group, listed by coordinate
-    (once when both ends pick the same point), and the group of each.
+    (once when the two lie within 3 x ``_MIN_POINT_SEP``, as when both ends
+    pick the same point), and the group of each.
 
-    Two distinct picks never share a coordinate: the points at one
-    coordinate qualify at both ends or at neither, so both ends would
-    pick the same first one.
+    Two distinct picks never share a coordinate: points at one coordinate
+    qualify at both ends or at neither, and both ends break a tie in
+    coordinate by the same key, so both would pick the same point.
     """
     coords = points[:, other]
     ends = np.column_stack([lo, hi])
     swap = coords[hi] < coords[lo]
     ends[swap] = ends[swap, ::-1]
-    take = np.column_stack([np.ones(len(lo), dtype=bool), lo != hi])
+    apart = np.linalg.norm(points[hi] - points[lo], axis=1) > 3 * _MIN_POINT_SEP
+    take = np.column_stack([np.ones(len(lo), dtype=bool), apart])
     return points[ends[take]], groups[np.nonzero(take)[0]]

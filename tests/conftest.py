@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from violinmorph.isolation import isolate_plate, rough_split
 from violinmorph.mesh import TriangleMesh
-from violinmorph.synthetic import disc_plate, reduced_pair
+from violinmorph.orientation import orient_to_frame, principal_frame
+from violinmorph.symmetry import build_symmetry_frame
+from violinmorph.synthetic import disc_plate, instrument_body, reduced_pair
 
 
 @pytest.fixture
@@ -36,6 +39,26 @@ def grid_mesh(nx, ny, spacing=1.0, height=None):
             faces.append([a, b, b + 1])
             faces.append([a, b + 1, a + 1])
     return TriangleMesh(verts, faces)
+
+
+def tie_grid(seed):
+    """A grid whose heights take a few integer values: equal coordinates, z
+    ties and planes through vertices everywhere."""
+    rng = np.random.default_rng(seed)
+    nx, ny = rng.integers(5, 12, size=2)
+    levels = rng.integers(0, 3, size=(nx, ny)).astype(float)
+    return grid_mesh(nx, ny, spacing=float(rng.choice([0.5, 1.0])),
+                     height=lambda x, y: levels[:x.shape[0], :x.shape[1]])
+
+
+def framed_plates(**body):
+    """Both plates of an instrument body, isolated and framed as ``pipeline`` does."""
+    body, _ = instrument_body(**body)
+    body = orient_to_frame(body, principal_frame(body.point_cloud()))
+    plates = [isolate_plate(rough_split(body, side)[0], side, tie_tol=1.0)
+              for side in ("sound_board", "back")]
+    frame = build_symmetry_frame(*plates)
+    return [frame.apply_plate(p) for p in plates]
 
 
 def unit_plane(normal, offset):

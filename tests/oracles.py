@@ -7,8 +7,8 @@ section planes, the all-pairs scan that ``slicing.cross_sections``
 ran before its interval sweep, the component-labelling chain order of
 ``slicing._chain``, the channel search cutting every station
 across the whole plate with that scan, ``slicing.extreme_points``
-picking per cut in a loop over it, then picking in chain order from a
-full cut of every plane, ``isolation.close_contour`` searching each
+picking per cut in a loop over it, then picking from a chained full
+cut of every plane, ``isolation.close_contour`` searching each
 anchor pair on its own, and the ascii and binary PLY body
 readers, the per-row f-string writers of every text artifact (CSV,
 JSON, PLY, OBJ), plus the earlier
@@ -283,9 +283,9 @@ def cross_section_loop(mesh, normal, offset):
                 key = (u, v) if u < v else (v, u)
                 keys.append(key)
                 if key not in edge_points:
-                    du, dv = d[key[0]], d[key[1]]
-                    t = du / (du - dv)
-                    edge_points[key] = verts[key[0]] + t * (verts[key[1]] - verts[key[0]])
+                    below, above = key if side[key[1]] else key[::-1]
+                    t = d[below] / (d[below] - d[above])
+                    edge_points[key] = verts[below] + t * (verts[above] - verts[below])
                 edge_faces.setdefault(key, []).append(fi)
         face_edges[fi] = tuple(keys)
 
@@ -996,15 +996,9 @@ def _distances(verts, normals, offsets):
     return d
 
 
-def cross_sections_full_scan(mesh, normals, offsets, chunk_elements=2 ** 16):
-    """``slicing.cross_sections`` testing every (plane, face) pair.
-
-    The planes are cut in chunks of at most ``chunk_elements`` plane x
-    max(vertices, faces) entries; each chunk takes every vertex's signed
-    distance from each of its planes and keeps the faces whose corners
-    lie on both sides. ``pairs_visited`` is planes x faces.
-    """
-    normals, offsets = _plane_batch(normals, offsets)
+def _full_scan_pairs(mesh, normals, offsets, chunk_elements):
+    """The crossing (plane, face) pairs of testing every pair, with each face's
+    corner distances from its plane."""
     verts, f = mesh.vertices, mesh.faces
     step = max(1, chunk_elements // max(mesh.n_vertices, mesh.n_faces, 1))
     pf, cf, dc = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
@@ -1016,8 +1010,51 @@ def cross_sections_full_scan(mesh, normals, offsets, chunk_elements=2 ** 16):
         pf.append(p + a)
         cf.append(c)
         dc.append(d[p[:, None], f[c]])
-    return _cut_pairs(verts, f, normals, np.concatenate(pf), np.concatenate(cf),
-                      np.concatenate(dc), len(normals) * mesh.n_faces)
+    return np.concatenate(pf), np.concatenate(cf), np.concatenate(dc)
+
+
+def cross_sections_full_scan(mesh, normals, offsets, chunk_elements=2 ** 16):
+    """``slicing.cross_sections`` testing every (plane, face) pair.
+
+    The planes are cut in chunks of at most ``chunk_elements`` plane x
+    max(vertices, faces) entries; each chunk takes every vertex's signed
+    distance from each of its planes and keeps the faces whose corners
+    lie on both sides. ``pairs_visited`` is planes x faces.
+    """
+    normals, offsets = _plane_batch(normals, offsets)
+    return _cut_pairs(mesh.vertices, mesh.faces, normals,
+                      *_full_scan_pairs(mesh, normals, offsets, chunk_elements),
+                      len(normals) * mesh.n_faces)
+
+
+def pick_points(mesh, normals, offsets, sections):
+    """Each plane's points for the pick oracles, from its chained full cut
+    ``sections``, and whether the plane is crowded.
+
+    A plane is crowded when two of its crossing points (one per crossed
+    edge, before chaining) lie within 3 x ``_MIN_POINT_SEP``. Only there
+    can the chained cut's merge of near points drop points (a merged
+    neighbour, or a whole polyline shorter than the merge distance), so
+    only there do the chained cut's points differ from the crossing
+    points the picks are defined on. A crowded plane takes its crossing
+    points, in edge order; the others take the chained cut's points, in
+    chain order.
+
+    Returns the points, each plane's start into them (with the end
+    appended), and the crowded flags.
+    """
+    normals, offsets = _plane_batch(normals, offsets)
+    plane, crossings, _ = slicing._crossings(mesh.vertices, mesh.faces, normals,
+                                             *_full_scan_pairs(mesh, normals, offsets, 2 ** 16))
+    # planes 1e3 apart in a fourth coordinate: only pairs on one plane are near
+    near = cKDTree(np.column_stack([crossings, 1e3 * plane])).query_pairs(
+        3 * _MIN_POINT_SEP, output_type="ndarray")
+    crowded = np.bincount(plane[near[:, 0]], minlength=len(normals)) > 0
+    bounds = sections.point_starts()
+    parts = [crossings[plane == i] if crowded[i] else sections.points[bounds[i]:bounds[i + 1]]
+             for i in range(len(normals))]
+    return (np.concatenate([np.empty((0, 3))] + parts),
+            np.cumsum([0] + [len(part) for part in parts]), crowded)
 
 
 def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_rms_mm=0.5):
@@ -1027,11 +1064,17 @@ def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_r
     ``stations`` equally spaced arc-length stations of the contour spline,
     a vertical section perpendicular to the contour tangent is cut and
     searched inward over ``window_mm`` for the lowest point (highest for
-    the back). A station is skipped, with a warning, when its section is
-    empty. The trace is declared ``no_channel`` when more than half of the
-    minima sit at the search window's boundary (nothing concave to find).
+    the back); when several window points reach that z (the station is
+    tied), for the one of least inward offset, then x, then y. A crowded
+    station searches the crossing points of its cut (:func:`pick_points`).
+    A station is skipped, with a warning, when its section is empty. The
+    trace is declared ``no_channel`` when more than half of the minima
+    sit at the search window's boundary (nothing concave to find).
     ``smoothing_rms_mm`` caps the rms deviation of the smoothed trace from
     the raw minima.
+
+    Returns the trace and, per detected station, whether its cut is
+    crowded and whether it is tied.
     """
     if window_mm <= 0 or stations < 8:
         raise ContractError("window must be positive and stations >= 8")
@@ -1053,16 +1096,17 @@ def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_r
         spline, np.interp(targets, arc, dense_t), centroid_xy)
     targets = targets[kept]
     skipped = len(kept) - len(targets)
-    sections = cross_sections_full_scan(mesh, normals, offsets)
+    points, bounds, crowded = pick_points(mesh, normals, offsets,
+                                          cross_sections_full_scan(mesh, normals, offsets))
 
     minima = []
     arcs = []
     depths = []
     tangents_pts = []
+    flags = []
     at_edge = 0
-    bounds = sections.point_starts()
     for i, (s_arc, c, inward_i) in enumerate(zip(targets, centres, inward)):
-        pts = sections.points[bounds[i]:bounds[i + 1]]
+        pts = points[bounds[i]:bounds[i + 1]]
         if not len(pts):
             skipped += 1
             warnings.warn(f"empty channel section at arc length {s_arc:.1f}", stacklevel=2)
@@ -1078,10 +1122,14 @@ def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_r
         cand = pts[window]
         cand_s = s[window]
         best = int(pick(cand[:, 2]))
+        tied = np.flatnonzero(cand[:, 2] == cand[best, 2])
+        if len(tied) > 1:
+            best = min(tied.tolist(), key=lambda j: (cand_s[j], cand[j, 0], cand[j, 1]))
         minima.append(cand[best])
         arcs.append(s_arc)
         depths.append(float(cand_s[best]))
         tangents_pts.append(c)
+        flags.append((crowded[i], len(tied) > 1))
         if cand_s[best] < edge_tol or cand_s[best] > window_mm - edge_tol:
             at_edge += 1
 
@@ -1099,7 +1147,7 @@ def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_r
     tck, _ = splprep(closed.T, u=u, s=smooth_cap, per=1)
     smoothed = np.asarray(splev(u[:-1], tck)).T
 
-    return ChannelTrace(
+    trace = ChannelTrace(
         points=minima,
         arc_lengths=np.asarray(arcs),
         inward_offsets=np.asarray(depths),
@@ -1109,6 +1157,8 @@ def channel_of_minima_full_scan(plate, window_mm=15.0, stations=400, smoothing_r
         stations_total=stations,
         stations_skipped=skipped,
     )
+    flags = np.asarray(flags, dtype=bool).reshape(-1, 2)
+    return trace, flags[:, 0], flags[:, 1]
 
 
 def extreme_points_loop(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4,
@@ -1117,26 +1167,30 @@ def extreme_points_loop(mesh, axis="x", spacing=1.0, keep_interval=None, keep_co
 
     Cuts the (already oriented) mesh with planes orthogonal to ``axis``
     every ``spacing`` mm and keeps, per cut, the two points with minimal
-    and maximal coordinate along the in-plane horizontal axis.
+    and maximal coordinate along the in-plane horizontal axis. Per end, a
+    point qualifies within ``tie_tol`` of the extreme and, with
+    ``prefer_z``, at the extreme z of those; when several qualify (the
+    plane is tied), the pick is the least by (coordinate outward, z in
+    ``prefer_z``'s direction or ascending, coordinate along ``axis``).
+    The two ends are kept once when they lie within 3 x
+    ``_MIN_POINT_SEP``. A crowded plane picks from the crossing points of
+    its cut (:func:`pick_points`).
 
     Parameters
     ----------
     keep_interval : (lo, hi), optional
-        Range along ``axis`` in which more than two points are retained
-        per cut (``keep_count`` of them, split between both ends), for
-        regions where the outline is interrupted, e.g. a removed neck.
-    keep_count : int
-        Points kept per cut inside ``keep_interval``.
-    prefer_z : {"max", "min"}, optional
-        With ``tie_tol`` > 0, candidates within ``tie_tol`` mm of the
-        extreme in-plane coordinate are re-ranked by z. Lets the caller
-        target the upper or lower rim when both plates of a body reach
-        equally far out.
+        Range along ``axis`` in which ``keep_count`` points are retained
+        per cut: the first ``keep_count // 2`` and the last of the cut's
+        points sorted by (coordinate, z, coordinate along ``axis``), a
+        point within 3 x ``_MIN_POINT_SEP`` of the one before counting as
+        one with it.
 
     Returns
     -------
-    (k, 3) ndarray
-        Ordered by section offset, then by in-plane coordinate.
+    (points, plane, crowded, tied)
+        The picks, ordered by section offset, then by in-plane
+        coordinate; the plane of each; and per plane whether its cut is
+        crowded and whether an end is tied.
     """
     if axis not in ("x", "y"):
         raise ContractError(f"axis must be 'x' or 'y', got {axis!r}")
@@ -1150,43 +1204,60 @@ def extreme_points_loop(mesh, axis="x", spacing=1.0, keep_interval=None, keep_co
     def pick_extreme(pts, coords, end):
         best = coords.min() if end == "lo" else coords.max()
         cand = np.flatnonzero(np.abs(coords - best) <= tie_tol)
-        if prefer_z is None or len(cand) == 1:
-            return int(cand[0])
-        z = pts[cand, 2]
-        return int(cand[np.argmax(z) if prefer_z == "max" else np.argmin(z)])
+        if prefer_z is not None:
+            z = pts[cand, 2]
+            cand = cand[z == (z.max() if prefer_z == "max" else z.min())]
+        out, up = (1.0 if end == "lo" else -1.0), (-1.0 if prefer_z == "max" else 1.0)
+        pick = min(cand.tolist(), key=lambda j: (out * coords[j], up * pts[j, 2], pts[j, ax]))
+        return pick, len(cand) > 1
 
-    result = []
+    result, planes = [], []
     offsets = slicing.section_offsets(lo, hi, spacing)
-    sections = cross_sections_full_scan(mesh, np.eye(3)[[ax] * len(offsets)], offsets)
-    bounds = sections.point_starts()
+    normals = np.eye(3)[[ax] * len(offsets)]
+    points, bounds, crowded = pick_points(mesh, normals, offsets,
+                                          cross_sections_full_scan(mesh, normals, offsets))
+    tied = np.zeros(len(offsets), dtype=bool)
     for i, off in enumerate(offsets):
-        pts = sections.points[bounds[i]:bounds[i + 1]]
+        pts = points[bounds[i]:bounds[i + 1]]
         if not len(pts):
             warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
             continue
         coords = pts[:, other]
         if keep_interval is not None and keep_interval[0] <= off <= keep_interval[1]:
-            k = max(2, int(keep_count))
-            order = np.argsort(coords, kind="stable")
-            take = min(k // 2, len(order))
-            chosen = list(order[:take]) + list(order[len(order) - (k - take):])
+            order = sorted(range(len(pts)), key=lambda j: (coords[j], pts[j, 2], pts[j, ax]))
+            order = [j for n, j in enumerate(order) if n == 0 or
+                     np.linalg.norm(pts[j] - pts[order[n - 1]]) > 3 * _MIN_POINT_SEP]
+            take = keep_count // 2
+            section_pts = pts[order[:take] + order[max(take, len(order) - (keep_count - take)):]]
         else:
-            chosen = [pick_extreme(pts, coords, "lo"), pick_extreme(pts, coords, "hi")]
-        section_pts = pts[sorted(set(chosen), key=lambda i: coords[i])]
+            (low, tie_lo), (high, tie_hi) = pick_extreme(pts, coords, "lo"), \
+                pick_extreme(pts, coords, "hi")
+            tied[i] = tie_lo or tie_hi
+            if coords[high] < coords[low]:
+                low, high = high, low
+            # two picks within 3 x _MIN_POINT_SEP count as one
+            apart = np.linalg.norm(pts[high] - pts[low]) > 3 * _MIN_POINT_SEP
+            section_pts = pts[[low, high] if apart else [low]]
         result.append(section_pts)
+        planes += [i] * len(section_pts)
     if not result:
         raise ContractError("no section produced any points")
-    return np.concatenate(result, axis=0)
+    return np.concatenate(result, axis=0), np.asarray(planes, dtype=np.intp), crowded, tied
 
 
 def extreme_points_chained(mesh, axis="x", spacing=1.0, keep_interval=None, keep_count=4,
                            prefer_z=None, tie_tol=0.0):
-    """``slicing.extreme_points`` from a full cut of every plane, picked in chain order.
+    """``slicing.extreme_points`` from a chained full cut of every plane.
 
     Per cut and per end, the first point in chain order within ``tie_tol``
     of the extreme coordinate, or, with ``prefer_z``, the first of those
-    with the extreme z; inside ``keep_interval``, ``keep_count`` points by
-    a stable sort of the coordinates.
+    with the extreme z; where more than one point qualifies (a tied
+    plane), the least by (coordinate outward, z in ``prefer_z``'s
+    direction or ascending, coordinate along ``axis``); both ends once
+    when they lie within 3 x ``_MIN_POINT_SEP``. Inside
+    ``keep_interval``, ``keep_count`` points as :func:`extreme_points_loop`
+    keeps them. A crowded plane picks from the crossing points of its cut
+    (:func:`pick_points`). Returns what :func:`extreme_points_loop` returns.
     """
     if axis not in slicing.AXES:
         raise ContractError(f"axis must be 'x' or 'y', got {axis!r}")
@@ -1196,8 +1267,9 @@ def extreme_points_chained(mesh, axis="x", spacing=1.0, keep_interval=None, keep
     other = 1 - ax
     offsets = slicing.section_offsets(mesh.vertices[:, ax].min(), mesh.vertices[:, ax].max(),
                                       spacing)
-    sections = slicing.cross_sections(mesh, np.tile(np.eye(3)[ax], (len(offsets), 1)), offsets)
-    points, bounds = sections.points, sections.point_starts()
+    normals = np.tile(np.eye(3)[ax], (len(offsets), 1))
+    points, bounds, crowded = pick_points(mesh, normals, offsets,
+                                          slicing.cross_sections(mesh, normals, offsets))
     sizes = np.diff(bounds)
     for off in offsets[sizes == 0]:
         warnings.warn(f"empty section at {axis}={off:.3f}", stacklevel=2)
@@ -1206,6 +1278,7 @@ def extreme_points_chained(mesh, axis="x", spacing=1.0, keep_interval=None, keep
         raise ContractError("no section produced any points")
     starts, sizes = bounds[cut], sizes[cut]
     coords = points[:, other]
+    group = np.repeat(np.arange(len(cut)), sizes)
 
     def pick(reduce):
         cand = np.abs(coords - np.repeat(reduce.reduceat(coords, starts), sizes)) <= tie_tol
@@ -1213,27 +1286,36 @@ def extreme_points_chained(mesh, axis="x", spacing=1.0, keep_interval=None, keep
             top = np.maximum if prefer_z == "max" else np.minimum
             z = np.where(cand, points[:, 2], -np.inf if prefer_z == "max" else np.inf)
             cand &= z == np.repeat(top.reduceat(z, starts), sizes)
-        return np.minimum.reduceat(np.where(cand, np.arange(len(coords)), len(coords)), starts)
+        first = np.minimum.reduceat(np.where(cand, np.arange(len(coords)), len(coords)), starts)
+        z = -points[:, 2] if prefer_z == "max" else points[:, 2]
+        least = np.lexsort((points[:, ax], z, coords if reduce is np.minimum else -coords,
+                            ~cand, group))[starts]
+        tied = np.add.reduceat(cand, starts) > 1
+        return np.where(tied, least, first), tied
 
-    lo, hi = pick(np.minimum), pick(np.maximum)
+    (lo, tied_lo), (hi, tied_hi) = pick(np.minimum), pick(np.maximum)
     ends = np.column_stack([lo, hi])
     swap = coords[hi] < coords[lo]
     ends[swap] = ends[swap, ::-1]
     kept = np.zeros(len(cut), dtype=bool)
     if keep_interval is not None:
         kept = (keep_interval[0] <= offsets[cut]) & (offsets[cut] <= keep_interval[1])
-    take = np.column_stack([~kept, ~kept & (lo != hi)])
+    apart = np.linalg.norm(points[hi] - points[lo], axis=1) > 3 * _MIN_POINT_SEP
+    take = np.column_stack([~kept, ~kept & apart])
     chosen, keys = [ends[take]], [np.nonzero(take)[0]]
     for i in np.flatnonzero(kept).tolist():
-        c = coords[starts[i]:starts[i] + sizes[i]]
-        k = max(2, int(keep_count))
-        order = np.argsort(c, kind="stable")
-        n = min(k // 2, len(order))
-        picked = sorted(set(list(order[:n]) + list(order[len(order) - (k - n):])),
-                        key=lambda j: c[j])
-        chosen.append(starts[i] + np.asarray(picked, dtype=np.intp))
+        seg = points[starts[i]:starts[i] + sizes[i]]
+        order = np.lexsort((seg[:, ax], seg[:, 2], seg[:, other]))
+        near = np.linalg.norm(np.diff(seg[order], axis=0), axis=1) <= 3 * _MIN_POINT_SEP
+        order = order[np.concatenate([[True], ~near])]
+        n = keep_count // 2
+        picked = np.concatenate([order[:n], order[max(n, len(order) - (keep_count - n)):]])
+        chosen.append(starts[i] + picked)
         keys.append(np.full(len(picked), i))
-    return points[np.concatenate(chosen)[np.argsort(np.concatenate(keys), kind="stable")]]
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    tied = np.zeros(len(offsets), dtype=bool)
+    tied[cut] = (tied_lo | tied_hi) & ~kept
+    return points[np.concatenate(chosen)[order]], cut[np.concatenate(keys)[order]], crowded, tied
 
 
 def close_contour_per_pair(mesh, ordered_anchors):

@@ -166,6 +166,7 @@ class TestExitCodes:
         ("pipeline", "isolate", "keep_interval", 5),
         ("pipeline", "isolate", "keep_interval", [3.0, "x"]),
         ("pipeline", "isolate", "keep_interval", [5.0, 1.0]),
+        ("pipeline", "isolate", "keep_interval", [float("-inf"), float("inf")]),
         ("pipeline", "register", "pca_init", "false"),
         ("pipeline", "register", "allow_scale", 1),
         ("pipeline", "register", "all_metrics", None),
@@ -794,11 +795,10 @@ class TestInMemoryPipeline:
             for key in ("artifacts", "plates", "converged", "counters", "channel"):
                 assert mine.get(key) == theirs.get(key), (manifest.name, key)
         # the section counters, per side, in pipeline's manifests as in the commands'
-        keys = {"isolate": {"planes", "pairs_visited", "full_cut_planes", "recut", "anchors",
-                            "inserted_vertices", "unbounded_searches"},
+        keys = {"isolate": {"planes", "pairs_visited", "anchors", "inserted_vertices",
+                            "unbounded_searches"},
                 "contours": {"planes", "pairs_visited"},
-                "channel": {"stations_cut", "pairs_visited", "full_cut_stations", "recut",
-                            "skipped"}}
+                "channel": {"stations_cut", "pairs_visited", "skipped"}}
         for root in (out, out / "acquisition_b"):
             for command in keys if root == out else ["isolate"]:
                 counters = json.loads((root / f"manifest_{command}.json").read_text())["counters"]

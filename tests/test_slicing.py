@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from violinmorph.errors import ContractError
+from violinmorph.isolation import isolate_plate
 from violinmorph.mesh import TriangleMesh
 from violinmorph.slicing import (
     cross_section,
@@ -72,14 +73,13 @@ class TestCrossSectionsArguments:
     @pytest.mark.parametrize("offset", [0.0, 0.3])
     def test_infinite_window_radius_takes_the_whole_cut(self, offset):
         # x = 0 runs through vertices: the full cut merges nudged points
-        # that the unchained crossings keep, and both say so
+        # that the unchained crossings keep
         plate = disc_plate(radius=30.0, rings=10, sectors=40).mesh
         near = crossings_near(plate, [[1.0, 0, 0]], [offset], [[0.0, 0.0]], np.inf)
         full = cross_sections(plate, [[1.0, 0, 0]], [offset])
         assert len(full.points) > 0
-        assert near.crowded_planes.tolist() == full.crowded_planes.tolist() == [offset == 0.0]
         kept, found = {p.tobytes() for p in full.points}, {p.tobytes() for p in near.points}
-        assert kept <= found and (kept == found) != near.crowded_planes[0]
+        assert kept <= found and (kept == found) == (offset != 0.0)
 
     def test_rows_unit_within_tolerance_accepted(self, cube):
         tilted = np.array([0.6, 0.0, 0.8]) * (1.0 + 5e-13)
@@ -100,18 +100,10 @@ class TestSectionsArrays:
         assert starts.tolist() == [0, 8, 8, 16]
         assert sections.points[starts[2]:starts[3]].tobytes() == \
             np.concatenate([p.points for p in sections.polylines(2)]).tobytes()
-        assert sections.crowded_planes.tolist() == [False] * 3
         with pytest.raises(IndexError):
             sections.polylines(3)
         with pytest.raises(IndexError):
             sections.polylines(-1)
-
-    def test_crowded_when_a_vertex_lies_on_the_plane(self, cube):
-        # the diagonal plane through four cube vertices nudges them: the
-        # crossings on the edges around each lie 1e-9 mm apart and merge
-        diagonal = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        sections = cross_sections(cube, [diagonal, diagonal], [0.0, 0.3])
-        assert sections.crowded_planes.tolist() == [True, False]
 
 
 class TestCrossSection:
@@ -251,3 +243,32 @@ class TestExtremePoints:
         plate = disc_plate(radius=30.0, rings=10, sectors=40)
         with pytest.raises(ContractError, match="spacing must be positive"):
             extreme_points(plate.mesh, axis="x", spacing=np.nan)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(keep_interval=(5.0, -5.0)), "keep_interval must be a finite"),
+        (dict(keep_interval=(np.nan, 5.0)), "keep_interval must be a finite"),
+        (dict(keep_interval=(-np.inf, 5.0)), "keep_interval must be a finite"),
+        (dict(keep_interval=(1.0, 2.0, 3.0)), "keep_interval must be a finite"),
+        (dict(keep_interval="ab"), "keep_interval must be a finite"),
+        (dict(keep_interval=(-5.0, 5.0), keep_count=1), "keep_count must be an integer >= 2"),
+        (dict(keep_count=2.5), "keep_count must be an integer >= 2"),
+        (dict(keep_count=True), "keep_count must be an integer >= 2"),
+    ])
+    def test_bad_keep_arguments_rejected(self, kwargs, message):
+        # an error, not two points kept per cut
+        plate = disc_plate(radius=30.0, rings=10, sectors=40)
+        with pytest.raises(ContractError, match=message):
+            extreme_points(plate.mesh, axis="x", **kwargs)
+        with pytest.raises(ContractError, match=message):
+            isolate_plate(plate.mesh, "sound_board", **kwargs)
+
+    def test_tie_tol_acts_only_with_prefer_z(self):
+        # without prefer_z the pick is the point furthest out, whatever the tolerance
+        plate = disc_plate(radius=30.0, rings=10, sectors=40, jitter=0.3,
+                           rng=np.random.default_rng(5)).mesh
+        base = extreme_points(plate, axis="x", spacing=0.7)
+        for tie_tol in (0.5, 5.0):
+            assert extreme_points(plate, axis="x", spacing=0.7,
+                                  tie_tol=tie_tol).tobytes() == base.tobytes()
+        assert extreme_points(plate, axis="x", spacing=0.7, prefer_z="max",
+                              tie_tol=5.0).tobytes() != base.tobytes()
