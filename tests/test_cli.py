@@ -844,9 +844,9 @@ class TestInMemoryPipeline:
         assert run("simplify", "--reference", str(mesh_path), "--target-faces", "200",
                    "--out", str(out)) == 0
         counters = json.loads((out / "manifest_simplify.json").read_text())["counters"]
-        assert sorted(counters) == ["collapses", "flip", "flushes", "grid_nodes",
-                                    "joint_valid_nodes", "link", "not_an_edge", "pops",
-                                    "reference_valid_nodes", "simplified_valid_nodes",
+        assert sorted(counters) == ["collapses", "eigvalsh_rows", "flip", "flushes",
+                                    "grid_nodes", "joint_valid_nodes", "link", "not_an_edge",
+                                    "pops", "reference_valid_nodes", "simplified_valid_nodes",
                                     "stale", "undone"]
         # each collapse removes one vertex
         simplified = load_mesh(out / "simplified.ply")

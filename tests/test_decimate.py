@@ -83,6 +83,15 @@ class TestDecimate:
         decided = sum(first[k] for k in ("collapses", "stale", "not_an_edge", "link", "flip"))
         assert first["pops"] >= decided + first["undone"]
 
+    def test_planar_rows_go_to_eigvalsh(self):
+        # a planar grid's interior quadrics are singular: the condition
+        # screen passes none of their rows and leaves them to eigvalsh
+        first, second = {}, {}
+        decimate(grid_mesh(12, 12), 60, counters=first)
+        decimate(grid_mesh(12, 12), 60, counters=second)
+        assert first == second
+        assert first["eigvalsh_rows"] > 0
+
     def test_deterministic(self):
         mesh = icosphere(5.0, 3)
         a = decimate(mesh, 300)

@@ -1117,6 +1117,27 @@ class TestDecimateOracle:
     def test_grooved_plate(self, bench_plate, fraction):
         assert_same_decimation(bench_plate, int(fraction * bench_plate.n_faces))
 
+    def test_bench_plate_counters(self, bench_plate):
+        # README's numbers at the benchmark's 10 % target; at both of its
+        # targets the condition screen decides every row without eigvalsh
+        low, high = {}, {}
+        decimate(bench_plate, int(0.1 * bench_plate.n_faces), counters=low)
+        decimate(bench_plate, int(0.4 * bench_plate.n_faces), counters=high)
+        assert low == {"collapses": 2238, "pops": 20230, "stale": 17991, "not_an_edge": 0,
+                       "link": 0, "flip": 1, "flushes": 143, "undone": 0, "eigvalsh_rows": 0}
+        assert high["eigvalsh_rows"] == 0
+
+    def test_sloped_grid_counters(self):
+        # ties undo about every second run, so stale pops wait in a run's
+        # window and go back on the heap when an undo makes them live again
+        counters = {}
+        assert_same_decimation(grid_mesh(10, 10, height=lambda x, y: 0.3 * x - 0.2 * y + 1.0),
+                               40, counters)
+        assert {k: v for k, v in counters.items() if k != "eigvalsh_rows"} == {
+            "collapses": 74, "pops": 647, "stale": 379, "not_an_edge": 0, "link": 32,
+            "flip": 122, "flushes": 73, "undone": 37}
+        assert counters["eigvalsh_rows"] > 0  # planar quadrics are singular
+
     def test_icosphere_and_disc_plate(self):
         assert_same_decimation(icosphere(5.0, 3), 300)
         plate = disc_plate(radius=20.0, rings=8, sectors=30, jitter=0.3,
@@ -1180,9 +1201,9 @@ class TestDecimateOracle:
         plate = disc_plate(radius=20.0, height=0.01, rings=4, sectors=16).mesh
         conditions = []
 
-        def solvable(a):
+        def solvable(a, counters=None):
             conditions.extend(np.linalg.cond(a))
-            return _solvable(a)
+            return _solvable(a, counters)
 
         module = importlib.import_module("violinmorph.decimate")  # the package exports the function
         _solvable = module._solvable

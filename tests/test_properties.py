@@ -1,5 +1,6 @@
 """Generative checks of the algebraic invariants."""
 
+import importlib
 import re
 
 import numpy as np
@@ -270,12 +271,13 @@ def test_decimate_grids_match_loop_oracle(shape, nx, ny, jitter, seed, fraction)
     assert new.faces.tobytes() == old.faces.tobytes()
 
 
-def _psd_stack(rng, conditions):
-    """Random symmetric PSD 3x3 matrices with the given condition numbers, at random scales."""
+def _psd_stack(rng, conditions, signs=(1.0, 1.0, 1.0)):
+    """Random symmetric 3x3 matrices with the given condition numbers, at random scales:
+    PSD, unless ``signs`` turns some eigenvalues (largest first) negative."""
     rotations = np.linalg.qr(rng.normal(size=(len(conditions), 3, 3)))[0]
     top = 10.0 ** rng.uniform(-4.0, 4.0, len(conditions))
     middle = top * conditions ** -rng.uniform(0.0, 1.0, len(conditions))
-    values = np.column_stack([top, middle, top / conditions])
+    values = np.column_stack([top, middle, top / conditions]) * signs
     return rotations @ (values[:, :, None] * rotations.transpose(0, 2, 1))
 
 
@@ -299,6 +301,92 @@ def test_screened_condition_test_equals_the_svd_test(seed, rows):
     solvable = _solvable(a)
     assert solvable.tolist() == plain.tolist()
     assert not solvable[-5:].any()  # x / 0 and 0 / 0
+
+
+def _near_parallel_blocks(rng, rows):
+    """Sums of n n^T over four unit normals near one direction (rank 1) or
+    two each near one of two (rank 2), plus noise from 0 to 1e-2."""
+    bases = rng.normal(size=(rows, 2, 3))
+    pick = np.where(rng.random(rows)[:, None] < 0.5, [0, 0, 0, 0], [0, 0, 1, 1])
+    normals = bases[np.arange(rows)[:, None], pick]
+    noise = np.where(rng.random(rows) < 0.2, 0.0, 10.0 ** rng.uniform(-16.0, -2.0, rows))
+    normals = normals + noise[:, None, None] * rng.normal(size=(rows, 4, 3))
+    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    return np.einsum("rki,rkj->rij", normals, normals)
+
+
+def _at_the_screen_bound(rng, factors):
+    """diag(1, m, s), permuted and scaled, with s set so that the screen's
+    bound tr e2 / det is ``factors`` times _COND_LIMIT / 4.
+
+    For diag(1, m, s) the bound is (1 + m + s)(m + s + m s) / (m s), a
+    quadratic in s whose smaller root is taken.
+    """
+    m = 10.0 ** rng.uniform(-3.0, 0.0, len(factors))
+    bound = factors * _COND_LIMIT / 4
+    b = (1 + m) ** 2 + m - bound * m
+    larger = (-b + np.sqrt(b * b - 4 * (1 + m) ** 2 * m)) / (2 * (1 + m))
+    s = m / larger  # the roots' product is m
+    values = np.column_stack([np.ones_like(m), m, s]) * 10.0 ** rng.uniform(-4.0, 4.0, (len(m), 1))
+    values = np.take_along_axis(values, rng.permuted(np.tile([0, 1, 2], (len(m), 1)), axis=1), 1)
+    return values[:, :, None] * np.eye(3)
+
+
+def _sloped_grid_blocks(monkeypatch):
+    """Every block ``decimate`` tests on the sloped 10 x 10 grid (rank-1 plane quadrics)."""
+    module = importlib.import_module("violinmorph.decimate")  # the package exports the function
+    blocks, solvable = [], module._solvable
+
+    def record(a, counters=None):
+        blocks.append(np.array(a))
+        return solvable(a, counters)
+
+    monkeypatch.setattr(module, "_solvable", record)
+    decimate(grid_mesh(10, 10, height=lambda x, y: 0.3 * x - 0.2 * y + 1.0), 40)
+    monkeypatch.undo()
+    return np.concatenate(blocks)
+
+
+def test_screen_equals_eigvalsh_equals_svd_on_a_seeded_batch(monkeypatch):
+    rng = np.random.default_rng(32)
+    inside = _at_the_screen_bound(rng, 1 - 10.0 ** rng.uniform(-6.0, -1.0, 2_000))
+    outside = _at_the_screen_bound(rng, 1 + 10.0 ** rng.uniform(-6.0, -1.0, 2_000))
+    guards = [np.diag([1.0, t, t]) for t in 1e-6 * np.array([0.99, 0.999, 1.0, 1.001, 1.01])]
+    extremes = 10.0 ** rng.choice([-160.0, -150.0, -100.0, 100.0, 150.0, 200.0], (2_000, 1, 1))
+    # rank 2 where the determinant's terms are subnormal: its rounding can come out positive
+    turns = np.linalg.qr(rng.normal(size=(2_000, 3, 3)))[0]
+    values = 10.0 ** rng.uniform(-110.0, -100.0, (2_000, 3)) * [1.0, 1.0, 0.0]
+    subnormal = turns @ (values[:, :, None] * turns.transpose(0, 2, 1))
+    a = np.concatenate([
+        _psd_stack(rng, 10.0 ** rng.uniform(0.0, 10.0, 40_000)),
+        # indefinite with a positive trace and determinant, and negative definite
+        _psd_stack(rng, 10.0 ** rng.uniform(0.0, 10.0, 2_000), (1.0, -1.0, -1.0)),
+        np.diag([10.0, -1.0, -1e-9])[None],
+        _psd_stack(rng, 10.0 ** rng.uniform(0.0, 10.0, 2_000), (-1.0, -1.0, -1.0)),
+        extremes * _psd_stack(rng, 10.0 ** rng.uniform(0.0, 10.0, 2_000)), subnormal,
+        _psd_stack(rng, rng.uniform(0.6, 1.8, 20_000) * _COND_LIMIT),
+        _psd_stack(rng, (1.0 + rng.uniform(-1e-3, 1e-3, 10_000)) * _COND_LIMIT),
+        _near_parallel_blocks(rng, 30_000),
+        _sloped_grid_blocks(monkeypatch),
+        inside, outside, guards,
+        np.diag([0.0, 0.0, 3.0])[None], np.diag([2.0, 1.0, 0.0])[None], np.zeros((1, 3, 3)),
+    ])
+    assert len(a) >= 100_000
+    counters = {"eigvalsh_rows": 0}
+    solvable = _solvable(a, counters)
+    e = np.abs(np.linalg.eigvalsh(a))
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(all="ignore"):
+        by_eigvalsh = e.max(axis=1) / e.min(axis=1) < _COND_LIMIT
+        by_svd = s[:, 0] / s[:, -1] < _COND_LIMIT
+    assert solvable.tolist() == by_eigvalsh.tolist() == by_svd.tolist()
+    assert 0 < counters["eigvalsh_rows"] < len(a)
+    assert not solvable[-3:].any()
+    # the screen decides just inside its bound and leaves just outside it
+    for rows, left in ((inside, 0), (outside, len(outside))):
+        counters = {"eigvalsh_rows": 0}
+        assert _solvable(rows, counters).all()  # conditions _COND_LIMIT / 8 to / 4
+        assert counters["eigvalsh_rows"] == left
 
 
 @settings(max_examples=15, deadline=None)
